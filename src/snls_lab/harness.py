@@ -43,7 +43,7 @@ from .errors import (
     ConfigError,
     NumericalAbort,
 )
-from .integrator import SimParams, SolutionRecord, simulate
+from .integrator import SimParams, SolutionRecord, simulate, simulate_block
 from .mild_picard import PicardConfig, picard_iterate
 from .noise_process import (
     DensitySpec,
@@ -268,28 +268,33 @@ def _validate_noise(nz) -> dict:
             "densities": norm_densities}
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _validate_sim(s) -> dict:
     _require(isinstance(s, dict), "sim", "must be an object")
     lam = _get(s, "lambda", "sim", required=True)
-    _require(lam in (-1, 0, 1), "sim.lambda", "must be -1, 0 or 1")
-    alpha = float(s.get("alpha", 3.0))
+    _require(not isinstance(lam, bool) and lam in (-1, 0, 1), "sim.lambda",
+             "must be -1, 0 or 1")
+    alpha = s.get("alpha", 3.0)
+    _require(_is_number(alpha), "sim.alpha", "must be a number")
     dt = _get(s, "dt", "sim", required=True)
     t_final = _get(s, "t_final", "sim", required=True)
-    _require(isinstance(dt, (int, float)) and dt > 0, "sim.dt", "must be positive")
-    _require(isinstance(t_final, (int, float)) and t_final > 0, "sim.t_final",
-             "must be positive")
+    _require(_is_number(dt) and dt > 0, "sim.dt", "must be positive")
+    _require(_is_number(t_final) and t_final > 0, "sim.t_final", "must be positive")
     scheme = s.get("scheme", "rescaled")
     _require(scheme in ("direct", "rescaled"), "sim.scheme",
              "must be 'direct' or 'rescaled'")
     splitting = s.get("splitting", "strang")
     _require(splitting in ("lie", "strang"), "sim.splitting",
              "must be 'lie' or 'strang'")
-    out = {"lambda": lam, "alpha": alpha, "dt": float(dt),
+    out = {"lambda": lam, "alpha": float(alpha), "dt": float(dt),
            "t_final": float(t_final), "scheme": scheme, "splitting": splitting}
     if s.get("save_every") is not None:
         se = s["save_every"]
-        _require(isinstance(se, int) and se >= 1, "sim.save_every",
-                 "must be a positive integer")
+        _require(isinstance(se, int) and not isinstance(se, bool) and se >= 1,
+                 "sim.save_every", "must be a positive integer")
         out["save_every"] = se
     return out
 
@@ -512,53 +517,79 @@ def run_simulation(config: RunConfig) -> tuple[SolutionRecord, DecayReport | Non
     return record, report
 
 
-def _ensemble_member(args) -> dict:
-    """One ensemble path; module-level so process pools can pickle it."""
-    cfg_dict, index = args
+# Working-set budget of one ensemble block, in complex grid values: a block
+# marches at most this many values divided by n^d paths at once.
+BLOCK_BUDGET = 1 << 13
+
+
+def _ensemble_blocks(size: int, threads: int, points: int) -> list:
+    """Contiguous path-index blocks: one share per worker (the first
+    ``size % workers`` one path longer), each cut to the block budget."""
+    workers = max(1, min(threads, size))
+    cap = max(1, BLOCK_BUDGET // points)
+    blocks, start = [], 0
+    for w in range(workers):
+        stop = start + size // workers + (w < size % workers)
+        blocks += [list(range(i, min(i + cap, stop))) for i in range(start, stop, cap)]
+        start = stop
+    return blocks
+
+
+def _ensemble_member(args) -> list:
+    """One block of ensemble paths, marched together; module-level so process
+    pools can pickle it.  Returns per-path dicts in index order."""
+    cfg_dict, indices = args
     config = RunConfig.from_dict(cfg_dict)
     grid = build_grid(config)
     model = build_model(config)
     params = build_params(config)
     x = build_initial(config, grid)
-    path_seed = seeding.derive_seed(config.seed, index)
-    out: dict = {"index": index, "status": "ok"}
-    try:
-        record = simulate(grid, model, params, x, seed=path_seed)
-    except NumericalAbort as exc:
-        out["status"] = f"aborted at time index {exc.time_index}"
-        return out
+    seeds = [seeding.derive_seed(config.seed, index) for index in indices]
+    # decay_fit and gronwall_check read only the scalar series.
+    outcomes = simulate_block(grid, model, params, x, seeds, snapshots=False)
     fw = config.diagnostics.get("fit_window")
-    report = decay_fit(record, model, tuple(fw) if fw else None)
-    env = gronwall_check(record, model) if params.scheme == "rescaled" else None
-    out.update({
-        "lyapunov": report.lyapunov,
-        "fitted_slope": report.fitted_slope,
-        "lln_ratio": report.lln_ratio,
-        "margin": report.margin,
-        "final_mass_x": float(record.mass_x[-1]),
-        "final_mass_y": float(record.mass_y[-1]),
-    })
-    if env is not None:
-        out["gronwall_violations"] = env["violations"]
-        out["e0_monotone"] = env["monotone"]
-    return out
+    per_path = []
+    for index, record in zip(indices, outcomes):
+        out: dict = {"index": index, "status": "ok"}
+        per_path.append(out)
+        if isinstance(record, NumericalAbort):
+            out["status"] = f"aborted at time index {record.time_index}"
+            continue
+        report = decay_fit(record, model, tuple(fw) if fw else None)
+        out.update({
+            "lyapunov": report.lyapunov,
+            "fitted_slope": report.fitted_slope,
+            "lln_ratio": report.lln_ratio,
+            "margin": report.margin,
+            "final_mass_x": float(record.mass_x[-1]),
+            "final_mass_y": float(record.mass_y[-1]),
+        })
+        if params.scheme == "rescaled":
+            env = gronwall_check(record, model)
+            out["gronwall_violations"] = env["violations"]
+            out["e0_monotone"] = env["monotone"]
+    return per_path
 
 
 def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     """Monte Carlo ensemble over deterministically derived per-path seeds.
 
-    Aggregation is by path index regardless of completion order, so the
+    Paths run in contiguous index blocks, one share per worker, and each
+    block marches its paths as one array.  Every path is bitwise the same
+    whatever block it lands in, and aggregation is by path index, so the
     report is byte-identical for any worker count.
     """
     size = config.ensemble.get("size", 1)
     tol = config.ensemble.get("lyapunov_tolerance", 0.5)
     cfg_dict = config.to_dict()
-    jobs = [(cfg_dict, i) for i in range(size)]
-    if threads > 1 and size > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_path = list(pool.map(_ensemble_member, jobs))
+    points = config.grid["points"] ** config.grid["dimension"]
+    jobs = [(cfg_dict, block) for block in _ensemble_blocks(size, threads, points)]
+    if threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            blocks = list(pool.map(_ensemble_member, jobs))
     else:
-        per_path = [_ensemble_member(job) for job in jobs]
+        blocks = [_ensemble_member(job) for job in jobs]
+    per_path = [entry for block in blocks for entry in block]
 
     model = build_model(config)
     w = omega(model)

@@ -18,11 +18,35 @@ half phase, half linear; the Lie variant composes full sub-flows once.
 Noise increments enter per step (piecewise constant in the step), and the
 within-step Re M seen by the nonlinear phase is the step-start value.
 
-``simulate`` fuses the trailing and leading half-linear flows of consecutive
-steps into one Fourier multiplication and, for spatially constant mid
-multipliers, merges the two half phases through the known modulus scaling;
-both fusions are algebraically identical to the plain composition and leave
-two transforms per step.
+Strang runs march a block of B paths held as one (B, n^d) complex array
+(``simulate_block``; ``simulate`` is its B = 1 call).  Transforms act on the
+spatial axes only: ``fft``/``ifft`` on the last axis for d = 1,
+``fftn``/``ifftn`` over axes 1..d otherwise.  Each path's per-step scalars
+(the spatially constant mid multiplier, the phase coefficient) enter as
+(B, 1) columns.  The march fuses the trailing and leading half-linear flows
+of consecutive steps into one Fourier multiplication and, for spatially
+constant mid multipliers, merges the two half phases through the known
+modulus scaling; both fusions are algebraically identical to the plain
+composition and leave two transforms per step.  For such homogeneous rows
+the step loop keeps only each row's Parseval mass: the other mass, the
+stochastic mass sum and the abort checks are computed on the whole series
+after the loop, and report the first failing time index a step-by-step check
+would.  Spatially varying (direct-scheme) rows keep their per-step
+physical-space recording.  A row that aborts leaves the block; its
+neighbours march on.
+
+Every row is bitwise equal to the same path marched alone with its checks
+and sums taken step by step, because:
+
+* batched transforms over the spatial axes equal per-row transforms;
+* the free multiplier is applied as ``half * x`` (complex products are not
+  bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
+* the phase rotation is written in place as cos + i sin of the real angle,
+  which equals ``exp`` of the purely imaginary exponent;
+* each row's mass is one ``np.vdot``;
+* the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
+  two differ in the last bit on some entries);
+* the stochastic mass sum is a sequential ``cumsum`` from 0.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -33,7 +57,6 @@ still pointwise exact.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +146,6 @@ class SolutionRecord:
     path: MartingalePath
     params: SimParams
     seed: int | None
-    wall_time: float = 0.0
 
     @property
     def snapshot_times(self) -> np.ndarray:
@@ -256,13 +278,17 @@ class _Stepper:
         v *= np.exp(self._amp_pow(v) * (-1j * coef))
         return v
 
-    def _noise_field_mult(self, v: np.ndarray, k: int) -> np.ndarray:
+    def noise_exponent(self, k: int) -> np.ndarray:
+        """Exponent of the spatially varying noise multiplier of step k."""
         expo = self.path.increments[:, k] @ self.mu_e \
             - self.path.dqv[:, k] @ self.corr_base
         if np.abs(expo.real).max() > OVERFLOW_GUARD:
             raise NumericalAbort("noise exponent exceeds the overflow guard",
                                  time_index=k)
-        v *= np.exp(expo)
+        return expo
+
+    def _noise_field_mult(self, v: np.ndarray, k: int) -> np.ndarray:
+        v *= np.exp(self.noise_exponent(k))
         return v
 
     def _mid(self, v: np.ndarray, k: int) -> np.ndarray:
@@ -319,7 +345,26 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
     The noise path is sampled once from (model, dt, n_steps, seed) unless one
     is supplied, so paired runs can share it.  Scalar series (masses, Re M,
     the stochastic mass sum) are recorded at every step; field snapshots every
-    ``save_every`` steps (default about 512 over the run).
+    ``save_every`` steps (default about 512 over the run).  This is the
+    one-path call of :func:`simulate_block`.
+    """
+    outcome, = simulate_block(grid, model, params, x, [seed],
+                              paths=None if path is None else [path])
+    if isinstance(outcome, NumericalAbort):
+        raise outcome
+    return outcome
+
+
+def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
+                   x: ComplexField, seeds: list,
+                   paths: list | None = None,
+                   snapshots: bool = True) -> list:
+    """Integrate one path per seed from x over [0, t_final], marched together.
+
+    Returns, in seed order, each path's :class:`SolutionRecord` or the
+    :class:`NumericalAbort` that stopped it, so one diverging path does not
+    stop its neighbours.  Paths are sampled from (model, dt, n_steps, seed)
+    unless supplied.  With ``snapshots`` false only the final state is kept.
     """
     if x.grid is not grid and x.grid != grid:
         raise ValueError("initial state lives on a different grid")
@@ -330,9 +375,9 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
             "noise.profiles to constant-one or use scheme=direct)"
         )
     n_steps = params.n_steps
-    if path is None:
-        path = sample_martingale(model, params.dt, n_steps, seed)
-    else:
+    if paths is None:
+        paths = [sample_martingale(model, params.dt, n_steps, s) for s in seeds]
+    for path in paths:
         if path.n_steps != n_steps:
             raise ValueError(
                 f"supplied path has {path.n_steps} steps, run needs {n_steps}"
@@ -341,35 +386,49 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
             raise ValueError(f"supplied path step {path.dt} != dt {params.dt}")
     warn_if_underresolved(x, "initial state")
 
-    t0 = time.perf_counter()
-    stepper = _Stepper(grid, model, params, path)
-    save_every = params.save_every or max(1, math.ceil(n_steps / 512))
-    save_set = set(range(0, n_steps + 1, save_every))
-    save_set.add(n_steps)
-    run = _RunState(grid, stepper, params, n_steps, save_set)
-
+    save_set = {n_steps}
+    if snapshots:
+        save_every = params.save_every or max(1, math.ceil(n_steps / 512))
+        save_set.update(range(0, n_steps + 1, save_every))
+    runs = [_RunState(grid, _Stepper(grid, model, params, path), params, n_steps,
+                      save_set) for path in paths]
     if params.splitting == "strang":
-        _strang_loop(run, x, stepper, n_steps)
+        outcomes = _strang_march(runs, x)
     else:
-        _lie_loop(run, x, stepper, n_steps)
+        outcomes = [_lie_loop(run, x) for run in runs]
 
-    wall = time.perf_counter() - t0
-    warn_if_underresolved(run.snapshots_x[-1], "final state")
-    return SolutionRecord(
-        scheme=params.scheme,
-        times=path.times.copy(),
-        mass_x=run.mass_x,
-        mass_y=run.mass_y,
-        re_m=stepper.re_m.copy(),
-        ito_mass_sum=run.ito,
-        snapshot_indices=run.snapshot_indices,
-        snapshots_x=run.snapshots_x,
-        snapshots_y=run.snapshots_y,
-        path=path,
-        params=params,
-        seed=seed,
-        wall_time=wall,
-    )
+    results = []
+    for run, seed, outcome in zip(runs, seeds, outcomes):
+        if outcome is None:
+            warn_if_underresolved(run.snapshots_x[-1], "final state")
+            outcome = SolutionRecord(
+                scheme=params.scheme,
+                times=run.stepper.path.times.copy(),
+                mass_x=run.mass_x,
+                mass_y=run.mass_y,
+                re_m=run.stepper.re_m.copy(),
+                ito_mass_sum=run.ito,
+                snapshot_indices=run.snapshot_indices,
+                snapshots_x=run.snapshots_x,
+                snapshots_y=run.snapshots_y,
+                path=run.stepper.path,
+                params=params,
+                seed=seed,
+            )
+        results.append(outcome)
+    return results
+
+
+def _exp_series(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.exp`` of every entry, +inf where it overflows, and the overflow mask."""
+    out = []
+    for a in args.tolist():
+        try:
+            out.append(math.exp(a))
+        except OverflowError:
+            out.append(math.inf)
+    values = np.array(out)
+    return values, np.isinf(values) & np.isfinite(args)
 
 
 class _RunState:
@@ -428,6 +487,39 @@ class _RunState:
             self.snapshots_x.append(xf)
             self.snapshots_y.append(yf)
 
+    def record_series(self, masses: np.ndarray,
+                      guard: int | None) -> NumericalAbort | None:
+        """Fill the series of a homogeneous run from its marched masses.
+
+        ``masses`` holds the scheme's own mass at time indices 0..len-1 and
+        ``guard`` the index where |Re M| first exceeds the guard, if any.
+        The checks ``record`` and ``check_guard`` would make step by step are
+        made on the whole series; the abort at the first failing index is
+        returned with the message the step-by-step check gives.
+        """
+        sign = -2.0 if self.direct else 2.0
+        weights, overflow = _exp_series(sign * self.stepper.re_m[:masses.size])
+        with np.errstate(over="ignore", invalid="ignore"):
+            other = weights * masses
+        mass_x, mass_y = (masses, other) if self.direct else (other, masses)
+        first = None
+        for bad, message in (
+                (~np.isfinite(masses), "non-finite state"),
+                (overflow, "mass reconstruction overflows"),
+                (~(np.isfinite(mass_x) & np.isfinite(mass_y)), "non-finite mass")):
+            if bad.any() and (first is None or np.argmax(bad) < first[0]):
+                first = (int(np.argmax(bad)), message)
+        if first is None and guard is not None:
+            first = (guard, "|Re M| exceeds the overflow guard")
+        if first is not None:
+            k, message = first
+            return NumericalAbort(f"{message} at time index {k}", time_index=k)
+        self.mass_x[:] = mass_x
+        self.mass_y[:] = mass_y
+        terms = np.concatenate(([0.0], self.s_incr * mass_x[:-1]))
+        np.cumsum(terms, out=self.ito)
+        return None
+
     def accumulate_ito(self, k: int, phys: np.ndarray | None) -> None:
         """Stochastic mass sum increment for step k (left endpoint)."""
         stepper = self.stepper
@@ -442,49 +534,169 @@ class _RunState:
             )
 
 
-def _strang_loop(run: _RunState, x: ComplexField, stepper: _Stepper,
-                 n_steps: int) -> None:
-    """Fused strang march: spectral state at integer times, two transforms
-    per step, masses by Parseval."""
-    grid = run.grid
+def _spatial_transforms(grid: GridSpec):
+    """Forward and inverse transforms of a (B, n^d) block over its spatial axes."""
+    if grid.dimension == 1:
+        return (lambda a: np.fft.fft(a, axis=-1),
+                lambda a: np.fft.ifft(a, axis=-1))
+    axes = tuple(range(1, grid.dimension + 1))
     shape = grid.shape
-    half = stepper.lin_half
+
+    def forward(a):
+        return np.fft.fftn(a.reshape(-1, *shape), axes=axes).reshape(a.shape)
+
+    def inverse(a):
+        return np.fft.ifftn(a.reshape(-1, *shape), axes=axes).reshape(a.shape)
+
+    return forward, inverse
+
+
+def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
+            amp: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
+    """u *= exp(-i coef |u|^{alpha-1}) in place, as cos + i sin of the angle.
+
+    ``neg_coef`` is the (B, 1) column of -coef; amp, angle and rot are
+    scratch of u's shape.
+    """
+    np.square(u.real, out=amp)
+    np.square(u.imag, out=angle)
+    amp += angle
+    if pow_half != 1.0:
+        amp = amp ** pow_half
+    np.multiply(amp, neg_coef, out=angle)
+    np.cos(angle, out=rot.real)
+    np.sin(angle, out=rot.imag)
+    u *= rot
+
+
+def _strang_march(runs: list, x: ComplexField) -> list:
+    """Fused Strang march of a block of runs from x: spectral state at integer
+    times, two transforms per step (three with spatially varying noise),
+    masses by Parseval.  Returns each run's abort, or None."""
+    steppers = [run.stepper for run in runs]
+    first = steppers[0]
+    grid = first.grid
+    n_steps = first.path.n_steps
+    fused = first.mid_scalar is not None
+    phase_on = first.phase_on
+    half = first.lin_half
     parseval = grid.cell_volume / grid.size
-    phase_on = stepper.phase_on
-    fused = stepper.mid_scalar is not None
-    phys = x.values.copy()
+    forward, inverse = _spatial_transforms(grid)
+    rows = len(runs)
+    outcomes: list = [None] * rows
+    ends = [n_steps] * rows  # steps each row marches before it stops
+    save_set = runs[0].save_set
 
-    yh = np.fft.fftn(phys.reshape(shape)).ravel()
-    run.record(0, phys, run.mass_of(phys))
+    phys = np.tile(x.values, (rows, 1))
+    yh = forward(phys)
+    mass0 = runs[0].mass_of(x.values)
+    if fused:
+        # Homogeneous rows: the guard index is known from Re M up front.
+        guards: list = [None] * rows
+        for b, st in enumerate(steppers):
+            over = np.flatnonzero(np.abs(st.re_m[1:]) > OVERFLOW_GUARD)
+            if over.size:
+                guards[b] = int(over[0]) + 1
+                ends[b] = guards[b] - 1
+            if 0 in save_set:
+                try:
+                    runs[b].record(0, x.values, mass0)
+                except NumericalAbort:
+                    ends[b] = 0
+        masses = [[mass0] for _ in runs]
+        mid = np.array([st.mid_scalar for st in steppers])
+    else:
+        for b, run in enumerate(runs):
+            try:
+                run.record(0, phys[b], mass0)
+            except NumericalAbort as exc:
+                outcomes[b], ends[b] = exc, 0
+        noise = np.empty(phys.shape, dtype=np.complex128)
+    if phase_on:
+        neg_coef = -np.array([st.phase_fused if fused else st.phase_half
+                              for st in steppers])
+        amp, angle = np.empty(phys.shape), np.empty(phys.shape)
+        rot = np.empty(phys.shape, dtype=np.complex128)
+
+    active = list(range(rows))
+    next_end = min(ends)
     for k in range(n_steps):
-        stepper.check_guard(k + 1)
-        run.accumulate_ito(k, phys)
-        u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
+        if k >= next_end:
+            keep = [i for i, b in enumerate(active) if ends[b] > k]
+            if not keep:
+                break
+            active = [active[i] for i in keep]
+            yh, phys = yh[keep], phys[keep]
+            if fused:
+                mid = mid[keep]
+            if phase_on:
+                neg_coef = neg_coef[keep]
+            next_end = min(ends[b] for b in active)
+        nb = len(active)
+
+        if not fused:
+            for b, row in zip(active, phys):
+                runs[b].accumulate_ito(k, row)
+        u = inverse(half * yh)
+        if phase_on:
+            _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb], angle[:nb],
+                    rot[:nb])
         if fused:
-            if phase_on:
-                u *= np.exp(stepper._amp_pow(u) * (-1j * stepper.phase_fused[k]))
-            u *= stepper.mid_scalar[k]
+            u *= mid[:, k:k + 1]
         else:
+            for i, b in enumerate(active):
+                try:
+                    noise[i] = steppers[b].noise_exponent(k)
+                except NumericalAbort as exc:
+                    outcomes[b], ends[b], next_end = exc, k + 1, k + 1
+                    noise[i] = 0.0
+            u *= np.exp(noise[:nb])
             if phase_on:
-                u = stepper._phase(u, stepper.phase_half[k])
-            u = stepper._noise_field_mult(u, k)
-            if phase_on:
-                u = stepper._phase(u, stepper.phase_half[k])
-        yh = half * np.fft.fftn(u.reshape(shape)).ravel()
-        mass = parseval * float(np.vdot(yh, yh).real)
-        need_phys = (k + 1 in run.save_set) or not stepper.homogeneous
-        if need_phys:
-            phys = np.fft.ifftn(yh.reshape(shape)).ravel()
-            run.record(k + 1, phys, mass)
+                _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb],
+                        angle[:nb], rot[:nb])
+        yh = half * forward(u)
+
+        if fused:
+            for b, row in zip(active, yh):
+                mass = parseval * float(np.vdot(row, row).real)
+                masses[b].append(mass)
+                if not math.isfinite(mass):
+                    ends[b], next_end = k + 1, k + 1
+            if k + 1 in save_set:
+                # record() checks the row before it keeps the snapshot; the
+                # abort itself is found on the whole series after the loop.
+                for b, row in zip(active, inverse(yh)):
+                    try:
+                        runs[b].record(k + 1, row, masses[b][-1])
+                    except NumericalAbort:
+                        ends[b], next_end = k + 1, k + 1
         else:
-            run.record(k + 1, None, mass)
+            phys = inverse(yh)
+            for b, row, prow in zip(active, yh, phys):
+                if outcomes[b] is not None:
+                    continue
+                try:
+                    runs[b].record(k + 1, prow,
+                                   parseval * float(np.vdot(row, row).real))
+                except NumericalAbort as exc:
+                    outcomes[b], ends[b], next_end = exc, k + 1, k + 1
+
+    if fused:
+        for b, run in enumerate(runs):
+            outcomes[b] = run.record_series(np.array(masses[b]), guards[b])
+    return outcomes
 
 
-def _lie_loop(run: _RunState, x: ComplexField, stepper: _Stepper,
-              n_steps: int) -> None:
+def _lie_loop(run: _RunState, x: ComplexField) -> NumericalAbort | None:
+    """Plain Lie march of one run, recorded step by step; returns its abort."""
+    stepper = run.stepper
     v = x.values.copy()
-    run.record(0, v, run.mass_of(v))
-    for k in range(n_steps):
-        run.accumulate_ito(k, v)
-        v = stepper.advance(v, k)
-        run.record(k + 1, v, run.mass_of(v))
+    try:
+        run.record(0, v, run.mass_of(v))
+        for k in range(stepper.path.n_steps):
+            run.accumulate_ito(k, v)
+            v = stepper.advance(v, k)
+            run.record(k + 1, v, run.mass_of(v))
+    except NumericalAbort as exc:
+        return exc
+    return None

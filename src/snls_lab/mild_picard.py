@@ -70,7 +70,7 @@ def mixed_norm(trajectory: NodeTrajectory, q: float, alpha: float) -> float:
     return float(np.trapezoid(phi**q, trajectory.times) ** (1.0 / q))
 
 
-def _sup_l2(times: np.ndarray, diff: np.ndarray, grid: GridSpec) -> float:
+def _sup_l2(diff: np.ndarray, grid: GridSpec) -> float:
     cv = grid.cell_volume
     return float(np.sqrt(cv * (np.abs(diff) ** 2).sum(axis=1).max()))
 
@@ -240,7 +240,7 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
 
     def x_norm(diff: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            sup = _sup_l2(times, diff, grid)
+            sup = _sup_l2(diff, grid)
             phi = (grid.cell_volume * (np.abs(diff) ** (alpha + 1.0)).sum(axis=1)) \
                 ** (1.0 / (alpha + 1.0))
             lq = float(np.trapezoid(phi**q, times) ** (1.0 / q))

@@ -1,18 +1,29 @@
 """Config validation, orchestration, file formats, and reproducibility."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from snls_lab import integrator, seeding
+from snls_lab.diagnostics import decay_fit, gronwall_check
 from snls_lab.errors import (
     EXIT_ASSUMPTION_VETO,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     ConfigError,
+    NumericalAbort,
 )
 from snls_lab.harness import (
+    BLOCK_BUDGET,
     RunConfig,
+    _ensemble_blocks,
+    _ensemble_member,
+    build_grid,
+    build_initial,
+    build_model,
+    build_params,
     read_field_dump,
     run,
     run_convergence,
@@ -68,6 +79,22 @@ class TestConfigValidation:
         bad["noise"]["coefficients"] = []
         with pytest.raises(ConfigError, match="noise.coefficients"):
             RunConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", True),
+        ("save_every", True),
+        ("alpha", "abc"),
+        ("alpha", [3]),
+        ("dt", True),
+        ("t_final", True),
+    ])
+    def test_sim_messages_name_keys(self, tmp_path, capsys, key, value):
+        cfg = base_config()
+        cfg["sim"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert run(path, out_dir=str(tmp_path / "out")) == EXIT_CONFIG_ERROR
+        assert f"sim.{key}:" in capsys.readouterr().err
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -197,6 +224,101 @@ class TestRunKinds:
         ))
         out = run_convergence(cfg)
         assert 0.8 <= out["order"] <= 1.5
+
+
+def boosted(path, start=10, factor=1e4):
+    """The same path with every increment from ``start`` on scaled up."""
+    inc = path.increments.copy()
+    inc[:, start:] *= factor
+    values = np.zeros_like(path.values)
+    np.cumsum(inc, axis=1, out=values[:, 1:])
+    return dataclasses.replace(path, increments=inc, values=values)
+
+
+def per_path_entry(cfg: RunConfig, index: int) -> dict:
+    """One ensemble entry computed from a per-path simulate."""
+    grid, model, params = build_grid(cfg), build_model(cfg), build_params(cfg)
+    x = build_initial(cfg, grid)
+    try:
+        rec = integrator.simulate(grid, model, params, x,
+                                  seed=seeding.derive_seed(cfg.seed, index))
+    except NumericalAbort as exc:
+        return {"index": index, "status": f"aborted at time index {exc.time_index}"}
+    rep = decay_fit(rec, model)
+    env = gronwall_check(rec, model)
+    return {"index": index, "status": "ok", "lyapunov": rep.lyapunov,
+            "fitted_slope": rep.fitted_slope, "lln_ratio": rep.lln_ratio,
+            "margin": rep.margin, "final_mass_x": float(rec.mass_x[-1]),
+            "final_mass_y": float(rec.mass_y[-1]),
+            "gronwall_violations": env["violations"], "e0_monotone": env["monotone"]}
+
+
+class TestEnsembleBlocks:
+    def test_block_layout(self):
+        assert _ensemble_blocks(7, 1, 128) == [list(range(7))]
+        assert _ensemble_blocks(7, 2, 128) == [[0, 1, 2, 3], [4, 5, 6]]
+        assert _ensemble_blocks(7, 3, 128) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert _ensemble_blocks(7, 8, 128) == [[i] for i in range(7)]
+        # the working-set budget caps a worker's share
+        assert _ensemble_blocks(5, 1, BLOCK_BUDGET // 2) == [[0, 1], [2, 3], [4]]
+        assert _ensemble_blocks(3, 2, 4 * BLOCK_BUDGET) == [[0], [1], [2]]
+
+    def test_report_bytes_independent_of_workers(self, tmp_path):
+        cfg = base_config(kind="ensemble", ensemble={"size": 7})
+        cfg["sim"]["t_final"] = 0.1
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        reports = []
+        for threads in (1, 2, 3, 8):
+            out = tmp_path / f"t{threads}"
+            assert run(p, out_dir=str(out), threads=threads) == EXIT_OK
+            reports.append((out / "ensemble_report.json").read_bytes())
+        assert all(r == reports[0] for r in reports[1:])
+        assert len(json.loads(reports[0])["per_path"]) == 7
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_block_with_abort_matches_per_path(self, monkeypatch):
+        cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 3}))
+        sample = integrator.sample_martingale
+        bad_seed = seeding.derive_seed(cfg.seed, 1)
+
+        def sampler(model, dt, n_steps, seed, *args):
+            path = sample(model, dt, n_steps, seed, *args)
+            return boosted(path) if seed == bad_seed else path
+
+        monkeypatch.setattr(integrator, "sample_martingale", sampler)
+        block = _ensemble_member((cfg.to_dict(), [0, 1, 2]))
+        assert [e["status"] == "ok" for e in block] == [True, False, True]
+        assert block == [per_path_entry(cfg, i) for i in range(3)]
+
+    def test_direct_bump_block_matches_per_path(self):
+        # spatially varying noise: rows keep their per-step physical work
+        cfg = base_config(kind="ensemble", ensemble={"size": 3})
+        cfg["noise"]["coefficients"] = [[0.5, 0.2]]
+        cfg["noise"]["profiles"] = [{"kind": "gaussian-bump", "width": 2.0}]
+        cfg["sim"].update(scheme="direct", alpha=2.0, t_final=0.2)
+        cfg = RunConfig.from_dict(cfg)
+        grid, model, params = build_grid(cfg), build_model(cfg), build_params(cfg)
+        x = build_initial(cfg, grid)
+        paths = [integrator.sample_martingale(model, params.dt, params.n_steps, s)
+                 for s in (1, 2, 3)]
+        paths[1] = boosted(paths[1], factor=1e5)
+        block = integrator.simulate_block(grid, model, params, x, [1, 2, 3],
+                                          paths=paths)
+        assert isinstance(block[1], NumericalAbort)
+        for path, row in zip(paths, block):
+            try:
+                ref = integrator.simulate(grid, model, params, x, seed=path.seed,
+                                          path=path)
+            except NumericalAbort as exc:
+                assert (str(row), row.time_index) == (str(exc), exc.time_index)
+                continue
+            for name in ("mass_x", "mass_y", "ito_mass_sum", "re_m"):
+                assert np.array_equal(getattr(row, name), getattr(ref, name))
+            assert row.snapshot_indices == ref.snapshot_indices
+            for a, b in zip(row.snapshots_x + row.snapshots_y,
+                            ref.snapshots_x + ref.snapshots_y):
+                assert np.array_equal(a.values, b.values)
 
 
 class TestCliRun:

@@ -1,6 +1,7 @@
 """Sub-flow exactness, composed stepping, and full simulation runs."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
     SimParams,
+    _RunState,
+    _Stepper,
     damping_step,
     noise_step_direct,
     nonlinear_phase_step,
     simulate,
+    simulate_block,
     step,
 )
 from snls_lab.noise_process import (
@@ -331,3 +335,118 @@ class TestSimulate:
         m = const_model(1.0)
         with pytest.raises(ValueError):
             simulate(GRID, m, params, X0, seed=0)
+
+
+def reference_strang(grid, model, params, x, path):
+    """Fused Strang march of one path with every check and sum taken step by
+    step: the oracle each row of a block must match bit for bit."""
+    n_steps = params.n_steps
+    save_every = params.save_every or max(1, math.ceil(n_steps / 512))
+    save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
+    stepper = _Stepper(grid, model, params, path)
+    run = _RunState(grid, stepper, params, n_steps, save_set)
+    shape, half = grid.shape, stepper.lin_half
+    parseval = grid.cell_volume / grid.size
+    phys = x.values.copy()
+    yh = np.fft.fftn(phys.reshape(shape)).ravel()
+    run.record(0, phys, run.mass_of(phys))
+    for k in range(n_steps):
+        stepper.check_guard(k + 1)
+        run.accumulate_ito(k, phys)
+        u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
+        if stepper.mid_scalar is not None:
+            if stepper.phase_on:
+                u *= np.exp(stepper._amp_pow(u) * (-1j * stepper.phase_fused[k]))
+            u *= stepper.mid_scalar[k]
+        else:
+            if stepper.phase_on:
+                u = stepper._phase(u, stepper.phase_half[k])
+            u = stepper._noise_field_mult(u, k)
+            if stepper.phase_on:
+                u = stepper._phase(u, stepper.phase_half[k])
+        yh = half * np.fft.fftn(u.reshape(shape)).ravel()
+        mass = parseval * float(np.vdot(yh, yh).real)
+        if k + 1 in save_set or not stepper.homogeneous:
+            phys = np.fft.ifftn(yh.reshape(shape)).ravel()
+        run.record(k + 1, phys, mass)
+    return run
+
+
+BUMP = SpatialProfile("gaussian-bump", width=2.0)
+BLOCK_CASES = {
+    "rescaled": (make_grid(1, 128, 16.0), const_model(1.0 + 0.5j),
+                 SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.2)),
+    "rescaled_focusing": (make_grid(1, 128, 16.0), const_model(1.0 + 0.5j),
+                          SimParams(lam=-1, alpha=2.2, dt=1e-3, t_final=0.2)),
+    "direct": (make_grid(1, 128, 16.0), const_model(0.7),
+               SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.2, scheme="direct")),
+    "direct_bump": (make_grid(1, 128, 16.0),
+                    NoiseModel(np.array([0.5 + 0.2j, 0.3]),
+                               [BUMP, SpatialProfile("constant-one")],
+                               [DensitySpec.constant(1.0)] * 2),
+                    SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.1,
+                              scheme="direct")),
+    "linear": (make_grid(1, 128, 16.0), const_model(1.0),
+               SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.2)),
+    "rescaled_2d": (make_grid(2, 16, 8.0), const_model(1.0),
+                    SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.05)),
+    "direct_bump_3d": (make_grid(3, 8, 8.0),
+                       NoiseModel(np.array([0.5 + 0j]),
+                                  [SpatialProfile("gaussian-bump", width=2.0,
+                                                  center=(0.0, 0.0, 0.0))],
+                                  [DensitySpec.constant(1.0)]),
+                       SimParams(lam=1, alpha=1.5, dt=1e-3, t_final=0.02,
+                                 scheme="direct")),
+    # rows abort at different indices: reconstruction overflow or the guard
+    "abort_rescaled": (make_grid(1, 64, 16.0), const_model(400.0),
+                       SimParams(lam=1, alpha=3.0, dt=0.5, t_final=10.0)),
+    "abort_direct": (make_grid(1, 64, 16.0), const_model(4000.0),
+                     SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
+                               scheme="direct")),
+    "abort_bump": (make_grid(1, 64, 16.0),
+                   NoiseModel(np.array([4000.0 + 0j]), [BUMP],
+                              [DensitySpec.constant(1.0)]),
+                   SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
+                             scheme="direct")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore::snls_lab.spectral_grid.SpectralTailWarning")
+class TestBlockMarch:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rows_match_step_by_step_reference(self, case):
+        grid, model, params = BLOCK_CASES[case]
+        x = gaussian_field(grid, width=1.0)
+        seeds = [0, 1, 2, 3]
+        block = simulate_block(grid, model, params, x, seeds)
+        for seed, row in zip(seeds, block):
+            path = sample_martingale(model, params.dt, params.n_steps, seed)
+            try:
+                ref = reference_strang(grid, model, params, x, path)
+            except NumericalAbort as exc:
+                assert isinstance(row, NumericalAbort)
+                assert (str(row), row.time_index) == (str(exc), exc.time_index)
+                continue
+            assert not isinstance(row, NumericalAbort), row
+            for name, want in (("mass_x", ref.mass_x), ("mass_y", ref.mass_y),
+                               ("ito_mass_sum", ref.ito)):
+                assert np.array_equal(getattr(row, name), want), name
+            assert row.snapshot_indices == ref.snapshot_indices
+            for a, b in zip(row.snapshots_x + row.snapshots_y,
+                            ref.snapshots_x + ref.snapshots_y):
+                assert np.array_equal(a.values, b.values)
+
+    def test_mixed_outcomes_in_one_block(self):
+        grid, model, params = BLOCK_CASES["abort_rescaled"]
+        block = simulate_block(grid, model, params, gaussian_field(grid), [0, 1, 2])
+        assert len({row.time_index for row in block}) > 1
+
+    def test_without_snapshots_keeps_final_state(self):
+        grid, model, params = BLOCK_CASES["rescaled"]
+        x = gaussian_field(grid, width=1.0)
+        full, bare = (simulate_block(grid, model, params, x, [5], snapshots=s)[0]
+                      for s in (True, False))
+        assert bare.snapshot_indices == [params.n_steps]
+        assert np.array_equal(bare.final_x.values, full.final_x.values)
+        assert np.array_equal(bare.mass_x, full.mass_x)

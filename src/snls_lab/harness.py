@@ -1,10 +1,20 @@
 """Configuration, orchestration, and file output.
 
-Configs are JSON with a ``schema_version`` field.  A run is fully determined
-by (config, master seed): per-path seeds derive from the master seed and the
-path index through the documented 64-bit mix, workers share nothing mutable,
-and results reduce in path-index order, so output bytes are independent of
-the worker count.
+Configs are JSON with a ``schema_version`` field.  Validation is
+construction: :meth:`RunConfig.from_dict` reads each leaf through one typed
+reader, which names the key path and never takes a bool or a string for a
+number, then builds the grid, the noise model with its profiles sampled on
+the grid, the parameters, the initial state and the Picard controls.  Their
+constructors make the range checks, and a ``ValueError``/``TypeError`` they
+raise becomes a :class:`ConfigError` prefixed with the key path.  The
+harness checks only what no domain object owns: the run kind, the seed, the
+sections each kind requires, the convergence ladder, and how the built
+objects fit the run (density horizons, the fit window, a zero-mass state).
+
+A run is fully determined by (config, master seed): per-path seeds derive
+from the master seed and the path index through the documented 64-bit mix,
+workers share nothing mutable, and results reduce in path-index order, so
+output bytes are independent of the worker count.
 
 Numeric output formatting is fixed: 17 significant digits, ``.`` decimal
 separator, ``\n`` line endings.  Exit codes: 0 success, 2 configuration
@@ -19,6 +29,7 @@ import os
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +37,7 @@ import numpy as np
 
 from . import seeding
 from .diagnostics import (
+    MASS_FLOOR,
     DecayReport,
     decay_fit,
     energy_identity_residual,
@@ -44,7 +56,7 @@ from .errors import (
     NumericalAbort,
 )
 from .integrator import SimParams, SolutionRecord, simulate, simulate_block
-from .mild_picard import PicardConfig, picard_iterate
+from .mild_picard import PicardConfig, picard_iterate, strichartz_exponent
 from .noise_process import (
     DensitySpec,
     NoiseModel,
@@ -60,11 +72,16 @@ from .spectral_grid import (
     constant_field,
     gaussian_field,
     make_grid,
+    norm_L2,
     plane_wave,
 )
 
 SCHEMA_VERSION = 1
 RUN_KINDS = ("simulate", "ensemble", "picard", "convergence", "validate")
+# The sections each run kind needs besides grid and noise.
+_NEEDS = {"simulate": ("sim", "initial"), "ensemble": ("sim", "initial"),
+          "picard": ("picard", "initial"), "convergence": ("sim", "initial", "convergence"),
+          "validate": ()}
 
 
 def _fmt(x: float) -> str:
@@ -76,12 +93,61 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
-def _get(d: dict, key: str, path: str, default=None, required: bool = False):
-    if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required key")
+# -- typed reads ------------------------------------------------------------------
+
+_REQUIRED = object()
+_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind, key: str):
+    """``value`` as ``kind`` (float, int, bool, str, list, dict, or ``[k]`` for
+    a list of k); a bool or a string never passes as a number or an int."""
+    if isinstance(kind, list):
+        value = _typed(value, list, key)
+        if kind[0] is float and all(type(v) is float for v in value) \
+                and np.isfinite(value).all():
+            return list(value)  # the common case, without a call per entry
+        return [_typed(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok = number and -sys.float_info.max <= value <= sys.float_info.max
+    elif kind is int:
+        ok = number and isinstance(value, int)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{key}: must be {_TYPE_NAMES[kind]}, got {value!r:.40}")
+    return float(value) if kind is float else value
+
+
+def _read(section: dict, key: str, kind, default=_REQUIRED):
+    """Typed read of the leaf at key path ``key`` from its ``section``; an
+    absent or null leaf takes ``default``, and is an error when there is none."""
+    value = section.get(key.rsplit(".", 1)[-1])
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{key}: missing required key")
         return default
-    return d[key]
+    return _typed(value, kind, key)
+
+
+def _vector(section: dict, key: str, kind, default: list) -> list:
+    """A scalar or a list of ``kind``, read as a list."""
+    value = section.get(key.rsplit(".", 1)[-1])
+    if value is None:
+        return default
+    return _typed(value if isinstance(value, list) else [value], [kind], key)
+
+
+@contextmanager
+def _at(path: str):
+    """Report a domain constructor's ValueError or TypeError as a ConfigError
+    at ``path``; the constructors' messages start with the leaf key."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 # -- config ---------------------------------------------------------------------
@@ -106,50 +172,48 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        version = raw.get("schema_version", SCHEMA_VERSION)
+        """Normalize a parsed JSON config, then check it by building its
+        domain objects."""
+        _typed(raw, dict, "config")
+        version = _read(raw, "schema_version", int, SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "schema_version",
                  f"unsupported version {version}, expected {SCHEMA_VERSION}")
-        kind = _get(raw, "kind", "config", required=True)
+        kind = _read(raw, "kind", str)
         _require(kind in RUN_KINDS, "kind", f"must be one of {RUN_KINDS}, got {kind!r}")
-        seed = _get(raw, "seed", "config", default=0)
-        _require(isinstance(seed, int) and 0 <= seed < 2**64, "seed",
-                 "must be an integer in [0, 2^64)")
+        seed = _read(raw, "seed", int, 0)
+        _require(0 <= seed < 2**64, "seed", "must be an integer in [0, 2^64)")
 
-        grid = _validate_grid(_get(raw, "grid", "config", required=True))
-        noise = _validate_noise(_get(raw, "noise", "config", required=True))
+        grid = _normalize_grid(_read(raw, "grid", dict))
+        noise = _normalize_noise(_read(raw, "noise", dict))
+        sim = _read(raw, "sim", dict, None)
+        sim = None if sim is None else _normalize_sim(sim)
+        initial = _read(raw, "initial", dict, None)
+        initial = None if initial is None else _normalize_initial(initial)
+        diagnostics = _normalize_diagnostics(_read(raw, "diagnostics", dict, {}))
+        ensemble = _normalize_ensemble(_read(raw, "ensemble", dict, {}))
+        picard = _read(raw, "picard", dict, {})
+        picard = _normalize_picard(picard) if picard else {}
+        convergence = _read(raw, "convergence", dict, {})
+        convergence = _normalize_convergence(convergence) if convergence else {}
+        validate = _read(raw, "validate", dict, {})
+        horizon = _read(validate, "validate.horizon", float, None)
+        _require(horizon is None or horizon > 0, "validate.horizon",
+                 f"must be positive, got {horizon}")
+        if kind == "validate":
+            _require(horizon is not None or sim is not None, "validate.horizon",
+                     "required when sim.t_final is absent")
 
-        sim = raw.get("sim")
-        if sim is not None:
-            sim = _validate_sim(sim)
-        initial = raw.get("initial")
-        if initial is not None:
-            initial = _validate_initial(initial)
-        diagnostics = _validate_diagnostics(raw.get("diagnostics", {}))
-        ensemble = _validate_ensemble(raw.get("ensemble", {}))
-        picard = _validate_picard(raw.get("picard", {})) if raw.get("picard") else {}
-        convergence = (_validate_convergence(raw.get("convergence", {}))
-                       if raw.get("convergence") else {})
-        validate = raw.get("validate", {})
-        if not isinstance(validate, dict):
-            raise ConfigError("validate: must be an object")
+        present = {"sim": sim, "initial": initial, "picard": picard,
+                   "convergence": convergence}
+        for name in _NEEDS[kind]:
+            _require(bool(present[name]), name, f"required for kind={kind!r}")
 
-        if kind in ("simulate", "ensemble", "convergence"):
-            _require(sim is not None, "sim", f"required for kind={kind!r}")
-            _require(initial is not None, "initial", f"required for kind={kind!r}")
-        if kind == "picard":
-            _require(bool(picard), "picard", "required for kind='picard'")
-            _require(initial is not None, "initial", "required for kind='picard'")
-        if kind == "convergence":
-            _require(bool(convergence), "convergence",
-                     "required for kind='convergence'")
-
-        out_dir = raw.get("output_dir", "out")
-        _require(isinstance(out_dir, str) and out_dir, "output_dir",
-                 "must be a nonempty string")
-        return cls(kind, seed, grid, noise, sim, initial, diagnostics,
-                   ensemble, picard, convergence, validate, out_dir, SCHEMA_VERSION)
+        out_dir = _read(raw, "output_dir", str, "out")
+        _require(bool(out_dir), "output_dir", "must be a nonempty string")
+        config = cls(kind, seed, grid, noise, sim, initial, diagnostics,
+                     ensemble, picard, convergence, validate, out_dir, SCHEMA_VERSION)
+        _construct(config)
+        return config
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -182,217 +246,129 @@ class RunConfig:
         return out
 
 
-def _validate_grid(g) -> dict:
-    _require(isinstance(g, dict), "grid", "must be an object")
-    d = _get(g, "dimension", "grid", required=True)
-    n = _get(g, "points", "grid", required=True)
-    L = _get(g, "half_length", "grid", required=True)
-    _require(isinstance(d, int) and d in (1, 2, 3), "grid.dimension", "must be 1, 2 or 3")
-    _require(isinstance(n, int) and n >= 4 and (n & (n - 1)) == 0, "grid.points",
-             "must be a power of two >= 4")
-    _require(isinstance(L, (int, float)) and L > 0, "grid.half_length",
-             "must be positive")
-    return {"dimension": d, "points": n, "half_length": float(L)}
+def _normalize_grid(g: dict) -> dict:
+    return {"dimension": _read(g, "grid.dimension", int),
+            "points": _read(g, "grid.points", int),
+            "half_length": _read(g, "grid.half_length", float)}
 
 
-def _validate_noise(nz) -> dict:
-    _require(isinstance(nz, dict), "noise", "must be an object")
-    coeffs = _get(nz, "coefficients", "noise", required=True)
-    _require(isinstance(coeffs, list) and len(coeffs) >= 1, "noise.coefficients",
-             "must be a nonempty list")
-    norm_coeffs = []
-    for i, c in enumerate(coeffs):
-        if isinstance(c, (int, float)):
-            norm_coeffs.append([float(c), 0.0])
-        elif isinstance(c, list) and len(c) == 2 and all(
-                isinstance(u, (int, float)) for u in c):
-            norm_coeffs.append([float(c[0]), float(c[1])])
-        else:
-            raise ConfigError(
-                f"noise.coefficients[{i}]: must be a number or [re, im] pair")
-    n = len(norm_coeffs)
+def _normalize_noise(nz: dict) -> dict:
+    coeffs = []
+    for i, c in enumerate(_read(nz, "noise.coefficients", list)):
+        key = f"noise.coefficients[{i}]"
+        pair = (_typed(c, [float], key) if isinstance(c, list)
+                else [_typed(c, float, key), 0.0])
+        _require(len(pair) == 2, key, "must be a number or an [re, im] pair")
+        coeffs.append(pair)
 
-    profiles = _get(nz, "profiles", "noise", required=True)
-    _require(isinstance(profiles, list) and len(profiles) == n, "noise.profiles",
-             f"must list {n} profiles")
-    norm_profiles = []
-    for i, p in enumerate(profiles):
+    profiles = []
+    for i, p in enumerate(_read(nz, "noise.profiles", list)):
         key = f"noise.profiles[{i}]"
-        _require(isinstance(p, dict), key, "must be an object")
-        kind = _get(p, "kind", key, required=True)
-        _require(kind in ("constant-one", "gaussian-bump", "tabulated"), f"{key}.kind",
-                 f"unknown profile kind {kind!r}")
-        entry = {"kind": kind}
-        if kind == "gaussian-bump":
-            entry["amplitude"] = float(p.get("amplitude", 1.0))
-            entry["width"] = float(p.get("width", 1.0))
-            _require(entry["width"] > 0, f"{key}.width", "must be positive")
-            center = p.get("center", 0.0)
-            entry["center"] = ([float(c) for c in center]
-                               if isinstance(center, list) else [float(center)])
-        elif kind == "tabulated":
-            table = _get(p, "values", key, required=True)
-            _require(isinstance(table, list) and table, f"{key}.values",
-                     "must be a nonempty list")
-            entry["values"] = [float(v) for v in table]
-        norm_profiles.append(entry)
+        p = _typed(p, dict, key)
+        entry = {"kind": _read(p, f"{key}.kind", str)}
+        if entry["kind"] == "gaussian-bump":
+            entry["amplitude"] = _read(p, f"{key}.amplitude", float, 1.0)
+            entry["width"] = _read(p, f"{key}.width", float, 1.0)
+            entry["center"] = _vector(p, f"{key}.center", float, [0.0])
+        elif entry["kind"] == "tabulated":
+            entry["values"] = _read(p, f"{key}.values", [float])
+        profiles.append(entry)
 
-    densities = _get(nz, "densities", "noise", required=True)
-    _require(isinstance(densities, list) and len(densities) == n, "noise.densities",
-             f"must list {n} densities")
-    norm_densities = []
-    for i, dn in enumerate(densities):
+    densities = []
+    for i, dn in enumerate(_read(nz, "noise.densities", list)):
         key = f"noise.densities[{i}]"
-        _require(isinstance(dn, dict), key, "must be an object")
-        kind = _get(dn, "kind", key, required=True)
-        _require(kind in ("constant", "piecewise-constant", "tabulated"),
-                 f"{key}.kind", f"unknown density kind {kind!r}")
-        entry = {"kind": kind}
-        if kind == "constant":
-            entry["value"] = float(_get(dn, "value", key, required=True))
-        else:
-            times = _get(dn, "times", key, required=True)
-            values = _get(dn, "values", key, required=True)
-            _require(isinstance(times, list) and isinstance(values, list)
-                     and len(times) == len(values) and times, f"{key}.times",
-                     "times/values must be equal-length nonempty lists")
-            entry["times"] = [float(t) for t in times]
-            entry["values"] = [float(v) for v in values]
-        for bound in ("alpha0", "v_max"):
-            if bound in dn:
-                entry[bound] = float(dn[bound])
-        if "horizon" in dn and dn["horizon"] is not None:
-            entry["horizon"] = float(dn["horizon"])
-        norm_densities.append(entry)
-    return {"coefficients": norm_coeffs, "profiles": norm_profiles,
-            "densities": norm_densities}
+        dn = _typed(dn, dict, key)
+        entry = {"kind": _read(dn, f"{key}.kind", str)}
+        if entry["kind"] == "constant":
+            entry["value"] = _read(dn, f"{key}.value", float)
+        elif entry["kind"] in ("piecewise-constant", "tabulated"):
+            entry["times"] = _read(dn, f"{key}.times", [float])
+            entry["values"] = _read(dn, f"{key}.values", [float])
+        for bound in ("alpha0", "v_max", "horizon"):
+            value = _read(dn, f"{key}.{bound}", float, None)
+            if value is not None:
+                entry[bound] = value
+        densities.append(entry)
+    return {"coefficients": coeffs, "profiles": profiles, "densities": densities}
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _validate_sim(s) -> dict:
-    _require(isinstance(s, dict), "sim", "must be an object")
-    lam = _get(s, "lambda", "sim", required=True)
-    _require(not isinstance(lam, bool) and lam in (-1, 0, 1), "sim.lambda",
-             "must be -1, 0 or 1")
-    alpha = s.get("alpha", 3.0)
-    _require(_is_number(alpha), "sim.alpha", "must be a number")
-    dt = _get(s, "dt", "sim", required=True)
-    t_final = _get(s, "t_final", "sim", required=True)
-    _require(_is_number(dt) and dt > 0, "sim.dt", "must be positive")
-    _require(_is_number(t_final) and t_final > 0, "sim.t_final", "must be positive")
-    scheme = s.get("scheme", "rescaled")
-    _require(scheme in ("direct", "rescaled"), "sim.scheme",
-             "must be 'direct' or 'rescaled'")
-    splitting = s.get("splitting", "strang")
-    _require(splitting in ("lie", "strang"), "sim.splitting",
-             "must be 'lie' or 'strang'")
-    out = {"lambda": lam, "alpha": float(alpha), "dt": float(dt),
-           "t_final": float(t_final), "scheme": scheme, "splitting": splitting}
-    if s.get("save_every") is not None:
-        se = s["save_every"]
-        _require(isinstance(se, int) and not isinstance(se, bool) and se >= 1,
-                 "sim.save_every", "must be a positive integer")
-        out["save_every"] = se
+def _normalize_sim(s: dict) -> dict:
+    out = {"lambda": _read(s, "sim.lambda", int),
+           "alpha": _read(s, "sim.alpha", float, 3.0),
+           "dt": _read(s, "sim.dt", float),
+           "t_final": _read(s, "sim.t_final", float),
+           "scheme": _read(s, "sim.scheme", str, "rescaled"),
+           "splitting": _read(s, "sim.splitting", str, "strang")}
+    save_every = _read(s, "sim.save_every", int, None)
+    if save_every is not None:
+        out["save_every"] = save_every
     return out
 
 
-def _validate_initial(init) -> dict:
-    _require(isinstance(init, dict), "initial", "must be an object")
-    kind = _get(init, "kind", "initial", required=True)
-    _require(kind in ("gaussian", "constant", "plane-wave"), "initial.kind",
-             f"unknown initial kind {kind!r}")
+def _normalize_initial(init: dict) -> dict:
+    kind = _read(init, "initial.kind", str)
     out = {"kind": kind}
     if kind == "gaussian":
-        out["width"] = float(init.get("width", 1.0))
-        _require(out["width"] > 0, "initial.width", "must be positive")
-        center = init.get("center", 0.0)
-        out["center"] = ([float(c) for c in center] if isinstance(center, list)
-                         else [float(center)])
-        out["amplitude"] = float(init.get("amplitude", 1.0))
-        if init.get("l2_norm") is not None:
-            out["l2_norm"] = float(init["l2_norm"])
-            _require(out["l2_norm"] > 0, "initial.l2_norm", "must be positive")
+        out["width"] = _read(init, "initial.width", float, 1.0)
+        out["center"] = _vector(init, "initial.center", float, [0.0])
+        out["amplitude"] = _read(init, "initial.amplitude", float, 1.0)
+        l2_norm = _read(init, "initial.l2_norm", float, None)
+        if l2_norm is not None:
+            out["l2_norm"] = l2_norm
     elif kind == "constant":
-        out["value"] = float(init.get("value", 1.0))
-    else:
-        mode = init.get("mode", 1)
-        out["mode"] = [int(m) for m in mode] if isinstance(mode, list) else [int(mode)]
+        out["value"] = _read(init, "initial.value", float, 1.0)
+    elif kind == "plane-wave":
+        out["mode"] = _vector(init, "initial.mode", int, [1])
     return out
 
 
-def _validate_diagnostics(dg) -> dict:
-    _require(isinstance(dg, dict), "diagnostics", "must be an object")
+def _normalize_diagnostics(dg: dict) -> dict:
     out = {}
-    if "decay_fit" in dg:
-        _require(isinstance(dg["decay_fit"], bool), "diagnostics.decay_fit",
-                 "must be a boolean")
-        out["decay_fit"] = dg["decay_fit"]
-    if dg.get("fit_window") is not None:
-        fw = dg["fit_window"]
-        _require(isinstance(fw, list) and len(fw) == 2 and fw[0] < fw[1],
-                 "diagnostics.fit_window", "must be [t0, t1] with t0 < t1")
-        out["fit_window"] = [float(fw[0]), float(fw[1])]
-    if "residuals" in dg:
-        _require(isinstance(dg["residuals"], bool), "diagnostics.residuals",
-                 "must be a boolean")
-        out["residuals"] = dg["residuals"]
-    if "field_dumps" in dg:
-        _require(isinstance(dg["field_dumps"], bool), "diagnostics.field_dumps",
-                 "must be a boolean")
-        out["field_dumps"] = dg["field_dumps"]
+    for flag in ("decay_fit", "residuals", "field_dumps"):
+        value = _read(dg, f"diagnostics.{flag}", bool, None)
+        if value is not None:
+            out[flag] = value
+    fw = _read(dg, "diagnostics.fit_window", [float], None)
+    if fw is not None:
+        _require(len(fw) == 2, "diagnostics.fit_window", "must be [t0, t1]")
+        out["fit_window"] = fw
     return out
 
 
-def _validate_ensemble(en) -> dict:
-    _require(isinstance(en, dict), "ensemble", "must be an object")
-    out = {}
-    if en:
-        size = _get(en, "size", "ensemble", required=True)
-        _require(isinstance(size, int) and size >= 1, "ensemble.size", "must be >= 1")
-        out["size"] = size
-        out["lyapunov_tolerance"] = float(en.get("lyapunov_tolerance", 0.5))
-    return out
+def _normalize_ensemble(en: dict) -> dict:
+    if not en:
+        return {}
+    size = _read(en, "ensemble.size", int)
+    _require(size >= 1, "ensemble.size", "must be >= 1")
+    return {"size": size,
+            "lyapunov_tolerance": _read(en, "ensemble.lyapunov_tolerance", float, 0.5)}
 
 
-def _validate_picard(pc) -> dict:
-    _require(isinstance(pc, dict), "picard", "must be an object")
-    horizon = _get(pc, "horizon", "picard", required=True)
-    _require(isinstance(horizon, (int, float)) and horizon > 0, "picard.horizon",
-             "must be positive")
-    nodes = pc.get("nodes", 64)
-    _require(isinstance(nodes, int) and nodes >= 8, "picard.nodes", "must be >= 8")
-    out = {
-        "horizon": float(horizon),
-        "nodes": nodes,
-        "max_iterations": int(pc.get("max_iterations", 20)),
-        "tolerance": float(pc.get("tolerance", 1e-8)),
-        "lambda": pc.get("lambda", 1),
-        "alpha": float(pc.get("alpha", 3.0)),
-    }
+def _normalize_picard(pc: dict) -> dict:
+    out = {"horizon": _read(pc, "picard.horizon", float),
+           "nodes": _read(pc, "picard.nodes", int, 64),
+           "max_iterations": _read(pc, "picard.max_iterations", int, 20),
+           "tolerance": _read(pc, "picard.tolerance", float, 1e-8),
+           "lambda": _read(pc, "picard.lambda", int, 1),
+           "alpha": _read(pc, "picard.alpha", float, 3.0)}
     _require(out["lambda"] in (-1, 0, 1), "picard.lambda", "must be -1, 0 or 1")
-    if pc.get("path_dt") is not None:
-        out["path_dt"] = float(pc["path_dt"])
-        _require(out["path_dt"] > 0, "picard.path_dt", "must be positive")
+    path_dt = _read(pc, "picard.path_dt", float, None)
+    if path_dt is not None:
+        _require(path_dt > 0, "picard.path_dt", "must be positive")
+        out["path_dt"] = path_dt
     return out
 
 
-def _validate_convergence(cv) -> dict:
-    _require(isinstance(cv, dict), "convergence", "must be an object")
-    dts = _get(cv, "dts", "convergence", required=True)
-    _require(isinstance(dts, list) and len(dts) >= 3, "convergence.dts",
-             "must list at least 3 step sizes")
-    dts = [float(v) for v in dts]
+def _normalize_convergence(cv: dict) -> dict:
+    dts = _read(cv, "convergence.dts", [float])
+    _require(len(dts) >= 3, "convergence.dts", "must list at least 3 step sizes")
     _require(all(v > 0 for v in dts), "convergence.dts", "must be positive")
     dts_sorted = sorted(dts, reverse=True)
     ratios = [dts_sorted[i] / dts_sorted[i + 1] for i in range(len(dts_sorted) - 1)]
     _require(all(abs(r - ratios[0]) <= 1e-9 * ratios[0] for r in ratios),
              "convergence.dts", "must form a strict geometric ladder")
     _require(ratios[0] > 1.0 + 1e-12, "convergence.dts", "must be strictly decreasing")
-    ref = _get(cv, "reference_dt", "convergence", required=True)
-    ref = float(ref)
+    ref = _read(cv, "convergence.reference_dt", float)
     _require(ref > 0, "convergence.reference_dt", "must be positive")
     _require(min(dts) / ref >= 8.0 - 1e-9, "convergence.reference_dt",
              "must be at least 8x finer than the smallest dt")
@@ -403,67 +379,105 @@ def _validate_convergence(cv) -> dict:
     return {"dts": dts_sorted, "reference_dt": ref}
 
 
+def _construct(config: RunConfig) -> None:
+    """Build every domain object the config describes, so that their
+    constructors check it, and check that the built objects fit the run."""
+    grid = build_grid(config)
+    model = build_model(config)
+    for j, profile in enumerate(model.profiles):
+        with _at(f"noise.profiles[{j}]"):
+            profile.sample(grid)
+    x = build_initial(config, grid) if config.initial is not None else None
+    run_end = 0.0  # how far the run samples the noise
+    if config.sim is not None:
+        params = build_params(config)
+        with _at("sim"):
+            params.validate_alpha(grid.dimension)
+        cv = config.convergence
+        for dt in (*cv["dts"], cv["reference_dt"]) if cv else ():
+            build_params(config, dt=dt)
+        if config.kind != "validate":
+            run_end = params.dt * params.n_steps
+        fw = config.diagnostics.get("fit_window")
+        if fw:
+            times = params.dt * np.arange(params.n_steps + 1)
+            inside = np.count_nonzero((times >= fw[0]) & (times <= fw[1]))
+            _require(0.0 <= fw[0] < fw[1] <= params.t_final and inside >= 2,
+                     "diagnostics.fit_window",
+                     f"must lie in the run [0, {params.t_final:g}] and span two steps")
+    if config.picard:
+        _, path_dt, n_steps = _picard_setup(config)
+        if config.kind == "picard":
+            run_end = path_dt * n_steps
+    for j, dns in enumerate(model.densities):
+        _require(run_end <= dns.horizon * (1.0 + 1e-12), f"noise.densities[{j}]",
+                 f"horizon {dns.horizon:g} ends before the run ({run_end:g})")
+    if config.kind in ("ensemble", "picard") or (
+            config.kind == "simulate" and config.diagnostics.get("decay_fit")):
+        _require(norm_L2(x) ** 2 > MASS_FLOOR, "initial",
+                 "zero mass; decay fits and picard runs need a nonzero state")
+
+
 # -- builders ---------------------------------------------------------------------
 
 def build_grid(config: RunConfig) -> GridSpec:
     g = config.grid
-    return make_grid(g["dimension"], g["points"], g["half_length"])
+    with _at("grid"):
+        return make_grid(g["dimension"], g["points"], g["half_length"])
 
 
 def build_model(config: RunConfig) -> NoiseModel:
     nz = config.noise
-    mu = np.array([complex(re, im) for re, im in nz["coefficients"]])
-    profiles = []
-    for p in nz["profiles"]:
-        if p["kind"] == "constant-one":
-            profiles.append(SpatialProfile("constant-one"))
-        elif p["kind"] == "gaussian-bump":
+    profiles, densities = [], []
+    for j, p in enumerate(nz["profiles"]):
+        with _at(f"noise.profiles[{j}]"):
             profiles.append(SpatialProfile(
-                "gaussian-bump", amplitude=p["amplitude"], width=p["width"],
-                center=tuple(p["center"])))
-        else:
-            profiles.append(SpatialProfile("tabulated",
-                                           table=np.asarray(p["values"])))
-    densities = []
-    for i, dn in enumerate(nz["densities"]):
-        try:
-            if dn["kind"] == "constant":
-                densities.append(DensitySpec.constant(
-                    dn["value"], alpha0=dn.get("alpha0"), v_max=dn.get("v_max"),
-                    horizon=dn.get("horizon", math.inf)))
-            elif dn["kind"] == "piecewise-constant":
-                densities.append(DensitySpec.piecewise(
-                    dn["times"], dn["values"], alpha0=dn.get("alpha0"),
-                    v_max=dn.get("v_max"), horizon=dn.get("horizon", math.inf)))
-            else:
-                densities.append(DensitySpec.tabulated(
-                    dn["times"], dn["values"], alpha0=dn.get("alpha0"),
-                    v_max=dn.get("v_max")))
-        except ValueError as exc:
-            raise ConfigError(f"noise.densities[{i}]: {exc}") from exc
-    return NoiseModel(mu, profiles, densities)
+                p["kind"], amplitude=p.get("amplitude", 1.0), width=p.get("width", 1.0),
+                center=tuple(p.get("center", (0.0,))), table=p.get("values")))
+    for j, dn in enumerate(nz["densities"]):
+        with _at(f"noise.densities[{j}]"):
+            densities.append(DensitySpec(
+                dn["kind"], dn.get("alpha0"), dn.get("v_max"), value=dn.get("value"),
+                times=dn.get("times"), values=dn.get("values"),
+                horizon=dn.get("horizon", math.inf)))
+    mu = np.array([complex(re, im) for re, im in nz["coefficients"]])
+    with _at("noise"):
+        return NoiseModel(mu, profiles, densities)
 
 
 def build_params(config: RunConfig, dt: float | None = None) -> SimParams:
     s = config.sim
-    try:
+    with _at("sim"):
         return SimParams(
             lam=s["lambda"], alpha=s["alpha"], dt=dt if dt is not None else s["dt"],
             t_final=s["t_final"], save_every=s.get("save_every"),
             scheme=s["scheme"], splitting=s["splitting"])
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
 
 
 def build_initial(config: RunConfig, grid: GridSpec) -> ComplexField:
     init = config.initial
-    if init["kind"] == "gaussian":
-        return gaussian_field(grid, width=init["width"], center=init["center"],
-                              amplitude=init["amplitude"],
-                              l2_norm=init.get("l2_norm"))
-    if init["kind"] == "constant":
-        return constant_field(grid, init["value"])
-    return plane_wave(grid, init["mode"])
+    with _at("initial"):
+        if init["kind"] == "gaussian":
+            return gaussian_field(grid, width=init["width"], center=init["center"],
+                                  amplitude=init["amplitude"],
+                                  l2_norm=init.get("l2_norm"))
+        if init["kind"] == "constant":
+            return constant_field(grid, init["value"])
+        if init["kind"] == "plane-wave":
+            return plane_wave(grid, init["mode"])
+        raise ValueError(f"kind: unknown initial kind {init['kind']!r}")
+
+
+def _picard_setup(config: RunConfig) -> tuple[PicardConfig, float, int]:
+    """The checked picard controls, and the step and step count of its path."""
+    pc = config.picard
+    with _at("picard"):
+        controls = PicardConfig(horizon=pc["horizon"], nodes=pc["nodes"],
+                                max_iterations=pc["max_iterations"],
+                                tolerance=pc["tolerance"])
+        strichartz_exponent(config.grid["dimension"], pc["alpha"])
+    path_dt = pc.get("path_dt", pc["horizon"] / 1024.0)
+    return controls, path_dt, max(1, int(math.ceil(pc["horizon"] / path_dt - 1e-12)))
 
 
 # -- report types -------------------------------------------------------------------
@@ -581,6 +595,8 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     """
     size = config.ensemble.get("size", 1)
     tol = config.ensemble.get("lyapunov_tolerance", 0.5)
+    # Every path's decay fit needs omega: veto before any path marches.
+    w = omega(build_model(config))
     cfg_dict = config.to_dict()
     points = config.grid["points"] ** config.grid["dimension"]
     jobs = [(cfg_dict, block) for block in _ensemble_blocks(size, threads, points)]
@@ -590,9 +606,6 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     else:
         blocks = [_ensemble_member(job) for job in jobs]
     per_path = [entry for block in blocks for entry in block]
-
-    model = build_model(config)
-    w = omega(model)
     lyaps = [p["lyapunov"] for p in per_path if p["status"] == "ok"]
     llns = [p["lln_ratio"] for p in per_path if p["status"] == "ok"]
     passing = sum(1 for v in lyaps if v <= -w + tol)
@@ -650,25 +663,18 @@ def run_picard(config: RunConfig):
     grid = build_grid(config)
     model = build_model(config)
     x = build_initial(config, grid)
-    pc = config.picard
-    horizon = pc["horizon"]
-    path_dt = pc.get("path_dt", horizon / 1024.0)
-    n_steps = max(1, int(math.ceil(horizon / path_dt - 1e-12)))
+    controls, path_dt, n_steps = _picard_setup(config)
     path = sample_martingale(model, path_dt, n_steps, config.seed)
-    picard_config = PicardConfig(horizon=horizon, nodes=pc["nodes"],
-                                 max_iterations=pc["max_iterations"],
-                                 tolerance=pc["tolerance"])
-    return picard_iterate(x, model, path, picard_config, pc["lambda"], pc["alpha"])
+    pc = config.picard
+    return picard_iterate(x, model, path, controls, pc["lambda"], pc["alpha"])
 
 
 def run_validate(config: RunConfig):
     grid = build_grid(config)
     model = build_model(config)
     horizon = config.validate.get("horizon")
-    if horizon is None and config.sim is not None:
-        horizon = config.sim["t_final"]
     if horizon is None:
-        raise ConfigError("validate.horizon: required when sim.t_final is absent")
+        horizon = config.sim["t_final"]
     return validate_assumptions(model, grid, float(horizon))
 
 
@@ -757,17 +763,10 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
             return EXIT_CONFIG_ERROR
     try:
         config = RunConfig.from_file(config_file_path)
-        if kind is not None and kind != config.kind:
-            if kind not in RUN_KINDS:
-                raise ConfigError(f"kind: unknown run kind {kind!r}")
-            # re-validate: the required sections depend on the kind
-            raw = config.to_dict()
-            raw["kind"] = kind
-            config = RunConfig.from_dict(raw)
-        if seed is not None:
-            if not (0 <= seed < 2**64):
-                raise ConfigError("seed: must be in [0, 2^64)")
-            config.seed = seed
+        # overrides re-validate: the required sections depend on the kind
+        overrides = {k: v for k, v in (("kind", kind), ("seed", seed)) if v is not None}
+        if overrides:
+            config = RunConfig.from_dict({**config.to_dict(), **overrides})
         out = Path(out_dir if out_dir is not None else config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config_echo.json", config.to_dict())

@@ -18,16 +18,19 @@ half phase, half linear; the Lie variant composes full sub-flows once.
 Noise increments enter per step (piecewise constant in the step), and the
 within-step Re M seen by the nonlinear phase is the step-start value.
 
-Strang runs march a block of B paths held as one (B, n^d) complex array
-(``simulate_block``; ``simulate`` is its B = 1 call).  Transforms act on the
-spatial axes only: ``fft``/``ifft`` on the last axis for d = 1,
-``fftn``/``ifftn`` over axes 1..d otherwise.  Each path's per-step scalars
-(the spatially constant mid multiplier, the phase coefficient) enter as
-(B, 1) columns.  The march fuses the trailing and leading half-linear flows
-of consecutive steps into one Fourier multiplication and, for spatially
-constant mid multipliers, merges the two half phases through the known
-modulus scaling; both fusions are algebraically identical to the plain
-composition and leave two transforms per step.  For such homogeneous rows
+Both splittings march a block of B paths held as one (B, n^d) complex
+array (``simulate_block``; ``simulate`` is its B = 1 call).  A step leads
+with the linear flow, half (Strang) or full (Lie), rotates the phase and
+applies the noise-or-damping multiplier; Strang then trails with the second
+half linear flow.  Transforms act on the spatial axes only: ``fft``/``ifft``
+on the last axis for d = 1, ``fftn``/``ifftn`` over axes 1..d otherwise.
+Each path's per-step scalars (the spatially constant mid multiplier, the
+phase coefficient) enter as (B, 1) columns.  The state stays spectral
+between steps, so consecutive linear flows meet without a transform, and
+for spatially constant mid multipliers Strang merges its two half phases
+through the known modulus scaling (Lie has one phase at the full step);
+both are algebraically identical to the plain composition and leave two
+transforms per step.  For such homogeneous rows
 the step loop keeps only each row's Parseval mass: the other mass, the
 stochastic mass sum and the abort checks are computed on the whole series
 after the loop, and report the first failing time index a step-by-step check
@@ -89,24 +92,24 @@ class SimParams:
 
     def __post_init__(self):
         if self.lam not in (-1, 0, 1):
-            raise ValueError(f"lam must be -1, 0 or +1, got {self.lam}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final <= 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+            raise ValueError(f"lambda: must be -1, 0 or +1, got {self.lam}")
+        if not self.dt > 0:
+            raise ValueError(f"dt: must be positive, got {self.dt}")
+        if not self.t_final > 0:
+            raise ValueError(f"t_final: must be positive, got {self.t_final}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValueError(f"scheme: must be one of {SCHEMES}, got {self.scheme!r}")
         if self.splitting not in SPLITTINGS:
             raise ValueError(
-                f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}"
+                f"splitting: must be one of {SPLITTINGS}, got {self.splitting!r}"
             )
         steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
-                f"t_final/dt = {steps:.12g} is not an integer step count"
+                f"t_final: t_final/dt = {steps:.12g} is not a positive integer step count"
             )
         if self.save_every is not None and self.save_every < 1:
-            raise ValueError(f"save_every must be >= 1, got {self.save_every}")
+            raise ValueError(f"save_every: must be >= 1, got {self.save_every}")
 
     @property
     def n_steps(self) -> int:
@@ -118,7 +121,7 @@ class SimParams:
         band = 1.0 + 4.0 / dimension
         if not (1.0 < self.alpha < band):
             raise ValueError(
-                f"alpha = {self.alpha} outside the band (1, {band}) for d = {dimension}"
+                f"alpha: {self.alpha} outside the band (1, {band}) for d = {dimension}"
             )
 
 
@@ -392,10 +395,7 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
         save_set.update(range(0, n_steps + 1, save_every))
     runs = [_RunState(grid, _Stepper(grid, model, params, path), params, n_steps,
                       save_set) for path in paths]
-    if params.splitting == "strang":
-        outcomes = _strang_march(runs, x)
-    else:
-        outcomes = [_lie_loop(run, x) for run in runs]
+    outcomes = _march(runs, x)
 
     results = []
     for run, seed, outcome in zip(runs, seeds, outcomes):
@@ -432,7 +432,7 @@ def _exp_series(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _RunState:
-    """Per-step recording shared by both splitting loops."""
+    """Per-step recording of one row of the march."""
 
     def __init__(self, grid: GridSpec, stepper: _Stepper, params: SimParams,
                  n_steps: int, save_set: set):
@@ -569,17 +569,19 @@ def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
     u *= rot
 
 
-def _strang_march(runs: list, x: ComplexField) -> list:
-    """Fused Strang march of a block of runs from x: spectral state at integer
-    times, two transforms per step (three with spatially varying noise),
-    masses by Parseval.  Returns each run's abort, or None."""
+def _march(runs: list, x: ComplexField) -> list:
+    """March a block of runs from x: spectral state at integer times, two
+    transforms per step (Strang with spatially varying noise: three), masses
+    by Parseval.  Strang steps lead and trail with the half linear flow, Lie
+    steps lead with the full one.  Returns each run's abort, or None."""
     steppers = [run.stepper for run in runs]
     first = steppers[0]
     grid = first.grid
     n_steps = first.path.n_steps
     fused = first.mid_scalar is not None
     phase_on = first.phase_on
-    half = first.lin_half
+    strang = first.params.splitting == "strang"
+    lead, trail = (first.lin_half, first.lin_half) if strang else (first.lin_full, None)
     parseval = grid.cell_volume / grid.size
     forward, inverse = _spatial_transforms(grid)
     rows = len(runs)
@@ -613,8 +615,8 @@ def _strang_march(runs: list, x: ComplexField) -> list:
                 outcomes[b], ends[b] = exc, 0
         noise = np.empty(phys.shape, dtype=np.complex128)
     if phase_on:
-        neg_coef = -np.array([st.phase_fused if fused else st.phase_half
-                              for st in steppers])
+        neg_coef = -np.array([(st.phase_fused if fused else st.phase_half)
+                              if strang else st.phase_full for st in steppers])
         amp, angle = np.empty(phys.shape), np.empty(phys.shape)
         rot = np.empty(phys.shape, dtype=np.complex128)
 
@@ -637,7 +639,7 @@ def _strang_march(runs: list, x: ComplexField) -> list:
         if not fused:
             for b, row in zip(active, phys):
                 runs[b].accumulate_ito(k, row)
-        u = inverse(half * yh)
+        u = inverse(lead * yh)
         if phase_on:
             _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb], angle[:nb],
                     rot[:nb])
@@ -651,10 +653,12 @@ def _strang_march(runs: list, x: ComplexField) -> list:
                     outcomes[b], ends[b], next_end = exc, k + 1, k + 1
                     noise[i] = 0.0
             u *= np.exp(noise[:nb])
-            if phase_on:
+            if phase_on and strang:
                 _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb],
                         angle[:nb], rot[:nb])
-        yh = half * forward(u)
+        yh = forward(u)
+        if trail is not None:
+            yh = trail * yh
 
         if fused:
             for b, row in zip(active, yh):
@@ -665,13 +669,13 @@ def _strang_march(runs: list, x: ComplexField) -> list:
             if k + 1 in save_set:
                 # record() checks the row before it keeps the snapshot; the
                 # abort itself is found on the whole series after the loop.
-                for b, row in zip(active, inverse(yh)):
+                for b, row in zip(active, u if trail is None else inverse(yh)):
                     try:
                         runs[b].record(k + 1, row, masses[b][-1])
                     except NumericalAbort:
                         ends[b], next_end = k + 1, k + 1
         else:
-            phys = inverse(yh)
+            phys = u if trail is None else inverse(yh)
             for b, row, prow in zip(active, yh, phys):
                 if outcomes[b] is not None:
                     continue
@@ -685,18 +689,3 @@ def _strang_march(runs: list, x: ComplexField) -> list:
         for b, run in enumerate(runs):
             outcomes[b] = run.record_series(np.array(masses[b]), guards[b])
     return outcomes
-
-
-def _lie_loop(run: _RunState, x: ComplexField) -> NumericalAbort | None:
-    """Plain Lie march of one run, recorded step by step; returns its abort."""
-    stepper = run.stepper
-    v = x.values.copy()
-    try:
-        run.record(0, v, run.mass_of(v))
-        for k in range(stepper.path.n_steps):
-            run.accumulate_ito(k, v)
-            v = stepper.advance(v, k)
-            run.record(k + 1, v, run.mass_of(v))
-    except NumericalAbort as exc:
-        return exc
-    return None

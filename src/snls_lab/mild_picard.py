@@ -41,10 +41,10 @@ def strichartz_exponent(dimension: int, alpha: float) -> float:
     The value always lies in (2 + 4/d, infinity) on that band.
     """
     if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+        raise ValueError(f"dimension: must be 1, 2 or 3, got {dimension}")
     band = 1.0 + 4.0 / dimension
     if not (1.0 < alpha < band):
-        raise ValueError(f"alpha = {alpha} outside the band (1, {band}) for d = {dimension}")
+        raise ValueError(f"alpha: {alpha} outside the band (1, {band}) for d = {dimension}")
     return 4.0 * (alpha + 1.0) / (dimension * (alpha - 1.0))
 
 
@@ -83,18 +83,16 @@ class PicardConfig:
     nodes: int = 64
     max_iterations: int = 20
     tolerance: float = 1e-8
-    weight_sup: float = 1.0
-    weight_lq: float = 1.0
 
     def __post_init__(self):
         if not (self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise ValueError(f"horizon: must be positive, got {self.horizon}")
         if self.nodes < 8:
-            raise ValueError(f"nodes must be >= 8, got {self.nodes}")
+            raise ValueError(f"nodes: must be >= 8, got {self.nodes}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations: must be >= 1, got {self.max_iterations}")
         if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"tolerance: must be positive, got {self.tolerance}")
 
 
 @dataclass
@@ -244,7 +242,7 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
             phi = (grid.cell_volume * (np.abs(diff) ** (alpha + 1.0)).sum(axis=1)) \
                 ** (1.0 / (alpha + 1.0))
             lq = float(np.trapezoid(phi**q, times) ** (1.0 / q))
-        return cfg.weight_sup * sup + cfg.weight_lq * lq
+        return sup + lq
 
     y = kern.free_trajectory()
     distances: list[float] = []

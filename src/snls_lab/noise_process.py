@@ -33,9 +33,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .spectral_grid import ComplexField, GridSpec, gradient_spectral, laplacian_spectral
+from .spectral_grid import (
+    ComplexField,
+    GridSpec,
+    gradient_spectral,
+    laplacian_spectral,
+    per_axis,
+)
 
 _BOUND_SLACK = 1e-12  # relative slack when checking declared density bounds
+DENSITY_KINDS = ("constant", "piecewise-constant", "tabulated")
+PROFILE_KINDS = ("constant-one", "gaussian-bump", "tabulated")
 
 
 # -- quadratic-variation densities ---------------------------------------------
@@ -45,7 +53,8 @@ class DensitySpec:
     """Density V(t) of a component's quadratic variation.
 
     ``alpha0`` and ``v_max`` are the declared lower and upper bounds; every
-    evaluation on [0, horizon] must respect them.  Kinds:
+    evaluation on [0, horizon] must respect them.  Left unset they default
+    to the least and greatest given value.  Kinds:
 
     * ``constant``: V(t) = value.
     * ``piecewise-constant``: V(t) = values[i] on [times[i], times[i+1]),
@@ -55,53 +64,53 @@ class DensitySpec:
     """
 
     kind: str
-    alpha0: float
-    v_max: float
+    alpha0: float | None = None
+    v_max: float | None = None
     value: float | None = None
     times: np.ndarray | None = None
     values: np.ndarray | None = None
     horizon: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("constant", "piecewise-constant", "tabulated"):
-            raise ValueError(f"unknown density kind {self.kind!r}")
-        if self.alpha0 < 0:
-            raise ValueError(f"alpha0 must be >= 0, got {self.alpha0}")
-        if not (self.v_max > 0) or not np.isfinite(self.v_max):
-            raise ValueError(f"v_max must be positive and finite, got {self.v_max}")
-        if self.alpha0 > self.v_max:
-            raise ValueError("alpha0 exceeds v_max")
-
+        if self.kind not in DENSITY_KINDS:
+            raise ValueError(f"kind: must be one of {DENSITY_KINDS}, got {self.kind!r}")
         if self.kind == "constant":
             if self.value is None:
-                raise ValueError("constant density needs a value")
-            self._check_range(np.asarray([self.value]))
+                raise ValueError("value: required for a constant density")
+            name, v = "value", np.asarray([self.value], dtype=float)
         else:
             if self.times is None or self.values is None:
-                raise ValueError(f"{self.kind} density needs times and values")
+                raise ValueError(f"times: {self.kind} density needs times and values")
             t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
+            name, v = "values", np.asarray(self.values, dtype=float)
             if t.ndim != 1 or v.ndim != 1 or t.size != v.size or t.size < 1:
-                raise ValueError("density times/values must be 1-D of equal length")
+                raise ValueError("times: must be a nonempty 1-D list as long as values")
             if t[0] != 0.0:
-                raise ValueError("density times must start at 0")
+                raise ValueError("times: must start at 0")
             if np.any(np.diff(t) <= 0):
-                raise ValueError("density times must be strictly increasing")
-            self._check_range(v)
+                raise ValueError("times: must be strictly increasing")
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", v)
             if self.kind == "tabulated":
                 object.__setattr__(self, "horizon", min(self.horizon, float(t[-1])))
-
-    def _check_range(self, v: np.ndarray) -> None:
         if not np.all(np.isfinite(v)):
-            raise ValueError("density values must be finite")
+            raise ValueError(f"{name}: must be finite")
         if np.any(v < 0):
-            raise ValueError("density values must be nonnegative")
+            raise ValueError(f"{name}: must be nonnegative")
+        if self.alpha0 is None:
+            object.__setattr__(self, "alpha0", float(v.min()))
+        if self.v_max is None:
+            object.__setattr__(self, "v_max", max(float(v.max()), 1e-300))
+        if self.alpha0 < 0:
+            raise ValueError(f"alpha0: must be >= 0, got {self.alpha0}")
+        if not (self.v_max > 0) or not np.isfinite(self.v_max):
+            raise ValueError(f"v_max: must be positive and finite, got {self.v_max}")
+        if self.alpha0 > self.v_max:
+            raise ValueError(f"alpha0: {self.alpha0} exceeds v_max {self.v_max}")
         slack = _BOUND_SLACK * max(1.0, self.v_max)
         if np.any(v < self.alpha0 - slack) or np.any(v > self.v_max + slack):
             raise ValueError(
-                f"density values leave the declared band [{self.alpha0}, {self.v_max}]"
+                f"{name}: outside the declared band [{self.alpha0}, {self.v_max}]"
             )
 
     def evaluate(self, t) -> np.ndarray:
@@ -117,27 +126,18 @@ class DensitySpec:
     @classmethod
     def constant(cls, value: float, alpha0: float | None = None,
                  v_max: float | None = None, horizon: float = math.inf) -> "DensitySpec":
-        return cls("constant", alpha0 if alpha0 is not None else value,
-                   v_max if v_max is not None else max(value, 1e-300),
-                   value=value, horizon=horizon)
+        return cls("constant", alpha0, v_max, value=value, horizon=horizon)
 
     @classmethod
     def piecewise(cls, times, values, alpha0: float | None = None,
                   v_max: float | None = None, horizon: float = math.inf) -> "DensitySpec":
-        v = np.asarray(values, dtype=float)
-        return cls("piecewise-constant",
-                   alpha0 if alpha0 is not None else float(v.min()),
-                   v_max if v_max is not None else float(v.max()),
-                   times=np.asarray(times, dtype=float), values=v, horizon=horizon)
+        return cls("piecewise-constant", alpha0, v_max, times=times, values=values,
+                   horizon=horizon)
 
     @classmethod
     def tabulated(cls, times, values, alpha0: float | None = None,
                   v_max: float | None = None) -> "DensitySpec":
-        v = np.asarray(values, dtype=float)
-        return cls("tabulated",
-                   alpha0 if alpha0 is not None else float(v.min()),
-                   v_max if v_max is not None else float(v.max()),
-                   times=np.asarray(times, dtype=float), values=v)
+        return cls("tabulated", alpha0, v_max, times=times, values=values)
 
 
 # -- spatial profiles -----------------------------------------------------------
@@ -157,16 +157,16 @@ class SpatialProfile:
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant-one", "gaussian-bump", "tabulated"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "gaussian-bump" and self.width <= 0:
-            raise ValueError("gaussian-bump width must be positive")
+        if self.kind not in PROFILE_KINDS:
+            raise ValueError(f"kind: must be one of {PROFILE_KINDS}, got {self.kind!r}")
+        if self.kind == "gaussian-bump" and not self.width > 0:
+            raise ValueError(f"width: must be positive, got {self.width}")
         if self.kind == "tabulated":
             if self.table is None:
-                raise ValueError("tabulated profile needs a table")
+                raise ValueError("values: a tabulated profile needs a table")
             tab = np.asarray(self.table, dtype=float).reshape(-1)
             if not np.all(np.isfinite(tab)):
-                raise ValueError("profile table must be finite")
+                raise ValueError("values: the table must be finite")
             object.__setattr__(self, "table", tab)
         if not isinstance(self.center, tuple):
             object.__setattr__(self, "center", tuple(np.atleast_1d(self.center).tolist()))
@@ -180,13 +180,13 @@ class SpatialProfile:
         if self.kind == "constant-one":
             return np.ones(grid.size)
         if self.kind == "gaussian-bump":
-            c = np.broadcast_to(np.asarray(self.center, dtype=float), (grid.dimension,))
+            c = per_axis(self.center, grid, "center")
             xi = grid.coordinates()
             r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
             return self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
         if self.table.size != grid.size:
             raise ValueError(
-                f"tabulated profile has {self.table.size} values, grid expects {grid.size}"
+                f"values: {self.table.size} table entries for a grid of {grid.size} points"
             )
         return self.table
 
@@ -211,12 +211,10 @@ class NoiseModel:
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=np.complex128))
         if mu.size < 1:
-            raise ValueError("noise model needs at least one component")
-        if not (len(self.profiles) == len(self.densities) == mu.size):
-            raise ValueError(
-                f"component count mismatch: {mu.size} coefficients, "
-                f"{len(self.profiles)} profiles, {len(self.densities)} densities"
-            )
+            raise ValueError("coefficients: at least one component is required")
+        for name, items in (("profiles", self.profiles), ("densities", self.densities)):
+            if len(items) != mu.size:
+                raise ValueError(f"{name}: {len(items)} entries for {mu.size} coefficients")
         self.mu = mu
 
     @property

@@ -46,12 +46,12 @@ class GridSpec:
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+            raise ValueError(f"dimension: must be 1, 2 or 3, got {self.dimension}")
         if self.points < 4 or not _is_power_of_two(self.points):
-            raise ValueError(f"points must be a power of two >= 4, got {self.points}")
+            raise ValueError(f"points: must be a power of two >= 4, got {self.points}")
         L = float(self.half_length)
         if not (L > 0.0) or not np.isfinite(L):
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+            raise ValueError(f"half_length: must be positive, got {self.half_length}")
         object.__setattr__(self, "half_length", L)
 
         n = self.points
@@ -85,6 +85,14 @@ class GridSpec:
 def make_grid(dimension: int, points: int, half_length: float) -> GridSpec:
     """Build a validated periodic grid; rejects unsupported shapes."""
     return GridSpec(dimension, points, half_length)
+
+
+def per_axis(value, grid: GridSpec, name: str, dtype=float) -> np.ndarray:
+    """A scalar, or one entry per grid axis, as a (dimension,) array."""
+    v = np.atleast_1d(np.asarray(value, dtype=dtype))
+    if v.ndim != 1 or v.size not in (1, grid.dimension):
+        raise ValueError(f"{name}: {v.size} entries for a {grid.dimension}-D grid")
+    return np.broadcast_to(v, (grid.dimension,))
 
 
 @dataclass(eq=False)
@@ -220,7 +228,7 @@ def constant_field(grid: GridSpec, value: complex = 1.0) -> ComplexField:
 
 def plane_wave(grid: GridSpec, mode) -> ComplexField:
     """exp(i * sum_a k_a xi_a) with integer mode m_a per axis, k_a = pi*m_a/L."""
-    modes = np.broadcast_to(np.asarray(mode, dtype=np.int64), (grid.dimension,))
+    modes = per_axis(mode, grid, "mode", np.int64)
     xi = grid.coordinates()
     phase = np.zeros(grid.size)
     for axis in range(grid.dimension):
@@ -239,9 +247,11 @@ def gaussian_field(
 
     When ``l2_norm`` is given the field is rescaled to that discrete L^2 norm.
     """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    c = np.broadcast_to(np.asarray(center, dtype=float), (grid.dimension,))
+    if not width > 0:
+        raise ValueError(f"width: must be positive, got {width}")
+    if l2_norm is not None and not l2_norm > 0:
+        raise ValueError(f"l2_norm: must be positive, got {l2_norm}")
+    c = per_axis(center, grid, "center")
     xi = grid.coordinates()
     r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
     vals = amplitude * np.exp(-r2 / (2.0 * width**2))
@@ -249,6 +259,6 @@ def gaussian_field(
     if l2_norm is not None:
         current = norm_L2(field)
         if current == 0.0:
-            raise ValueError("cannot normalize a zero field")
+            raise ValueError("l2_norm: cannot rescale a zero field")
         field = ComplexField(field.values * (l2_norm / current), grid)
     return field

@@ -1,17 +1,27 @@
 """Config validation, orchestration, file formats, and reproducibility."""
 
+import contextlib
+import copy
 import dataclasses
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from snls_lab import integrator, seeding
+from snls_lab import harness, integrator, seeding
 from snls_lab.diagnostics import decay_fit, gronwall_check
 from snls_lab.errors import (
     EXIT_ASSUMPTION_VETO,
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_ABORT,
     EXIT_OK,
+    AssumptionVeto,
     ConfigError,
     NumericalAbort,
 )
@@ -173,6 +183,18 @@ class TestRunKinds:
         rep = run_ensemble(RunConfig.from_dict(cfg), threads=1)
         assert len(rep.per_path) == 3
         assert all("aborted" in p["status"] for p in rep.per_path)
+
+    def test_ensemble_veto_before_marching(self, monkeypatch):
+        # omega is undefined for mu = i, so no path may march
+        cfg = base_config(kind="ensemble", ensemble={"size": 2})
+        cfg["noise"]["coefficients"] = [[0.0, 1.0]]
+
+        def march(*args, **kwargs):
+            raise AssertionError("an ensemble with no decay rate marched")
+
+        monkeypatch.setattr(harness, "simulate_block", march)
+        with pytest.raises(AssumptionVeto, match="decay rate undefined"):
+            run_ensemble(RunConfig.from_dict(cfg), threads=1)
 
     def test_validate_kind(self):
         cfg = RunConfig.from_dict(base_config(kind="validate"))
@@ -434,3 +456,159 @@ class TestFieldDump:
         assert (d, n, L, t) == (1, 4, 1.0, 0.5)
         flat = np.frombuffer(raw[24:], dtype="<f8")
         assert np.array_equal(flat, [1, 2, 3, 4, 5, 6, 7, 8])
+
+
+# -- malformed configs ---------------------------------------------------------------
+
+def short_config(kind="simulate"):
+    """A valid config of the given kind that runs in well under a second:
+    n = 64 and 10 steps."""
+    cfg = base_config(kind=kind)
+    cfg["grid"]["points"] = 64
+    cfg["sim"].update(dt=0.01, t_final=0.1)
+    if kind == "ensemble":
+        cfg["ensemble"] = {"size": 2}
+    if kind == "picard":
+        cfg["picard"] = {"horizon": 0.05, "nodes": 16, "lambda": 1, "alpha": 3.0}
+    return cfg
+
+
+def put(cfg, dotted, value):
+    """Set the leaf at a key path such as ``noise.profiles[0].width``."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", dotted)]
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
+
+
+BUMP_PROFILE = {"kind": "gaussian-bump", "width": 2.0}
+DIRECT = {"sim.scheme": "direct"}
+
+# Malformed configs: (run kind, leaves to set, key the error must name).
+MALFORMED = {
+    "dimension_bool": ("simulate", {"grid.dimension": True}, "grid.dimension"),
+    "half_length_bool": ("simulate", {"grid.half_length": True}, "grid.half_length"),
+    "coefficient_bool": ("simulate", {"noise.coefficients[0]": True},
+                         "noise.coefficients[0]"),
+    "ensemble_size_bool": ("ensemble", {"ensemble.size": True}, "ensemble.size"),
+    "picard_lambda_bool": ("picard", {"picard.lambda": True}, "picard.lambda"),
+    "seed_bool": ("simulate", {"seed": True}, "seed"),
+    "profile_width_str": ("simulate", {**DIRECT, "noise.profiles[0]": BUMP_PROFILE,
+                                       "noise.profiles[0].width": "2.0"},
+                          "noise.profiles[0].width"),
+    "density_value_str": ("simulate", {"noise.densities[0].value": "1.0"},
+                          "noise.densities[0].value"),
+    "density_values_str": ("simulate", {"noise.densities[0]": {
+        "kind": "piecewise-constant", "times": [0.0, 0.5], "values": ["1.0", 1.0]}},
+        "noise.densities[0].values"),
+    "density_alpha0_str": ("simulate", {"noise.densities[0].alpha0": "1.0"},
+                           "noise.densities[0].alpha0"),
+    "initial_width_str": ("simulate", {"initial.width": "1.0"}, "initial.width"),
+    "initial_amplitude_str": ("simulate", {"initial.amplitude": "1.0"},
+                              "initial.amplitude"),
+    "initial_mode_str": ("simulate", {"initial": {"kind": "plane-wave", "mode": "1"}},
+                         "initial.mode"),
+    "fit_window_str": ("simulate", {"diagnostics.fit_window": ["0.01", "0.09"]},
+                       "diagnostics.fit_window"),
+    "lyapunov_tolerance_str": ("ensemble", {"ensemble.lyapunov_tolerance": "0.5"},
+                               "ensemble.lyapunov_tolerance"),
+    "max_iterations_str": ("picard", {"picard.max_iterations": "20"},
+                           "picard.max_iterations"),
+    "validate_horizon_str": ("validate", {"validate": {"horizon": "1.0"}},
+                             "validate.horizon"),
+    "sim_alpha_band": ("simulate", {"sim.alpha": 7.0}, "sim.alpha"),
+    "picard_alpha_band": ("picard", {"picard.alpha": 9.0}, "picard.alpha"),
+    "max_iterations_zero": ("picard", {"picard.max_iterations": 0},
+                            "picard.max_iterations"),
+    "tolerance_negative": ("picard", {"picard.tolerance": -1.0}, "picard.tolerance"),
+    "validate_horizon_negative": ("validate", {"validate": {"horizon": -1.0}},
+                                  "validate.horizon"),
+    "initial_mode_fraction": ("simulate", {"initial": {"kind": "plane-wave",
+                                                       "mode": 1.5}}, "initial.mode"),
+    "density_horizon_short": ("simulate", {"noise.densities[0].horizon": 0.05},
+                              "noise.densities[0]"),
+    "fit_window_outside_run": ("simulate", {"diagnostics.fit_window": [5.0, 9.0]},
+                               "diagnostics.fit_window"),
+    "initial_center_dimension": ("simulate", {"initial.center": [0.0, 0.0]},
+                                 "initial.center"),
+    "profile_table_length": ("simulate", {**DIRECT, "noise.profiles[0]": {
+        "kind": "tabulated", "values": [1.0, 1.0, 1.0]}}, "noise.profiles[0].values"),
+    "profile_center_dimension": ("simulate", {**DIRECT, "noise.profiles[0]": {
+        **BUMP_PROFILE, "center": [0.0, 0.0]}}, "noise.profiles[0].center"),
+    "zero_gaussian_normalized": ("simulate", {"initial": {
+        "kind": "gaussian", "amplitude": 0.0, "l2_norm": 1.0}}, "initial.l2_norm"),
+    "zero_constant_decay_fit": ("simulate", {"initial": {"kind": "constant",
+                                                         "value": 0.0}}, "initial"),
+}
+
+
+def run_captured(cfg, root) -> tuple[int, str]:
+    """harness.run on a config written under root; returns (exit code, stderr)."""
+    path = Path(root) / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(path, out_dir=str(Path(root) / "out"), threads=1)
+    return code, err.getvalue()
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_2_naming_key(self, tmp_path, name):
+        kind, leaves, key = MALFORMED[name]
+        cfg = short_config(kind)
+        for dotted, value in leaves.items():
+            put(cfg, dotted, value)
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_CONFIG_ERROR, err
+        assert f"config error: {key}" in err
+
+
+# Leaves the fuzzer replaces, and the values it puts there: type swaps, bools
+# and strings for numbers, out-of-band numbers, wrong-length tables and
+# vectors that do not match the grid dimension.
+MUTABLE_KEYS = [
+    "seed", "kind", "output_dir", "grid.dimension", "grid.points", "grid.half_length",
+    "noise.coefficients", "noise.coefficients[0]", "noise.profiles[0]",
+    "noise.profiles[0].width", "noise.densities", "noise.densities[0]",
+    "noise.densities[0].value", "noise.densities[0].alpha0",
+    "noise.densities[0].v_max", "noise.densities[0].horizon",
+    "sim", "sim.lambda", "sim.alpha", "sim.dt", "sim.t_final", "sim.scheme",
+    "sim.splitting", "sim.save_every", "initial", "initial.kind", "initial.width",
+    "initial.center", "initial.amplitude", "initial.l2_norm", "initial.mode",
+    "diagnostics", "diagnostics.decay_fit", "diagnostics.fit_window",
+    "diagnostics.residuals", "diagnostics.field_dumps", "ensemble", "ensemble.size",
+    "ensemble.lyapunov_tolerance", "picard", "picard.horizon", "picard.nodes",
+    "picard.max_iterations", "picard.tolerance", "picard.lambda", "picard.alpha",
+    "picard.path_dt", "validate", "validate.horizon",
+]
+MUTANT_VALUES = [
+    True, False, None, "1.0", "x", 0, 1, 2, 3, -1, 7, 1.5, 0.05, 0.1, -1.0, 9.0,
+    [], [0.0, 0.0], [1.0, 1.0, 1.0], [5.0, 9.0], [0.02, 0.08], [1, 2], {},
+    "direct", "lie", "picard", "ensemble", "validate", "convergence",
+    {"kind": "gaussian-bump", "width": 2.0, "center": [0.0, 0.0]},
+    {"kind": "gaussian-bump", "width": -2.0},
+    {"kind": "tabulated", "values": [1.0, 1.0, 1.0]},
+    {"kind": "piecewise-constant", "times": [0.0, 0.05], "values": [1.0]},
+    {"kind": "tabulated", "times": [0.0, 0.05], "values": [1.0, 2.0]},
+    {"kind": "plane-wave", "mode": [1, 2]},
+    {"kind": "constant", "value": 0.0},
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["simulate", "ensemble", "picard", "validate"]),
+       mutations=st.lists(st.tuples(st.sampled_from(MUTABLE_KEYS),
+                                    st.sampled_from(MUTANT_VALUES)),
+                          min_size=1, max_size=3))
+def test_mutated_configs_exit_cleanly(kind, mutations):
+    cfg = short_config(kind)
+    for dotted, value in mutations:
+        try:
+            put(cfg, dotted, copy.deepcopy(value))
+        except (KeyError, IndexError, TypeError):
+            pass  # the mutation removed the key's parent
+    with tempfile.TemporaryDirectory() as root:
+        code, err = run_captured(cfg, root)
+    assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,
+                    EXIT_NUMERICAL_ABORT), err

@@ -1,6 +1,7 @@
 """Sub-flow exactness, composed stepping, and full simulation runs."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -450,3 +451,41 @@ class TestBlockMarch:
         assert bare.snapshot_indices == [params.n_steps]
         assert np.array_equal(bare.final_x.values, full.final_x.values)
         assert np.array_equal(bare.mass_x, full.mass_x)
+
+    @pytest.mark.parametrize("case", ["rescaled", "direct", "direct_bump",
+                                      "rescaled_2d", "abort_rescaled", "abort_bump"])
+    def test_lie_rows_match_single_path_calls(self, case):
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting="lie")
+        x = gaussian_field(grid, width=1.0)
+        block = simulate_block(grid, model, params, x, [0, 1, 2, 3])
+        for seed, row in enumerate(block):
+            alone, = simulate_block(grid, model, params, x, [seed])
+            if isinstance(alone, NumericalAbort):
+                assert (str(row), row.time_index) == (str(alone), alone.time_index)
+                continue
+            for name in ("mass_x", "mass_y", "ito_mass_sum"):
+                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+            assert row.snapshot_indices == alone.snapshot_indices
+            for a, b in zip(row.snapshots_x + row.snapshots_y,
+                            alone.snapshots_x + alone.snapshots_y):
+                assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("case", ["rescaled", "direct_bump"])
+    def test_lie_rows_match_step_loop(self, case):
+        # step() composes the plain Lie sub-flows with exp and physical-space
+        # masses; the march differs from it only in rounding
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting="lie")
+        x = gaussian_field(grid, width=1.0)
+        path = sample_martingale(model, params.dt, params.n_steps, 3)
+        rec = simulate(grid, model, params, x, seed=3, path=path)
+        masses, state = [norm_L2(x) ** 2], x
+        for k in range(params.n_steps):
+            state = step(state, path, k, params, model)
+            masses.append(norm_L2(state) ** 2)
+        own = rec.mass_y if params.scheme == "rescaled" else rec.mass_x
+        final = rec.final_y if params.scheme == "rescaled" else rec.final_x
+        assert np.abs(own - masses).max() <= 1e-12 * max(masses)
+        scale = np.abs(state.values).max()
+        assert np.abs(final.values - state.values).max() <= 1e-12 * scale

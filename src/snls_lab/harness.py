@@ -23,6 +23,7 @@ error, 3 assumption veto, 4 numerical abort.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -55,7 +56,7 @@ from .errors import (
     ConfigError,
     NumericalAbort,
 )
-from .integrator import SimParams, SolutionRecord, simulate, simulate_block
+from .integrator import MAX_STEPS, SimParams, SolutionRecord, simulate, simulate_block
 from .mild_picard import PicardConfig, picard_iterate, strichartz_exponent
 from .noise_process import (
     DensitySpec,
@@ -477,7 +478,11 @@ def _picard_setup(config: RunConfig) -> tuple[PicardConfig, float, int]:
                                 tolerance=pc["tolerance"])
         strichartz_exponent(config.grid["dimension"], pc["alpha"])
     path_dt = pc.get("path_dt", pc["horizon"] / 1024.0)
-    return controls, path_dt, max(1, int(math.ceil(pc["horizon"] / path_dt - 1e-12)))
+    steps = pc["horizon"] / path_dt
+    _require(steps <= MAX_STEPS, "picard.path_dt",
+             f"horizon/path_dt = {steps:.6g} steps exceeds the ceiling of "
+             f"{MAX_STEPS} steps")
+    return controls, path_dt, max(1, int(math.ceil(steps - 1e-12)))
 
 
 # -- report types -------------------------------------------------------------------
@@ -517,13 +522,15 @@ class EnsembleReport:
 
 # -- single runs ----------------------------------------------------------------------
 
-def run_simulation(config: RunConfig) -> tuple[SolutionRecord, DecayReport | None]:
-    """One integrator run per the config, plus its decay fit when requested."""
+def run_simulation(config: RunConfig,
+                   snapshot=None) -> tuple[SolutionRecord, DecayReport | None]:
+    """One integrator run per the config, plus its decay fit when requested;
+    ``snapshot`` receives the saved fields (see :func:`integrator.simulate`)."""
     grid = build_grid(config)
     model = build_model(config)
     params = build_params(config)
     x = build_initial(config, grid)
-    record = simulate(grid, model, params, x, seed=config.seed)
+    record = simulate(grid, model, params, x, seed=config.seed, snapshot=snapshot)
     report = None
     if config.diagnostics.get("decay_fit", False):
         fw = config.diagnostics.get("fit_window")
@@ -560,7 +567,7 @@ def _ensemble_member(args) -> list:
     x = build_initial(config, grid)
     seeds = [seeding.derive_seed(config.seed, index) for index in indices]
     # decay_fit and gronwall_check read only the scalar series.
-    outcomes = simulate_block(grid, model, params, x, seeds, snapshots=False)
+    outcomes = simulate_block(grid, model, params, x, seeds)
     fw = config.diagnostics.get("fit_window")
     per_path = []
     for index, record in zip(indices, outcomes):
@@ -725,7 +732,14 @@ def read_field_dump(path: Path) -> tuple[ComplexField, float]:
 
 
 def _emit_simulate(config: RunConfig, out: Path) -> None:
-    record, report = run_simulation(config)
+    writer = None
+    if config.diagnostics.get("field_dumps", False):
+        dumps = itertools.count()
+
+        def writer(k: int, t: float, x: ComplexField) -> None:
+            write_field_dump(x, t, out / f"field_{next(dumps):04d}.bin")
+
+    record, report = run_simulation(config, snapshot=writer)
     save_series_csv(record, out / "series.csv")
     with open(out / "path.csv", "w", encoding="utf-8", newline="\n") as fh:
         path_to_csv(record.path, fh)
@@ -741,10 +755,6 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
             with open(out / "energy_residual.csv", "w", encoding="utf-8",
                       newline="\n") as fh:
                 residual_to_csv(energy_res, fh)
-    if config.diagnostics.get("field_dumps", False):
-        for i, k in enumerate(record.snapshot_indices):
-            write_field_dump(record.snapshots_x[i], float(record.times[k]),
-                             out / f"field_{i:04d}.bin")
 
 
 def run(config_file_path, kind: str | None = None, out_dir: str | None = None,

@@ -51,6 +51,14 @@ and sums taken step by step, because:
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
 
+A run records its scalar series (both masses, Re M, the stochastic mass
+sum) at every step, but keeps no field except its final state: the
+record's snapshot lists hold the one (X, y) pair at t_final.  Fields at
+the save indices (every ``save_every`` steps, and the last step) go to an
+optional snapshot callable as they are produced, so memory is bounded by
+the grid, not by the run length.  A homogeneous row stops marching at its
+first failing index, so no snapshot is handed over past an abort.
+
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
 varying profiles integrate in original variables, whose noise sub-flow is
@@ -71,6 +79,9 @@ from .spectral_grid import ComplexField, GridSpec, warn_if_underresolved
 
 SCHEMES = ("direct", "rescaled")
 SPLITTINGS = ("lie", "strang")
+# Largest step count a run may take: 400 times the 25,000 steps of the
+# acceptance ensemble.  The per-step series of a longer run would not fit.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,11 @@ class SimParams:
                 f"splitting: must be one of {SPLITTINGS}, got {self.splitting!r}"
             )
         steps = self.t_final / self.dt
+        if not steps <= MAX_STEPS:
+            raise ValueError(
+                f"t_final: t_final/dt = {steps:.6g} steps exceeds the ceiling of "
+                f"{MAX_STEPS} steps"
+            )
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"t_final: t_final/dt = {steps:.12g} is not a positive integer step count"
@@ -127,8 +143,12 @@ class SimParams:
 
 @dataclass
 class SolutionRecord:
-    """Everything one run produced: scalar series at every step, field
-    snapshots at save times, and the driving path.
+    """Everything one run produced: scalar series at every step, the final
+    state, and the driving path.
+
+    ``snapshot_indices``, ``snapshots_x`` and ``snapshots_y`` hold the one
+    entry at the last time index; fields at earlier save indices go to the
+    snapshot callable of :func:`simulate` instead.
 
     ``mass_x`` is the squared L^2 norm of the original variable, ``mass_y``
     of the rescaled one; ``re_m`` is sum_j Re(mu_j) M_j(t_k);
@@ -342,17 +362,22 @@ def step(state: ComplexField, path: MartingalePath, k: int, params: SimParams,
 
 def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
              x: ComplexField, seed: int = 0,
-             path: MartingalePath | None = None) -> SolutionRecord:
+             path: MartingalePath | None = None,
+             snapshot=None) -> SolutionRecord:
     """Integrate from x over [0, t_final] and record the run.
 
     The noise path is sampled once from (model, dt, n_steps, seed) unless one
     is supplied, so paired runs can share it.  Scalar series (masses, Re M,
-    the stochastic mass sum) are recorded at every step; field snapshots every
-    ``save_every`` steps (default about 512 over the run).  This is the
-    one-path call of :func:`simulate_block`.
+    the stochastic mass sum) are recorded at every step.  ``snapshot``, when
+    given, is called as ``snapshot(k, t_k, X)`` with the X field at every
+    ``save_every``-th time index (default about 512 over the run) and at the
+    last one, in time order, as the march produces them; X must not be
+    modified.  The record keeps only the final state.  This is the one-path
+    call of :func:`simulate_block`.
     """
     outcome, = simulate_block(grid, model, params, x, [seed],
-                              paths=None if path is None else [path])
+                              paths=None if path is None else [path],
+                              snapshots=None if snapshot is None else [snapshot])
     if isinstance(outcome, NumericalAbort):
         raise outcome
     return outcome
@@ -361,16 +386,20 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
 def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
                    x: ComplexField, seeds: list,
                    paths: list | None = None,
-                   snapshots: bool = True) -> list:
+                   snapshots: list | None = None) -> list:
     """Integrate one path per seed from x over [0, t_final], marched together.
 
     Returns, in seed order, each path's :class:`SolutionRecord` or the
     :class:`NumericalAbort` that stopped it, so one diverging path does not
     stop its neighbours.  Paths are sampled from (model, dt, n_steps, seed)
-    unless supplied.  With ``snapshots`` false only the final state is kept.
+    unless supplied.  ``snapshots`` holds one snapshot callable per seed (see
+    :func:`simulate`); an aborted path has handed over the fields of the save
+    indices before its abort.
     """
     if x.grid is not grid and x.grid != grid:
         raise ValueError("initial state lives on a different grid")
+    if snapshots is not None and len(snapshots) != len(seeds):
+        raise ValueError(f"{len(snapshots)} snapshot callables for {len(seeds)} seeds")
     params.validate_alpha(grid.dimension)
     if params.scheme == "rescaled" and not model.spatially_homogeneous:
         raise AssumptionVeto(
@@ -390,11 +419,12 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     warn_if_underresolved(x, "initial state")
 
     save_set = {n_steps}
-    if snapshots:
+    if snapshots is not None:
         save_every = params.save_every or max(1, math.ceil(n_steps / 512))
         save_set.update(range(0, n_steps + 1, save_every))
     runs = [_RunState(grid, _Stepper(grid, model, params, path), params, n_steps,
-                      save_set) for path in paths]
+                      save_set, None if snapshots is None else snapshots[b])
+            for b, path in enumerate(paths)]
     outcomes = _march(runs, x)
 
     results = []
@@ -435,12 +465,14 @@ class _RunState:
     """Per-step recording of one row of the march."""
 
     def __init__(self, grid: GridSpec, stepper: _Stepper, params: SimParams,
-                 n_steps: int, save_set: set):
+                 n_steps: int, save_set: set, snapshot=None):
         self.grid = grid
         self.stepper = stepper
         self.direct = params.scheme == "direct"
         self.cv = grid.cell_volume
+        self.n_steps = n_steps
         self.save_set = save_set
+        self.snapshot = snapshot
         self.mass_x = np.empty(n_steps + 1)
         self.mass_y = np.empty(n_steps + 1)
         self.ito = np.zeros(n_steps + 1)
@@ -454,19 +486,24 @@ class _RunState:
         return self.cv * float(np.vdot(values, values).real)
 
     def record(self, k: int, v: np.ndarray, mass: float) -> None:
-        """Record time index k given the physical state and its mass."""
+        """Record time index k given the physical state and its mass.
+
+        At a save index the X field goes to the snapshot callable; at the
+        last index the (X, y) pair is kept.
+        """
         if not np.isfinite(mass):
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
         stepper = self.stepper
         rm = stepper.re_m[k]
+        y = None
         try:
             if self.direct:
                 self.mass_x[k] = mass
                 if stepper.homogeneous:
                     self.mass_y[k] = math.exp(-2.0 * rm) * mass
                 else:
-                    self.mass_y[k] = self.mass_of(
-                        v * np.exp(-stepper.m_field_values(k)))
+                    y = v * np.exp(-stepper.m_field_values(k))
+                    self.mass_y[k] = self.mass_of(y)
             else:
                 self.mass_y[k] = mass
                 self.mass_x[k] = math.exp(2.0 * rm) * mass
@@ -476,29 +513,40 @@ class _RunState:
             ) from exc
         if not (np.isfinite(self.mass_x[k]) and np.isfinite(self.mass_y[k])):
             raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
-        if k in self.save_set:
-            if self.direct:
-                xf = ComplexField(v.copy(), self.grid)
-                yf = ComplexField(v * np.exp(-stepper.m_field_values(k)), self.grid)
-            else:
-                yf = ComplexField(v.copy(), self.grid)
-                xf = ComplexField(v * np.exp(stepper.m_scalar[k]), self.grid)
+        if k not in self.save_set:
+            return
+        if self.direct:
+            x = v
+        else:
+            x, y = v * np.exp(stepper.m_scalar[k]), v
+        if self.snapshot is not None:
+            self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
+        if k == self.n_steps:
+            if y is None:
+                y = v * np.exp(-stepper.m_field_values(k))
             self.snapshot_indices.append(k)
-            self.snapshots_x.append(xf)
-            self.snapshots_y.append(yf)
+            self.snapshots_x.append(ComplexField(x.copy(), self.grid))
+            self.snapshots_y.append(ComplexField(y.copy(), self.grid))
 
-    def record_series(self, masses: np.ndarray,
-                      guard: int | None) -> NumericalAbort | None:
+    def mass_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights taking a homogeneous run's own mass to the other one at
+        every time index (``math.exp`` of -2 Re M direct, 2 Re M rescaled),
+        and where they overflow."""
+        return _exp_series((-2.0 if self.direct else 2.0) * self.stepper.re_m)
+
+    def record_series(self, masses: np.ndarray, guard: int | None,
+                      weights: np.ndarray,
+                      overflow: np.ndarray) -> NumericalAbort | None:
         """Fill the series of a homogeneous run from its marched masses.
 
-        ``masses`` holds the scheme's own mass at time indices 0..len-1 and
-        ``guard`` the index where |Re M| first exceeds the guard, if any.
-        The checks ``record`` and ``check_guard`` would make step by step are
-        made on the whole series; the abort at the first failing index is
-        returned with the message the step-by-step check gives.
+        ``masses`` holds the scheme's own mass at time indices 0..len-1,
+        ``guard`` the index where |Re M| first exceeds the guard, if any, and
+        ``weights``/``overflow`` come from :meth:`mass_weights`.  The checks
+        ``record`` and ``check_guard`` would make step by step are made on
+        the whole series; the abort at the first failing index is returned
+        with the message the step-by-step check gives.
         """
-        sign = -2.0 if self.direct else 2.0
-        weights, overflow = _exp_series(sign * self.stepper.re_m[:masses.size])
+        weights, overflow = weights[:masses.size], overflow[:masses.size]
         with np.errstate(over="ignore", invalid="ignore"):
             other = weights * masses
         mass_x, mass_y = (masses, other) if self.direct else (other, masses)
@@ -593,13 +641,20 @@ def _march(runs: list, x: ComplexField) -> list:
     yh = forward(phys)
     mass0 = runs[0].mass_of(x.values)
     if fused:
-        # Homogeneous rows: the guard index is known from Re M up front.
+        # Homogeneous rows: the guard index and the mass weights are known
+        # from Re M up front.  A row stops at its first failing index, as a
+        # step-by-step check would, so it hands over no snapshot past it.
         guards: list = [None] * rows
+        weights = [run.mass_weights() for run in runs]
+        weight_lists = [w.tolist() for w, _ in weights]
         for b, st in enumerate(steppers):
             over = np.flatnonzero(np.abs(st.re_m[1:]) > OVERFLOW_GUARD)
             if over.size:
                 guards[b] = int(over[0]) + 1
                 ends[b] = guards[b] - 1
+            overflow = weights[b][1]
+            if overflow.any():
+                ends[b] = min(ends[b], int(np.argmax(overflow)))
             if 0 in save_set:
                 try:
                     runs[b].record(0, x.values, mass0)
@@ -664,11 +719,12 @@ def _march(runs: list, x: ComplexField) -> list:
             for b, row in zip(active, yh):
                 mass = parseval * float(np.vdot(row, row).real)
                 masses[b].append(mass)
-                if not math.isfinite(mass):
+                # stop where either mass is non-finite, as record() would
+                if not math.isfinite(mass * weight_lists[b][k + 1]):
                     ends[b], next_end = k + 1, k + 1
             if k + 1 in save_set:
-                # record() checks the row before it keeps the snapshot; the
-                # abort itself is found on the whole series after the loop.
+                # record() checks the row before it hands over the snapshot;
+                # the abort itself is found on the whole series after the loop.
                 for b, row in zip(active, u if trail is None else inverse(yh)):
                     try:
                         runs[b].record(k + 1, row, masses[b][-1])
@@ -687,5 +743,6 @@ def _march(runs: list, x: ComplexField) -> list:
 
     if fused:
         for b, run in enumerate(runs):
-            outcomes[b] = run.record_series(np.array(masses[b]), guards[b])
+            outcomes[b] = run.record_series(np.array(masses[b]), guards[b],
+                                            *weights[b])
     return outcomes

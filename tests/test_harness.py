@@ -7,6 +7,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from snls_lab.harness import (
     run_validate,
     write_field_dump,
 )
-from snls_lab.spectral_grid import gaussian_field, make_grid
+from snls_lab.spectral_grid import ComplexField, gaussian_field, make_grid
 
 
 def base_config(**overrides):
@@ -257,6 +258,12 @@ def boosted(path, start=10, factor=1e4):
     return dataclasses.replace(path, increments=inc, values=values)
 
 
+def collector():
+    """A snapshot callable and the list of (k, X values) it fills."""
+    seen = []
+    return (lambda k, t, f: seen.append((k, f.values.copy()))), seen
+
+
 def per_path_entry(cfg: RunConfig, index: int) -> dict:
     """One ensemble entry computed from a per-path simulate."""
     grid, model, params = build_grid(cfg), build_model(cfg), build_params(cfg)
@@ -325,19 +332,25 @@ class TestEnsembleBlocks:
         paths = [integrator.sample_martingale(model, params.dt, params.n_steps, s)
                  for s in (1, 2, 3)]
         paths[1] = boosted(paths[1], factor=1e5)
+        keeps = [collector() for _ in paths]
         block = integrator.simulate_block(grid, model, params, x, [1, 2, 3],
-                                          paths=paths)
+                                          paths=paths,
+                                          snapshots=[keep for keep, _ in keeps])
         assert isinstance(block[1], NumericalAbort)
-        for path, row in zip(paths, block):
+        for path, row, (_, seen) in zip(paths, block, keeps):
+            keep, want = collector()
             try:
                 ref = integrator.simulate(grid, model, params, x, seed=path.seed,
-                                          path=path)
+                                          path=path, snapshot=keep)
             except NumericalAbort as exc:
                 assert (str(row), row.time_index) == (str(exc), exc.time_index)
+                assert [k for k, _ in seen] == [k for k, _ in want]
                 continue
             for name in ("mass_x", "mass_y", "ito_mass_sum", "re_m"):
                 assert np.array_equal(getattr(row, name), getattr(ref, name))
-            assert row.snapshot_indices == ref.snapshot_indices
+            assert [k for k, _ in seen] == [k for k, _ in want]
+            for (_, a), (_, b) in zip(seen, want):
+                assert np.array_equal(a, b)
             for a, b in zip(row.snapshots_x + row.snapshots_y,
                             ref.snapshots_x + ref.snapshots_y):
                 assert np.array_equal(a.values, b.values)
@@ -539,6 +552,8 @@ MALFORMED = {
         "kind": "gaussian", "amplitude": 0.0, "l2_norm": 1.0}}, "initial.l2_norm"),
     "zero_constant_decay_fit": ("simulate", {"initial": {"kind": "constant",
                                                          "value": 0.0}}, "initial"),
+    "t_final_huge": ("simulate", {"sim.t_final": 1e300}, "sim.t_final"),
+    "picard_path_dt_tiny": ("picard", {"picard.path_dt": 1e-300}, "picard.path_dt"),
 }
 
 
@@ -558,7 +573,7 @@ class TestMalformedConfigs:
         kind, leaves, key = MALFORMED[name]
         cfg = short_config(kind)
         for dotted, value in leaves.items():
-            put(cfg, dotted, value)
+            put(cfg, dotted, copy.deepcopy(value))  # leaves shared dicts intact
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_CONFIG_ERROR, err
         assert f"config error: {key}" in err
@@ -612,3 +627,92 @@ def test_mutated_configs_exit_cleanly(kind, mutations):
         code, err = run_captured(cfg, root)
     assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,
                     EXIT_NUMERICAL_ABORT), err
+
+
+# -- streamed field dumps ---------------------------------------------------------
+
+def dump_config(**sim):
+    """The short simulate config with field dumps and the given sim leaves."""
+    cfg = short_config()
+    cfg["diagnostics"] = {"field_dumps": True}
+    cfg["sim"].update(sim)
+    return cfg
+
+
+STREAM_CASES = {
+    # X = y e^M, with a complex coefficient so e^M carries a phase
+    "rescaled": {"noise.coefficients": [[1.0, 0.5]]},
+    "direct_bump": {**DIRECT, "noise.coefficients": [[0.5, 0.2]],
+                    "noise.profiles[0]": BUMP_PROFILE},
+}
+
+
+class TestFieldDumpStreaming:
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_dumps_equal_kept_snapshots(self, tmp_path, case):
+        cfg = dump_config(save_every=3)
+        for dotted, value in STREAM_CASES[case].items():
+            put(cfg, dotted, copy.deepcopy(value))
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_OK, err
+        config = RunConfig.from_dict(cfg)
+        grid, model, params = build_grid(config), build_model(config), build_params(config)
+        x, kept = build_initial(config, grid), []
+        integrator.simulate(grid, model, params, x, seed=config.seed,
+                            snapshot=lambda k, t, f: kept.append((k, t, f.copy())))
+        assert [k for k, _, _ in kept] == [0, 3, 6, 9, 10]
+        bare = integrator.simulate(grid, model, params, x, seed=config.seed)
+        assert np.array_equal(kept[-1][2].values, bare.final_x.values)
+        dumps = sorted((tmp_path / "out").glob("field_*.bin"))
+        assert len(dumps) == len(kept)
+        for i, (_, t, field) in enumerate(kept):
+            ref = tmp_path / f"ref_{i}.bin"
+            write_field_dump(field, t, ref)
+            assert (tmp_path / "out" / f"field_{i:04d}.bin").read_bytes() \
+                == ref.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+    def test_memory_bounded_by_grid(self, tmp_path):
+        # 16^3 direct run dumping every step: keeping the 513 fields of the
+        # long run would take 64 MB against 8 MB for the short one
+        def traced_peak(steps):
+            cfg = dump_config(scheme="direct", alpha=2.0, dt=1e-3, t_final=steps * 1e-3,
+                              save_every=1)
+            cfg["grid"] = {"dimension": 3, "points": 16, "half_length": 8.0}
+            cfg["noise"]["profiles"] = [dict(BUMP_PROFILE)]
+            root = tmp_path / str(steps)
+            root.mkdir()
+            tracemalloc.start()
+            try:
+                code, err = run_captured(cfg, root)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK, err
+            assert len(list((root / "out").glob("field_*.bin"))) == steps + 1
+            return peak
+
+        traced_peak(8)  # warm-up: first-call allocations are not the run's
+        assert traced_peak(512) <= 1.25 * traced_peak(64)
+
+    def test_abort_keeps_dumps_written_before_it(self, tmp_path):
+        # Re M overflows the mass reconstruction at a time index that is not
+        # a save index; no field after it may be dumped
+        cfg = dump_config(scheme="direct", dt=1.0, t_final=40.0, save_every=3)
+        cfg["seed"] = 2
+        cfg["noise"]["coefficients"] = [60.0]
+        config = RunConfig.from_dict(cfg)
+        grid, model, params = build_grid(config), build_model(config), build_params(config)
+        with pytest.raises(NumericalAbort) as err:
+            integrator.simulate(grid, model, params, build_initial(config, grid),
+                                seed=config.seed)
+        abort = err.value.time_index
+        assert 0 < abort < params.n_steps and abort % 3 != 0
+        code, msg = run_captured(cfg, tmp_path)
+        assert code == EXIT_NUMERICAL_ABORT, msg
+        dumps = sorted((tmp_path / "out").glob("field_*.bin"))
+        saved = list(range(0, abort, 3))
+        assert [p.name for p in dumps] == [f"field_{i:04d}.bin" for i in range(len(saved))]
+        for path, k in zip(dumps, saved):
+            field, t = read_field_dump(path)
+            assert field.grid == grid and t == float(k)

@@ -9,6 +9,7 @@ import pytest
 
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
+    MAX_STEPS,
     SimParams,
     _RunState,
     _Stepper,
@@ -275,13 +276,16 @@ class TestSimulate:
         params = SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=1.0,
                            scheme="rescaled", save_every=50)
         p = sample_martingale(m, 1e-3, 1000, 12)
-        rec1 = simulate(GRID, m, params, X0, seed=12, path=p)
+        keep1, seen1 = collector()
+        simulate(GRID, m, params, X0, seed=12, path=p, snapshot=keep1)
         bump = gaussian_field(GRID, width=0.7, l2_norm=1e-6)
         x2 = ComplexField(X0.values + bump.values, GRID)
-        rec2 = simulate(GRID, m, params, x2, seed=12, path=p)
+        keep2, seen2 = collector()
+        simulate(GRID, m, params, x2, seed=12, path=p, snapshot=keep2)
+        assert len(seen1) == len(seen2) == 21
         sup = 0.0
-        for f1, f2 in zip(rec1.snapshots_x, rec2.snapshots_x):
-            d = f1.values - f2.values
+        for (_, _, f1), (_, _, f2) in zip(seen1, seen2):
+            d = f1 - f2
             sup = max(sup, np.sqrt(GRID.cell_volume * np.vdot(d, d).real))
         assert sup <= 1e-3
 
@@ -331,6 +335,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimParams(lam=0, alpha=3.0, dt=3e-3, t_final=1.0)
 
+    def test_rejects_step_counts_above_the_ceiling(self):
+        assert SimParams(lam=1, alpha=3.0, dt=1.0, t_final=MAX_STEPS).n_steps == MAX_STEPS
+        for t_final in (MAX_STEPS + 1.0, 1e300, math.inf):
+            with pytest.raises(ValueError, match="^t_final: .* exceeds the ceiling"):
+                SimParams(lam=1, alpha=3.0, dt=1.0, t_final=t_final)
+
     def test_rejects_alpha_outside_band(self):
         params = SimParams(lam=1, alpha=6.0, dt=1e-3, t_final=0.1)
         m = const_model(1.0)
@@ -338,14 +348,26 @@ class TestSimulate:
             simulate(GRID, m, params, X0, seed=0)
 
 
-def reference_strang(grid, model, params, x, path):
+def collector():
+    """A snapshot callable and the list of (k, t, X values) it fills."""
+    seen = []
+    return (lambda k, t, f: seen.append((k, t, f.values.copy()))), seen
+
+
+def assert_same_snapshots(got, want):
+    assert [(k, t) for k, t, _ in got] == [(k, t) for k, t, _ in want]
+    for (_, _, a), (_, _, b) in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def reference_strang(grid, model, params, x, path, snapshot=None):
     """Fused Strang march of one path with every check and sum taken step by
     step: the oracle each row of a block must match bit for bit."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
     stepper = _Stepper(grid, model, params, path)
-    run = _RunState(grid, stepper, params, n_steps, save_set)
+    run = _RunState(grid, stepper, params, n_steps, save_set, snapshot)
     shape, half = grid.shape, stepper.lin_half
     parseval = grid.cell_volume / grid.size
     phys = x.values.copy()
@@ -401,6 +423,10 @@ BLOCK_CASES = {
     # rows abort at different indices: reconstruction overflow or the guard
     "abort_rescaled": (make_grid(1, 64, 16.0), const_model(400.0),
                        SimParams(lam=1, alpha=3.0, dt=0.5, t_final=10.0)),
+    # ... and between save indices, where no snapshot may follow the abort
+    "abort_direct_stride": (make_grid(1, 64, 16.0), const_model(150.0),
+                            SimParams(lam=1, alpha=3.0, dt=1.0, t_final=40.0,
+                                      scheme="direct", save_every=3)),
     "abort_direct": (make_grid(1, 64, 16.0), const_model(4000.0),
                      SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
                                scheme="direct")),
@@ -420,20 +446,26 @@ class TestBlockMarch:
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
         seeds = [0, 1, 2, 3]
-        block = simulate_block(grid, model, params, x, seeds)
-        for seed, row in zip(seeds, block):
+        keeps = [collector() for _ in seeds]
+        block = simulate_block(grid, model, params, x, seeds,
+                               snapshots=[keep for keep, _ in keeps])
+        for seed, row, (_, seen) in zip(seeds, block, keeps):
             path = sample_martingale(model, params.dt, params.n_steps, seed)
+            keep, want = collector()
             try:
-                ref = reference_strang(grid, model, params, x, path)
+                ref = reference_strang(grid, model, params, x, path, keep)
             except NumericalAbort as exc:
                 assert isinstance(row, NumericalAbort)
                 assert (str(row), row.time_index) == (str(exc), exc.time_index)
+                # the fields of the save indices before the abort, no more
+                assert_same_snapshots(seen, want)
                 continue
             assert not isinstance(row, NumericalAbort), row
-            for name, want in (("mass_x", ref.mass_x), ("mass_y", ref.mass_y),
-                               ("ito_mass_sum", ref.ito)):
-                assert np.array_equal(getattr(row, name), want), name
-            assert row.snapshot_indices == ref.snapshot_indices
+            for name, want_series in (("mass_x", ref.mass_x), ("mass_y", ref.mass_y),
+                                      ("ito_mass_sum", ref.ito)):
+                assert np.array_equal(getattr(row, name), want_series), name
+            assert_same_snapshots(seen, want)
+            assert row.snapshot_indices == ref.snapshot_indices == [params.n_steps]
             for a, b in zip(row.snapshots_x + row.snapshots_y,
                             ref.snapshots_x + ref.snapshots_y):
                 assert np.array_equal(a.values, b.values)
@@ -444,13 +476,28 @@ class TestBlockMarch:
         assert len({row.time_index for row in block}) > 1
 
     def test_without_snapshots_keeps_final_state(self):
+        for case in ("rescaled", "direct", "direct_bump"):
+            grid, model, params = BLOCK_CASES[case]
+            params = dataclasses.replace(params, save_every=7)
+            x = gaussian_field(grid, width=1.0)
+            keep, seen = collector()
+            full, = simulate_block(grid, model, params, x, [5], snapshots=[keep])
+            bare, = simulate_block(grid, model, params, x, [5])
+            n_steps = params.n_steps
+            want = [*range(0, n_steps + 1, 7), n_steps]
+            assert [k for k, _, _ in seen] == want, case
+            assert [t for _, t, _ in seen] == [float(full.times[k]) for k in want]
+            for rec in (full, bare):
+                assert rec.snapshot_indices == [n_steps]
+                assert np.array_equal(rec.final_x.values, seen[-1][2])
+            assert np.array_equal(bare.final_y.values, full.final_y.values)
+            assert np.array_equal(bare.mass_x, full.mass_x)
+
+    def test_snapshot_callables_match_seeds(self):
         grid, model, params = BLOCK_CASES["rescaled"]
-        x = gaussian_field(grid, width=1.0)
-        full, bare = (simulate_block(grid, model, params, x, [5], snapshots=s)[0]
-                      for s in (True, False))
-        assert bare.snapshot_indices == [params.n_steps]
-        assert np.array_equal(bare.final_x.values, full.final_x.values)
-        assert np.array_equal(bare.mass_x, full.mass_x)
+        with pytest.raises(ValueError, match="snapshot callables"):
+            simulate_block(grid, model, params, gaussian_field(grid), [0, 1],
+                           snapshots=[collector()[0]])
 
     @pytest.mark.parametrize("case", ["rescaled", "direct", "direct_bump",
                                       "rescaled_2d", "abort_rescaled", "abort_bump"])
@@ -458,9 +505,13 @@ class TestBlockMarch:
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting="lie")
         x = gaussian_field(grid, width=1.0)
-        block = simulate_block(grid, model, params, x, [0, 1, 2, 3])
+        keeps = [collector() for _ in range(4)]
+        block = simulate_block(grid, model, params, x, [0, 1, 2, 3],
+                               snapshots=[keep for keep, _ in keeps])
         for seed, row in enumerate(block):
-            alone, = simulate_block(grid, model, params, x, [seed])
+            keep, seen = collector()
+            alone, = simulate_block(grid, model, params, x, [seed], snapshots=[keep])
+            assert_same_snapshots(keeps[seed][1], seen)
             if isinstance(alone, NumericalAbort):
                 assert (str(row), row.time_index) == (str(alone), alone.time_index)
                 continue

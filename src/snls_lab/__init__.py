@@ -23,15 +23,7 @@ from .harness import (
     run_simulation,
     run_validate,
 )
-from .integrator import (
-    SimParams,
-    SolutionRecord,
-    damping_step,
-    noise_step_direct,
-    nonlinear_phase_step,
-    simulate,
-    step,
-)
+from .integrator import SimParams, SolutionRecord, simulate
 from .mild_picard import (
     NodeTrajectory,
     PicardConfig,

@@ -18,7 +18,9 @@ half phase, half linear; the Lie variant composes full sub-flows once.
 Noise increments enter per step (piecewise constant in the step), and the
 within-step Re M seen by the nonlinear phase is the step-start value.
 
-Both splittings march a block of B paths held as one (B, n^d) complex
+The march (``_march``) is the only implementation of these sub-flows; the
+plain composition survives only as the test suite's oracle.  Both
+splittings march a block of B paths held as one (B, n^d) complex
 array (``simulate_block``; ``simulate`` is its B = 1 call).  A step leads
 with the linear flow, half (Strang) or full (Lie), rotates the phase and
 applies the noise-or-damping multiplier; Strang then trails with the second
@@ -171,10 +173,6 @@ class SolutionRecord:
     seed: int | None
 
     @property
-    def snapshot_times(self) -> np.ndarray:
-        return self.times[self.snapshot_indices]
-
-    @property
     def final_x(self) -> ComplexField:
         return self.snapshots_x[-1]
 
@@ -183,66 +181,15 @@ class SolutionRecord:
         return self.snapshots_y[-1]
 
 
-# -- public sub-flows ------------------------------------------------------------
-
-def nonlinear_phase_step(y: ComplexField, dt: float, lam: int, alpha: float,
-                         re_m=0.0) -> ComplexField:
-    """Exact nonlinear rotation y * exp(-i lam e^{(alpha-1) re_m} |y|^{alpha-1} dt).
-
-    Preserves the pointwise modulus; lam = 0 is the identity.
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if lam == 0 or dt == 0.0:
-        return y.copy()
-    scale = np.exp((alpha - 1.0) * np.asarray(re_m, dtype=float))
-    amp = np.abs(y.values) ** (alpha - 1.0)
-    return ComplexField(y.values * np.exp(-1j * lam * dt * scale * amp), y.grid)
-
-
-def damping_step(y: ComplexField, model: NoiseModel, path: MartingalePath,
-                 k: int, dt: float) -> ComplexField:
-    """Exact damping multiplier exp(-(1/2) sum_j (|mu_j|^2+mu_j^2) e_j^2 dQ_j(k)).
-
-    ``dt`` must match the path step (the increment dQ already spans it).
-    """
-    if not (0 <= k < path.n_steps):
-        raise ValueError(f"increment index {k} outside 0..{path.n_steps - 1}")
-    if abs(dt - path.dt) > 1e-12 * path.dt:
-        raise ValueError(f"dt = {dt} does not match the path step {path.dt}")
-    e = model.sample_profiles(y.grid)
-    coef = 0.5 * (np.abs(model.mu) ** 2 + model.mu**2)
-    exponent = -(coef * path.dqv[:, k]) @ (e.astype(np.complex128) ** 2)
-    if np.abs(exponent.real).max() > OVERFLOW_GUARD:
-        raise NumericalAbort("damping exponent exceeds the overflow guard", time_index=k)
-    return ComplexField(y.values * np.exp(exponent), y.grid)
-
-
-def noise_step_direct(x: ComplexField, model: NoiseModel, path: MartingalePath,
-                      k: int) -> ComplexField:
-    """Exact noise-plus-correction multiplier for step k of the direct scheme:
-    exp(dM(xi) - (1/2) sum_j (mu_j^2 + |mu_j|^2) e_j^2 dQ_j(k)).
-    """
-    if not (0 <= k < path.n_steps):
-        raise ValueError(f"increment index {k} outside 0..{path.n_steps - 1}")
-    e = model.sample_profiles(x.grid).astype(np.complex128)
-    dm = model.mu * path.increments[:, k]
-    corr = 0.5 * (model.mu**2 + np.abs(model.mu) ** 2) * path.dqv[:, k]
-    exponent = dm @ e - corr @ e**2
-    if np.abs(exponent.real).max() > OVERFLOW_GUARD:
-        raise NumericalAbort("noise exponent exceeds the overflow guard", time_index=k)
-    return ComplexField(x.values * np.exp(exponent), x.grid)
-
-
-# -- the composed kernel -----------------------------------------------------------
+# -- split-step coefficients ---------------------------------------------------------
 
 class _Stepper:
-    """Precomputed split-step coefficients bound to (grid, model, params, path)."""
+    """Precomputed split-step coefficients bound to (grid, model, params, path):
+    the tables :func:`_march` reads at every step."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
                  path: MartingalePath):
         self.grid = grid
-        self.shape = grid.shape
         self.params = params
         self.model = model
         self.path = path
@@ -286,21 +233,6 @@ class _Stepper:
                 mod = np.abs(self.mid_scalar) ** (params.alpha - 1.0)
                 self.phase_fused = self.phase_half * (1.0 + mod)
 
-    def _lin(self, v: np.ndarray, mult: np.ndarray) -> np.ndarray:
-        vh = np.fft.fftn(v.reshape(self.shape)).ravel()
-        vh *= mult
-        return np.fft.ifftn(vh.reshape(self.shape)).ravel()
-
-    def _amp_pow(self, v: np.ndarray) -> np.ndarray:
-        amp = v.real**2 + v.imag**2
-        if self.pow_half != 1.0:
-            amp = amp**self.pow_half
-        return amp
-
-    def _phase(self, v: np.ndarray, coef: float) -> np.ndarray:
-        v *= np.exp(self._amp_pow(v) * (-1j * coef))
-        return v
-
     def noise_exponent(self, k: int) -> np.ndarray:
         """Exponent of the spatially varying noise multiplier of step k."""
         expo = self.path.increments[:, k] @ self.mu_e \
@@ -310,52 +242,11 @@ class _Stepper:
                                  time_index=k)
         return expo
 
-    def _noise_field_mult(self, v: np.ndarray, k: int) -> np.ndarray:
-        v *= np.exp(self.noise_exponent(k))
-        return v
-
-    def _mid(self, v: np.ndarray, k: int) -> np.ndarray:
-        if self.mid_scalar is not None:
-            v *= self.mid_scalar[k]
-            return v
-        return self._noise_field_mult(v, k)
-
-    def check_guard(self, k: int) -> None:
-        if self.homogeneous and abs(self.re_m[k]) > OVERFLOW_GUARD:
-            raise NumericalAbort(
-                f"|Re M| exceeds the overflow guard at time index {k}", time_index=k
-            )
-
-    def advance(self, v: np.ndarray, k: int) -> np.ndarray:
-        """One plain (unfused) step t_k -> t_{k+1}; consumes increment k."""
-        self.check_guard(k + 1)
-        if self.params.splitting == "strang":
-            v = self._lin(v, self.lin_half)
-            if self.phase_on:
-                v = self._phase(v, self.phase_half[k])
-            v = self._mid(v, k)
-            if self.phase_on:
-                v = self._phase(v, self.phase_half[k])
-            return self._lin(v, self.lin_half)
-        v = self._lin(v, self.lin_full)
-        if self.phase_on:
-            v = self._phase(v, self.phase_full[k])
-        return self._mid(v, k)
-
     def m_field_values(self, k: int) -> np.ndarray:
         """M(t_k, xi) as a flat complex array (scalar broadcast when homogeneous)."""
         if self.homogeneous:
             return np.full(self.grid.size, self.m_scalar[k])
         return self.path.values[:, k] @ self.mu_e
-
-
-def step(state: ComplexField, path: MartingalePath, k: int, params: SimParams,
-         model: NoiseModel) -> ComplexField:
-    """Advance one state by one step (contract surface; runs keep the kernel)."""
-    if params.scheme == "rescaled" and not model.spatially_homogeneous:
-        raise AssumptionVeto("scheme=rescaled requires constant-one noise profiles")
-    stepper = _Stepper(state.grid, model, params, path)
-    return ComplexField(stepper.advance(state.values.copy(), k), state.grid)
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -542,7 +433,7 @@ class _RunState:
         ``masses`` holds the scheme's own mass at time indices 0..len-1,
         ``guard`` the index where |Re M| first exceeds the guard, if any, and
         ``weights``/``overflow`` come from :meth:`mass_weights`.  The checks
-        ``record`` and ``check_guard`` would make step by step are made on
+        ``record`` and the |Re M| guard would make step by step are made on
         the whole series; the abort at the first failing index is returned
         with the message the step-by-step check gives.
         """

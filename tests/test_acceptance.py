@@ -15,7 +15,7 @@ import pytest
 from snls_lab.diagnostics import mass_identity_residual, omega
 from snls_lab.errors import AssumptionVeto
 from snls_lab.harness import RunConfig, run, run_ensemble
-from snls_lab.integrator import SimParams, noise_step_direct, simulate
+from snls_lab.integrator import SimParams, _Stepper, simulate
 from snls_lab.mild_picard import PicardConfig, picard_iterate
 from snls_lab.noise_process import (
     DensitySpec,
@@ -24,12 +24,7 @@ from snls_lab.noise_process import (
     restrict_path,
     sample_martingale,
 )
-from snls_lab.spectral_grid import (
-    constant_field,
-    gaussian_field,
-    make_grid,
-    norm_L2,
-)
+from snls_lab.spectral_grid import gaussian_field, make_grid
 
 GRID = make_grid(1, 256, 16.0)
 X_GAUSS = gaussian_field(GRID, width=1.0)
@@ -242,14 +237,14 @@ def test_criterion_08_brownian_special_case(brownian_ensemble):
 
 
 def test_criterion_09_noise_flow_martingale_property():
+    # the mass ratio |mid|^2 of each direct-scheme noise step, the factor
+    # the march multiplies a homogeneous row by
     g = make_grid(1, 8, np.pi)
     model = const_model(1.0)
-    x = constant_field(g, 1.0)
-    m0 = norm_L2(x) ** 2
+    params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=1000.0, scheme="direct")
     path = sample_martingale(model, 1e-2, 100000, 77)
-    ratios = np.empty(100000)
-    for k in range(100000):
-        ratios[k] = norm_L2(noise_step_direct(x, model, path, k)) ** 2 / m0
+    ratios = np.abs(_Stepper(g, model, params, path).mid_scalar) ** 2
+    assert ratios.size == 100000
     mean = float(ratios.mean())
     ok = 0.99 <= mean <= 1.01
     report(9, ok, f"sample-mean mass ratio {mean:.5f} in [0.99, 1.01] over 1e5 steps")

@@ -645,7 +645,7 @@ def run_convergence(config: RunConfig) -> dict:
     master = sample_martingale(model, ref_dt, ref_steps, config.seed)
     ref_record = simulate(grid, model, ref_params, x, seed=config.seed, path=master)
     ref_final = ref_record.final_x.values
-    ref_norm = math.sqrt(grid.cell_volume * float(np.vdot(ref_final, ref_final).real))
+    ref_norm = norm_L2(ref_record.final_x)
 
     errors = []
     for dt in dts:
@@ -653,8 +653,7 @@ def run_convergence(config: RunConfig) -> dict:
         coarse = restrict_path(master, factor)
         params = build_params(config, dt=dt)
         rec = simulate(grid, model, params, x, seed=config.seed, path=coarse)
-        diff = rec.final_x.values - ref_final
-        errors.append(math.sqrt(grid.cell_volume * float(np.vdot(diff, diff).real)))
+        errors.append(norm_L2(ComplexField(rec.final_x.values - ref_final, grid)))
 
     floor = 1e-12 * max(ref_norm, 1.0)
     if max(errors) < floor:

@@ -48,7 +48,8 @@ and sums taken step by step, because:
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
 * the phase rotation is written in place as cos + i sin of the real angle,
   which equals ``exp`` of the purely imaginary exponent;
-* each row's mass is one ``np.vdot``;
+* each row's mass is a numpy pairwise sum of squares over that row alone
+  (never BLAS, whose threads change the bits);
 * the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
@@ -77,7 +78,7 @@ import numpy as np
 from .errors import AssumptionVeto, NumericalAbort
 from .noise_process import MartingalePath, NoiseModel, sample_martingale
 from .rescaling import OVERFLOW_GUARD
-from .spectral_grid import ComplexField, GridSpec, warn_if_underresolved
+from .spectral_grid import ComplexField, GridSpec, _squared_norms, warn_if_underresolved
 
 SCHEMES = ("direct", "rescaled")
 SPLITTINGS = ("lie", "strang")
@@ -374,7 +375,7 @@ class _RunState:
         self.s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
 
     def mass_of(self, values: np.ndarray) -> float:
-        return self.cv * float(np.vdot(values, values).real)
+        return self.cv * float(_squared_norms(values))
 
     def record(self, k: int, v: np.ndarray, mass: float) -> None:
         """Record time index k given the physical state and its mass.
@@ -466,7 +467,7 @@ class _RunState:
             self.ito[k + 1] = self.ito[k] + self.s_incr[k] * self.mass_x[k]
         else:
             amp2 = phys.real**2 + phys.imag**2
-            w = self.cv * (stepper.e_values @ amp2)
+            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
             mu_re = stepper.model.mu.real
             self.ito[k + 1] = self.ito[k] + 2.0 * float(
                 (mu_re * stepper.path.increments[:, k]) @ w
@@ -606,9 +607,9 @@ def _march(runs: list, x: ComplexField) -> list:
         if trail is not None:
             yh = trail * yh
 
+        row_masses = (parseval * _squared_norms(yh)).tolist()
         if fused:
-            for b, row in zip(active, yh):
-                mass = parseval * float(np.vdot(row, row).real)
+            for b, mass in zip(active, row_masses):
                 masses[b].append(mass)
                 # stop where either mass is non-finite, as record() would
                 if not math.isfinite(mass * weight_lists[b][k + 1]):
@@ -623,12 +624,11 @@ def _march(runs: list, x: ComplexField) -> list:
                         ends[b], next_end = k + 1, k + 1
         else:
             phys = u if trail is None else inverse(yh)
-            for b, row, prow in zip(active, yh, phys):
+            for b, mass, prow in zip(active, row_masses, phys):
                 if outcomes[b] is not None:
                     continue
                 try:
-                    runs[b].record(k + 1, prow,
-                                   parseval * float(np.vdot(row, row).real))
+                    runs[b].record(k + 1, prow, mass)
                 except NumericalAbort as exc:
                     outcomes[b], ends[b], next_end = exc, k + 1, k + 1
 

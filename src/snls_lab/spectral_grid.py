@@ -178,9 +178,19 @@ def free_propagator_apply(field: ComplexField, dt: float) -> ComplexField:
 
 # -- norms --------------------------------------------------------------------
 
+def _squared_norms(values: np.ndarray) -> np.ndarray:
+    """sum |v|^2 over the last axis of contiguous complex128 rows.
+
+    A numpy pairwise sum, not BLAS: its bits depend on neither the BLAS
+    thread count (``np.vdot`` threads at 16,384 values and more) nor on how
+    many rows share the call.
+    """
+    return np.square(values.view(np.float64)).sum(axis=-1)
+
+
 def norm_L2(field: ComplexField) -> float:
     """Cell-volume weighted discrete L^2 norm."""
-    return float(np.sqrt(field.grid.cell_volume * np.vdot(field.values, field.values).real))
+    return float(np.sqrt(field.grid.cell_volume * _squared_norms(field.values)))
 
 
 def norm_Lp(field: ComplexField, p: float) -> float:

@@ -5,7 +5,10 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snls_lab
 from snls_lab import harness, integrator, seeding
 from snls_lab.diagnostics import decay_fit, gronwall_check
 from snls_lab.errors import (
@@ -434,6 +438,40 @@ class TestCliRun:
         original = RunConfig.from_file(p)
         original.output_dir = echoed["output_dir"]
         assert RunConfig.from_dict(echoed) == original
+
+    @pytest.mark.parametrize("case", ["rescaled_32768", "direct_bump_32cubed"])
+    def test_bytes_independent_of_blas_threads(self, tmp_path, case):
+        # 32,768 values per field, where OpenBLAS threads np.vdot and its
+        # bits then depend on the thread count
+        cfg = base_config(diagnostics={"residuals": True})
+        cfg["sim"].update(dt=1e-3, t_final=0.01)
+        if case == "rescaled_32768":
+            cfg["grid"] = {"dimension": 1, "points": 32768, "half_length": 64.0}
+            cfg["noise"]["coefficients"] = [[1.0, 0.5]]
+        else:
+            cfg["grid"] = {"dimension": 3, "points": 32, "half_length": 8.0}
+            cfg["sim"].update(scheme="direct", alpha=2.0)
+            cfg["noise"] = {"coefficients": [0.5, 0.5],
+                            "profiles": [{**BUMP_PROFILE, "center": [0.0, 0.0, 0.0]},
+                                         {"kind": "constant-one"}],
+                            "densities": [{"kind": "constant", "value": 1.0}] * 2}
+        p = self.write_config(tmp_path, cfg)
+        src = str(Path(snls_lab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = tmp_path / f"blas{threads}"
+            done = subprocess.run([sys.executable, "-m", "snls_lab.cli", "simulate",
+                                   "--config", str(p), "--out", str(out)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == EXIT_OK, done.stderr
+            outs.append(out)
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert "mass_residual.csv" in names
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = base_config(kind="ensemble", ensemble={"size": 2})

@@ -28,6 +28,7 @@ from snls_lab.noise_process import (
 )
 from snls_lab.spectral_grid import (
     ComplexField,
+    _squared_norms,
     constant_field,
     free_propagator_apply,
     gaussian_field,
@@ -388,11 +389,33 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
             if stepper.phase_on:
                 rotate(u, stepper.phase_half[k])
         yh = half * np.fft.fftn(u.reshape(shape)).ravel()
-        mass = parseval * float(np.vdot(yh, yh).real)
+        mass = parseval * float(_squared_norms(yh))
         if k + 1 in save_set or not stepper.homogeneous:
             phys = np.fft.ifftn(yh.reshape(shape)).ravel()
         run.record(k + 1, phys, mass)
     return run
+
+
+def assert_rows_match_single_path_calls(grid, model, params, rows):
+    """Each row of a block of ``rows`` paths equals its one-path call bit for
+    bit: series, snapshots handed over, final state, or abort."""
+    x = gaussian_field(grid, width=1.0)
+    keeps = [collector() for _ in range(rows)]
+    block = simulate_block(grid, model, params, x, list(range(rows)),
+                           snapshots=[keep for keep, _ in keeps])
+    for seed, row in enumerate(block):
+        keep, seen = collector()
+        alone, = simulate_block(grid, model, params, x, [seed], snapshots=[keep])
+        assert_same_snapshots(keeps[seed][1], seen)
+        if isinstance(alone, NumericalAbort):
+            assert (str(row), row.time_index) == (str(alone), alone.time_index)
+            continue
+        for name in ("mass_x", "mass_y", "ito_mass_sum"):
+            assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+        assert row.snapshot_indices == alone.snapshot_indices
+        for a, b in zip(row.snapshots_x + row.snapshots_y,
+                        alone.snapshots_x + alone.snapshots_y):
+            assert np.array_equal(a.values, b.values)
 
 
 BUMP = SpatialProfile("gaussian-bump", width=2.0)
@@ -503,24 +526,17 @@ class TestBlockMarch:
                                       "rescaled_2d", "abort_rescaled", "abort_bump"])
     def test_lie_rows_match_single_path_calls(self, case):
         grid, model, params = BLOCK_CASES[case]
-        params = dataclasses.replace(params, splitting="lie")
-        x = gaussian_field(grid, width=1.0)
-        keeps = [collector() for _ in range(4)]
-        block = simulate_block(grid, model, params, x, [0, 1, 2, 3],
-                               snapshots=[keep for keep, _ in keeps])
-        for seed, row in enumerate(block):
-            keep, seen = collector()
-            alone, = simulate_block(grid, model, params, x, [seed], snapshots=[keep])
-            assert_same_snapshots(keeps[seed][1], seen)
-            if isinstance(alone, NumericalAbort):
-                assert (str(row), row.time_index) == (str(alone), alone.time_index)
-                continue
-            for name in ("mass_x", "mass_y", "ito_mass_sum"):
-                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
-            assert row.snapshot_indices == alone.snapshot_indices
-            for a, b in zip(row.snapshots_x + row.snapshots_y,
-                            alone.snapshots_x + alone.snapshots_y):
-                assert np.array_equal(a.values, b.values)
+        assert_rows_match_single_path_calls(
+            grid, model, dataclasses.replace(params, splitting="lie"), 4)
+
+    @pytest.mark.parametrize("case", ["rescaled", "direct_bump_3d"])
+    def test_rows_match_single_path_calls_at_32768_points(self, case):
+        # row masses of 32,768 values: a block's rows must still be summed
+        # exactly as a one-row call sums them
+        _, model, params = BLOCK_CASES[case]
+        grid = make_grid(1, 32768, 64.0) if case == "rescaled" else make_grid(3, 32, 8.0)
+        assert_rows_match_single_path_calls(
+            grid, model, dataclasses.replace(params, t_final=5 * params.dt), 3)
 
     @pytest.mark.parametrize("case", ["rescaled", "direct_bump"])
     def test_lie_rows_match_step_loop(self, case):

@@ -31,7 +31,7 @@ import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -395,8 +395,15 @@ def _construct(config: RunConfig) -> None:
         with _at("sim"):
             params.validate_alpha(grid.dimension)
         cv = config.convergence
-        for dt in (*cv["dts"], cv["reference_dt"]) if cv else ():
-            build_params(config, dt=dt)
+        ladder = [("convergence.dts", dt) for dt in cv.get("dts", ())]
+        if cv:
+            ladder.append(("convergence.reference_dt", cv["reference_dt"]))
+        for key, dt in ladder:
+            try:
+                replace(params, dt=dt)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: step {dt:g} does not fit sim.t_final "
+                                  f"({exc})") from exc
         if config.kind != "validate":
             run_end = params.dt * params.n_steps
         fw = config.diagnostics.get("fit_window")

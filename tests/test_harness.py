@@ -464,7 +464,8 @@ class TestCliRun:
             out = tmp_path / f"blas{threads}"
             done = subprocess.run([sys.executable, "-m", "snls_lab.cli", "simulate",
                                    "--config", str(p), "--out", str(out)],
-                                  env=env, capture_output=True, text=True)
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
             assert done.returncode == EXIT_OK, done.stderr
             outs.append(out)
         names = sorted(f.name for f in outs[0].iterdir())
@@ -592,6 +593,13 @@ MALFORMED = {
                                                          "value": 0.0}}, "initial"),
     "t_final_huge": ("simulate", {"sim.t_final": 1e300}, "sim.t_final"),
     "picard_path_dt_tiny": ("picard", {"picard.path_dt": 1e-300}, "picard.path_dt"),
+    "convergence_reference_dt_tiny": ("convergence", {"convergence": {
+        "dts": [0.05, 0.025, 0.0125], "reference_dt": 1e-300}},
+        "convergence.reference_dt"),
+    "convergence_dts_fractional_steps": ("convergence", {
+        "sim.t_final": 1.0,
+        "convergence": {"dts": [0.4, 0.2, 0.1], "reference_dt": 0.0125}},
+        "convergence.dts"),
 }
 
 

@@ -607,8 +607,8 @@ def _march(runs: list, x: ComplexField) -> list:
         if trail is not None:
             yh = trail * yh
 
-        row_masses = (parseval * _squared_norms(yh)).tolist()
         if fused:
+            row_masses = (parseval * _squared_norms(yh)).tolist()
             for b, mass in zip(active, row_masses):
                 masses[b].append(mass)
                 # stop where either mass is non-finite, as record() would
@@ -624,11 +624,11 @@ def _march(runs: list, x: ComplexField) -> list:
                         ends[b], next_end = k + 1, k + 1
         else:
             phys = u if trail is None else inverse(yh)
-            for b, mass, prow in zip(active, row_masses, phys):
+            for b, row, prow in zip(active, yh, phys):
                 if outcomes[b] is not None:
                     continue
                 try:
-                    runs[b].record(k + 1, prow, mass)
+                    runs[b].record(k + 1, prow, parseval * float(_squared_norms(row)))
                 except NumericalAbort as exc:
                     outcomes[b], ends[b], next_end = exc, k + 1, k + 1
 

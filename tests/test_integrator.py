@@ -18,7 +18,6 @@ from snls_lab.integrator import (
     simulate,
     simulate_block,
 )
-from snls_lab.rescaling import OVERFLOW_GUARD
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
@@ -26,6 +25,7 @@ from snls_lab.noise_process import (
     restrict_path,
     sample_martingale,
 )
+from snls_lab.rescaling import OVERFLOW_GUARD
 from snls_lab.spectral_grid import (
     ComplexField,
     _squared_norms,

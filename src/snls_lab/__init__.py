@@ -10,7 +10,6 @@ from .diagnostics import (
     gronwall_check,
     mass_identity_residual,
     omega,
-    residual_order,
 )
 from .errors import AssumptionVeto, ConfigError, NumericalAbort
 from .harness import (
@@ -25,12 +24,8 @@ from .harness import (
 )
 from .integrator import SimParams, SolutionRecord, simulate
 from .mild_picard import (
-    NodeTrajectory,
     PicardConfig,
     PicardReport,
-    apply_map,
-    duhamel_apply,
-    mixed_norm,
     picard_iterate,
     strichartz_exponent,
 )
@@ -41,12 +36,10 @@ from .noise_process import (
     NoiseModel,
     SpatialProfile,
     lln_ratio,
-    noise_field,
     restrict_path,
     sample_martingale,
     validate_assumptions,
 )
-from .rescaling import RescaledPotential, from_rescaled, potential_fields, to_rescaled
 from .spectral_grid import (
     ComplexField,
     GridSpec,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionVeto
+from .errors import AssumptionVeto, NumericalAbort
 from .integrator import SolutionRecord
 from .noise_process import NoiseModel
 
@@ -37,13 +37,11 @@ BURN_IN_FRACTION = 0.1
 
 @dataclass
 class ResidualSeries:
-    """A residual sampled in time; ``fitted_order`` is attached only when a
-    refinement ladder of at least three step sizes is supplied."""
+    """A residual sampled in time and its largest magnitude."""
 
     times: np.ndarray
     values: np.ndarray
     max_abs: float
-    fitted_order: float | None = None
 
 
 @dataclass
@@ -83,7 +81,7 @@ def omega(model: NoiseModel) -> float:
     return float(2.0 * model.min_alpha0 * (model.mu.real**2).sum())
 
 
-def mass_identity_residual(record: SolutionRecord, model: NoiseModel) -> ResidualSeries:
+def mass_identity_residual(record: SolutionRecord) -> ResidualSeries:
     """R(t_k) = ||X(t_k)||^2 - ||x||^2 - accumulated stochastic mass sum.
 
     With mu = 0 this reduces to the deterministic mass-conservation defect.
@@ -116,23 +114,6 @@ def energy_identity_residual(record: SolutionRecord, model: NoiseModel) -> Resid
     return ResidualSeries(times.copy(), r, float(np.abs(r).max()))
 
 
-def residual_order(series_by_dt: dict) -> float:
-    """Log-log least-squares order of max|R| across a refinement ladder.
-
-    Needs at least three step sizes.
-    """
-    if len(series_by_dt) < 3:
-        raise ValueError("order fitting needs at least three refinements")
-    dts = np.array(sorted(series_by_dt, reverse=True), dtype=float)
-    errs = np.array([series_by_dt[dt].max_abs for dt in dts])
-    if np.any(errs <= 0):
-        raise ValueError("residuals at the roundoff floor; order undefined")
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    for dt in dts:
-        series_by_dt[dt].fitted_order = float(slope)
-    return float(slope)
-
-
 def fit_log_slope(times, values, window: tuple | None = None) -> tuple[float, tuple]:
     """Least-squares slope of log(values) over a time window.
 
@@ -163,19 +144,27 @@ def fit_log_slope(times, values, window: tuple | None = None) -> tuple[float, tu
 
 
 def decay_fit(record: SolutionRecord, model: NoiseModel | None = None,
-              fit_window: tuple | None = None, series: str = "x") -> DecayReport:
-    """Fit the decay of a recorded mass series (``"x"`` or ``"y"``).
+              fit_window: tuple | None = None) -> DecayReport:
+    """Fit the decay of the recorded mass ||X||^2.
 
     When a model in the homogeneous nondegenerate regime is supplied the
     report carries omega and the verdict margin fitted_slope - (-omega).
+    A mass that underflows before the fit window leaves nothing to fit: that
+    raises :class:`NumericalAbort` naming the first underflowed time index.
     """
-    masses = record.mass_x if series == "x" else record.mass_y
+    masses = record.mass_x
     if np.any(masses[0] <= 0):
         raise ValueError("initial mass must be positive")
-    slope, window = fit_log_slope(record.times, masses, fit_window)
-
     positive = masses > MASS_FLOOR
     last = int(np.argmax(~positive)) - 1 if (~positive).any() else masses.size - 1
+    try:
+        slope, window = fit_log_slope(record.times, masses, fit_window)
+    except ValueError as exc:
+        if last == masses.size - 1:
+            raise
+        raise NumericalAbort(f"mass underflows at time index {last + 1}: {exc}",
+                             time_index=last + 1) from exc
+
     t_last = record.times[last]
     lyap = float(math.log(masses[last] / masses[0]) / t_last) if t_last > 0 else 0.0
 

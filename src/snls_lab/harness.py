@@ -10,6 +10,9 @@ raise becomes a :class:`ConfigError` prefixed with the key path.  The
 harness checks only what no domain object owns: the run kind, the seed, the
 sections each kind requires, the convergence ladder, and how the built
 objects fit the run (density horizons, the fit window, a zero-mass state).
+The built objects are kept on the config (:class:`Built`, never serialised),
+so each is built once per run: every runner uses them, and ensemble workers
+receive them instead of a config to parse again.
 
 A run is fully determined by (config, master seed): per-path seeds derive
 from the master seed and the path index through the documented 64-bit mix,
@@ -153,9 +156,27 @@ def _at(path: str):
 
 # -- config ---------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Built:
+    """The domain objects of a config, built once by :meth:`RunConfig.from_dict`.
+
+    ``ladder`` maps each convergence step (the ladder and the reference) to
+    the run parameters at that step; ``picard`` holds the picard controls
+    with the step and step count of their path.
+    """
+
+    grid: GridSpec
+    model: NoiseModel
+    x: ComplexField | None
+    params: SimParams | None
+    ladder: dict
+    picard: tuple | None
+
+
 @dataclass
 class RunConfig:
-    """Validated, normalized run configuration (plain JSON values only)."""
+    """Validated, normalized run configuration: plain JSON values, plus the
+    domain objects built from them (``built``; not serialised or compared)."""
 
     kind: str
     seed: int
@@ -170,6 +191,7 @@ class RunConfig:
     validate: dict = field(default_factory=dict)
     output_dir: str = "out"
     schema_version: int = SCHEMA_VERSION
+    built: Built | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -213,7 +235,7 @@ class RunConfig:
         _require(bool(out_dir), "output_dir", "must be a nonempty string")
         config = cls(kind, seed, grid, noise, sim, initial, diagnostics,
                      ensemble, picard, convergence, validate, out_dir, SCHEMA_VERSION)
-        _construct(config)
+        config.built = _construct(config)
         return config
 
     @classmethod
@@ -380,7 +402,7 @@ def _normalize_convergence(cv: dict) -> dict:
     return {"dts": dts_sorted, "reference_dt": ref}
 
 
-def _construct(config: RunConfig) -> None:
+def _construct(config: RunConfig) -> Built:
     """Build every domain object the config describes, so that their
     constructors check it, and check that the built objects fit the run."""
     grid = build_grid(config)
@@ -389,18 +411,19 @@ def _construct(config: RunConfig) -> None:
         with _at(f"noise.profiles[{j}]"):
             profile.sample(grid)
     x = build_initial(config, grid) if config.initial is not None else None
+    params, ladder, picard = None, {}, None
     run_end = 0.0  # how far the run samples the noise
     if config.sim is not None:
         params = build_params(config)
         with _at("sim"):
             params.validate_alpha(grid.dimension)
         cv = config.convergence
-        ladder = [("convergence.dts", dt) for dt in cv.get("dts", ())]
+        steps = [("convergence.dts", dt) for dt in cv.get("dts", ())]
         if cv:
-            ladder.append(("convergence.reference_dt", cv["reference_dt"]))
-        for key, dt in ladder:
+            steps.append(("convergence.reference_dt", cv["reference_dt"]))
+        for key, dt in steps:
             try:
-                replace(params, dt=dt)
+                ladder[dt] = replace(params, dt=dt)
             except ValueError as exc:
                 raise ConfigError(f"{key}: step {dt:g} does not fit sim.t_final "
                                   f"({exc})") from exc
@@ -414,8 +437,9 @@ def _construct(config: RunConfig) -> None:
                      "diagnostics.fit_window",
                      f"must lie in the run [0, {params.t_final:g}] and span two steps")
     if config.picard:
-        _, path_dt, n_steps = _picard_setup(config)
+        picard = _picard_setup(config)
         if config.kind == "picard":
+            _, path_dt, n_steps = picard
             run_end = path_dt * n_steps
     for j, dns in enumerate(model.densities):
         _require(run_end <= dns.horizon * (1.0 + 1e-12), f"noise.densities[{j}]",
@@ -424,6 +448,7 @@ def _construct(config: RunConfig) -> None:
             config.kind == "simulate" and config.diagnostics.get("decay_fit")):
         _require(norm_L2(x) ** 2 > MASS_FLOOR, "initial",
                  "zero mass; decay fits and picard runs need a nonzero state")
+    return Built(grid, model, x, params, ladder, picard)
 
 
 # -- builders ---------------------------------------------------------------------
@@ -453,11 +478,11 @@ def build_model(config: RunConfig) -> NoiseModel:
         return NoiseModel(mu, profiles, densities)
 
 
-def build_params(config: RunConfig, dt: float | None = None) -> SimParams:
+def build_params(config: RunConfig) -> SimParams:
     s = config.sim
     with _at("sim"):
         return SimParams(
-            lam=s["lambda"], alpha=s["alpha"], dt=dt if dt is not None else s["dt"],
+            lam=s["lambda"], alpha=s["alpha"], dt=s["dt"],
             t_final=s["t_final"], save_every=s.get("save_every"),
             scheme=s["scheme"], splitting=s["splitting"])
 
@@ -533,16 +558,18 @@ def run_simulation(config: RunConfig,
                    snapshot=None) -> tuple[SolutionRecord, DecayReport | None]:
     """One integrator run per the config, plus its decay fit when requested;
     ``snapshot`` receives the saved fields (see :func:`integrator.simulate`)."""
-    grid = build_grid(config)
-    model = build_model(config)
-    params = build_params(config)
-    x = build_initial(config, grid)
-    record = simulate(grid, model, params, x, seed=config.seed, snapshot=snapshot)
+    b = config.built
+    record = simulate(b.grid, b.model, b.params, b.x, seed=config.seed,
+                      snapshot=snapshot)
     report = None
     if config.diagnostics.get("decay_fit", False):
-        fw = config.diagnostics.get("fit_window")
-        report = decay_fit(record, model, tuple(fw) if fw else None)
+        report = decay_fit(record, b.model, _fit_window(config))
     return record, report
+
+
+def _fit_window(config: RunConfig) -> tuple | None:
+    fw = config.diagnostics.get("fit_window")
+    return tuple(fw) if fw else None
 
 
 # Working-set budget of one ensemble block, in complex grid values: a block
@@ -565,17 +592,13 @@ def _ensemble_blocks(size: int, threads: int, points: int) -> list:
 
 def _ensemble_member(args) -> list:
     """One block of ensemble paths, marched together; module-level so process
-    pools can pickle it.  Returns per-path dicts in index order."""
-    cfg_dict, indices = args
-    config = RunConfig.from_dict(cfg_dict)
-    grid = build_grid(config)
-    model = build_model(config)
-    params = build_params(config)
-    x = build_initial(config, grid)
-    seeds = [seeding.derive_seed(config.seed, index) for index in indices]
+    pools can pickle it.  ``args`` is (built objects, master seed, fit window,
+    path indices).  Returns per-path dicts in index order."""
+    built, master_seed, fit_window, indices = args
+    model, params = built.model, built.params
+    seeds = [seeding.derive_seed(master_seed, index) for index in indices]
     # decay_fit and gronwall_check read only the scalar series.
-    outcomes = simulate_block(grid, model, params, x, seeds)
-    fw = config.diagnostics.get("fit_window")
+    outcomes = simulate_block(built.grid, model, params, built.x, seeds)
     per_path = []
     for index, record in zip(indices, outcomes):
         out: dict = {"index": index, "status": "ok"}
@@ -583,7 +606,11 @@ def _ensemble_member(args) -> list:
         if isinstance(record, NumericalAbort):
             out["status"] = f"aborted at time index {record.time_index}"
             continue
-        report = decay_fit(record, model, tuple(fw) if fw else None)
+        try:
+            report = decay_fit(record, model, fit_window)
+        except NumericalAbort as exc:
+            out["status"] = f"unfitted: mass underflows at time index {exc.time_index}"
+            continue
         out.update({
             "lyapunov": report.lyapunov,
             "fitted_slope": report.fitted_slope,
@@ -605,15 +632,17 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     Paths run in contiguous index blocks, one share per worker, and each
     block marches its paths as one array.  Every path is bitwise the same
     whatever block it lands in, and aggregation is by path index, so the
-    report is byte-identical for any worker count.
+    report is byte-identical for any worker count.  A path that aborts, or
+    whose mass underflows before the fit window, is reported by its status
+    and left out of the quantiles.
     """
     size = config.ensemble.get("size", 1)
     tol = config.ensemble.get("lyapunov_tolerance", 0.5)
     # Every path's decay fit needs omega: veto before any path marches.
-    w = omega(build_model(config))
-    cfg_dict = config.to_dict()
-    points = config.grid["points"] ** config.grid["dimension"]
-    jobs = [(cfg_dict, block) for block in _ensemble_blocks(size, threads, points)]
+    w = omega(config.built.model)
+    points = config.built.grid.size
+    jobs = [(config.built, config.seed, _fit_window(config), block)
+            for block in _ensemble_blocks(size, threads, points)]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             blocks = list(pool.map(_ensemble_member, jobs))
@@ -640,14 +669,13 @@ def run_convergence(config: RunConfig) -> dict:
     One path is sampled at the reference step and coarsened onto each ladder
     step by summing increments, so all runs see the same noise.
     """
-    grid = build_grid(config)
-    model = build_model(config)
-    x = build_initial(config, grid)
+    b = config.built
+    grid, model, x = b.grid, b.model, b.x
     dts = config.convergence["dts"]
     ref_dt = config.convergence["reference_dt"]
     t_final = config.sim["t_final"]
 
-    ref_params = build_params(config, dt=ref_dt)
+    ref_params = b.ladder[ref_dt]
     ref_steps = ref_params.n_steps
     master = sample_martingale(model, ref_dt, ref_steps, config.seed)
     ref_record = simulate(grid, model, ref_params, x, seed=config.seed, path=master)
@@ -658,8 +686,7 @@ def run_convergence(config: RunConfig) -> dict:
     for dt in dts:
         factor = int(round(dt / ref_dt))
         coarse = restrict_path(master, factor)
-        params = build_params(config, dt=dt)
-        rec = simulate(grid, model, params, x, seed=config.seed, path=coarse)
+        rec = simulate(grid, model, b.ladder[dt], x, seed=config.seed, path=coarse)
         errors.append(norm_L2(ComplexField(rec.final_x.values - ref_final, grid)))
 
     floor = 1e-12 * max(ref_norm, 1.0)
@@ -673,36 +700,25 @@ def run_convergence(config: RunConfig) -> dict:
 
 def run_picard(config: RunConfig):
     """Fixed-point iteration run per the config."""
-    grid = build_grid(config)
-    model = build_model(config)
-    x = build_initial(config, grid)
-    controls, path_dt, n_steps = _picard_setup(config)
-    path = sample_martingale(model, path_dt, n_steps, config.seed)
+    b = config.built
+    controls, path_dt, n_steps = b.picard
+    path = sample_martingale(b.model, path_dt, n_steps, config.seed)
     pc = config.picard
-    return picard_iterate(x, model, path, controls, pc["lambda"], pc["alpha"])
+    return picard_iterate(b.x, b.model, path, controls, pc["lambda"], pc["alpha"])
 
 
 def run_validate(config: RunConfig):
-    grid = build_grid(config)
-    model = build_model(config)
     horizon = config.validate.get("horizon")
     if horizon is None:
         horizon = config.sim["t_final"]
-    return validate_assumptions(model, grid, float(horizon))
+    return validate_assumptions(config.built.model, config.built.grid, float(horizon))
 
 
 # -- file output ------------------------------------------------------------------------
 
 def _write_json(path: Path, obj: dict) -> None:
-    def _default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        raise TypeError(f"not JSON serializable: {type(o)}")
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -752,12 +768,11 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
     if report is not None:
         _write_json(out / "decay_report.json", report.to_json_dict())
     if config.diagnostics.get("residuals", False):
-        model = build_model(config)
-        mass_res = mass_identity_residual(record, model)
+        mass_res = mass_identity_residual(record)
         with open(out / "mass_residual.csv", "w", encoding="utf-8", newline="\n") as fh:
             residual_to_csv(mass_res, fh)
         if record.scheme == "rescaled":
-            energy_res = energy_identity_residual(record, model)
+            energy_res = energy_identity_residual(record, config.built.model)
             with open(out / "energy_residual.csv", "w", encoding="utf-8",
                       newline="\n") as fh:
                 residual_to_csv(energy_res, fh)

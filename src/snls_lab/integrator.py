@@ -55,11 +55,11 @@ and sums taken step by step, because:
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
 
 A run records its scalar series (both masses, Re M, the stochastic mass
-sum) at every step, but keeps no field except its final state: the
-record's snapshot lists hold the one (X, y) pair at t_final.  Fields at
-the save indices (every ``save_every`` steps, and the last step) go to an
-optional snapshot callable as they are produced, so memory is bounded by
-the grid, not by the run length.  A homogeneous row stops marching at its
+sum) at every step, but keeps no field except its final state: the record
+holds the one (X, y) pair at t_final.  Fields at the save indices (every
+``save_every`` steps, and the last step) go to an optional snapshot callable
+as they are produced, so memory is bounded by the grid, not by the run
+length.  A homogeneous row stops marching at its
 first failing index, so no snapshot is handed over past an abort.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
@@ -77,7 +77,6 @@ import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
 from .noise_process import MartingalePath, NoiseModel, sample_martingale
-from .rescaling import OVERFLOW_GUARD
 from .spectral_grid import ComplexField, GridSpec, _squared_norms, warn_if_underresolved
 
 SCHEMES = ("direct", "rescaled")
@@ -85,6 +84,9 @@ SPLITTINGS = ("lie", "strang")
 # Largest step count a run may take: 400 times the 25,000 steps of the
 # acceptance ensemble.  The per-step series of a longer run would not fit.
 MAX_STEPS = 10**7
+#: |Re M| beyond which exp() leaves double range; a path this large has long
+#: since left any physically meaningful regime.
+OVERFLOW_GUARD = 700.0
 
 
 @dataclass(frozen=True)
@@ -149,9 +151,9 @@ class SolutionRecord:
     """Everything one run produced: scalar series at every step, the final
     state, and the driving path.
 
-    ``snapshot_indices``, ``snapshots_x`` and ``snapshots_y`` hold the one
-    entry at the last time index; fields at earlier save indices go to the
-    snapshot callable of :func:`simulate` instead.
+    ``final_x`` and ``final_y`` are the fields at the last time index; fields
+    at earlier save indices go to the snapshot callable of :func:`simulate`
+    instead.
 
     ``mass_x`` is the squared L^2 norm of the original variable, ``mass_y``
     of the rescaled one; ``re_m`` is sum_j Re(mu_j) M_j(t_k);
@@ -166,20 +168,21 @@ class SolutionRecord:
     mass_y: np.ndarray
     re_m: np.ndarray
     ito_mass_sum: np.ndarray
-    snapshot_indices: list
-    snapshots_x: list
-    snapshots_y: list
+    final_x: ComplexField
+    final_y: ComplexField
     path: MartingalePath
     params: SimParams
     seed: int | None
 
+    # Read-only one-entry views kept because perfbench/spans.py sizes a
+    # record's fields through them.
     @property
-    def final_x(self) -> ComplexField:
-        return self.snapshots_x[-1]
+    def snapshots_x(self) -> list:
+        return [self.final_x]
 
     @property
-    def final_y(self) -> ComplexField:
-        return self.snapshots_y[-1]
+    def snapshots_y(self) -> list:
+        return [self.final_y]
 
 
 # -- split-step coefficients ---------------------------------------------------------
@@ -322,7 +325,7 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     results = []
     for run, seed, outcome in zip(runs, seeds, outcomes):
         if outcome is None:
-            warn_if_underresolved(run.snapshots_x[-1], "final state")
+            warn_if_underresolved(run.final_x, "final state")
             outcome = SolutionRecord(
                 scheme=params.scheme,
                 times=run.stepper.path.times.copy(),
@@ -330,9 +333,8 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
                 mass_y=run.mass_y,
                 re_m=run.stepper.re_m.copy(),
                 ito_mass_sum=run.ito,
-                snapshot_indices=run.snapshot_indices,
-                snapshots_x=run.snapshots_x,
-                snapshots_y=run.snapshots_y,
+                final_x=run.final_x,
+                final_y=run.final_y,
                 path=run.stepper.path,
                 params=params,
                 seed=seed,
@@ -368,9 +370,8 @@ class _RunState:
         self.mass_x = np.empty(n_steps + 1)
         self.mass_y = np.empty(n_steps + 1)
         self.ito = np.zeros(n_steps + 1)
-        self.snapshot_indices: list[int] = []
-        self.snapshots_x: list[ComplexField] = []
-        self.snapshots_y: list[ComplexField] = []
+        self.final_x: ComplexField | None = None
+        self.final_y: ComplexField | None = None
         # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
         self.s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
 
@@ -416,9 +417,8 @@ class _RunState:
         if k == self.n_steps:
             if y is None:
                 y = v * np.exp(-stepper.m_field_values(k))
-            self.snapshot_indices.append(k)
-            self.snapshots_x.append(ComplexField(x.copy(), self.grid))
-            self.snapshots_y.append(ComplexField(y.copy(), self.grid))
+            self.final_x = ComplexField(x.copy(), self.grid)
+            self.final_y = ComplexField(y.copy(), self.grid)
 
     def mass_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights taking a homogeneous run's own mass to the other one at

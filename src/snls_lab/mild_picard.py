@@ -26,13 +26,13 @@ sequence itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionVeto
 from .noise_process import MartingalePath, NoiseModel
-from .spectral_grid import ComplexField, GridSpec, free_propagator_apply, norm_L2, norm_Lp
+from .spectral_grid import ComplexField, GridSpec, norm_L2
 
 
 def strichartz_exponent(dimension: int, alpha: float) -> float:
@@ -46,28 +46,6 @@ def strichartz_exponent(dimension: int, alpha: float) -> float:
     if not (1.0 < alpha < band):
         raise ValueError(f"alpha: {alpha} outside the band (1, {band}) for d = {dimension}")
     return 4.0 * (alpha + 1.0) / (dimension * (alpha - 1.0))
-
-
-@dataclass
-class NodeTrajectory:
-    """Field values on uniform time nodes spanning [0, tau]."""
-
-    times: np.ndarray
-    fields: list
-
-    @property
-    def tau(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def nodes(self) -> int:
-        return self.times.size
-
-
-def mixed_norm(trajectory: NodeTrajectory, q: float, alpha: float) -> float:
-    """Time-quadrature norm ||y||_{Lq(0,tau;L^{alpha+1})} (trapezoid in time)."""
-    phi = np.array([norm_Lp(f, alpha + 1.0) for f in trajectory.fields])
-    return float(np.trapezoid(phi**q, trajectory.times) ** (1.0 / q))
 
 
 def _sup_l2(diff: np.ndarray, grid: GridSpec) -> float:
@@ -97,7 +75,11 @@ class PicardConfig:
 
 @dataclass
 class PicardReport:
-    """Iterate distances d_m, their ratios r_m = d_m / d_{m-1}, and status."""
+    """Iterate distances d_m, their ratios r_m = d_m / d_{m-1}, and status.
+
+    ``iterate`` is the last accepted iterate on the quadrature nodes, one
+    physical field per row: shape (nodes, n^d).
+    """
 
     distances: list
     ratios: list
@@ -106,7 +88,7 @@ class PicardReport:
     iterations: int
     gamma_tau: float
     q: float
-    iterate: NodeTrajectory | None = None
+    iterate: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,28 +100,6 @@ class PicardReport:
             "gamma_tau": float(self.gamma_tau),
             "q": float(self.q),
         }
-
-
-def duhamel_apply(forcing_series, grid: GridSpec, tau: float, nodes: int) -> ComplexField:
-    """int_0^tau U(tau, s) f(s) ds on uniform nodes with trapezoid weights.
-
-    ``forcing_series`` holds f at the nodes s_i = i*tau/(nodes-1).  Valid in
-    the homogeneous regime where U is the free group; a forcing that is itself
-    a free trajectory integrates exactly at any node count.
-    """
-    if nodes < 2:
-        raise ValueError(f"nodes must be >= 2, got {nodes}")
-    if len(forcing_series) != nodes:
-        raise ValueError(
-            f"forcing has {len(forcing_series)} nodes, expected {nodes}"
-        )
-    times = np.linspace(0.0, tau, nodes)
-    ds = tau / (nodes - 1)
-    acc = np.zeros(grid.size, dtype=np.complex128)
-    for i, f in enumerate(forcing_series):
-        w = 0.5 * ds if i in (0, nodes - 1) else ds
-        acc += w * free_propagator_apply(f, tau - times[i]).values
-    return ComplexField(acc, grid)
 
 
 class _MapKernel:
@@ -206,16 +166,6 @@ class _MapKernel:
         return self._ifft_rows(self.fwd * (self.xh - acc))
 
 
-def apply_map(trajectory: NodeTrajectory, x: ComplexField, model: NoiseModel,
-              path: MartingalePath, lam: int, alpha: float) -> NodeTrajectory:
-    """One application of the fixed-point map to a node trajectory."""
-    kern = _MapKernel(x, model, path, trajectory.tau, trajectory.nodes, lam, alpha)
-    y = np.stack([f.values for f in trajectory.fields])
-    out = kern.apply(y)
-    return NodeTrajectory(kern.times,
-                          [ComplexField(row, x.grid) for row in out])
-
-
 def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
                    picard_config: PicardConfig, lam: int,
                    alpha: float) -> PicardReport:
@@ -280,7 +230,6 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     in_horizon = path.times <= cfg.horizon * (1.0 + 1e-12)
     gamma_tau = float(np.exp((alpha - 1.0) * m_abs[in_horizon].max()))
 
-    final = NodeTrajectory(times, [ComplexField(row, grid) for row in y])
     return PicardReport(
         distances=distances,
         ratios=ratios,
@@ -289,5 +238,5 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
         iterations=iterations,
         gamma_tau=gamma_tau,
         q=q,
-        iterate=final,
+        iterate=y,
     )

@@ -1,4 +1,4 @@
-"""Driving martingales, noise field assembly, and assumption validation.
+"""Driving martingales and assumption validation.
 
 Each noise component j carries a complex coefficient mu_j, a real spatial
 profile e_j(xi), and a quadratic-variation density V_j(t).  The component
@@ -13,7 +13,7 @@ package).  Per-component streams derive from (seed, path index, component
 index) through the documented mix in :mod:`snls_lab.seeding`, so sampling is
 reproducible independent of thread scheduling.
 
-Assumption flags carried by :class:`NoiseModel`:
+Assumptions reported by :func:`validate_assumptions`:
 
 * ``h1`` - spatial decay: the weighted magnitude
   zeta(xi) * (|e| + |grad e| + |lap e|) falls off at large radius, with
@@ -34,7 +34,6 @@ import numpy as np
 
 from . import seeding
 from .spectral_grid import (
-    ComplexField,
     GridSpec,
     gradient_spectral,
     laplacian_spectral,
@@ -195,18 +194,11 @@ class SpatialProfile:
 
 @dataclass
 class NoiseModel:
-    """Coefficients, profiles, and densities of the driving noise.
-
-    The assumption flags start unset (None) and are populated by
-    :func:`validate_assumptions`.
-    """
+    """Coefficients, profiles, and densities of the driving noise."""
 
     mu: np.ndarray
     profiles: list
     densities: list
-    h1: bool | None = None
-    h3: bool | None = None
-    h4: bool | None = None
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=np.complex128))
@@ -355,39 +347,6 @@ def restrict_path(path: MartingalePath, factor: int) -> MartingalePath:
     return MartingalePath(times, values, increments, density, qv, dt, path.seed)
 
 
-# -- field assembly ----------------------------------------------------------------
-
-@dataclass
-class NoiseFieldSample:
-    """The noise field M(t_k, .) with its spatial-derivative companions."""
-
-    field: ComplexField
-    gradient: np.ndarray   # (dimension, n^d) complex
-    laplacian: np.ndarray  # (n^d,) complex
-
-
-def noise_field(model: NoiseModel, path: MartingalePath, k: int,
-                grid: GridSpec) -> NoiseFieldSample:
-    """Assemble M(t_k, xi) = sum_j mu_j e_j(xi) M_j(t_k) plus companions.
-
-    Gradient and Laplacian companions combine per-profile spectral
-    derivatives; with constant-one profiles they are exactly zero.
-    """
-    if not (0 <= k < path.times.size):
-        raise ValueError(f"time index {k} outside path range 0..{path.times.size - 1}")
-    e = model.sample_profiles(grid)
-    weights = model.mu * path.values[:, k]
-    vals = weights @ e.astype(np.complex128)
-    grad = np.zeros((grid.dimension, grid.size), dtype=np.complex128)
-    lap = np.zeros(grid.size, dtype=np.complex128)
-    for j, prof in enumerate(model.profiles):
-        if prof.spatially_constant:
-            continue
-        grad += weights[j] * gradient_spectral(e[j], grid)
-        lap += weights[j] * laplacian_spectral(e[j], grid)
-    return NoiseFieldSample(ComplexField(vals, grid), grad, lap)
-
-
 def lln_ratio(model: NoiseModel, path: MartingalePath, k: int) -> float:
     """Re M(t_k) / t_k, the fluctuation ratio that vanishes at large time."""
     if not (0 <= k < path.times.size):
@@ -453,7 +412,7 @@ def validate_assumptions(model: NoiseModel, grid: GridSpec,
 
     Failures are report entries, never exceptions.  The spatial-decay check
     (h1) is a finite-grid proxy: the true assumption is asymptotic and cannot
-    be decided from samples.  The flags are written back onto ``model``.
+    be decided from samples.
     """
     witnesses: dict = {}
 
@@ -502,7 +461,6 @@ def validate_assumptions(model: NoiseModel, grid: GridSpec,
     for i, msg in enumerate(failures):
         witnesses[f"h4[{i}]"] = msg
 
-    model.h1, model.h3, model.h4 = h1, h3, h4
     return AssumptionReport(h1, h3, h4, witnesses)
 
 

@@ -1,16 +1,18 @@
-"""Plain split-step composition: the oracle the integrator's march is tested
-against.
+"""Plain implementations the package's fused code is tested against.
 
-Each sub-flow is written out on its own, in physical space and with
-``np.exp``, and composed step by step.  The march batches, fuses and
-reorders the same arithmetic, so the two agree to rounding, not bit for bit.
+* The split-step composition: each sub-flow written out on its own, in
+  physical space and with ``np.exp``, and composed step by step.  The march
+  batches, fuses and reorders the same arithmetic, so the two agree to
+  rounding, not bit for bit.
+* The Duhamel quadrature and the mixed norm of the fixed-point iteration,
+  one field at a time, against the node-batched map of ``mild_picard``.
 """
 
 import numpy as np
 
 from snls_lab.errors import NumericalAbort
-from snls_lab.rescaling import OVERFLOW_GUARD
-from snls_lab.spectral_grid import ComplexField, free_propagator_apply
+from snls_lab.integrator import OVERFLOW_GUARD
+from snls_lab.spectral_grid import ComplexField, free_propagator_apply, norm_Lp
 
 
 def nonlinear_phase_step(y, dt, lam, alpha, re_m=0.0):
@@ -68,3 +70,30 @@ def step(state, path, k, params, model):
     v = free_propagator_apply(state, params.dt)
     v = nonlinear_phase_step(v, params.dt, lam, alpha, re_m)
     return mid(v, model, path, k)
+
+
+def duhamel_apply(forcing_series, grid, tau, nodes):
+    """int_0^tau U(tau, s) f(s) ds on uniform nodes with trapezoid weights.
+
+    ``forcing_series`` holds f at the nodes s_i = i*tau/(nodes-1).  Valid in
+    the homogeneous regime where U is the free group; a forcing that is itself
+    a free trajectory integrates exactly at any node count.
+    """
+    if nodes < 2:
+        raise ValueError(f"nodes must be >= 2, got {nodes}")
+    if len(forcing_series) != nodes:
+        raise ValueError(f"forcing has {len(forcing_series)} nodes, expected {nodes}")
+    times = np.linspace(0.0, tau, nodes)
+    ds = tau / (nodes - 1)
+    acc = np.zeros(grid.size, dtype=np.complex128)
+    for i, f in enumerate(forcing_series):
+        w = 0.5 * ds if i in (0, nodes - 1) else ds
+        acc += w * free_propagator_apply(f, tau - times[i]).values
+    return ComplexField(acc, grid)
+
+
+def mixed_norm(times, fields, q, alpha):
+    """Time-quadrature norm ||y||_{Lq(0,tau;L^{alpha+1})} (trapezoid in time)
+    of the fields at the given node times."""
+    phi = np.array([norm_Lp(f, alpha + 1.0) for f in fields])
+    return float(np.trapezoid(phi**q, times) ** (1.0 / q))

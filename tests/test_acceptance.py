@@ -141,13 +141,13 @@ def test_criterion_04_mass_identity_residual():
         p = restrict_path(fine, factor)
         params = SimParams(lam=1, alpha=3.0, dt=dt, t_final=1.0, scheme="direct")
         rec = simulate(GRID, model, params, X_GAUSS, seed=SEED_RESIDUAL_PATH, path=p)
-        maxima[dt] = mass_identity_residual(rec, model).max_abs
+        maxima[dt] = mass_identity_residual(rec).max_abs
     quotient = maxima[2e-3] / maxima[1e-3]
 
     model_i = const_model(1j)
     params = SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=1.0, scheme="direct")
     rec_i = simulate(GRID, model_i, params, X_GAUSS, seed=2)
-    max_r_imag = mass_identity_residual(rec_i, model_i).max_abs
+    max_r_imag = mass_identity_residual(rec_i).max_abs
 
     ok = 1.5 <= quotient <= 2.5 and max_r_imag <= 1e-10
     report(4, ok, f"refinement quotient {quotient:.2f} in [1.5, 2.5]; "

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import snls_lab
 from snls_lab import harness, integrator, seeding
-from snls_lab.diagnostics import decay_fit, gronwall_check
+from snls_lab.diagnostics import MASS_FLOOR, decay_fit, gronwall_check
 from snls_lab.errors import (
     EXIT_ASSUMPTION_VETO,
     EXIT_CONFIG_ERROR,
@@ -189,6 +189,44 @@ class TestRunKinds:
         assert len(rep.per_path) == 3
         assert all("aborted" in p["status"] for p in rep.per_path)
 
+    def test_ensemble_member_parses_no_config(self, monkeypatch):
+        # the blocks march the objects the config built; nothing parses again
+        cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 2}))
+
+        def parse(cls, raw):
+            raise AssertionError("an ensemble block parsed the config again")
+
+        monkeypatch.setattr(RunConfig, "from_dict", classmethod(parse))
+        rep = run_ensemble(cfg, threads=1)
+        assert [p["status"] for p in rep.per_path] == ["ok", "ok"]
+
+    def test_simulate_underflow_before_fit_window_exits_4(self, tmp_path):
+        # the mass falls below MASS_FLOOR near t = 2.4, before the window
+        code, err = run_captured(underflow_config("simulate", [5.0, 10.0]), tmp_path)
+        assert code == EXIT_NUMERICAL_ABORT, err
+        cfg = RunConfig.from_dict(underflow_config("simulate", [5.0, 10.0]))
+        cut, _ = first_underflow(cfg, cfg.seed)
+        assert f"mass underflows at time index {cut}:" in err
+
+    def test_ensemble_unfitted_paths_get_statuses(self):
+        # per path, the mass underflows before or inside the fit window; the
+        # paths left with fewer than two samples in it are named and left out
+        # of the quantiles
+        cfg = RunConfig.from_dict(underflow_config("ensemble", [2.3, 2.5], t_final=3.0))
+        rep = run_ensemble(cfg, threads=1)
+        fitted = []
+        for entry in rep.per_path:
+            cut, times = first_underflow(cfg, seeding.derive_seed(cfg.seed, entry["index"]))
+            if np.count_nonzero(times >= 2.3) < 2:
+                assert entry["status"] == \
+                    f"unfitted: mass underflows at time index {cut}", entry
+                assert "lyapunov" not in entry
+            else:
+                assert entry["status"] == "ok"
+                fitted.append(entry["lyapunov"])
+        assert 0 < len(fitted) < len(rep.per_path)
+        assert rep.lyapunov_quantiles["q50"] == pytest.approx(float(np.median(fitted)))
+
     def test_ensemble_veto_before_marching(self, monkeypatch):
         # omega is undefined for mu = i, so no path may march
         cfg = base_config(kind="ensemble", ensemble={"size": 2})
@@ -251,6 +289,27 @@ class TestRunKinds:
         ))
         out = run_convergence(cfg)
         assert 0.8 <= out["order"] <= 1.5
+
+
+def underflow_config(kind, fit_window, t_final=10.0):
+    """n = 64, mu = 12: the mass underflows near t = 2.4, path by path."""
+    cfg = base_config(kind=kind, diagnostics={"decay_fit": True,
+                                              "fit_window": fit_window})
+    cfg["grid"]["points"] = 64
+    cfg["noise"]["coefficients"] = [12.0]
+    cfg["sim"].update(dt=0.01, t_final=t_final)
+    if kind == "ensemble":
+        cfg["ensemble"] = {"size": 4}
+    return cfg
+
+
+def first_underflow(cfg: RunConfig, seed: int) -> tuple[int, np.ndarray]:
+    """The first time index at which a path's mass is at or below MASS_FLOOR,
+    and the times before it."""
+    b = cfg.built
+    rec = integrator.simulate(b.grid, b.model, b.params, b.x, seed=seed)
+    cut = int(np.argmax(rec.mass_x <= MASS_FLOOR))
+    return cut, rec.times[:cut]
 
 
 def boosted(path, start=10, factor=1e4):
@@ -320,7 +379,7 @@ class TestEnsembleBlocks:
             return boosted(path) if seed == bad_seed else path
 
         monkeypatch.setattr(integrator, "sample_martingale", sampler)
-        block = _ensemble_member((cfg.to_dict(), [0, 1, 2]))
+        block = _ensemble_member((cfg.built, cfg.seed, None, [0, 1, 2]))
         assert [e["status"] == "ok" for e in block] == [True, False, True]
         assert block == [per_path_entry(cfg, i) for i in range(3)]
 
@@ -355,9 +414,9 @@ class TestEnsembleBlocks:
             assert [k for k, _ in seen] == [k for k, _ in want]
             for (_, a), (_, b) in zip(seen, want):
                 assert np.array_equal(a, b)
-            for a, b in zip(row.snapshots_x + row.snapshots_y,
-                            ref.snapshots_x + ref.snapshots_y):
-                assert np.array_equal(a.values, b.values)
+            for name in ("final_x", "final_y"):
+                assert np.array_equal(getattr(row, name).values,
+                                      getattr(ref, name).values), name
 
 
 class TestCliRun:

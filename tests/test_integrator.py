@@ -12,6 +12,7 @@ from reference import damping_step, noise_step_direct, nonlinear_phase_step, ste
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
     MAX_STEPS,
+    OVERFLOW_GUARD,
     SimParams,
     _RunState,
     _Stepper,
@@ -25,7 +26,6 @@ from snls_lab.noise_process import (
     restrict_path,
     sample_martingale,
 )
-from snls_lab.rescaling import OVERFLOW_GUARD
 from snls_lab.spectral_grid import (
     ComplexField,
     _squared_norms,
@@ -286,7 +286,7 @@ class TestSimulate:
         params = SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1, scheme="direct")
         rec = simulate(GRID, m, params, X0, seed=20)
         assert np.all(np.isfinite(rec.mass_x))
-        assert len(rec.snapshots_x) == len(rec.snapshot_indices)
+        assert np.all(np.isfinite(rec.final_y.values))
 
     def test_rescaled_scheme_veto(self):
         prof = SpatialProfile("gaussian-bump", width=2.0)
@@ -412,10 +412,9 @@ def assert_rows_match_single_path_calls(grid, model, params, rows):
             continue
         for name in ("mass_x", "mass_y", "ito_mass_sum"):
             assert np.array_equal(getattr(row, name), getattr(alone, name)), name
-        assert row.snapshot_indices == alone.snapshot_indices
-        for a, b in zip(row.snapshots_x + row.snapshots_y,
-                        alone.snapshots_x + alone.snapshots_y):
-            assert np.array_equal(a.values, b.values)
+        for name in ("final_x", "final_y"):
+            assert np.array_equal(getattr(row, name).values,
+                                  getattr(alone, name).values), name
 
 
 BUMP = SpatialProfile("gaussian-bump", width=2.0)
@@ -488,10 +487,9 @@ class TestBlockMarch:
                                       ("ito_mass_sum", ref.ito)):
                 assert np.array_equal(getattr(row, name), want_series), name
             assert_same_snapshots(seen, want)
-            assert row.snapshot_indices == ref.snapshot_indices == [params.n_steps]
-            for a, b in zip(row.snapshots_x + row.snapshots_y,
-                            ref.snapshots_x + ref.snapshots_y):
-                assert np.array_equal(a.values, b.values)
+            for name in ("final_x", "final_y"):
+                assert np.array_equal(getattr(row, name).values,
+                                      getattr(ref, name).values), name
 
     def test_mixed_outcomes_in_one_block(self):
         grid, model, params = BLOCK_CASES["abort_rescaled"]
@@ -511,7 +509,6 @@ class TestBlockMarch:
             assert [k for k, _, _ in seen] == want, case
             assert [t for _, t, _ in seen] == [float(full.times[k]) for k in want]
             for rec in (full, bare):
-                assert rec.snapshot_indices == [n_steps]
                 assert np.array_equal(rec.final_x.values, seen[-1][2])
             assert np.array_equal(bare.final_y.values, full.final_y.values)
             assert np.array_equal(bare.mass_x, full.mass_x)

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from reference import duhamel_apply, mixed_norm
 from snls_lab.errors import AssumptionVeto
 from snls_lab.integrator import SimParams, simulate
 from snls_lab.mild_picard import (
-    NodeTrajectory,
     PicardConfig,
-    apply_map,
-    duhamel_apply,
-    mixed_norm,
+    _MapKernel,
     picard_iterate,
     strichartz_exponent,
 )
@@ -119,7 +117,7 @@ class TestPicardIterate:
         rep = picard_iterate(x, m, path, cfg, 1, 3.0)
         params = SimParams(lam=1, alpha=3.0, dt=1e-4, t_final=0.05, scheme="rescaled")
         rec = simulate(GRID, m, params, x, seed=3, path=path)
-        d = rep.iterate.fields[-1].values - rec.final_y.values
+        d = rep.iterate[-1] - rec.final_y.values
         err = np.sqrt(GRID.cell_volume * np.vdot(d, d).real)
         assert err <= 5e-3
 
@@ -135,7 +133,7 @@ class TestPicardIterate:
             cfg = PicardConfig(horizon=0.05, nodes=nodes, tolerance=1e-13,
                                max_iterations=30)
             rep = picard_iterate(x, m, path, cfg, 0, 3.0)
-            d = rep.iterate.fields[-1].values - closed
+            d = rep.iterate[-1] - closed
             errs.append(np.sqrt(GRID.cell_volume * np.vdot(d, d).real))
         spacings = [0.05 / (n - 1) for n in nodes_list]
         order = np.polyfit(np.log(spacings), np.log(errs), 1)[0]
@@ -148,14 +146,13 @@ class TestPicardIterate:
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 1)
         tau, nodes = 0.04, 32
-        times = np.linspace(0.0, tau, nodes)
-        free = [free_propagator_apply(x, t) for t in times]
-        traj = NodeTrajectory(times, free)
-        mapped = apply_map(traj, x, m, path, 0, 3.0)
+        kern = _MapKernel(x, m, path, tau, nodes, 0, 3.0)
+        free = [free_propagator_apply(x, t) for t in kern.times]
+        mapped = kern.apply(np.stack([f.values for f in free]))
         forcing = [ComplexField(1.0 * f.values, GRID) for f in free]  # coef = 1
         duh = duhamel_apply(forcing, GRID, tau, nodes)
         expect = free[-1].values - duh.values
-        assert np.abs(mapped.fields[-1].values - expect).max() < 1e-12
+        assert np.abs(mapped[-1] - expect).max() < 1e-12
 
     def test_fixed_point_residual_within_twice_tolerance(self):
         m = unit_model(1.0)
@@ -164,12 +161,10 @@ class TestPicardIterate:
         cfg = PicardConfig(horizon=0.05, nodes=64, tolerance=1e-8)
         rep = picard_iterate(x, m, path, cfg, 1, 3.0)
         assert rep.converged
-        mapped = apply_map(rep.iterate, x, m, path, 1, 3.0)
-        diff = NodeTrajectory(rep.iterate.times,
-                              [ComplexField(a.values - b.values, GRID)
-                               for a, b in zip(mapped.fields, rep.iterate.fields)])
-        sup = max(norm_L2(f) for f in diff.fields)
-        resid = sup + mixed_norm(diff, rep.q, 3.0)
+        kern = _MapKernel(x, m, path, cfg.horizon, cfg.nodes, 1, 3.0)
+        diff = [ComplexField(row, GRID) for row in kern.apply(rep.iterate) - rep.iterate]
+        sup = max(norm_L2(f) for f in diff)
+        resid = sup + mixed_norm(kern.times, diff, rep.q, 3.0)
         assert resid <= 2.0 * cfg.tolerance
 
     def test_halving_horizon_never_increases_max_ratio(self):
@@ -225,6 +220,6 @@ class TestMixedNorm:
         tau, nodes, alpha = 0.5, 33, 3.0
         q = strichartz_exponent(1, alpha)
         f = gaussian_field(GRID, width=1.0)
-        traj = NodeTrajectory(np.linspace(0, tau, nodes), [f] * nodes)
+        times = np.linspace(0, tau, nodes)
         expect = tau ** (1.0 / q) * norm_Lp(f, alpha + 1.0)
-        assert mixed_norm(traj, q, alpha) == pytest.approx(expect, rel=1e-12)
+        assert mixed_norm(times, [f] * nodes, q, alpha) == pytest.approx(expect, rel=1e-12)

@@ -5,18 +5,18 @@ import io
 import numpy as np
 import pytest
 
+from snls_lab.integrator import SimParams, _Stepper
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
     SpatialProfile,
     lln_ratio,
-    noise_field,
     path_to_csv,
     restrict_path,
     sample_martingale,
     validate_assumptions,
 )
-from snls_lab.spectral_grid import gradient_spectral, laplacian_spectral, make_grid
+from snls_lab.spectral_grid import make_grid
 
 
 def unit_model(n=1, mu=None):
@@ -140,12 +140,21 @@ class TestRestrictPath:
 
 
 class TestNoiseField:
+    """M(t_k, xi) = sum_j mu_j e_j(xi) M_j(t_k) as the integrator assembles it."""
+
+    @staticmethod
+    def stepper(model, path, grid):
+        params = SimParams(lam=0, alpha=3.0, dt=path.dt, t_final=path.dt * path.n_steps,
+                           scheme="direct")
+        return _Stepper(grid, model, params, path)
+
     def test_zero_values_give_zero_field(self):
         g = make_grid(1, 16, 2.0)
-        m = unit_model()
+        prof = SpatialProfile("gaussian-bump", width=1.0)
+        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
-        out = noise_field(m, p, 0, g)  # M(0) = 0
-        assert np.all(out.field.values == 0.0)
+        out = self.stepper(m, p, g).m_field_values(0)  # M(0) = 0
+        assert np.all(out == 0.0)
 
     def test_constant_profile_substitution(self):
         g = make_grid(1, 16, 2.0)
@@ -153,21 +162,8 @@ class TestNoiseField:
                        [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         p.values[0, 5] = 0.5  # pin the component value
-        out = noise_field(m, p, 5, g)
-        assert np.allclose(out.field.values, 1.0 + 0.5j, atol=1e-15)
-        assert np.all(out.gradient == 0.0)
-        assert np.all(out.laplacian == 0.0)
-
-    def test_gradient_companion_matches_spectral_oracle(self):
-        g = make_grid(1, 128, 8.0)
-        prof = SpatialProfile("gaussian-bump", width=1.3, center=(0.4,))
-        m = NoiseModel(np.array([1.5 - 0.7j]), [prof], [DensitySpec.constant(1.0)])
-        p = sample_martingale(m, 1e-2, 20, 4)
-        out = noise_field(m, p, 17, g)
-        grad_oracle = gradient_spectral(out.field.values, g)
-        lap_oracle = laplacian_spectral(out.field.values, g)
-        assert np.abs(out.gradient - grad_oracle).max() < 1e-10
-        assert np.abs(out.laplacian - lap_oracle).max() < 1e-10
+        out = self.stepper(m, p, g).m_field_values(5)
+        assert np.allclose(out, 1.0 + 0.5j, atol=1e-15)
 
     def test_grid_mismatch(self):
         g = make_grid(1, 16, 2.0)
@@ -175,7 +171,7 @@ class TestNoiseField:
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         with pytest.raises(ValueError):
-            noise_field(m, p, 0, g)
+            self.stepper(m, p, g)
 
 
 class TestLlnRatio:
@@ -218,7 +214,7 @@ class TestValidateAssumptions:
         m = unit_model()
         rep = validate_assumptions(m, g, 10.0)
         assert rep.h4 and not rep.h1 and rep.h3
-        assert m.h4 is True and m.h1 is False
+        assert rep.h4 is True and rep.h1 is False
 
     def test_purely_imaginary_coefficient_fails_h4(self):
         g = make_grid(1, 64, 8.0)

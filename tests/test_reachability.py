@@ -1,0 +1,137 @@
+"""Every function defined in src/snls_lab is reached by some run.
+
+Each run kind goes once through the command-line entry point on a tiny
+config, under ``sys.setprofile``.  A function that none of the runs calls
+is surface no run uses, and fails the test unless it is one of the
+documented public helpers listed below.
+"""
+
+import importlib
+import inspect
+import json
+import pkgutil
+import sys
+import time
+import types
+
+import pytest
+
+import snls_lab
+from snls_lab.cli import main
+
+# Public helpers that no run calls, kept for users of the package and for
+# the test suite; each is documented where it is defined.
+PUBLIC_HELPERS = {
+    "harness.read_field_dump",
+    "integrator.SolutionRecord.snapshots_x",  # read by perfbench/spans.py
+    "integrator.SolutionRecord.snapshots_y",
+    "noise_process.DensitySpec.constant",
+    "noise_process.DensitySpec.piecewise",
+    "noise_process.DensitySpec.tabulated",
+    "noise_process.lln_ratio",
+    "spectral_grid.ComplexField.copy",
+    "spectral_grid.free_propagator_apply",
+    "spectral_grid.inverse_transform",
+    "spectral_grid.laplacian_symbol",
+    "spectral_grid.norm_Lp",
+}
+
+GRID_1D = {"dimension": 1, "points": 32, "half_length": 8.0}
+UNIT = {"kind": "constant", "value": 1.0, "alpha0": 1.0, "v_max": 1.0}
+HOMOGENEOUS = {"coefficients": [[1.0, 0.5]], "profiles": [{"kind": "constant-one"}],
+               "densities": [UNIT]}
+BUMP = {"coefficients": [[0.5, 0.2]],
+        "profiles": [{"kind": "gaussian-bump", "width": 2.0}], "densities": [UNIT]}
+GAUSSIAN = {"kind": "gaussian", "width": 1.0, "l2_norm": 1.0}
+
+
+def sim(**leaves):
+    return {"lambda": 1, "alpha": 2.0, "dt": 0.01, "t_final": 0.04, **leaves}
+
+
+# (config, expected exit code): every run kind, both schemes and splittings,
+# 1-D and 2-D transforms, and a decay fit whose mass underflows (exit 4).
+RUNS = [
+    ({"kind": "simulate", "grid": GRID_1D, "noise": HOMOGENEOUS, "sim": sim(),
+      "initial": GAUSSIAN, "diagnostics": {"decay_fit": True, "residuals": True,
+                                           "field_dumps": True}}, 0),
+    ({"kind": "simulate", "grid": {**GRID_1D, "dimension": 2, "points": 16},
+      "noise": BUMP, "sim": sim(scheme="direct", splitting="lie", save_every=2),
+      "initial": {"kind": "plane-wave", "mode": [1, 2]},
+      "diagnostics": {"residuals": True, "field_dumps": True}}, 0),
+    ({"kind": "simulate", "grid": GRID_1D,
+      "noise": {**HOMOGENEOUS, "coefficients": [30.0]},
+      "sim": sim(t_final=1.0), "initial": GAUSSIAN,
+      "diagnostics": {"decay_fit": True, "fit_window": [0.5, 1.0]}}, 4),
+    ({"kind": "ensemble", "grid": GRID_1D,
+      "noise": {**HOMOGENEOUS, "densities": [{"kind": "piecewise-constant",
+                                              "times": [0.0, 0.02],
+                                              "values": [1.0, 2.0]}]},
+      "sim": sim(), "initial": GAUSSIAN, "ensemble": {"size": 2}}, 0),
+    ({"kind": "convergence", "grid": GRID_1D, "noise": HOMOGENEOUS,
+      "sim": sim(t_final=0.08), "initial": GAUSSIAN,
+      "convergence": {"dts": [0.04, 0.02, 0.01], "reference_dt": 0.00125}}, 0),
+    ({"kind": "picard", "grid": GRID_1D, "noise": HOMOGENEOUS, "initial": GAUSSIAN,
+      "picard": {"horizon": 0.02, "nodes": 8, "alpha": 2.0}}, 0),
+    ({"kind": "validate", "grid": GRID_1D, "noise": BUMP,
+      "initial": {"kind": "constant", "value": 1.0},
+      "validate": {"horizon": 1.0}}, 0),
+]
+
+
+def defined_functions() -> dict:
+    """Every function whose code lives in the package, nested ones included,
+    by module-relative qualified name."""
+    found = {}
+
+    def add(name, code):
+        found[name] = code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and (
+                    const.co_name == "<lambda>" or not const.co_name.startswith("<")):
+                suffix = f"@{const.co_firstlineno}" if const.co_name == "<lambda>" else ""
+                add(f"{name}.<locals>.{const.co_name}{suffix}", const)
+
+    for info in pkgutil.iter_modules(snls_lab.__path__):
+        module = importlib.import_module(f"snls_lab.{info.name}")
+        members = list(vars(module).items())
+        for cls_name, cls in list(members):
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                members += [(f"{cls_name}.{name}", attr) for name, attr in vars(cls).items()]
+        for name, obj in members:
+            obj = obj.fget if isinstance(obj, property) else getattr(obj, "__func__", obj)
+            obj = inspect.unwrap(obj) if callable(obj) else obj
+            if isinstance(obj, types.FunctionType) \
+                    and obj.__code__.co_filename == module.__file__:
+                add(f"{info.name}.{name}", obj.__code__)
+    return found
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+def test_every_function_is_reached(tmp_path, capsys):
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    codes = []
+    start = time.perf_counter()
+    sys.setprofile(profile)
+    try:
+        for i, (cfg, _) in enumerate(RUNS):
+            path = tmp_path / f"config_{i}.json"
+            path.write_text(json.dumps({"schema_version": 1, "seed": 3, **cfg}))
+            codes.append(main([cfg["kind"], "--config", str(path), "--out",
+                               str(tmp_path / f"out_{i}"), "--threads", "1"]))
+    finally:
+        sys.setprofile(None)
+    elapsed = time.perf_counter() - start
+
+    assert codes == [code for _, code in RUNS], capsys.readouterr().err
+    functions = defined_functions()
+    assert PUBLIC_HELPERS <= set(functions), PUBLIC_HELPERS - set(functions)
+    unreached = sorted(name for name, code in functions.items()
+                       if code not in seen and name not in PUBLIC_HELPERS)
+    assert not unreached, f"functions no run reaches: {unreached}"
+    assert elapsed < 3.0

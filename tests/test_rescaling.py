@@ -1,4 +1,6 @@
-"""Exponential change of variables and the induced potential fields."""
+"""The change of variables y = e^{-M} X and its damping potential, as the
+integrator carries them: the final (X, y) pair of a run and the rescaled
+scheme's per-step multiplier exp(-gamma dt)."""
 
 import numpy as np
 import pytest
@@ -6,153 +8,117 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snls_lab.errors import NumericalAbort
+from snls_lab.integrator import SimParams, _Stepper, simulate
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
     SpatialProfile,
-    noise_field,
     sample_martingale,
 )
-from snls_lab.rescaling import from_rescaled, potential_fields, to_rescaled
-from snls_lab.spectral_grid import (
-    ComplexField,
-    gradient_spectral,
-    inverse_transform,
-    laplacian_spectral,
-    make_grid,
-    norm_L2,
-)
+from snls_lab.spectral_grid import gaussian_field, make_grid, norm_L2
+
+# widths chosen so the periodic wrap of each bump sits below 1e-12 on the
+# L = 10 test domain
+GRID = make_grid(1, 64, 10.0)
+X0 = gaussian_field(GRID, width=1.0)
 
 
-def smooth_random_field(grid, seed, cutoff=8):
-    """Random trigonometric field supported on low modes (spectrally smooth)."""
-    rng = np.random.default_rng(seed)
-    spec = np.zeros(grid.shape, dtype=complex)
-    n = grid.points
-    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    mask = np.abs(idx) <= cutoff
-    if grid.dimension == 1:
-        spec[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
-    else:
-        grids = np.meshgrid(*([idx] * grid.dimension), indexing="ij")
-        m = np.ones(grid.shape, dtype=bool)
-        for comp in grids:
-            m &= np.abs(comp) <= cutoff
-        spec[m] = rng.standard_normal(m.sum()) + 1j * rng.standard_normal(m.sum())
-    return inverse_transform(spec.ravel(), grid)
+def bump_model(scale=1.0):
+    profs = [SpatialProfile("gaussian-bump", width=1.0, center=(0.3,)),
+             SpatialProfile("gaussian-bump", width=1.2, center=(-0.5,))]
+    mu = scale * np.array([0.8 - 0.3j, 1.1 + 0.6j])
+    dens = [DensitySpec.constant(1.0), DensitySpec.constant(2.0)]
+    return NoiseModel(mu, profs, dens)
+
+
+def const_model(mu):
+    return NoiseModel(np.array([mu], dtype=complex), [SpatialProfile("constant-one")],
+                      [DensitySpec.constant(1.0)])
+
+
+def noise_at(model, path, k):
+    """M(t_k, xi) = sum_j mu_j e_j(xi) M_j(t_k), assembled profile by profile."""
+    m = np.zeros(GRID.size, dtype=complex)
+    for mu, prof, values in zip(model.mu, model.profiles, path.values):
+        m += mu * prof.sample(GRID) * values[k]
+    return m
+
+
+def direct_run(seed, model=None):
+    params = SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=0.1, scheme="direct")
+    return simulate(GRID, model or bump_model(), params, X0, seed=seed)
+
+
+def rescaled_stepper(model, dt=1e-2, steps=10, seed=0):
+    params = SimParams(lam=1, alpha=3.0, dt=dt, t_final=dt * steps, scheme="rescaled")
+    return _Stepper(GRID, model, params, sample_martingale(model, dt, steps, seed))
 
 
 class TestRoundTrip:
     def test_zero_noise_is_identity(self):
-        g = make_grid(1, 32, 2.0)
-        x = smooth_random_field(g, 0)
-        m = ComplexField(np.zeros(g.size, dtype=complex), g)
-        assert np.allclose(to_rescaled(x, m).values, x.values, atol=1e-15)
+        params = SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=0.1, scheme="rescaled")
+        rec = simulate(GRID, const_model(0.0), params, X0, seed=3)
+        assert np.array_equal(rec.final_x.values, rec.final_y.values)
+        assert np.array_equal(rec.mass_x, rec.mass_y)
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_round_trip(self, seed):
-        g = make_grid(1, 32, 2.0)
-        rng = np.random.default_rng(seed)
-        x = ComplexField(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
-        m = ComplexField(0.5 * (rng.standard_normal(g.size)
-                                + 1j * rng.standard_normal(g.size)), g)
-        back = from_rescaled(to_rescaled(x, m), m)
-        scale = np.abs(x.values).max()
-        assert np.abs(back.values - x.values).max() <= 1e-12 * scale
+        # the direct scheme marches X and reports y = e^{-M} X; e^{M} y is X
+        rec = direct_run(seed)
+        back = rec.final_y.values * np.exp(noise_at(bump_model(), rec.path, -1))
+        scale = np.abs(rec.final_x.values).max()
+        assert np.abs(back - rec.final_x.values).max() <= 1e-12 * scale
 
     def test_constant_exponent_mass_ratio(self):
         # |X|^2 integrates to e^{2 Re M} times |y|^2 for constant M
-        g = make_grid(1, 64, 3.0)
-        y = smooth_random_field(g, 4)
-        m = ComplexField(np.full(g.size, 0.3 + 0.0j), g)
-        x = from_rescaled(y, m)
-        assert norm_L2(x) ** 2 == pytest.approx(np.exp(0.6) * norm_L2(y) ** 2,
-                                                rel=1e-12)
+        params = SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=0.1, scheme="rescaled")
+        rec = simulate(GRID, const_model(1.0 + 0.5j), params, X0, seed=4)
+        re_m = rec.re_m[-1]
+        assert norm_L2(rec.final_x) ** 2 == pytest.approx(
+            np.exp(2.0 * re_m) * norm_L2(rec.final_y) ** 2, rel=1e-12)
 
     def test_overflow_guard(self):
-        g = make_grid(1, 16, 1.0)
-        x = ComplexField(np.ones(g.size, dtype=complex), g)
-        m = ComplexField(np.full(g.size, 701.0 + 0j), g)
-        with pytest.raises(NumericalAbort):
-            from_rescaled(x, m)
-        with pytest.raises(NumericalAbort):
-            to_rescaled(x, m)
+        # an exponent past the guard stops the run at the step that meets it
+        with pytest.raises(NumericalAbort, match="overflow guard") as err:
+            direct_run(0, bump_model(scale=4000.0))
+        assert err.value.time_index == 0
 
     def test_mass_bridge_pointwise_weight(self):
-        # ||e^M y||^2 equals the e^{2 Re M}-weighted integral of |y|^2
-        g = make_grid(1, 64, 4.0)
-        rng = np.random.default_rng(8)
-        y = smooth_random_field(g, 8)
-        m_vals = 0.4 * (rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
-        x = from_rescaled(y, ComplexField(m_vals, g))
-        weighted = g.cell_volume * (np.exp(2 * m_vals.real) * np.abs(y.values) ** 2).sum()
-        assert norm_L2(x) ** 2 == pytest.approx(weighted, rel=1e-12)
+        # ||e^{-M} X||^2 equals the e^{-2 Re M}-weighted integral of |X|^2
+        rec = direct_run(8)
+        m = noise_at(bump_model(), rec.path, -1)
+        weighted = GRID.cell_volume * (np.exp(-2.0 * m.real)
+                                       * np.abs(rec.final_x.values) ** 2).sum()
+        assert rec.mass_y[-1] == pytest.approx(weighted, rel=1e-12)
 
 
 class TestPotentialFields:
-    def bump_model(self):
-        # widths chosen so the periodic wrap of each bump sits below 1e-12
-        # on the L = 10 test domain
-        profs = [SpatialProfile("gaussian-bump", width=1.0, center=(0.3,)),
-                 SpatialProfile("gaussian-bump", width=1.2, center=(-0.5,))]
-        mu = np.array([0.8 - 0.3j, 1.1 + 0.6j])
-        dens = [DensitySpec.constant(1.0), DensitySpec.constant(2.0)]
-        return NoiseModel(mu, profs, dens)
-
-    def test_constant_profiles_give_zero_b_c(self):
-        g = make_grid(1, 32, 4.0)
-        m = NoiseModel(np.array([1.0 + 0j]), [SpatialProfile("constant-one")],
-                       [DensitySpec.constant(1.0)])
-        p = sample_martingale(m, 1e-2, 10, 0)
-        pot = potential_fields(m, p, 5, g)
-        assert np.all(pot.b == 0.0)
-        assert np.all(pot.c == 0.0)
+    """The rescaled scheme's damping multiplier exp(-gamma dt), with
+    gamma = (1/2) sum_j (|mu_j|^2 + mu_j^2) V_j, in closed form."""
 
     def test_purely_imaginary_coefficient_kills_gamma(self):
-        g = make_grid(1, 32, 4.0)
-        m = NoiseModel(np.array([1j]), [SpatialProfile("constant-one")],
-                       [DensitySpec.constant(1.0)])
-        p = sample_martingale(m, 1e-2, 10, 0)
-        pot = potential_fields(m, p, 3, g)
-        assert np.abs(pot.gamma).max() <= 1e-15
+        stepper = rescaled_stepper(const_model(1j))
+        assert np.abs(stepper.mid_scalar - 1.0).max() <= 1e-15
 
     def test_unit_coefficient_gamma(self):
-        g = make_grid(1, 32, 4.0)
-        m = NoiseModel(np.array([1.0 + 0j]), [SpatialProfile("constant-one")],
-                       [DensitySpec.constant(1.0)])
-        p = sample_martingale(m, 1e-2, 10, 0)
-        pot = potential_fields(m, p, 0, g)
-        assert np.allclose(pot.gamma, 1.0, atol=1e-15)
-        assert np.allclose(pot.gamma.real, 1.0, atol=1e-15)
+        stepper = rescaled_stepper(const_model(1.0))
+        assert np.allclose(stepper.mid_scalar, np.exp(-1e-2), rtol=1e-15, atol=0.0)
+        assert np.all(stepper.mid_scalar.imag == 0.0)
 
     def test_gamma_real_part_identity(self):
-        # Re gamma = sum_j (Re mu_j)^2 e_j^2 V_j
-        g = make_grid(1, 64, 10.0)
-        model = self.bump_model()
-        p = sample_martingale(model, 1e-2, 10, 1)
-        pot = potential_fields(model, p, 7, g)
-        t = p.times[7]
-        expected = np.zeros(g.size)
-        for j, prof in enumerate(model.profiles):
-            e = prof.sample(g)
-            expected += model.mu[j].real ** 2 * e**2 * float(model.densities[j].evaluate(t))
-        assert np.allclose(pot.gamma.real, expected, atol=1e-13)
-
-    def test_conjugation_identity(self):
-        # e^{-M} Lap(e^M y) = Lap y + b . grad y + c y for smooth y and M
-        g = make_grid(1, 256, 10.0)
-        model = self.bump_model()
-        p = sample_martingale(model, 1e-2, 10, 2)
-        k = 6
-        y = smooth_random_field(g, 21)
-        m_vals = noise_field(model, p, k, g).field.values
-        pot = potential_fields(model, p, k, g)
-
-        lhs = np.exp(-m_vals) * laplacian_spectral(np.exp(m_vals) * y.values, g)
-        grad_y = gradient_spectral(y.values, g)
-        rhs = laplacian_spectral(y.values, g) + (pot.b * grad_y).sum(axis=0) \
-            + pot.c * y.values
-        num = np.sqrt(g.cell_volume * (np.abs(lhs - rhs) ** 2).sum())
-        den = np.sqrt(g.cell_volume * (np.abs(rhs) ** 2).sum())
-        assert num / den < 1e-8
+        # Re gamma = sum_j (Re mu_j)^2 V_j and Im gamma = sum_j Re mu_j Im mu_j V_j,
+        # with V taken at each step's left endpoint
+        mu = np.array([0.8 - 0.3j, 1.1 + 0.6j])
+        model = NoiseModel(mu, [SpatialProfile("constant-one")] * 2,
+                           [DensitySpec.constant(1.0),
+                            DensitySpec.tabulated([0.0, 1.0], [1.0, 3.0])])
+        dt = 1e-2
+        stepper = rescaled_stepper(model, dt=dt, steps=50, seed=1)
+        t = dt * np.arange(50)
+        v = np.stack([np.ones(50), 1.0 + 2.0 * t])
+        gamma = (mu.real**2 + 1j * mu.real * mu.imag) @ v
+        assert np.allclose(-np.log(np.abs(stepper.mid_scalar)), gamma.real * dt,
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(-np.angle(stepper.mid_scalar), gamma.imag * dt,
+                           rtol=1e-12, atol=0.0)

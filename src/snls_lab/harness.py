@@ -240,14 +240,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path))
 
     def to_dict(self) -> dict:
         out = {
@@ -267,6 +260,18 @@ class RunConfig:
             if value:
                 out[name] = value
         return out
+
+
+def _read_json(path):
+    """The parsed JSON of a config file; an unreadable file or invalid JSON
+    is a :class:`ConfigError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 
 def _normalize_grid(g: dict) -> dict:
@@ -436,6 +441,11 @@ def _construct(config: RunConfig) -> Built:
             _require(0.0 <= fw[0] < fw[1] <= params.t_final and inside >= 2,
                      "diagnostics.fit_window",
                      f"must lie in the run [0, {params.t_final:g}] and span two steps")
+        elif config.kind == "ensemble" or (
+                config.kind == "simulate" and config.diagnostics.get("decay_fit")):
+            # the default window drops the first tenth of the run
+            _require(params.n_steps >= 2, "sim.t_final",
+                     "a decay fit over the default window needs at least two steps")
     if config.picard:
         picard = _picard_setup(config)
         if config.kind == "picard":
@@ -538,7 +548,7 @@ class EnsembleReport:
     omega: float
     lyapunov_quantiles: dict
     lln_quantiles: dict
-    fraction_passing: float
+    fraction_passing: float | None
     per_path: list
 
     def to_json_dict(self) -> dict:
@@ -652,7 +662,7 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     lyaps = [p["lyapunov"] for p in per_path if p["status"] == "ok"]
     llns = [p["lln_ratio"] for p in per_path if p["status"] == "ok"]
     passing = sum(1 for v in lyaps if v <= -w + tol)
-    frac = passing / len(lyaps) if lyaps else 0.0
+    frac = passing / len(lyaps) if lyaps else None  # no path could be fitted
     return EnsembleReport(
         size=size,
         omega=w,
@@ -793,11 +803,12 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
             print(f"error: SNLS_LAB_THREADS: not an integer: {env!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     try:
-        config = RunConfig.from_file(config_file_path)
-        # overrides re-validate: the required sections depend on the kind
-        overrides = {k: v for k, v in (("kind", kind), ("seed", seed)) if v is not None}
-        if overrides:
-            config = RunConfig.from_dict({**config.to_dict(), **overrides})
+        raw = _read_json(config_file_path)
+        # overrides apply before the one validation: the required sections
+        # depend on the kind
+        if isinstance(raw, dict):
+            raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
+        config = RunConfig.from_dict(raw)
         out = Path(out_dir if out_dir is not None else config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config_echo.json", config.to_dict())

@@ -32,13 +32,19 @@ between steps, so consecutive linear flows meet without a transform, and
 for spatially constant mid multipliers Strang merges its two half phases
 through the known modulus scaling (Lie has one phase at the full step);
 both are algebraically identical to the plain composition and leave two
-transforms per step.  For such homogeneous rows
-the step loop keeps only each row's Parseval mass: the other mass, the
-stochastic mass sum and the abort checks are computed on the whole series
-after the loop, and report the first failing time index a step-by-step check
-would.  Spatially varying (direct-scheme) rows keep their per-step
-physical-space recording.  A row that aborts leaves the block; its
-neighbours march on.
+transforms per step.
+
+Every row, homogeneous or spatially varying, records each time index through
+one method.  It stores the row's own mass, taken by Parseval from the block's
+one sum of squares, and the other mass: the ``math.exp`` weight times the own
+mass on a homogeneous row, or the mass of y = X e^{-M(xi)} on a spatially
+varying one, which is why the march transforms a varying row back to physical
+space at every step.  A row leaves the block at the first index where either
+mass is non-finite, or before the step its guard trips (|Re M| past
+``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying one);
+its neighbours march on.  After the loop one check per row returns its record,
+or the abort at its first failing time index with the message a step-by-step
+check gives.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
@@ -59,8 +65,8 @@ sum) at every step, but keeps no field except its final state: the record
 holds the one (X, y) pair at t_final.  Fields at the save indices (every
 ``save_every`` steps, and the last step) go to an optional snapshot callable
 as they are produced, so memory is bounded by the grid, not by the run
-length.  A homogeneous row stops marching at its
-first failing index, so no snapshot is handed over past an abort.
+length.  A row stops marching at its first failing index, so no snapshot is
+handed over past an abort.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -320,30 +326,11 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     runs = [_RunState(grid, _Stepper(grid, model, params, path), params, n_steps,
                       save_set, None if snapshots is None else snapshots[b])
             for b, path in enumerate(paths)]
-    outcomes = _march(runs, x)
-
-    results = []
-    for run, seed, outcome in zip(runs, seeds, outcomes):
-        if outcome is None:
-            warn_if_underresolved(run.final_x, "final state")
-            outcome = SolutionRecord(
-                scheme=params.scheme,
-                times=run.stepper.path.times.copy(),
-                mass_x=run.mass_x,
-                mass_y=run.mass_y,
-                re_m=run.stepper.re_m.copy(),
-                ito_mass_sum=run.ito,
-                final_x=run.final_x,
-                final_y=run.final_y,
-                path=run.stepper.path,
-                params=params,
-                seed=seed,
-            )
-        results.append(outcome)
-    return results
+    _march(runs, x)
+    return [run.outcome(seed) for run, seed in zip(runs, seeds)]
 
 
-def _exp_series(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exp_series(args: np.ndarray) -> tuple[list, np.ndarray]:
     """``math.exp`` of every entry, +inf where it overflows, and the overflow mask."""
     out = []
     for a in args.tolist():
@@ -351,17 +338,18 @@ def _exp_series(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             out.append(math.exp(a))
         except OverflowError:
             out.append(math.inf)
-    values = np.array(out)
-    return values, np.isinf(values) & np.isfinite(args)
+    return out, np.isinf(out) & np.isfinite(args)
 
 
 class _RunState:
-    """Per-step recording of one row of the march."""
+    """One row of the march: its series, the fields it hands over, and where
+    and why it stops."""
 
     def __init__(self, grid: GridSpec, stepper: _Stepper, params: SimParams,
                  n_steps: int, save_set: set, snapshot=None):
         self.grid = grid
         self.stepper = stepper
+        self.params = params
         self.direct = params.scheme == "direct"
         self.cv = grid.cell_volume
         self.n_steps = n_steps
@@ -369,109 +357,112 @@ class _RunState:
         self.snapshot = snapshot
         self.mass_x = np.empty(n_steps + 1)
         self.mass_y = np.empty(n_steps + 1)
+        # the scheme's own mass (taken by Parseval) and the other one
+        self.own, self.other = (self.mass_x, self.mass_y) if self.direct \
+            else (self.mass_y, self.mass_x)
+        # increments of the stochastic mass sum, summed after the march
         self.ito = np.zeros(n_steps + 1)
         self.final_x: ComplexField | None = None
         self.final_y: ComplexField | None = None
-        # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
-        self.s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
+        self.end = n_steps  # the last time index the row records
+        self.stop: NumericalAbort | None = None  # the guard that set ``end``
+        self.weights = None
+        self.overflow = np.zeros(n_steps + 1, dtype=bool)
+        if stepper.homogeneous:
+            # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
+            # mass to the other one; |Re M| past the guard stops the row
+            # before that index.
+            self.weights, self.overflow = _exp_series(
+                (-2.0 if self.direct else 2.0) * stepper.re_m)
+            over = np.flatnonzero(np.abs(stepper.re_m[1:]) > OVERFLOW_GUARD)
+            if over.size:
+                k = int(over[0]) + 1
+                self.end, self.stop = k - 1, NumericalAbort(
+                    f"|Re M| exceeds the overflow guard at time index {k}", time_index=k)
 
     def mass_of(self, values: np.ndarray) -> float:
         return self.cv * float(_squared_norms(values))
 
-    def record(self, k: int, v: np.ndarray, mass: float) -> None:
-        """Record time index k given the physical state and its mass.
+    def record(self, k: int, mass: float, v: np.ndarray | None) -> bool:
+        """Record time index k from the row's own mass and its physical state
+        v, which a homogeneous row needs only at save indices.
 
-        At a save index the X field goes to the snapshot callable; at the
-        last index the (X, y) pair is kept.
+        Returns False where either mass is non-finite, and hands nothing
+        over then.  Otherwise, at a save index the X field goes to the
+        snapshot callable, and at the last index the (X, y) pair is kept.
         """
-        if not np.isfinite(mass):
-            raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
+        self.own[k] = mass
         stepper = self.stepper
-        rm = stepper.re_m[k]
         y = None
-        try:
-            if self.direct:
-                self.mass_x[k] = mass
-                if stepper.homogeneous:
-                    self.mass_y[k] = math.exp(-2.0 * rm) * mass
-                else:
-                    y = v * np.exp(-stepper.m_field_values(k))
-                    self.mass_y[k] = self.mass_of(y)
-            else:
-                self.mass_y[k] = mass
-                self.mass_x[k] = math.exp(2.0 * rm) * mass
-        except OverflowError as exc:
-            raise NumericalAbort(
-                f"mass reconstruction overflows at time index {k}", time_index=k
-            ) from exc
-        if not (np.isfinite(self.mass_x[k]) and np.isfinite(self.mass_y[k])):
-            raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
-        if k not in self.save_set:
-            return
-        if self.direct:
-            x = v
+        if self.weights is not None:
+            other = self.weights[k] * mass
+        elif math.isfinite(mass):
+            y = v * np.exp(-stepper.m_field_values(k))
+            other = self.mass_of(y)
         else:
-            x, y = v * np.exp(stepper.m_scalar[k]), v
-        if self.snapshot is not None:
-            self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
-        if k == self.n_steps:
-            if y is None:
-                y = v * np.exp(-stepper.m_field_values(k))
-            self.final_x = ComplexField(x.copy(), self.grid)
-            self.final_y = ComplexField(y.copy(), self.grid)
+            return False
+        self.other[k] = other
+        if not math.isfinite(other):
+            return False
+        if k in self.save_set:
+            if self.direct:
+                x = v
+            else:
+                x, y = v * np.exp(stepper.m_scalar[k]), v
+            if self.snapshot is not None:
+                self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
+            if k == self.n_steps:
+                if y is None:
+                    y = v * np.exp(-stepper.m_field_values(k))
+                self.final_x = ComplexField(x.copy(), self.grid)
+                self.final_y = ComplexField(y.copy(), self.grid)
+        if self.weights is None and k < self.n_steps:
+            # the stochastic mass sum's increment over step k (left endpoint)
+            amp2 = v.real**2 + v.imag**2
+            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
+            self.ito[k + 1] = 2.0 * float(
+                (stepper.model.mu.real * stepper.path.increments[:, k]) @ w)
+        return True
 
-    def mass_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights taking a homogeneous run's own mass to the other one at
-        every time index (``math.exp`` of -2 Re M direct, 2 Re M rescaled),
-        and where they overflow."""
-        return _exp_series((-2.0 if self.direct else 2.0) * self.stepper.re_m)
+    def outcome(self, seed: int | None) -> SolutionRecord | NumericalAbort:
+        """The row's record, or the abort at its first failing time index.
 
-    def record_series(self, masses: np.ndarray, guard: int | None,
-                      weights: np.ndarray,
-                      overflow: np.ndarray) -> NumericalAbort | None:
-        """Fill the series of a homogeneous run from its marched masses.
-
-        ``masses`` holds the scheme's own mass at time indices 0..len-1,
-        ``guard`` the index where |Re M| first exceeds the guard, if any, and
-        ``weights``/``overflow`` come from :meth:`mass_weights`.  The checks
-        ``record`` and the |Re M| guard would make step by step are made on
-        the whole series; the abort at the first failing index is returned
-        with the message the step-by-step check gives.
+        At one index a non-finite own mass comes before an overflowing
+        reconstruction weight, which comes before a non-finite other mass;
+        with none of them, the guard that stopped the row is the abort.
         """
-        weights, overflow = weights[:masses.size], overflow[:masses.size]
-        with np.errstate(over="ignore", invalid="ignore"):
-            other = weights * masses
-        mass_x, mass_y = (masses, other) if self.direct else (other, masses)
+        n = self.end + 1
         first = None
-        for bad, message in (
-                (~np.isfinite(masses), "non-finite state"),
-                (overflow, "mass reconstruction overflows"),
-                (~(np.isfinite(mass_x) & np.isfinite(mass_y)), "non-finite mass")):
+        for bad, message in ((~np.isfinite(self.own[:n]), "non-finite state"),
+                             (self.overflow[:n], "mass reconstruction overflows"),
+                             (~np.isfinite(self.other[:n]), "non-finite mass")):
             if bad.any() and (first is None or np.argmax(bad) < first[0]):
                 first = (int(np.argmax(bad)), message)
-        if first is None and guard is not None:
-            first = (guard, "|Re M| exceeds the overflow guard")
         if first is not None:
             k, message = first
             return NumericalAbort(f"{message} at time index {k}", time_index=k)
-        self.mass_x[:] = mass_x
-        self.mass_y[:] = mass_y
-        terms = np.concatenate(([0.0], self.s_incr * mass_x[:-1]))
-        np.cumsum(terms, out=self.ito)
-        return None
-
-    def accumulate_ito(self, k: int, phys: np.ndarray | None) -> None:
-        """Stochastic mass sum increment for step k (left endpoint)."""
+        if self.stop is not None:
+            return self.stop
         stepper = self.stepper
-        if stepper.homogeneous:
-            self.ito[k + 1] = self.ito[k] + self.s_incr[k] * self.mass_x[k]
-        else:
-            amp2 = phys.real**2 + phys.imag**2
-            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
-            mu_re = stepper.model.mu.real
-            self.ito[k + 1] = self.ito[k] + 2.0 * float(
-                (mu_re * stepper.path.increments[:, k]) @ w
-            )
+        if self.weights is not None:
+            # 2 sum_j Re(mu_j) dM_j(k) times the step-start mass
+            s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
+            self.ito[1:] = s_incr * self.mass_x[:-1]
+        np.cumsum(self.ito, out=self.ito)
+        warn_if_underresolved(self.final_x, "final state")
+        return SolutionRecord(
+            scheme=self.params.scheme,
+            times=stepper.path.times.copy(),
+            mass_x=self.mass_x,
+            mass_y=self.mass_y,
+            re_m=stepper.re_m.copy(),
+            ito_mass_sum=self.ito,
+            final_x=self.final_x,
+            final_y=self.final_y,
+            path=stepper.path,
+            params=self.params,
+            seed=seed,
+        )
 
 
 def _spatial_transforms(grid: GridSpec):
@@ -509,11 +500,13 @@ def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
     u *= rot
 
 
-def _march(runs: list, x: ComplexField) -> list:
+def _march(runs: list, x: ComplexField) -> None:
     """March a block of runs from x: spectral state at integer times, two
     transforms per step (Strang with spatially varying noise: three), masses
     by Parseval.  Strang steps lead and trail with the half linear flow, Lie
-    steps lead with the full one.  Returns each run's abort, or None."""
+    steps lead with the full one.  Every row records every time index it
+    reaches and leaves the block after ``run.end``: its first failing index,
+    or the step before a guard."""
     steppers = [run.stepper for run in runs]
     first = steppers[0]
     grid = first.grid
@@ -524,42 +517,17 @@ def _march(runs: list, x: ComplexField) -> list:
     lead, trail = (first.lin_half, first.lin_half) if strang else (first.lin_full, None)
     parseval = grid.cell_volume / grid.size
     forward, inverse = _spatial_transforms(grid)
-    rows = len(runs)
-    outcomes: list = [None] * rows
-    ends = [n_steps] * rows  # steps each row marches before it stops
     save_set = runs[0].save_set
 
-    phys = np.tile(x.values, (rows, 1))
+    phys = np.tile(x.values, (len(runs), 1))
     yh = forward(phys)
     mass0 = runs[0].mass_of(x.values)
+    for run, row in zip(runs, phys):
+        if not run.record(0, mass0, row):
+            run.end = 0
     if fused:
-        # Homogeneous rows: the guard index and the mass weights are known
-        # from Re M up front.  A row stops at its first failing index, as a
-        # step-by-step check would, so it hands over no snapshot past it.
-        guards: list = [None] * rows
-        weights = [run.mass_weights() for run in runs]
-        weight_lists = [w.tolist() for w, _ in weights]
-        for b, st in enumerate(steppers):
-            over = np.flatnonzero(np.abs(st.re_m[1:]) > OVERFLOW_GUARD)
-            if over.size:
-                guards[b] = int(over[0]) + 1
-                ends[b] = guards[b] - 1
-            overflow = weights[b][1]
-            if overflow.any():
-                ends[b] = min(ends[b], int(np.argmax(overflow)))
-            if 0 in save_set:
-                try:
-                    runs[b].record(0, x.values, mass0)
-                except NumericalAbort:
-                    ends[b] = 0
-        masses = [[mass0] for _ in runs]
         mid = np.array([st.mid_scalar for st in steppers])
     else:
-        for b, run in enumerate(runs):
-            try:
-                run.record(0, phys[b], mass0)
-            except NumericalAbort as exc:
-                outcomes[b], ends[b] = exc, 0
         noise = np.empty(phys.shape, dtype=np.complex128)
     if phase_on:
         neg_coef = -np.array([(st.phase_fused if fused else st.phase_half)
@@ -567,25 +535,22 @@ def _march(runs: list, x: ComplexField) -> list:
         amp, angle = np.empty(phys.shape), np.empty(phys.shape)
         rot = np.empty(phys.shape, dtype=np.complex128)
 
-    active = list(range(rows))
-    next_end = min(ends)
+    active = runs
+    next_end = min(run.end for run in runs)
     for k in range(n_steps):
         if k >= next_end:
-            keep = [i for i, b in enumerate(active) if ends[b] > k]
+            keep = [i for i, run in enumerate(active) if run.end > k]
             if not keep:
                 break
             active = [active[i] for i in keep]
-            yh, phys = yh[keep], phys[keep]
+            yh = yh[keep]
             if fused:
                 mid = mid[keep]
             if phase_on:
                 neg_coef = neg_coef[keep]
-            next_end = min(ends[b] for b in active)
+            next_end = min(run.end for run in active)
         nb = len(active)
 
-        if not fused:
-            for b, row in zip(active, phys):
-                runs[b].accumulate_ito(k, row)
         u = inverse(lead * yh)
         if phase_on:
             _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb], angle[:nb],
@@ -593,11 +558,11 @@ def _march(runs: list, x: ComplexField) -> list:
         if fused:
             u *= mid[:, k:k + 1]
         else:
-            for i, b in enumerate(active):
+            for i, run in enumerate(active):
                 try:
-                    noise[i] = steppers[b].noise_exponent(k)
+                    noise[i] = run.stepper.noise_exponent(k)
                 except NumericalAbort as exc:
-                    outcomes[b], ends[b], next_end = exc, k + 1, k + 1
+                    run.end, run.stop, next_end = k, exc, k + 1
                     noise[i] = 0.0
             u *= np.exp(noise[:nb])
             if phase_on and strang:
@@ -607,33 +572,11 @@ def _march(runs: list, x: ComplexField) -> list:
         if trail is not None:
             yh = trail * yh
 
-        if fused:
-            row_masses = (parseval * _squared_norms(yh)).tolist()
-            for b, mass in zip(active, row_masses):
-                masses[b].append(mass)
-                # stop where either mass is non-finite, as record() would
-                if not math.isfinite(mass * weight_lists[b][k + 1]):
-                    ends[b], next_end = k + 1, k + 1
-            if k + 1 in save_set:
-                # record() checks the row before it hands over the snapshot;
-                # the abort itself is found on the whole series after the loop.
-                for b, row in zip(active, u if trail is None else inverse(yh)):
-                    try:
-                        runs[b].record(k + 1, row, masses[b][-1])
-                    except NumericalAbort:
-                        ends[b], next_end = k + 1, k + 1
+        if fused and k + 1 not in save_set:
+            phys = [None] * nb
         else:
             phys = u if trail is None else inverse(yh)
-            for b, row, prow in zip(active, yh, phys):
-                if outcomes[b] is not None:
-                    continue
-                try:
-                    runs[b].record(k + 1, prow, parseval * float(_squared_norms(row)))
-                except NumericalAbort as exc:
-                    outcomes[b], ends[b], next_end = exc, k + 1, k + 1
-
-    if fused:
-        for b, run in enumerate(runs):
-            outcomes[b] = run.record_series(np.array(masses[b]), guards[b],
-                                            *weights[b])
-    return outcomes
+        masses = (parseval * _squared_norms(yh)).tolist()
+        for run, mass, row in zip(active, masses, phys):
+            if run.end > k and not run.record(k + 1, mass, row):
+                run.end, next_end = k + 1, k + 1

@@ -4,15 +4,26 @@
   physical space and with ``np.exp``, and composed step by step.  The march
   batches, fuses and reorders the same arithmetic, so the two agree to
   rounding, not bit for bit.
+* The step-by-step recorder: every check and sum of a run taken at each
+  time index as the march reaches it, raising at the first failing one.
+  The march records the same values and finds its aborts on the whole
+  series after the loop, so the two agree bit for bit.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
   one field at a time, against the node-batched map of ``mild_picard``.
 """
+
+import math
 
 import numpy as np
 
 from snls_lab.errors import NumericalAbort
 from snls_lab.integrator import OVERFLOW_GUARD
-from snls_lab.spectral_grid import ComplexField, free_propagator_apply, norm_Lp
+from snls_lab.spectral_grid import (
+    ComplexField,
+    _squared_norms,
+    free_propagator_apply,
+    norm_Lp,
+)
 
 
 def nonlinear_phase_step(y, dt, lam, alpha, re_m=0.0):
@@ -70,6 +81,86 @@ def step(state, path, k, params, model):
     v = free_propagator_apply(state, params.dt)
     v = nonlinear_phase_step(v, params.dt, lam, alpha, re_m)
     return mid(v, model, path, k)
+
+
+class StepRecorder:
+    """Per-step recording of one path, each check made as its index is
+    reached: ``record`` raises the abort, and ``accumulate_ito`` adds one
+    step of the stochastic mass sum."""
+
+    def __init__(self, grid, stepper, params, n_steps, save_set, snapshot=None):
+        self.grid = grid
+        self.stepper = stepper
+        self.direct = params.scheme == "direct"
+        self.cv = grid.cell_volume
+        self.n_steps = n_steps
+        self.save_set = save_set
+        self.snapshot = snapshot
+        self.mass_x = np.empty(n_steps + 1)
+        self.mass_y = np.empty(n_steps + 1)
+        self.ito = np.zeros(n_steps + 1)
+        self.final_x = None
+        self.final_y = None
+        # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
+        self.s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
+
+    def mass_of(self, values):
+        return self.cv * float(_squared_norms(values))
+
+    def record(self, k, v, mass):
+        """Record time index k given the physical state and its mass.
+
+        At a save index the X field goes to the snapshot callable; at the
+        last index the (X, y) pair is kept.
+        """
+        if not np.isfinite(mass):
+            raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
+        stepper = self.stepper
+        rm = stepper.re_m[k]
+        y = None
+        try:
+            if self.direct:
+                self.mass_x[k] = mass
+                if stepper.homogeneous:
+                    self.mass_y[k] = math.exp(-2.0 * rm) * mass
+                else:
+                    y = v * np.exp(-stepper.m_field_values(k))
+                    self.mass_y[k] = self.mass_of(y)
+            else:
+                self.mass_y[k] = mass
+                self.mass_x[k] = math.exp(2.0 * rm) * mass
+        except OverflowError as exc:
+            raise NumericalAbort(
+                f"mass reconstruction overflows at time index {k}", time_index=k
+            ) from exc
+        if not (np.isfinite(self.mass_x[k]) and np.isfinite(self.mass_y[k])):
+            raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
+        if k not in self.save_set:
+            return
+        if self.direct:
+            x = v
+        else:
+            x, y = v * np.exp(stepper.m_scalar[k]), v
+        if self.snapshot is not None:
+            self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
+        if k == self.n_steps:
+            if y is None:
+                y = v * np.exp(-stepper.m_field_values(k))
+            self.final_x = ComplexField(x.copy(), self.grid)
+            self.final_y = ComplexField(y.copy(), self.grid)
+
+    def accumulate_ito(self, k, phys):
+        """Stochastic mass sum increment for step k (left endpoint)."""
+        stepper = self.stepper
+        if stepper.homogeneous:
+            self.ito[k + 1] = self.ito[k] + self.s_incr[k] * self.mass_x[k]
+        else:
+            amp2 = phys.real**2 + phys.imag**2
+            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
+            mu_re = stepper.model.mu.real
+            self.ito[k + 1] = self.ito[k] + 2.0 * float(
+                (mu_re * stepper.path.increments[:, k]) @ w
+            )
 
 
 def duhamel_apply(forcing_series, grid, tau, nodes):

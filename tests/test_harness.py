@@ -226,6 +226,12 @@ class TestRunKinds:
                 fitted.append(entry["lyapunov"])
         assert 0 < len(fitted) < len(rep.per_path)
         assert rep.lyapunov_quantiles["q50"] == pytest.approx(float(np.median(fitted)))
+        # with no path fitted there is no fraction to report, not a zero one
+        cfg = RunConfig.from_dict(underflow_config("ensemble", [2.35, 2.6]))
+        rep = run_ensemble(cfg, threads=1)
+        assert all(p["status"].startswith("unfitted") for p in rep.per_path)
+        assert rep.fraction_passing is None
+        assert rep.lyapunov_quantiles == rep.lln_quantiles == {}
 
     def test_ensemble_veto_before_marching(self, monkeypatch):
         # omega is undefined for mu = i, so no path may march
@@ -489,6 +495,23 @@ class TestCliRun:
                      str(tmp_path / "out")])
         assert code == EXIT_OK
 
+    def test_overrides_parse_the_config_once(self, tmp_path, monkeypatch):
+        from snls_lab.cli import main
+
+        calls = []
+        parse = RunConfig.from_dict.__func__
+
+        def counted(cls, raw):
+            calls.append(raw.get("seed"))
+            return parse(cls, raw)
+
+        monkeypatch.setattr(RunConfig, "from_dict", classmethod(counted))
+        p = self.write_config(tmp_path, base_config(kind="validate"))
+        code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out"),
+                     "--seed", "5"])
+        assert code == EXIT_OK
+        assert calls == [5]
+
     def test_config_echo_reparses_identically(self, tmp_path):
         p = self.write_config(tmp_path, base_config(kind="validate"))
         out = tmp_path / "out"
@@ -651,6 +674,8 @@ MALFORMED = {
     "zero_constant_decay_fit": ("simulate", {"initial": {"kind": "constant",
                                                          "value": 0.0}}, "initial"),
     "t_final_huge": ("simulate", {"sim.t_final": 1e300}, "sim.t_final"),
+    "decay_fit_one_step": ("simulate", {"sim.t_final": 0.01}, "sim.t_final"),
+    "ensemble_one_step": ("ensemble", {"sim.t_final": 0.01}, "sim.t_final"),
     "picard_path_dt_tiny": ("picard", {"picard.path_dt": 1e-300}, "picard.path_dt"),
     "convergence_reference_dt_tiny": ("convergence", {"convergence": {
         "dts": [0.05, 0.025, 0.0125], "reference_dt": 1e-300}},
@@ -728,6 +753,46 @@ def test_mutated_configs_exit_cleanly(kind, mutations):
             put(cfg, dotted, copy.deepcopy(value))
         except (KeyError, IndexError, TypeError):
             pass  # the mutation removed the key's parent
+    with tempfile.TemporaryDirectory() as root:
+        code, err = run_captured(cfg, root)
+    assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,
+                    EXIT_NUMERICAL_ABORT), err
+
+
+# Valid configs whose noise paths carry the runs anywhere: strong
+# coefficients, small or large density floors, both schemes, splittings and
+# profile kinds, and fit windows the mass may underflow before.
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["simulate", "ensemble"]),
+       points=st.sampled_from([32, 64]),
+       modulus=st.floats(0.0, 30.0), angle=st.floats(-np.pi, np.pi),
+       density=st.floats(0.05, 4.0), floor=st.floats(0.0, 1.0),
+       lam=st.sampled_from([-1, 1]), alpha=st.sampled_from([1.5, 2.0, 3.0, 4.5]),
+       dt=st.sampled_from([0.005, 0.01, 0.05, 0.2, 0.5]), steps=st.integers(1, 200),
+       scheme=st.sampled_from(["rescaled", "direct"]),
+       splitting=st.sampled_from(["strang", "lie"]),
+       profile=st.sampled_from([{"kind": "constant-one"}, BUMP_PROFILE]),
+       fit=st.booleans(), start=st.integers(0, 199), width=st.integers(1, 200))
+def test_noisy_dynamics_exit_cleanly(kind, points, modulus, angle, density, floor,
+                                     lam, alpha, dt, steps, scheme, splitting,
+                                     profile, fit, start, width):
+    if profile["kind"] != "constant-one":
+        # vetoed before the march in any other run
+        kind, scheme, fit = "simulate", "direct", False
+    cfg = short_config(kind)
+    cfg["grid"]["points"] = points
+    cfg["noise"] = {"coefficients": [[modulus * np.cos(angle), modulus * np.sin(angle)]],
+                    "profiles": [profile],
+                    "densities": [{"kind": "constant", "value": density,
+                                   "alpha0": floor * density}]}
+    cfg["sim"] = {"lambda": lam, "alpha": alpha, "dt": dt, "t_final": dt * steps,
+                  "scheme": scheme, "splitting": splitting}
+    cfg["diagnostics"] = {"residuals": True}
+    if fit:
+        start = min(start, steps - 1)
+        cfg["diagnostics"].update(decay_fit=True, fit_window=[
+            dt * start, dt * min(start + width, steps)])
     with tempfile.TemporaryDirectory() as root:
         code, err = run_captured(cfg, root)
     assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,

@@ -4,17 +4,23 @@ and full simulation runs."""
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reference import damping_step, noise_step_direct, nonlinear_phase_step, step
+from reference import (
+    StepRecorder,
+    damping_step,
+    noise_step_direct,
+    nonlinear_phase_step,
+    step,
+)
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
     MAX_STEPS,
     OVERFLOW_GUARD,
     SimParams,
-    _RunState,
     _Stepper,
     simulate,
     simulate_block,
@@ -358,7 +364,7 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
     stepper = _Stepper(grid, model, params, path)
-    run = _RunState(grid, stepper, params, n_steps, save_set, snapshot)
+    run = StepRecorder(grid, stepper, params, n_steps, save_set, snapshot)
     shape, half = grid.shape, stepper.lin_half
     parseval = grid.cell_volume / grid.size
 
@@ -457,6 +463,13 @@ BLOCK_CASES = {
                               [DensitySpec.constant(1.0)]),
                    SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
                              scheme="direct")),
+    # spatially varying rows stop on the noise-exponent guard at indices 16,
+    # 9, 19 and 1 (seeds 0-3), mostly between save indices
+    "abort_bump_mixed": (make_grid(1, 64, 16.0),
+                         NoiseModel(np.array([36.5 + 0j]), [BUMP],
+                                    [DensitySpec.constant(1.0)]),
+                         SimParams(lam=1, alpha=3.0, dt=0.5, t_final=10.0,
+                                   scheme="direct", save_every=3)),
 }
 
 
@@ -520,7 +533,8 @@ class TestBlockMarch:
                            snapshots=[collector()[0]])
 
     @pytest.mark.parametrize("case", ["rescaled", "direct", "direct_bump",
-                                      "rescaled_2d", "abort_rescaled", "abort_bump"])
+                                      "rescaled_2d", "abort_rescaled", "abort_bump",
+                                      "abort_bump_mixed"])
     def test_lie_rows_match_single_path_calls(self, case):
         grid, model, params = BLOCK_CASES[case]
         assert_rows_match_single_path_calls(
@@ -553,3 +567,32 @@ class TestBlockMarch:
         assert np.abs(own - masses).max() <= 1e-12 * max(masses)
         scale = np.abs(state.values).max()
         assert np.abs(final.values - state.values).max() <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@pytest.mark.parametrize("splitting, bound", [("strang", 16.5), ("lie", 15.5)])
+def test_unfused_march_working_set(splitting, bound):
+    # Peak traced memory of a 32^3 direct bump run, in grid-size complex
+    # arrays: the state and its transforms, the noise and rotation scratch,
+    # the recording temporaries and the stepper's tables.  It reads 16.08
+    # (Strang) and 15.08 (Lie); one field kept alive by mistake adds one.
+    grid = make_grid(3, 32, 8.0)
+    unit = DensitySpec.constant(1.0, alpha0=1.0, v_max=1.0)
+    model = NoiseModel(np.array([0.5 + 0j, 0.5 + 0j]),
+                       [SpatialProfile("gaussian-bump", width=2.0, center=(0.0, 0.0, 0.0)),
+                        SpatialProfile("constant-one")], [unit, unit])
+    params = SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.016, scheme="direct",
+                       splitting=splitting)
+    x = gaussian_field(grid, width=1.0)
+
+    def run():
+        simulate(grid, model, params, x, seed=1, snapshot=lambda k, t, f: None)
+
+    run()  # warm-up: first-call allocations are not the march's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * grid.size) < bound

@@ -22,6 +22,7 @@ from snls_lab.cli import main
 # Public helpers that no run calls, kept for users of the package and for
 # the test suite; each is documented where it is defined.
 PUBLIC_HELPERS = {
+    "harness.RunConfig.from_file",  # read by perfbench/run.py's setup timing
     "harness.read_field_dump",
     "integrator.SolutionRecord.snapshots_x",  # read by perfbench/spans.py
     "integrator.SolutionRecord.snapshots_y",

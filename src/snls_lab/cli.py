@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: SNLS_LAB_THREADS or 1)")
+                        help="worker count, at most the core count "
+                             "(default: SNLS_LAB_THREADS or 1)")
     return parser
 
 

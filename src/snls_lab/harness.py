@@ -644,8 +644,9 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     whatever block it lands in, and aggregation is by path index, so the
     report is byte-identical for any worker count.  A path that aborts, or
     whose mass underflows before the fit window, is reported by its status
-    and left out of the quantiles.
+    and left out of the quantiles.  At most one worker per core runs.
     """
+    threads = min(threads, os.cpu_count() or 1)
     size = config.ensemble.get("size", 1)
     tol = config.ensemble.get("lyapunov_tolerance", 0.5)
     # Every path's decay fit needs omega: veto before any path marches.
@@ -810,7 +811,10 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
             raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
         config = RunConfig.from_dict(raw)
         out = Path(out_dir if out_dir is not None else config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: cannot create {out}: {exc}") from exc
         _write_json(out / "config_echo.json", config.to_dict())
 
         if config.kind == "simulate":

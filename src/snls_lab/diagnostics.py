@@ -48,11 +48,11 @@ class ResidualSeries:
 class DecayReport:
     """Fitted decay statistics for one run."""
 
-    omega: float | None
+    omega: float
     fitted_slope: float
     lyapunov: float
     lln_ratio: float | None
-    margin: float | None
+    margin: float
     fit_window: tuple
 
     def to_json_dict(self) -> dict:
@@ -143,12 +143,12 @@ def fit_log_slope(times, values, window: tuple | None = None) -> tuple[float, tu
     return float(slope), (t0, t1)
 
 
-def decay_fit(record: SolutionRecord, model: NoiseModel | None = None,
+def decay_fit(record: SolutionRecord, model: NoiseModel,
               fit_window: tuple | None = None) -> DecayReport:
     """Fit the decay of the recorded mass ||X||^2.
 
-    When a model in the homogeneous nondegenerate regime is supplied the
-    report carries omega and the verdict margin fitted_slope - (-omega).
+    The report carries the model's omega (see :func:`omega`) and the
+    verdict margin fitted_slope - (-omega).
     A mass that underflows before the fit window leaves nothing to fit: that
     raises :class:`NumericalAbort` naming the first underflowed time index.
     """
@@ -168,22 +168,17 @@ def decay_fit(record: SolutionRecord, model: NoiseModel | None = None,
     t_last = record.times[last]
     lyap = float(math.log(masses[last] / masses[0]) / t_last) if t_last > 0 else 0.0
 
-    w = None
-    margin = None
-    if model is not None:
-        w = omega(model)
-        margin = slope + w
+    w = omega(model)
     lln = float(record.re_m[-1] / record.times[-1]) if record.times[-1] > 0 else None
-    return DecayReport(w, slope, lyap, lln, margin, window)
+    return DecayReport(w, slope, lyap, lln, slope + w, window)
 
 
-def gronwall_check(record: SolutionRecord, model: NoiseModel,
-                   slack: float = 1e-8) -> dict:
-    """Pathwise envelope check E0(t_k) <= e^{-omega t_k} E0(0) (1 + slack)
+def gronwall_check(record: SolutionRecord, model: NoiseModel) -> dict:
+    """Pathwise envelope check E0(t_k) <= e^{-omega t_k} E0(0) (1 + 1e-8)
     plus monotonicity of E0, evaluated at every recorded time."""
     w = omega(model)
     e0 = record.mass_y
-    envelope = e0[0] * np.exp(-w * record.times) * (1.0 + slack)
+    envelope = e0[0] * np.exp(-w * record.times) * (1.0 + 1e-8)
     violations = int(np.count_nonzero(e0 > envelope))
     monotone = bool(np.all(np.diff(e0) <= 0.0))
     excess = float((e0 / np.maximum(envelope, MASS_FLOOR)).max())

@@ -71,6 +71,7 @@ from .noise_process import (
     validate_assumptions,
 )
 from .spectral_grid import (
+    MAX_GRID_VALUES,
     ComplexField,
     GridSpec,
     constant_field,
@@ -81,6 +82,9 @@ from .spectral_grid import (
 )
 
 SCHEMA_VERSION = 1
+# Most paths an ensemble may run: each keeps a per-path dict in memory and
+# about 355 bytes of ensemble_report.json.
+MAX_ENSEMBLE_SIZE = 10**6
 RUN_KINDS = ("simulate", "ensemble", "picard", "convergence", "validate")
 # The sections each run kind needs besides grid and noise.
 _NEEDS = {"simulate": ("sim", "initial"), "ensemble": ("sim", "initial"),
@@ -368,6 +372,8 @@ def _normalize_ensemble(en: dict) -> dict:
         return {}
     size = _read(en, "ensemble.size", int)
     _require(size >= 1, "ensemble.size", "must be >= 1")
+    _require(size <= MAX_ENSEMBLE_SIZE, "ensemble.size",
+             f"{size} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
     return {"size": size,
             "lyapunov_tolerance": _read(en, "ensemble.lyapunov_tolerance", float, 0.5)}
 
@@ -447,9 +453,11 @@ def _construct(config: RunConfig) -> Built:
             _require(params.n_steps >= 2, "sim.t_final",
                      "a decay fit over the default window needs at least two steps")
     if config.picard:
-        picard = _picard_setup(config)
+        picard = controls, path_dt, n_steps = _picard_setup(config)
+        _require(controls.nodes * grid.size <= MAX_GRID_VALUES, "picard.nodes",
+                 f"{controls.nodes} nodes of {grid.size} grid values exceed the "
+                 f"ceiling of {MAX_GRID_VALUES}")
         if config.kind == "picard":
-            _, path_dt, n_steps = picard
             run_end = path_dt * n_steps
     for j, dns in enumerate(model.densities):
         _require(run_end <= dns.horizon * (1.0 + 1e-12), f"noise.densities[{j}]",

@@ -40,9 +40,10 @@ varying one, which is why the march transforms a varying row back to physical
 space at every step.  A row leaves the block at the first index where either
 mass is non-finite, or before the step its guard trips (|Re M| past
 ``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying one);
-its neighbours march on.  After the loop one check per row returns its record,
-or the abort at its first failing time index with the message a step-by-step
-check gives.
+its neighbours march on.  One method stops a row: the recording calls it at
+the first non-finite mass, naming the reason there, and both guards call it
+for their step.  After the loop a row returns its record or that abort, whose
+message and time index are those a step-by-step check gives.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
@@ -91,6 +92,10 @@ MAX_STEPS = 10**7
 #: |Re M| beyond which exp() leaves double range; a path this large has long
 #: since left any physically meaningful regime.
 OVERFLOW_GUARD = 700.0
+
+
+def _abort_at(message: str, k: int) -> NumericalAbort:
+    return NumericalAbort(f"{message} at time index {k}", time_index=k)
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,6 @@ class SolutionRecord:
     final_x: ComplexField
     final_y: ComplexField
     path: MartingalePath
-    params: SimParams
-    seed: int | None
 
     # Read-only one-entry views kept because perfbench/spans.py sizes a
     # record's fields through them.
@@ -245,8 +248,7 @@ class _Stepper:
         expo = self.path.increments[:, k] @ self.mu_e \
             - self.path.dqv[:, k] @ self.corr_base
         if np.abs(expo.real).max() > OVERFLOW_GUARD:
-            raise NumericalAbort("noise exponent exceeds the overflow guard",
-                                 time_index=k)
+            raise _abort_at("noise exponent exceeds the overflow guard", k)
         return expo
 
     def m_field_values(self, k: int) -> np.ndarray:
@@ -320,36 +322,34 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     if snapshots is not None:
         save_every = params.save_every or max(1, math.ceil(n_steps / 512))
         save_set.update(range(0, n_steps + 1, save_every))
-    runs = [_RunState(grid, _Stepper(grid, model, params, path), params, n_steps,
-                      save_set, None if snapshots is None else snapshots[b])
+    runs = [_RunState(_Stepper(grid, model, params, path), save_set,
+                      None if snapshots is None else snapshots[b])
             for b, path in enumerate(paths)]
     _march(runs, x)
-    return [run.outcome(seed) for run, seed in zip(runs, seeds)]
+    return [run.outcome() for run in runs]
 
 
-def _exp_series(args: np.ndarray) -> tuple[list, np.ndarray]:
-    """``math.exp`` of every entry, +inf where it overflows, and the overflow mask."""
+def _exp_series(args: np.ndarray) -> list:
+    """``math.exp`` of every entry, +inf where it overflows."""
     out = []
     for a in args.tolist():
         try:
             out.append(math.exp(a))
         except OverflowError:
             out.append(math.inf)
-    return out, np.isinf(out) & np.isfinite(args)
+    return out
 
 
 class _RunState:
     """One row of the march: its series, the fields it hands over, and where
     and why it stops."""
 
-    def __init__(self, grid: GridSpec, stepper: _Stepper, params: SimParams,
-                 n_steps: int, save_set: set, snapshot=None):
-        self.grid = grid
+    def __init__(self, stepper: _Stepper, save_set: set, snapshot=None):
         self.stepper = stepper
-        self.params = params
-        self.direct = params.scheme == "direct"
-        self.cv = grid.cell_volume
-        self.n_steps = n_steps
+        self.grid = stepper.grid
+        self.direct = stepper.params.scheme == "direct"
+        self.cv = self.grid.cell_volume
+        self.n_steps = n_steps = stepper.path.n_steps
         self.save_set = save_set
         self.snapshot = snapshot
         self.mass_x = np.empty(n_steps + 1)
@@ -361,21 +361,23 @@ class _RunState:
         self.ito = np.zeros(n_steps + 1)
         self.final_x: ComplexField | None = None
         self.final_y: ComplexField | None = None
-        self.end = n_steps  # the last time index the row records
-        self.stop: NumericalAbort | None = None  # the guard that set ``end``
+        self.stop_after(n_steps)
         self.weights = None
-        self.overflow = np.zeros(n_steps + 1, dtype=bool)
         if stepper.homogeneous:
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
             # before that index.
-            self.weights, self.overflow = _exp_series(
-                (-2.0 if self.direct else 2.0) * stepper.re_m)
+            self.weights = _exp_series((-2.0 if self.direct else 2.0) * stepper.re_m)
             over = np.flatnonzero(np.abs(stepper.re_m[1:]) > OVERFLOW_GUARD)
             if over.size:
                 k = int(over[0]) + 1
-                self.end, self.stop = k - 1, NumericalAbort(
-                    f"|Re M| exceeds the overflow guard at time index {k}", time_index=k)
+                self.stop_after(k - 1, _abort_at("|Re M| exceeds the overflow guard", k))
+
+    def stop_after(self, end: int, abort: NumericalAbort | None = None) -> None:
+        """Record no time index after ``end``; ``abort``, when given, is what
+        the row returns instead of its record.  The only code that sets
+        ``end`` and ``stop``."""
+        self.end, self.stop = end, abort
 
     def mass_of(self, values: np.ndarray) -> float:
         return self.cv * float(_squared_norms(values))
@@ -384,9 +386,11 @@ class _RunState:
         """Record time index k from the row's own mass and its physical state
         v, which a homogeneous row needs only at save indices.
 
-        Returns False where either mass is non-finite, and hands nothing
-        over then.  Otherwise, at a save index the X field goes to the
-        snapshot callable, and at the last index the (X, y) pair is kept.
+        Where either mass is non-finite the row stops after k with the reason
+        (a non-finite own mass before an overflowing reconstruction weight
+        before a non-finite other mass), hands nothing over and returns
+        False.  Otherwise, at a save index the X field goes to the snapshot
+        callable, and at the last index the (X, y) pair is kept.
         """
         self.own[k] = mass
         stepper = self.stepper
@@ -397,9 +401,16 @@ class _RunState:
             y = v * np.exp(-stepper.m_field_values(k))
             other = self.mass_of(y)
         else:
-            return False
+            other = math.nan
         self.other[k] = other
         if not math.isfinite(other):
+            if not math.isfinite(mass):
+                reason = "non-finite state"
+            elif self.weights is not None and math.isinf(self.weights[k]):
+                reason = "mass reconstruction overflows"
+            else:
+                reason = "non-finite mass"
+            self.stop_after(k, _abort_at(reason, k))
             return False
         if k in self.save_set:
             if self.direct:
@@ -421,23 +432,8 @@ class _RunState:
                 (stepper.model.mu.real * stepper.path.increments[:, k]) @ w)
         return True
 
-    def outcome(self, seed: int | None) -> SolutionRecord | NumericalAbort:
-        """The row's record, or the abort at its first failing time index.
-
-        At one index a non-finite own mass comes before an overflowing
-        reconstruction weight, which comes before a non-finite other mass;
-        with none of them, the guard that stopped the row is the abort.
-        """
-        n = self.end + 1
-        first = None
-        for bad, message in ((~np.isfinite(self.own[:n]), "non-finite state"),
-                             (self.overflow[:n], "mass reconstruction overflows"),
-                             (~np.isfinite(self.other[:n]), "non-finite mass")):
-            if bad.any() and (first is None or np.argmax(bad) < first[0]):
-                first = (int(np.argmax(bad)), message)
-        if first is not None:
-            k, message = first
-            return NumericalAbort(f"{message} at time index {k}", time_index=k)
+    def outcome(self) -> SolutionRecord | NumericalAbort:
+        """The row's record, or the abort that stopped it."""
         if self.stop is not None:
             return self.stop
         stepper = self.stepper
@@ -448,7 +444,7 @@ class _RunState:
         np.cumsum(self.ito, out=self.ito)
         warn_if_underresolved(self.final_x, "final state")
         return SolutionRecord(
-            scheme=self.params.scheme,
+            scheme=stepper.params.scheme,
             times=stepper.path.times.copy(),
             mass_x=self.mass_x,
             mass_y=self.mass_y,
@@ -457,8 +453,6 @@ class _RunState:
             final_x=self.final_x,
             final_y=self.final_y,
             path=stepper.path,
-            params=self.params,
-            seed=seed,
         )
 
 
@@ -502,8 +496,7 @@ def _march(runs: list, x: ComplexField) -> None:
     yh = grid.forward(phys)
     mass0 = runs[0].mass_of(x.values)
     for run, row in zip(runs, phys):
-        if not run.record(0, mass0, row):
-            run.end = 0
+        run.record(0, mass0, row)
     if fused:
         mid = np.array([st.mid_scalar for st in steppers])
     else:
@@ -541,7 +534,8 @@ def _march(runs: list, x: ComplexField) -> None:
                 try:
                     noise[i] = run.stepper.noise_exponent(k)
                 except NumericalAbort as exc:
-                    run.end, run.stop, next_end = k, exc, k + 1
+                    run.stop_after(k, exc)
+                    next_end = k + 1
                     noise[i] = 0.0
             u *= np.exp(noise[:nb])
             if phase_on and strang:
@@ -558,4 +552,4 @@ def _march(runs: list, x: ComplexField) -> None:
         masses = (parseval * _squared_norms(yh)).tolist()
         for run, mass, row in zip(active, masses, phys):
             if run.end > k and not run.record(k + 1, mass, row):
-                run.end, next_end = k + 1, k + 1
+                next_end = k + 1

@@ -262,7 +262,6 @@ class MartingalePath:
     density_values: np.ndarray
     qv: np.ndarray
     dt: float
-    seed: int | None = None
 
     @property
     def n_steps(self) -> int:
@@ -285,12 +284,12 @@ class MartingalePath:
         return np.asarray(mu) @ self.values.astype(np.complex128)
 
 
-def sample_martingale(model: NoiseModel, dt: float, n_steps: int, seed: int,
-                      path_index: int = 0) -> MartingalePath:
+def sample_martingale(model: NoiseModel, dt: float, n_steps: int,
+                      seed: int) -> MartingalePath:
     """Sample all component martingales over n_steps steps of size dt.
 
-    Deterministic in (model, dt, n_steps, seed, path_index); distinct
-    components use independent derived streams.
+    Deterministic in (model, dt, n_steps, seed); component j draws from the
+    stream ``derive_seed(seed, 0, j)``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -312,7 +311,7 @@ def sample_martingale(model: NoiseModel, dt: float, n_steps: int, seed: int,
         if np.any(v < 0):
             raise ValueError(f"density {j} evaluates negative on the grid")
         density_values[j] = v
-        stream = seeding.derive_seed(seed, path_index, j)
+        stream = seeding.derive_seed(seed, 0, j)
         xi = seeding.normals(stream, n_steps)
         increments[j] = np.sqrt(v * dt) * xi
 
@@ -320,7 +319,7 @@ def sample_martingale(model: NoiseModel, dt: float, n_steps: int, seed: int,
     np.cumsum(increments, axis=1, out=values[:, 1:])
     qv = np.zeros((n, n_steps + 1))
     np.cumsum(density_values * dt, axis=1, out=qv[:, 1:])
-    return MartingalePath(times, values, increments, density_values, qv, dt, seed)
+    return MartingalePath(times, values, increments, density_values, qv, dt)
 
 
 def restrict_path(path: MartingalePath, factor: int) -> MartingalePath:
@@ -344,7 +343,7 @@ def restrict_path(path: MartingalePath, factor: int) -> MartingalePath:
     dt = path.dt * factor
     qv = np.zeros((path.n_components, times.size))
     np.cumsum(density * dt, axis=1, out=qv[:, 1:])
-    return MartingalePath(times, values, increments, density, qv, dt, path.seed)
+    return MartingalePath(times, values, increments, density, qv, dt)
 
 
 def lln_ratio(model: NoiseModel, path: MartingalePath, k: int) -> float:
@@ -386,8 +385,10 @@ def zeta_weight(grid: GridSpec) -> np.ndarray:
     return w
 
 
-def _shell_monotone_decrease(radii, weighted, n_bins: int = 6) -> bool:
-    """Binned means of ``weighted`` non-increasing over the outer 25% shell."""
+def _shell_monotone_decrease(radii, weighted) -> bool:
+    """Binned means of ``weighted`` non-increasing over six bins of the outer
+    25% shell."""
+    n_bins = 6
     r_max = radii.max()
     shell = radii >= 0.75 * r_max
     r = radii[shell]

@@ -45,9 +45,9 @@ def mix64(z: int) -> int:
 def derive_seed(master: int, *indices: int) -> int:
     """Fold integer indices into a master seed, one mix per index.
 
-    ``derive_seed(seed, path_index, component_index)`` gives the per-component
-    stream used for martingale sampling; ``derive_seed(seed, path_index)``
-    gives the per-path seed used by ensemble runs.
+    ``derive_seed(seed, 0, component_index)`` gives the per-component stream
+    used for martingale sampling from a path's seed; ``derive_seed(seed,
+    path_index)`` gives the per-path seed used by ensemble runs.
     """
     s = master & _MASK
     for m in indices:

@@ -23,6 +23,10 @@ import numpy as np
 #: before :func:`warn_if_underresolved` fires.
 SPECTRAL_TAIL_LIMIT = 1e-8
 
+#: Most grid values a run may hold at once (n^d, or picard's nodes x n^d):
+#: 512 times the largest grid the tests and the benchmark march.
+MAX_GRID_VALUES = 1 << 24
+
 
 class SpectralTailWarning(UserWarning):
     """The highest 10% of wavenumbers carry non-negligible spectral mass."""
@@ -59,6 +63,9 @@ class GridSpec:
             raise ValueError(f"dimension: must be 1, 2 or 3, got {self.dimension}")
         if self.points < 4 or not _is_power_of_two(self.points):
             raise ValueError(f"points: must be a power of two >= 4, got {self.points}")
+        if self.points ** self.dimension > MAX_GRID_VALUES:
+            raise ValueError(f"points: {self.points}^{self.dimension} grid values exceed "
+                             f"the ceiling of {MAX_GRID_VALUES}")
         L = float(self.half_length)
         if not (L > 0.0) or not np.isfinite(L):
             raise ValueError(f"half_length: must be positive, got {self.half_length}")
@@ -120,7 +127,10 @@ def make_grid(dimension: int, points: int, half_length: float) -> GridSpec:
 
 def per_axis(value, grid: GridSpec, name: str, dtype=float) -> np.ndarray:
     """A scalar, or one entry per grid axis, as a (dimension,) array."""
-    v = np.atleast_1d(np.asarray(value, dtype=dtype))
+    try:
+        v = np.atleast_1d(np.asarray(value, dtype=dtype))
+    except OverflowError as exc:
+        raise ValueError(f"{name}: out of range: {exc}") from exc
     if v.ndim != 1 or v.size not in (1, grid.dimension):
         raise ValueError(f"{name}: {v.size} entries for a {grid.dimension}-D grid")
     return np.broadcast_to(v, (grid.dimension,))

@@ -6,8 +6,8 @@
   rounding, not bit for bit.
 * The step-by-step recorder: every check and sum of a run taken at each
   time index as the march reaches it, raising at the first failing one.
-  The march records the same values and finds its aborts on the whole
-  series after the loop, so the two agree bit for bit.
+  The march records the same values and stops a row at the same index with
+  the same message, so the two agree bit for bit.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
   one field at a time, against the node-batched map of ``mild_picard``.
 """

@@ -432,10 +432,10 @@ class TestEnsembleBlocks:
                                           paths=paths,
                                           snapshots=[keep for keep, _ in keeps])
         assert isinstance(block[1], NumericalAbort)
-        for path, row, (_, seen) in zip(paths, block, keeps):
+        for seed, path, row, (_, seen) in zip((1, 2, 3), paths, block, keeps):
             keep, want = collector()
             try:
-                ref = integrator.simulate(grid, model, params, x, seed=path.seed,
+                ref = integrator.simulate(grid, model, params, x, seed=seed,
                                           path=path, snapshot=keep)
             except NumericalAbort as exc:
                 assert (str(row), row.time_index) == (str(exc), exc.time_index)
@@ -599,6 +599,28 @@ class TestCliRun:
         monkeypatch.setenv("SNLS_LAB_THREADS", "not-a-number")
         assert run(p, out_dir=str(tmp_path / "bad_env")) == EXIT_CONFIG_ERROR
 
+    # every march abort's message names its time index: the noise-exponent
+    # guard, the |Re M| guard and an overflowing mass reconstruction
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("noise, sim, seed, message", [
+        ({"coefficients": [36.5], "profiles": [{"kind": "gaussian-bump", "width": 2.0}]},
+         {"lambda": 1, "dt": 0.5, "scheme": "direct"}, 0,
+         "noise exponent exceeds the overflow guard at time index 16"),
+        ({"coefficients": [4000.0]}, {"lambda": 0, "dt": 1.0, "scheme": "direct"}, 0,
+         "|Re M| exceeds the overflow guard at time index 1"),
+        ({"coefficients": [400.0]}, {"lambda": 1, "dt": 0.5}, 1,
+         "mass reconstruction overflows at time index 2"),
+    ])
+    def test_march_aborts_name_their_time_index(self, tmp_path, noise, sim, seed,
+                                                message):
+        cfg = base_config(seed=seed, diagnostics={})
+        cfg["grid"].update(points=64)
+        cfg["noise"].update(noise, densities=[{"kind": "constant", "value": 1.0}])
+        cfg["sim"].update(sim, t_final=10.0)
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_NUMERICAL_ABORT, err
+        assert err == f"numerical abort: {message}\n"
+
 
 class TestFieldDump:
     def test_round_trip(self, tmp_path):
@@ -718,6 +740,14 @@ MALFORMED = {
         "sim.t_final": 1.0,
         "convergence": {"dts": [0.4, 0.2, 0.1], "reference_dt": 0.0125}},
         "convergence.dts"),
+    # integers out of range: each value is refused before anything is allocated
+    "initial_mode_overflow": ("simulate", {"initial": {"kind": "plane-wave",
+                                                       "mode": [10**23]}}, "initial.mode"),
+    "grid_points_huge_1d": ("simulate", {"grid.points": 2**70}, "grid.points"),
+    "grid_points_huge_3d": ("simulate", {"grid.dimension": 3, "grid.points": 2**20},
+                            "grid.points"),
+    "picard_nodes_huge": ("picard", {"picard.nodes": 10**30}, "picard.nodes"),
+    "ensemble_size_huge": ("ensemble", {"ensemble.size": 10**30}, "ensemble.size"),
 }
 
 

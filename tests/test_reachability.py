@@ -51,7 +51,8 @@ def sim(**leaves):
 
 
 # (config, expected exit code): every run kind, both schemes and splittings,
-# 1-D and 2-D transforms, and a decay fit whose mass underflows (exit 4).
+# 1-D and 2-D transforms, a decay fit whose mass underflows (exit 4) and a
+# march that aborts (exit 4: the mass reconstruction overflows at index 2).
 RUNS = [
     ({"kind": "simulate", "grid": GRID_1D, "noise": HOMOGENEOUS, "sim": sim(),
       "initial": GAUSSIAN, "diagnostics": {"decay_fit": True, "residuals": True,
@@ -64,6 +65,9 @@ RUNS = [
       "noise": {**HOMOGENEOUS, "coefficients": [30.0]},
       "sim": sim(t_final=1.0), "initial": GAUSSIAN,
       "diagnostics": {"decay_fit": True, "fit_window": [0.5, 1.0]}}, 4),
+    ({"kind": "simulate", "grid": GRID_1D,
+      "noise": {**HOMOGENEOUS, "coefficients": [400.0]},
+      "sim": sim(scheme="direct", dt=0.5, t_final=10.0), "initial": GAUSSIAN}, 4),
     ({"kind": "ensemble", "grid": GRID_1D,
       "noise": {**HOMOGENEOUS, "densities": [{"kind": "piecewise-constant",
                                               "times": [0.0, 0.02],

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
 from .integrator import SolutionRecord
-from .noise_process import NoiseModel
+from .noise_process import NoiseModel, lln_ratio
 
 #: Masses below this are treated as underflow and excluded from log fits.
 MASS_FLOOR = 1e-300
@@ -51,7 +51,7 @@ class DecayReport:
     omega: float
     fitted_slope: float
     lyapunov: float
-    lln_ratio: float | None
+    lln_ratio: float
     margin: float
     fit_window: tuple
 
@@ -169,7 +169,7 @@ def decay_fit(record: SolutionRecord, model: NoiseModel,
     lyap = float(math.log(masses[last] / masses[0]) / t_last) if t_last > 0 else 0.0
 
     w = omega(model)
-    lln = float(record.re_m[-1] / record.times[-1]) if record.times[-1] > 0 else None
+    lln = lln_ratio(model, record.path, record.times.size - 1)
     return DecayReport(w, slope, lyap, lln, slope + w, window)
 
 

@@ -1,15 +1,17 @@
 """Configuration, orchestration, and file output.
 
 Configs are JSON with a ``schema_version`` field.  Validation is
-construction: :meth:`RunConfig.from_dict` reads each leaf through one typed
-reader, which names the key path and never takes a bool or a string for a
-number, then builds the grid, the noise model with its profiles sampled on
-the grid, the parameters, the initial state and the Picard controls.  Their
-constructors make the range checks, and a ``ValueError``/``TypeError`` they
-raise becomes a :class:`ConfigError` prefixed with the key path.  The
-harness checks only what no domain object owns: the run kind, the seed, the
-sections each kind requires, the convergence ladder, and how the built
-objects fit the run (density horizons, the fit window, a zero-mass state).
+construction: :meth:`RunConfig.from_dict` checks the run kind, the seed and
+the sections the kind requires; then one builder per section reads its
+leaves through one typed reader, which names the key path and never takes a
+bool or a string for a number, puts the normalized section back on the
+config for ``config_echo.json``, and builds the grid, the noise model, the
+initial state, the parameters or the Picard controls.  Their constructors
+make the range checks, and a ``ValueError``/``TypeError`` they raise becomes
+a :class:`ConfigError` prefixed with the key path.  The harness checks only
+what no domain object owns: the run kind, the seed, the sections each kind
+requires, the convergence ladder, and how the built objects fit the run
+(density horizons, the fit window, a zero-mass state).
 The built objects are kept on the config (:class:`Built`, never serialised),
 so each is built once per run: every runner uses them, and ensemble workers
 receive them instead of a config to parse again.
@@ -113,9 +115,10 @@ def _typed(value, kind, key: str):
     a list of k); a bool or a string never passes as a number or an int."""
     if isinstance(kind, list):
         value = _typed(value, list, key)
-        if kind[0] is float and all(type(v) is float for v in value) \
-                and np.isfinite(value).all():
-            return list(value)  # the common case, without a call per entry
+        # all floats with a finite sum, so all finite: no call per entry
+        if kind[0] is float and set(map(type, value)) == {float} \
+                and math.isfinite(sum(value)):
+            return list(value)
         return [_typed(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value)]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
@@ -199,8 +202,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Normalize a parsed JSON config, then check it by building its
-        domain objects."""
+        """Check a parsed JSON config by building its domain objects; each
+        builder normalizes the section it reads."""
         _typed(raw, dict, "config")
         version = _read(raw, "schema_version", int, SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "schema_version",
@@ -210,25 +213,20 @@ class RunConfig:
         seed = _read(raw, "seed", int, 0)
         _require(0 <= seed < 2**64, "seed", "must be an integer in [0, 2^64)")
 
-        grid = _normalize_grid(_read(raw, "grid", dict))
-        noise = _normalize_noise(_read(raw, "noise", dict))
-        sim = _read(raw, "sim", dict, None)
-        sim = None if sim is None else _normalize_sim(sim)
-        initial = _read(raw, "initial", dict, None)
-        initial = None if initial is None else _normalize_initial(initial)
+        grid, noise = _read(raw, "grid", dict), _read(raw, "noise", dict)
+        sim, initial = _read(raw, "sim", dict, None), _read(raw, "initial", dict, None)
         diagnostics = _normalize_diagnostics(_read(raw, "diagnostics", dict, {}))
         ensemble = _normalize_ensemble(_read(raw, "ensemble", dict, {}))
         picard = _read(raw, "picard", dict, {})
-        picard = _normalize_picard(picard) if picard else {}
         convergence = _read(raw, "convergence", dict, {})
         convergence = _normalize_convergence(convergence) if convergence else {}
-        validate = _read(raw, "validate", dict, {})
-        horizon = _read(validate, "validate.horizon", float, None)
+        horizon = _read(_read(raw, "validate", dict, {}), "validate.horizon", float, None)
         _require(horizon is None or horizon > 0, "validate.horizon",
                  f"must be positive, got {horizon}")
         if kind == "validate":
             _require(horizon is not None or sim is not None, "validate.horizon",
                      "required when sim.t_final is absent")
+        validate = {} if horizon is None else {"horizon": horizon}
 
         present = {"sim": sim, "initial": initial, "picard": picard,
                    "convergence": convergence}
@@ -278,82 +276,6 @@ def _read_json(path):
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
 
 
-def _normalize_grid(g: dict) -> dict:
-    return {"dimension": _read(g, "grid.dimension", int),
-            "points": _read(g, "grid.points", int),
-            "half_length": _read(g, "grid.half_length", float)}
-
-
-def _normalize_noise(nz: dict) -> dict:
-    coeffs = []
-    for i, c in enumerate(_read(nz, "noise.coefficients", list)):
-        key = f"noise.coefficients[{i}]"
-        pair = (_typed(c, [float], key) if isinstance(c, list)
-                else [_typed(c, float, key), 0.0])
-        _require(len(pair) == 2, key, "must be a number or an [re, im] pair")
-        coeffs.append(pair)
-
-    profiles = []
-    for i, p in enumerate(_read(nz, "noise.profiles", list)):
-        key = f"noise.profiles[{i}]"
-        p = _typed(p, dict, key)
-        entry = {"kind": _read(p, f"{key}.kind", str)}
-        if entry["kind"] == "gaussian-bump":
-            entry["amplitude"] = _read(p, f"{key}.amplitude", float, 1.0)
-            entry["width"] = _read(p, f"{key}.width", float, 1.0)
-            entry["center"] = _vector(p, f"{key}.center", float, [0.0])
-        elif entry["kind"] == "tabulated":
-            entry["values"] = _read(p, f"{key}.values", [float])
-        profiles.append(entry)
-
-    densities = []
-    for i, dn in enumerate(_read(nz, "noise.densities", list)):
-        key = f"noise.densities[{i}]"
-        dn = _typed(dn, dict, key)
-        entry = {"kind": _read(dn, f"{key}.kind", str)}
-        if entry["kind"] == "constant":
-            entry["value"] = _read(dn, f"{key}.value", float)
-        elif entry["kind"] in ("piecewise-constant", "tabulated"):
-            entry["times"] = _read(dn, f"{key}.times", [float])
-            entry["values"] = _read(dn, f"{key}.values", [float])
-        for bound in ("alpha0", "v_max", "horizon"):
-            value = _read(dn, f"{key}.{bound}", float, None)
-            if value is not None:
-                entry[bound] = value
-        densities.append(entry)
-    return {"coefficients": coeffs, "profiles": profiles, "densities": densities}
-
-
-def _normalize_sim(s: dict) -> dict:
-    out = {"lambda": _read(s, "sim.lambda", int),
-           "alpha": _read(s, "sim.alpha", float, 3.0),
-           "dt": _read(s, "sim.dt", float),
-           "t_final": _read(s, "sim.t_final", float),
-           "scheme": _read(s, "sim.scheme", str, "rescaled"),
-           "splitting": _read(s, "sim.splitting", str, "strang")}
-    save_every = _read(s, "sim.save_every", int, None)
-    if save_every is not None:
-        out["save_every"] = save_every
-    return out
-
-
-def _normalize_initial(init: dict) -> dict:
-    kind = _read(init, "initial.kind", str)
-    out = {"kind": kind}
-    if kind == "gaussian":
-        out["width"] = _read(init, "initial.width", float, 1.0)
-        out["center"] = _vector(init, "initial.center", float, [0.0])
-        out["amplitude"] = _read(init, "initial.amplitude", float, 1.0)
-        l2_norm = _read(init, "initial.l2_norm", float, None)
-        if l2_norm is not None:
-            out["l2_norm"] = l2_norm
-    elif kind == "constant":
-        out["value"] = _read(init, "initial.value", float, 1.0)
-    elif kind == "plane-wave":
-        out["mode"] = _vector(init, "initial.mode", int, [1])
-    return out
-
-
 def _normalize_diagnostics(dg: dict) -> dict:
     out = {}
     for flag in ("decay_fit", "residuals", "field_dumps"):
@@ -376,21 +298,6 @@ def _normalize_ensemble(en: dict) -> dict:
              f"{size} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
     return {"size": size,
             "lyapunov_tolerance": _read(en, "ensemble.lyapunov_tolerance", float, 0.5)}
-
-
-def _normalize_picard(pc: dict) -> dict:
-    out = {"horizon": _read(pc, "picard.horizon", float),
-           "nodes": _read(pc, "picard.nodes", int, 64),
-           "max_iterations": _read(pc, "picard.max_iterations", int, 20),
-           "tolerance": _read(pc, "picard.tolerance", float, 1e-8),
-           "lambda": _read(pc, "picard.lambda", int, 1),
-           "alpha": _read(pc, "picard.alpha", float, 3.0)}
-    _require(out["lambda"] in (-1, 0, 1), "picard.lambda", "must be -1, 0 or 1")
-    path_dt = _read(pc, "picard.path_dt", float, None)
-    if path_dt is not None:
-        _require(path_dt > 0, "picard.path_dt", "must be positive")
-        out["path_dt"] = path_dt
-    return out
 
 
 def _normalize_convergence(cv: dict) -> dict:
@@ -423,6 +330,8 @@ def _construct(config: RunConfig) -> Built:
             profile.sample(grid)
     x = build_initial(config, grid) if config.initial is not None else None
     params, ladder, picard = None, {}, None
+    fits = config.kind == "ensemble" or (
+        config.kind == "simulate" and config.diagnostics.get("decay_fit"))
     run_end = 0.0  # how far the run samples the noise
     if config.sim is not None:
         params = build_params(config)
@@ -447,8 +356,7 @@ def _construct(config: RunConfig) -> Built:
             _require(0.0 <= fw[0] < fw[1] <= params.t_final and inside >= 2,
                      "diagnostics.fit_window",
                      f"must lie in the run [0, {params.t_final:g}] and span two steps")
-        elif config.kind == "ensemble" or (
-                config.kind == "simulate" and config.diagnostics.get("decay_fit")):
+        elif fits:
             # the default window drops the first tenth of the run
             _require(params.n_steps >= 2, "sim.t_final",
                      "a decay fit over the default window needs at least two steps")
@@ -462,73 +370,137 @@ def _construct(config: RunConfig) -> Built:
     for j, dns in enumerate(model.densities):
         _require(run_end <= dns.horizon * (1.0 + 1e-12), f"noise.densities[{j}]",
                  f"horizon {dns.horizon:g} ends before the run ({run_end:g})")
-    if config.kind in ("ensemble", "picard") or (
-            config.kind == "simulate" and config.diagnostics.get("decay_fit")):
+    if fits or config.kind == "picard":
         _require(norm_L2(x) ** 2 > MASS_FLOOR, "initial",
                  "zero mass; decay fits and picard runs need a nonzero state")
     return Built(grid, model, x, params, ladder, picard)
 
 
 # -- builders ---------------------------------------------------------------------
+# Each reads its own section, puts it back on the config normalized, and builds
+# from it; a normalized section reads back to itself, so a second call builds
+# an equal object.
+
+def _given(section: dict, path: str, kind, keys) -> dict:
+    """The optional leaves among ``keys`` that ``section`` sets, typed."""
+    found = {key: _read(section, f"{path}.{key}", kind, None) for key in keys}
+    return {key: value for key, value in found.items() if value is not None}
+
 
 def build_grid(config: RunConfig) -> GridSpec:
     g = config.grid
+    config.grid = g = {"dimension": _read(g, "grid.dimension", int),
+                       "points": _read(g, "grid.points", int),
+                       "half_length": _read(g, "grid.half_length", float)}
     with _at("grid"):
-        return make_grid(g["dimension"], g["points"], g["half_length"])
+        return make_grid(**g)
 
 
 def build_model(config: RunConfig) -> NoiseModel:
     nz = config.noise
-    profiles, densities = [], []
-    for j, p in enumerate(nz["profiles"]):
-        with _at(f"noise.profiles[{j}]"):
-            profiles.append(SpatialProfile(
-                p["kind"], amplitude=p.get("amplitude", 1.0), width=p.get("width", 1.0),
-                center=tuple(p.get("center", (0.0,))), table=p.get("values")))
-    for j, dn in enumerate(nz["densities"]):
-        with _at(f"noise.densities[{j}]"):
-            densities.append(DensitySpec(
-                dn["kind"], dn.get("alpha0"), dn.get("v_max"), value=dn.get("value"),
-                times=dn.get("times"), values=dn.get("values"),
-                horizon=dn.get("horizon", math.inf)))
-    mu = np.array([complex(re, im) for re, im in nz["coefficients"]])
+    coeffs = []
+    for i, c in enumerate(_read(nz, "noise.coefficients", list)):
+        key = f"noise.coefficients[{i}]"
+        pair = (_typed(c, [float], key) if isinstance(c, list)
+                else [_typed(c, float, key), 0.0])
+        _require(len(pair) == 2, key, "must be a number or an [re, im] pair")
+        coeffs.append(pair)
+
+    profiles = []
+    for i, p in enumerate(_read(nz, "noise.profiles", list)):
+        key = f"noise.profiles[{i}]"
+        p = _typed(p, dict, key)
+        entry = {"kind": _read(p, f"{key}.kind", str)}
+        if entry["kind"] == "gaussian-bump":
+            entry["amplitude"] = _read(p, f"{key}.amplitude", float, 1.0)
+            entry["width"] = _read(p, f"{key}.width", float, 1.0)
+            entry["center"] = _vector(p, f"{key}.center", float, [0.0])
+        elif entry["kind"] == "tabulated":
+            entry["values"] = _read(p, f"{key}.values", [float])
+        profiles.append(entry)
+
+    densities = []
+    for i, dn in enumerate(_read(nz, "noise.densities", list)):
+        key = f"noise.densities[{i}]"
+        dn = _typed(dn, dict, key)
+        entry = {"kind": _read(dn, f"{key}.kind", str)}
+        if entry["kind"] == "constant":
+            entry["value"] = _read(dn, f"{key}.value", float)
+        elif entry["kind"] in ("piecewise-constant", "tabulated"):
+            entry["times"] = _read(dn, f"{key}.times", [float])
+            entry["values"] = _read(dn, f"{key}.values", [float])
+        entry.update(_given(dn, key, float, ("alpha0", "v_max", "horizon")))
+        densities.append(entry)
+    config.noise = {"coefficients": coeffs, "profiles": profiles, "densities": densities}
+
+    parts = {}
+    for name, cls in (("profiles", SpatialProfile), ("densities", DensitySpec)):
+        parts[name] = []
+        for j, entry in enumerate(config.noise[name]):
+            with _at(f"noise.{name}[{j}]"):
+                parts[name].append(cls(**entry))
+    mu = np.array([complex(re, im) for re, im in coeffs])
     with _at("noise"):
-        return NoiseModel(mu, profiles, densities)
+        return NoiseModel(mu, **parts)
 
 
 def build_params(config: RunConfig) -> SimParams:
     s = config.sim
+    config.sim = s = {"lambda": _read(s, "sim.lambda", int),
+                      "alpha": _read(s, "sim.alpha", float, 3.0),
+                      "dt": _read(s, "sim.dt", float),
+                      "t_final": _read(s, "sim.t_final", float),
+                      "scheme": _read(s, "sim.scheme", str, "rescaled"),
+                      "splitting": _read(s, "sim.splitting", str, "strang"),
+                      **_given(s, "sim", int, ("save_every",))}
     with _at("sim"):
-        return SimParams(
-            lam=s["lambda"], alpha=s["alpha"], dt=s["dt"],
-            t_final=s["t_final"], save_every=s.get("save_every"),
-            scheme=s["scheme"], splitting=s["splitting"])
+        return SimParams(lam=s["lambda"], **{k: v for k, v in s.items() if k != "lambda"})
+
+
+# Initial states by kind; each factory's parameters are the section's keys.
+_INITIAL_STATES = {"gaussian": gaussian_field, "constant": constant_field,
+                   "plane-wave": plane_wave}
 
 
 def build_initial(config: RunConfig, grid: GridSpec) -> ComplexField:
     init = config.initial
+    kind = _read(init, "initial.kind", str)
+    if kind == "gaussian":
+        leaves = {"width": _read(init, "initial.width", float, 1.0),
+                  "center": _vector(init, "initial.center", float, [0.0]),
+                  "amplitude": _read(init, "initial.amplitude", float, 1.0),
+                  **_given(init, "initial", float, ("l2_norm",))}
+    elif kind == "constant":
+        leaves = {"value": _read(init, "initial.value", float, 1.0)}
+    elif kind == "plane-wave":
+        leaves = {"mode": _vector(init, "initial.mode", int, [1])}
+    else:
+        raise ConfigError(f"initial.kind: unknown initial kind {kind!r}")
+    config.initial = {"kind": kind, **leaves}
     with _at("initial"):
-        if init["kind"] == "gaussian":
-            return gaussian_field(grid, width=init["width"], center=init["center"],
-                                  amplitude=init["amplitude"],
-                                  l2_norm=init.get("l2_norm"))
-        if init["kind"] == "constant":
-            return constant_field(grid, init["value"])
-        if init["kind"] == "plane-wave":
-            return plane_wave(grid, init["mode"])
-        raise ValueError(f"kind: unknown initial kind {init['kind']!r}")
+        return _INITIAL_STATES[kind](grid, **leaves)
 
 
 def _picard_setup(config: RunConfig) -> tuple[PicardConfig, float, int]:
     """The checked picard controls, and the step and step count of its path."""
     pc = config.picard
+    leaves = {"horizon": _read(pc, "picard.horizon", float),
+              "nodes": _read(pc, "picard.nodes", int, 64),
+              "max_iterations": _read(pc, "picard.max_iterations", int, 20),
+              "tolerance": _read(pc, "picard.tolerance", float, 1e-8)}
+    config.picard = {**leaves, "lambda": _read(pc, "picard.lambda", int, 1),
+                     "alpha": _read(pc, "picard.alpha", float, 3.0)}
+    _require(config.picard["lambda"] in (-1, 0, 1), "picard.lambda",
+             "must be -1, 0 or 1")
+    path_dt = _read(pc, "picard.path_dt", float, None)
+    if path_dt is not None:
+        _require(path_dt > 0, "picard.path_dt", "must be positive")
+        config.picard["path_dt"] = path_dt
     with _at("picard"):
-        controls = PicardConfig(horizon=pc["horizon"], nodes=pc["nodes"],
-                                max_iterations=pc["max_iterations"],
-                                tolerance=pc["tolerance"])
-        strichartz_exponent(config.grid["dimension"], pc["alpha"])
-    path_dt = pc.get("path_dt", pc["horizon"] / 1024.0)
-    steps = pc["horizon"] / path_dt
+        controls = PicardConfig(**leaves)
+        strichartz_exponent(config.grid["dimension"], config.picard["alpha"])
+    path_dt = path_dt or controls.horizon / 1024.0
+    steps = controls.horizon / path_dt
     _require(steps <= MAX_STEPS, "picard.path_dt",
              f"horizon/path_dt = {steps:.6g} steps exceeds the ceiling of "
              f"{MAX_STEPS} steps")
@@ -730,7 +702,7 @@ def run_validate(config: RunConfig):
     horizon = config.validate.get("horizon")
     if horizon is None:
         horizon = config.sim["t_final"]
-    return validate_assumptions(config.built.model, config.built.grid, float(horizon))
+    return validate_assumptions(config.built.model, config.built.grid, horizon)
 
 
 # -- file output ------------------------------------------------------------------------

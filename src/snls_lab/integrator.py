@@ -81,6 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
+from .mild_picard import strichartz_exponent
 from .noise_process import MartingalePath, NoiseModel, sample_martingale
 from .spectral_grid import ComplexField, GridSpec, _squared_norms, warn_if_underresolved
 
@@ -146,13 +147,8 @@ class SimParams:
         return int(round(self.t_final / self.dt))
 
     def validate_alpha(self, dimension: int) -> None:
-        if self.lam == 0:
-            return
-        band = 1.0 + 4.0 / dimension
-        if not (1.0 < self.alpha < band):
-            raise ValueError(
-                f"alpha: {self.alpha} outside the band (1, {band}) for d = {dimension}"
-            )
+        if self.lam != 0:
+            strichartz_exponent(dimension, self.alpha)
 
 
 @dataclass

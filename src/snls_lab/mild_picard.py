@@ -38,7 +38,9 @@ from .spectral_grid import ComplexField, GridSpec, norm_L2
 def strichartz_exponent(dimension: int, alpha: float) -> float:
     """q = 4(alpha+1) / (d(alpha-1)), defined for 1 < alpha < 1 + 4/d.
 
-    The value always lies in (2 + 4/d, infinity) on that band.
+    The value always lies in (2 + 4/d, infinity) on that band.  This is the
+    package's one check of the mass-subcritical band:
+    :meth:`SimParams.validate_alpha` calls it too.
     """
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension: must be 1, 2 or 3, got {dimension}")

@@ -35,9 +35,9 @@ import numpy as np
 from . import seeding
 from .spectral_grid import (
     GridSpec,
+    gaussian_values,
     gradient_spectral,
     laplacian_spectral,
-    per_axis,
 )
 
 _BOUND_SLACK = 1e-12  # relative slack when checking declared density bounds
@@ -153,7 +153,7 @@ class SpatialProfile:
     amplitude: float = 1.0
     width: float = 1.0
     center: tuple = (0.0,)
-    table: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
@@ -161,12 +161,12 @@ class SpatialProfile:
         if self.kind == "gaussian-bump" and not self.width > 0:
             raise ValueError(f"width: must be positive, got {self.width}")
         if self.kind == "tabulated":
-            if self.table is None:
+            if self.values is None:
                 raise ValueError("values: a tabulated profile needs a table")
-            tab = np.asarray(self.table, dtype=float).reshape(-1)
+            tab = np.asarray(self.values, dtype=float).reshape(-1)
             if not np.all(np.isfinite(tab)):
                 raise ValueError("values: the table must be finite")
-            object.__setattr__(self, "table", tab)
+            object.__setattr__(self, "values", tab)
         if not isinstance(self.center, tuple):
             object.__setattr__(self, "center", tuple(np.atleast_1d(self.center).tolist()))
 
@@ -179,15 +179,12 @@ class SpatialProfile:
         if self.kind == "constant-one":
             return np.ones(grid.size)
         if self.kind == "gaussian-bump":
-            c = per_axis(self.center, grid, "center")
-            xi = grid.coordinates()
-            r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
-            return self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
-        if self.table.size != grid.size:
+            return gaussian_values(grid, self.width, self.center, self.amplitude)
+        if self.values.size != grid.size:
             raise ValueError(
-                f"values: {self.table.size} table entries for a grid of {grid.size} points"
+                f"values: {self.values.size} table entries for a grid of {grid.size} points"
             )
-        return self.table
+        return self.values
 
 
 # -- the model -------------------------------------------------------------------

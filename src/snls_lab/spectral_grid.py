@@ -75,7 +75,11 @@ class GridSpec:
         d = self.dimension
         spacing = 2.0 * L / n
         object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "cell_volume", spacing**d)
+        try:
+            object.__setattr__(self, "cell_volume", spacing**d)
+        except OverflowError:
+            raise ValueError(f"half_length: the cell volume (2L/n)^{d} overflows for "
+                             f"L = {L:g}") from None
         object.__setattr__(self, "shape", (n,) * d)
         object.__setattr__(self, "size", n**d)
 
@@ -275,6 +279,19 @@ def plane_wave(grid: GridSpec, mode) -> ComplexField:
     return ComplexField(np.exp(1j * phase), grid)
 
 
+def gaussian_values(grid: GridSpec, width: float, center, amplitude) -> np.ndarray:
+    """amplitude*exp(-|xi - c|^2 / (2 width^2)) at the grid points, flat
+    row-major; a width whose square overflows is a ``width`` error."""
+    try:
+        var2 = 2.0 * width**2
+    except OverflowError:
+        raise ValueError(f"width: {width:g} squared overflows") from None
+    c = per_axis(center, grid, "center")
+    xi = grid.coordinates()
+    r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
+    return amplitude * np.exp(-r2 / var2)
+
+
 def gaussian_field(
     grid: GridSpec,
     width: float = 1.0,
@@ -290,10 +307,7 @@ def gaussian_field(
         raise ValueError(f"width: must be positive, got {width}")
     if l2_norm is not None and not l2_norm > 0:
         raise ValueError(f"l2_norm: must be positive, got {l2_norm}")
-    c = per_axis(center, grid, "center")
-    xi = grid.coordinates()
-    r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
-    vals = amplitude * np.exp(-r2 / (2.0 * width**2))
+    vals = gaussian_values(grid, width, center, amplitude)
     field = ComplexField(vals.astype(np.complex128), grid)
     if l2_norm is not None:
         current = norm_L2(field)

@@ -135,6 +135,12 @@ class TestConfigValidation:
             RunConfig.from_dict(cfg)
 
 
+    def test_validate_section_is_normalized(self):
+        cfg = base_config(kind="validate", validate={"horizon": 2, "foo": "bar"})
+        echo = RunConfig.from_dict(cfg).to_dict()
+        assert json.dumps(echo["validate"]) == '{"horizon": 2.0}'
+
+
 class TestRunKinds:
     def test_simulate_and_decay(self):
         rec, report = run_simulation(RunConfig.from_dict(base_config()))
@@ -748,6 +754,13 @@ MALFORMED = {
                             "grid.points"),
     "picard_nodes_huge": ("picard", {"picard.nodes": 10**30}, "picard.nodes"),
     "ensemble_size_huge": ("ensemble", {"ensemble.size": 10**30}, "ensemble.size"),
+    # finite floats whose square or cell volume overflows a double
+    "initial_width_overflow": ("simulate", {"initial.width": 1e155}, "initial.width"),
+    "profile_width_overflow": ("simulate", {**DIRECT, "noise.profiles[0]": BUMP_PROFILE,
+                                            "noise.profiles[0].width": 1e300},
+                               "noise.profiles[0].width"),
+    "half_length_overflow": ("simulate", {"grid.dimension": 2, "grid.points": 4,
+                                          "grid.half_length": 1e200}, "grid.half_length"),
 }
 
 
@@ -771,6 +784,56 @@ class TestMalformedConfigs:
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_CONFIG_ERROR, err
         assert f"config error: {key}" in err
+
+
+def same(a, b) -> bool:
+    """Field-by-field equality of built objects, arrays compared by value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+# Leaves a builder normalizes (an integer half_length, scalar vectors,
+# optional keys) for one config of each kind.
+REBUILT = {
+    "simulate": {**DIRECT, "grid.half_length": 8, "sim.save_every": 2,
+                 "noise.profiles[0]": {"kind": "gaussian-bump", "width": 2, "center": 0.5},
+                 "initial": {"kind": "plane-wave", "mode": 1}},
+    "ensemble": {"noise.densities[0]": {"kind": "piecewise-constant", "times": [0, 0.05],
+                                        "values": [1, 2], "horizon": 1},
+                 "initial.l2_norm": 1},
+    "picard": {"picard.path_dt": 0.001, "initial": {"kind": "constant"}},
+    "convergence": {"convergence": {"dts": [0.05, 0.025, 0.0125],
+                                    "reference_dt": 0.0015625}},
+    "validate": {**DIRECT, "noise.profiles[0]": {"kind": "tabulated", "values": [1] * 64},
+                 "validate": {"horizon": 2}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REBUILT))
+def test_builders_rebuild_from_the_echo(kind):
+    """The builders read a built config's normalized sections back to equal
+    objects and leave its echo unchanged; benchmark setup code builds twice."""
+    cfg = short_config(kind)
+    for dotted, value in REBUILT[kind].items():
+        put(cfg, dotted, copy.deepcopy(value))
+    config = RunConfig.from_dict(cfg)
+    echo = json.dumps(config.to_dict(), sort_keys=True)
+    built = config.built
+    grid = build_grid(config)
+    assert same(grid, built.grid)
+    assert same(build_model(config), built.model)
+    assert same(build_initial(config, grid), built.x)
+    if config.sim is not None:
+        assert same(build_params(config), built.params)
+    if config.picard:
+        assert same(harness._picard_setup(config), built.picard)
+    assert json.dumps(config.to_dict(), sort_keys=True) == echo
 
 
 # Leaves the fuzzer replaces, and the values it puts there: type swaps, bools

@@ -167,7 +167,7 @@ class TestNoiseField:
 
     def test_grid_mismatch(self):
         g = make_grid(1, 16, 2.0)
-        prof = SpatialProfile("tabulated", table=np.ones(8))
+        prof = SpatialProfile("tabulated", values=np.ones(8))
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         with pytest.raises(ValueError):

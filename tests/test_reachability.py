@@ -29,7 +29,6 @@ PUBLIC_HELPERS = {
     "noise_process.DensitySpec.constant",
     "noise_process.DensitySpec.piecewise",
     "noise_process.DensitySpec.tabulated",
-    "noise_process.lln_ratio",
     "spectral_grid.ComplexField.copy",
     "spectral_grid.free_propagator_apply",
     "spectral_grid.inverse_transform",

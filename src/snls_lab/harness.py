@@ -349,6 +349,10 @@ def _construct(config: RunConfig) -> Built:
                                   f"({exc})") from exc
         if config.kind != "validate":
             run_end = params.dt * params.n_steps
+        if fits:
+            _require(params.t_final**2 >= sys.float_info.min, "sim.dt",
+                     f"{params.dt:g} is too small for a decay fit: the fit's "
+                     f"squared times up to t_final = {params.t_final:g} underflow")
         fw = config.diagnostics.get("fit_window")
         if fw:
             times = params.dt * np.arange(params.n_steps + 1)

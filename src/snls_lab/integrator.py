@@ -32,23 +32,28 @@ half phases through the known modulus scaling (Lie has one phase at the full
 step); both are algebraically identical to the plain composition and leave
 two transforms per step.
 
-Every row, homogeneous or spatially varying, records each time index through
-one method.  It stores the row's own mass, taken by Parseval from the block's
-one sum of squares, and the other mass: the ``math.exp`` weight times the own
-mass on a homogeneous row, or the mass of y = X e^{-M(xi)} on a spatially
-varying one, which is why the march transforms a varying row back to physical
-space at every step.  A row leaves the block at the first index where either
-mass is non-finite, or before the step its guard trips (|Re M| past
-``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying one);
-its neighbours march on.  One method stops a row: the recording calls it at
-the first non-finite mass, naming the reason there, and both guards call it
-for their step.  After the loop a row returns its record or that abort, whose
-message and time index are those a step-by-step check gives.
+One state, ``_Block``, holds the block: the tables every path shares, built
+once; each path's tables (Re M, mid multipliers, phase coefficients, mass
+weights), stacked as (B, ...) rows; and every row's series as
+(B, n_steps + 1) arrays.  One call records a time index for all rows still
+marching: each row's own mass, taken by Parseval from the block's one sum of
+squares, and the other mass.  On homogeneous rows that is three operations
+over the block: the own masses, the ``math.exp`` weights times them, and one
+finiteness test.  A spatially varying row takes the mass of y = X e^{-M(xi)}
+and its Ito increment row by row, so the march transforms it back to
+physical space at every step.  A row leaves the block at its first index
+with a non-finite mass, or before the step its guard trips (|Re M| past
+``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying
+one).  One method sets a row's end and stop, called by the recording with
+the reason and by both guards; the row then returns that abort, with the
+message and time index a step-by-step check gives, and its neighbours march on.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
 
 * batched transforms over the spatial axes equal per-row transforms;
+* each path's tables are built from that path alone, never by a product
+  across the path axis;
 * the free multiplier is applied as ``half * x`` (complex products are not
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
 * the phase rotation is written in place as cos + i sin of the real angle,
@@ -188,72 +193,6 @@ class SolutionRecord:
         return [self.final_y]
 
 
-# -- split-step coefficients ---------------------------------------------------------
-
-class _Stepper:
-    """Precomputed split-step coefficients bound to (grid, model, params, path):
-    the tables :func:`_march` reads at every step."""
-
-    def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
-                 path: MartingalePath):
-        self.grid = grid
-        self.params = params
-        self.model = model
-        self.path = path
-        self.homogeneous = model.spatially_homogeneous
-        dt = params.dt
-        self.lin_half = grid.propagator(0.5 * dt)
-        self.lin_full = self.lin_half * self.lin_half
-        self.pow_half = 0.5 * (params.alpha - 1.0)
-        self.phase_on = params.lam != 0
-        mu = model.mu
-        n_steps = path.n_steps
-
-        # sum_j Re(mu_j) M_j and sum_j mu_j M_j at every grid time.
-        self.re_m = path.real_part_series(mu)
-        self.m_scalar = path.complex_series(mu)
-
-        if params.scheme == "rescaled":
-            coef = 0.5 * (np.abs(mu) ** 2 + mu**2)
-            self.mid_scalar = np.exp(-(coef @ path.dqv))
-        elif self.homogeneous:
-            expo = mu @ path.increments.astype(np.complex128) \
-                - (0.5 * (mu**2 + np.abs(mu) ** 2)) @ path.dqv
-            self.mid_scalar = np.exp(expo)
-        else:
-            self.mid_scalar = None
-            e = model.sample_profiles(grid)
-            self.e_values = e
-            self.mu_e = mu[:, None] * e
-            self.corr_base = 0.5 * ((mu**2 + np.abs(mu) ** 2)[:, None] * e**2)
-
-        if self.phase_on:
-            if params.scheme == "rescaled":
-                scale = params.lam * np.exp((params.alpha - 1.0) * self.re_m[:-1])
-            else:
-                scale = np.full(n_steps, float(params.lam))
-            self.phase_half = scale * (0.5 * dt)
-            self.phase_full = scale * dt
-            if self.mid_scalar is not None:
-                # |mid|^{alpha-1} folds the second half phase into the first.
-                mod = np.abs(self.mid_scalar) ** (params.alpha - 1.0)
-                self.phase_fused = self.phase_half * (1.0 + mod)
-
-    def noise_exponent(self, k: int) -> np.ndarray:
-        """Exponent of the spatially varying noise multiplier of step k."""
-        expo = self.path.increments[:, k] @ self.mu_e \
-            - self.path.dqv[:, k] @ self.corr_base
-        if np.abs(expo.real).max() > OVERFLOW_GUARD:
-            raise _abort_at("noise exponent exceeds the overflow guard", k)
-        return expo
-
-    def m_field_values(self, k: int) -> np.ndarray:
-        """M(t_k, xi) as a flat complex array (scalar broadcast when homogeneous)."""
-        if self.homogeneous:
-            return np.full(self.grid.size, self.m_scalar[k])
-        return self.path.values[:, k] @ self.mu_e
-
-
 # -- full runs ----------------------------------------------------------------------
 
 def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
@@ -318,11 +257,9 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     if snapshots is not None:
         save_every = params.save_every or max(1, math.ceil(n_steps / 512))
         save_set.update(range(0, n_steps + 1, save_every))
-    runs = [_RunState(_Stepper(grid, model, params, path), save_set,
-                      None if snapshots is None else snapshots[b])
-            for b, path in enumerate(paths)]
-    _march(runs, x)
-    return [run.outcome() for run in runs]
+    block = _Block(grid, model, params, paths, save_set, snapshots)
+    _march(block, x)
+    return block.outcomes()
 
 
 def _exp_series(args: np.ndarray) -> list:
@@ -336,120 +273,180 @@ def _exp_series(args: np.ndarray) -> list:
     return out
 
 
-class _RunState:
-    """One row of the march: its series, the fields it hands over, and where
-    and why it stops."""
+class _Block:
+    """The march's state for B paths on one grid, row b for ``paths[b]``: the
+    tables every path shares, built once; each path's tables, built path by
+    path and stacked as (B, ...) arrays; and each row's series, end and stop.
+    The defaults build the tables alone, with no save index and no snapshot."""
 
-    def __init__(self, stepper: _Stepper, save_set: set, snapshot=None):
-        self.stepper = stepper
-        self.grid = stepper.grid
-        self.direct = stepper.params.scheme == "direct"
-        self.cv = self.grid.cell_volume
-        self.n_steps = n_steps = stepper.path.n_steps
-        self.save_set = save_set
-        self.snapshot = snapshot
-        self.mass_x = np.empty(n_steps + 1)
-        self.mass_y = np.empty(n_steps + 1)
-        # the scheme's own mass (taken by Parseval) and the other one
-        self.own, self.other = (self.mass_x, self.mass_y) if self.direct \
-            else (self.mass_y, self.mass_x)
+    def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
+                 paths: list, save_set=frozenset(), snapshots: list | None = None):
+        self.grid, self.model, self.params, self.paths = grid, model, params, paths
+        self.save_set, self.snapshots = save_set, snapshots
+        self.homogeneous = model.spatially_homogeneous
+        self.direct = params.scheme == "direct"
+        self.cv = grid.cell_volume
+        self.n_steps = n_steps = params.n_steps
+        dt, mu, alpha = params.dt, model.mu, params.alpha
+        self.lin_half = grid.propagator(0.5 * dt)
+        self.lin_full = self.lin_half * self.lin_half
+        self.pow_half = 0.5 * (alpha - 1.0)
+        self.phase_on = params.lam != 0
+        qv_coef = mu**2 + np.abs(mu) ** 2  # twice the Ito correction per unit dQ_j
+        corr = 0.5 * qv_coef
+        if not self.homogeneous:
+            e = model.sample_profiles(grid)
+            self.e_values = e
+            self.mu_e = mu[:, None] * e
+            self.corr_base = 0.5 * (qv_coef[:, None] * e**2)
+
+        # sum_j Re(mu_j) M_j and sum_j mu_j M_j at every grid time
+        self.re_m = np.array([path.real_part_series(mu) for path in paths])
+        self.m_scalar = np.array([path.complex_series(mu) for path in paths])
+        self.mid_scalar = None
+        if params.scheme == "rescaled":
+            self.mid_scalar = np.array([np.exp(-(corr @ p.dqv)) for p in paths])
+        elif self.homogeneous:
+            self.mid_scalar = np.array([
+                np.exp(mu @ p.increments.astype(np.complex128) - corr @ p.dqv)
+                for p in paths])
+        if self.phase_on:
+            if params.scheme == "rescaled":
+                scale = params.lam * np.array([np.exp((alpha - 1.0) * r[:-1])
+                                               for r in self.re_m])
+            else:
+                scale = np.full((len(paths), n_steps), float(params.lam))
+            self.phase_half = scale * (0.5 * dt)
+            self.phase_full = scale * dt
+            if self.mid_scalar is not None:
+                # |mid|^{alpha-1} folds the second half phase into the first.
+                mod = np.array([np.abs(m) ** (alpha - 1.0) for m in self.mid_scalar])
+                self.phase_fused = self.phase_half * (1.0 + mod)
+
+        self.mass_x, self.mass_y = np.empty(self.re_m.shape), np.empty(self.re_m.shape)
+        # the scheme's own mass (taken by Parseval) and the other one, as
+        # [k, b] views: one time index of every row is then a basic index
+        self.own, self.other = (self.mass_x.T, self.mass_y.T) if self.direct \
+            else (self.mass_y.T, self.mass_x.T)
         # increments of the stochastic mass sum, summed after the march
-        self.ito = np.zeros(n_steps + 1)
-        self.final_x: ComplexField | None = None
-        self.final_y: ComplexField | None = None
-        self.stop_after(n_steps)
-        self.weights = None
-        if stepper.homogeneous:
+        self.ito = np.zeros(self.re_m.shape)
+        self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
+        self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
+        if self.homogeneous:
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
             # before that index.
-            self.weights = _exp_series((-2.0 if self.direct else 2.0) * stepper.re_m)
-            over = np.flatnonzero(np.abs(stepper.re_m[1:]) > OVERFLOW_GUARD)
-            if over.size:
-                k = int(over[0]) + 1
-                self.stop_after(k - 1, _abort_at("|Re M| exceeds the overflow guard", k))
+            sign = -2.0 if self.direct else 2.0
+            self.weights = np.array([_exp_series(sign * r) for r in self.re_m]).T
+            over = np.abs(self.re_m[:, 1:]) > OVERFLOW_GUARD
+            for b in np.flatnonzero(over.any(axis=1)).tolist():
+                k = int(over[b].argmax()) + 1
+                self.stop_after(b, k - 1,
+                                _abort_at("|Re M| exceeds the overflow guard", k))
 
-    def stop_after(self, end: int, abort: NumericalAbort | None = None) -> None:
-        """Record no time index after ``end``; ``abort``, when given, is what
-        the row returns instead of its record.  The only code that sets
-        ``end`` and ``stop``."""
-        self.end, self.stop = end, abort
+    def noise_exponent(self, b: int, k: int) -> np.ndarray:
+        """Exponent of row b's spatially varying noise multiplier of step k."""
+        path = self.paths[b]
+        expo = path.increments[:, k] @ self.mu_e - path.dqv[:, k] @ self.corr_base
+        if np.abs(expo.real).max() > OVERFLOW_GUARD:
+            raise _abort_at("noise exponent exceeds the overflow guard", k)
+        return expo
+
+    def m_field_values(self, b: int, k: int) -> np.ndarray:
+        """Row b's M(t_k, xi), flat complex (a scalar broadcast if homogeneous)."""
+        if self.homogeneous:
+            return np.full(self.grid.size, self.m_scalar[b, k])
+        return self.paths[b].values[:, k] @ self.mu_e
+
+    def stop_after(self, b: int, end: int, abort: NumericalAbort) -> None:
+        """Record no time index of row b after ``end``; the row returns
+        ``abort``.  The only code that changes a row's ``end`` and ``stop``."""
+        self.end[b], self.stop[b] = end, abort
 
     def mass_of(self, values: np.ndarray) -> float:
         return self.cv * float(_squared_norms(values))
 
-    def record(self, k: int, mass: float, v: np.ndarray | None) -> bool:
-        """Record time index k from the row's own mass and its physical state
-        v, which a homogeneous row needs only at save indices.
+    def record(self, k: int, rows: np.ndarray, masses: np.ndarray, phys) -> bool:
+        """Record time index k of the block rows ``rows`` from their own
+        masses and physical states ``phys``, which homogeneous rows need only
+        at save indices; False if a row stopped.  A row its noise guard
+        stopped before k is skipped.
 
         Where either mass is non-finite the row stops after k with the reason
         (a non-finite own mass before an overflowing reconstruction weight
-        before a non-finite other mass), hands nothing over and returns
-        False.  Otherwise, at a save index the X field goes to the snapshot
-        callable, and at the last index the (X, y) pair is kept.
-        """
-        self.own[k] = mass
-        stepper = self.stepper
-        y = None
-        if self.weights is not None:
-            other = self.weights[k] * mass
-        elif math.isfinite(mass):
-            y = v * np.exp(-stepper.m_field_values(k))
-            other = self.mass_of(y)
-        else:
-            other = math.nan
-        self.other[k] = other
-        if not math.isfinite(other):
-            if not math.isfinite(mass):
-                reason = "non-finite state"
-            elif self.weights is not None and math.isinf(self.weights[k]):
-                reason = "mass reconstruction overflows"
-            else:
-                reason = "non-finite mass"
-            self.stop_after(k, _abort_at(reason, k))
-            return False
-        if k in self.save_set:
-            if self.direct:
-                x = v
-            else:
-                x, y = v * np.exp(stepper.m_scalar[k]), v
-            if self.snapshot is not None:
-                self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
-            if k == self.n_steps:
-                if y is None:
-                    y = v * np.exp(-stepper.m_field_values(k))
-                self.final_x = ComplexField(x.copy(), self.grid)
-                self.final_y = ComplexField(y.copy(), self.grid)
-        if self.weights is None and k < self.n_steps:
-            # the stochastic mass sum's increment over step k (left endpoint)
-            amp2 = v.real**2 + v.imag**2
-            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
-            self.ito[k + 1] = 2.0 * float(
-                (stepper.model.mu.real * stepper.path.increments[:, k]) @ w)
-        return True
+        before a non-finite other mass) and hands nothing over.  Otherwise, at
+        a save index the X field goes to the row's snapshot callable, and at
+        the last index the (X, y) pair is kept."""
+        own, other = self.own, self.other
+        if self.homogeneous:
+            at = k if rows.size == len(self.paths) else (k, rows)
+            own[at] = masses
+            # Python floats, as numpy warns on the inf * 0 or overflow that stops a row
+            other[at] = weighted = [w * m for w, m in zip(self.weights[at].tolist(),
+                                                          masses.tolist())]
+            if all(map(math.isfinite, weighted)) and k not in self.save_set:
+                return True
+        recorded = True
+        for i, b in enumerate(rows.tolist()):
+            if self.end[b] < k:
+                continue
+            y = None
+            if not self.homogeneous:
+                own[k, b] = masses[i]
+                if math.isfinite(masses[i]):
+                    y = phys[i] * np.exp(-self.m_field_values(b, k))
+                    other[k, b] = self.mass_of(y)
+                else:
+                    other[k, b] = math.nan
+            if not math.isfinite(other[k, b]):
+                if not math.isfinite(own[k, b]):
+                    reason = "non-finite state"
+                elif self.homogeneous and math.isinf(self.weights[k, b]):
+                    reason = "mass reconstruction overflows"
+                else:
+                    reason = "non-finite mass"
+                self.stop_after(b, k, _abort_at(reason, k))
+                recorded = False
+                continue
+            if k in self.save_set:
+                v = phys[i]
+                x, y = (v, y) if self.direct else (v * np.exp(self.m_scalar[b, k]), v)
+                if self.snapshots is not None:
+                    self.snapshots[b](k, float(self.paths[b].times[k]),
+                                      ComplexField(x, self.grid))
+                if k == self.n_steps:
+                    if y is None:
+                        y = v * np.exp(-self.m_field_values(b, k))
+                    self.final_x[b] = ComplexField(x.copy(), self.grid)
+                    self.final_y[b] = ComplexField(y.copy(), self.grid)
+            if not self.homogeneous and k < self.n_steps:
+                # the stochastic mass sum's increment over step k (left endpoint)
+                amp2 = phys[i].real**2 + phys[i].imag**2
+                w = self.cv * (self.e_values * amp2).sum(axis=-1)
+                self.ito[b, k + 1] = 2.0 * float(
+                    (self.model.mu.real * self.paths[b].increments[:, k]) @ w)
+        return recorded
 
-    def outcome(self) -> SolutionRecord | NumericalAbort:
-        """The row's record, or the abort that stopped it."""
-        if self.stop is not None:
-            return self.stop
-        stepper = self.stepper
-        if self.weights is not None:
-            # 2 sum_j Re(mu_j) dM_j(k) times the step-start mass
-            s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
-            self.ito[1:] = s_incr * self.mass_x[:-1]
-        np.cumsum(self.ito, out=self.ito)
-        warn_if_underresolved(self.final_x, "final state")
-        return SolutionRecord(
-            scheme=stepper.params.scheme,
-            times=stepper.path.times.copy(),
-            mass_x=self.mass_x,
-            mass_y=self.mass_y,
-            re_m=stepper.re_m.copy(),
-            ito_mass_sum=self.ito,
-            final_x=self.final_x,
-            final_y=self.final_y,
-            path=stepper.path,
-        )
+    def outcomes(self) -> list:
+        """Each row's record, or the abort that stopped it, in row order."""
+        out = []
+        for b, path in enumerate(self.paths):
+            if self.stop[b] is not None:
+                out.append(self.stop[b])
+                continue
+            ito = self.ito[b]
+            if self.homogeneous:
+                # 2 sum_j Re(mu_j) dM_j(k) times the step-start mass
+                s_incr = 2.0 * (self.model.mu.real @ path.increments)
+                ito[1:] = s_incr * self.mass_x[b, :-1]
+            np.cumsum(ito, out=ito)
+            warn_if_underresolved(self.final_x[b], "final state")
+            out.append(SolutionRecord(
+                scheme=self.params.scheme, times=path.times.copy(),
+                mass_x=self.mass_x[b], mass_y=self.mass_y[b], re_m=self.re_m[b].copy(),
+                ito_mass_sum=ito, final_x=self.final_x[b], final_y=self.final_y[b],
+                path=path))
+        return out
 
 
 def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
@@ -470,82 +467,74 @@ def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
     u *= rot
 
 
-def _march(runs: list, x: ComplexField) -> None:
-    """March a block of runs from x: spectral state at integer times, two
-    transforms per step (Strang with spatially varying noise: three), masses
-    by Parseval.  Strang steps lead and trail with the half linear flow, Lie
-    steps lead with the full one.  Every row records every time index it
-    reaches and leaves the block after ``run.end``: its first failing index,
-    or the step before a guard."""
-    steppers = [run.stepper for run in runs]
-    first = steppers[0]
-    grid = first.grid
-    n_steps = first.path.n_steps
-    fused = first.mid_scalar is not None
-    phase_on = first.phase_on
-    strang = first.params.splitting == "strang"
-    lead, trail = (first.lin_half, first.lin_half) if strang else (first.lin_full, None)
+def _march(block: _Block, x: ComplexField) -> None:
+    """March a block from x: spectral state at integer times, two transforms
+    per step (Strang with spatially varying noise: three), masses by
+    Parseval.  Strang steps lead and trail with the half linear flow, Lie
+    steps lead with the full one.  ``rows`` holds the block rows still
+    marching; every row records every time index it reaches and leaves after
+    its end: its first failing index, or the step before a guard."""
+    grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
+    fused = block.mid_scalar is not None
+    phase_on = block.phase_on
+    strang = block.params.splitting == "strang"
+    lead, trail = (block.lin_half, block.lin_half) if strang else (block.lin_full, None)
     parseval = grid.cell_volume / grid.size
-    save_set = runs[0].save_set
 
-    phys = np.tile(x.values, (len(runs), 1))
+    rows = np.arange(len(block.paths))
+    phys = np.tile(x.values, (rows.size, 1))
     yh = grid.forward(phys)
-    mass0 = runs[0].mass_of(x.values)
-    for run, row in zip(runs, phys):
-        run.record(0, mass0, row)
+    block.record(0, rows, np.full(rows.size, block.mass_of(x.values)), phys)
     if fused:
-        mid = np.array([st.mid_scalar for st in steppers])
+        mid = block.mid_scalar
     else:
         noise = np.empty(phys.shape, dtype=np.complex128)
     if phase_on:
-        neg_coef = -np.array([(st.phase_fused if fused else st.phase_half)
-                              if strang else st.phase_full for st in steppers])
+        neg_coef = -((block.phase_fused if fused else block.phase_half) if strang
+                     else block.phase_full)
         amp, angle = np.empty(phys.shape), np.empty(phys.shape)
         rot = np.empty(phys.shape, dtype=np.complex128)
 
-    active = runs
-    next_end = min(run.end for run in runs)
+    next_end = block.end.min()
     for k in range(n_steps):
         if k >= next_end:
-            keep = [i for i, run in enumerate(active) if run.end > k]
-            if not keep:
+            keep = block.end[rows] > k
+            if not keep.any():
                 break
-            active = [active[i] for i in keep]
+            rows = rows[keep]
             yh = yh[keep]
             if fused:
                 mid = mid[keep]
             if phase_on:
                 neg_coef = neg_coef[keep]
-            next_end = min(run.end for run in active)
-        nb = len(active)
+            next_end = block.end[rows].min()
+        nb = rows.size
 
         u = grid.inverse(lead * yh)
         if phase_on:
-            _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb], angle[:nb],
+            _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp[:nb], angle[:nb],
                     rot[:nb])
         if fused:
             u *= mid[:, k:k + 1]
         else:
-            for i, run in enumerate(active):
+            for i, b in enumerate(rows.tolist()):
                 try:
-                    noise[i] = run.stepper.noise_exponent(k)
+                    noise[i] = block.noise_exponent(b, k)
                 except NumericalAbort as exc:
-                    run.stop_after(k, exc)
+                    block.stop_after(b, k, exc)
                     next_end = k + 1
                     noise[i] = 0.0
             u *= np.exp(noise[:nb])
             if phase_on and strang:
-                _rotate(u, neg_coef[:, k:k + 1], first.pow_half, amp[:nb],
+                _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp[:nb],
                         angle[:nb], rot[:nb])
         yh = grid.forward(u)
         if trail is not None:
             yh = trail * yh
 
         if fused and k + 1 not in save_set:
-            phys = [None] * nb
+            phys = None
         else:
             phys = u if trail is None else grid.inverse(yh)
-        masses = (parseval * _squared_norms(yh)).tolist()
-        for run, mass, row in zip(active, masses, phys):
-            if run.end > k and not run.record(k + 1, mass, row):
-                next_end = k + 1
+        if not block.record(k + 1, rows, parseval * _squared_norms(yh), phys):
+            next_end = k + 1

@@ -76,10 +76,13 @@ class GridSpec:
         spacing = 2.0 * L / n
         object.__setattr__(self, "spacing", spacing)
         try:
-            object.__setattr__(self, "cell_volume", spacing**d)
+            cell_volume = spacing**d
         except OverflowError:
+            cell_volume = np.inf
+        if np.isinf(cell_volume):  # also when the spacing 2L/n overflows
             raise ValueError(f"half_length: the cell volume (2L/n)^{d} overflows for "
-                             f"L = {L:g}") from None
+                             f"L = {L:g}")
+        object.__setattr__(self, "cell_volume", cell_volume)
         object.__setattr__(self, "shape", (n,) * d)
         object.__setattr__(self, "size", n**d)
 
@@ -281,11 +284,14 @@ def plane_wave(grid: GridSpec, mode) -> ComplexField:
 
 def gaussian_values(grid: GridSpec, width: float, center, amplitude) -> np.ndarray:
     """amplitude*exp(-|xi - c|^2 / (2 width^2)) at the grid points, flat
-    row-major; a width whose square overflows is a ``width`` error."""
+    row-major; a width whose square overflows, or underflows to 0, is a
+    ``width`` error."""
     try:
         var2 = 2.0 * width**2
     except OverflowError:
         raise ValueError(f"width: {width:g} squared overflows") from None
+    if var2 == 0.0:
+        raise ValueError(f"width: {width:g} squared underflows to 0")
     c = per_axis(center, grid, "center")
     xi = grid.coordinates()
     r2 = ((xi - c[:, None]) ** 2).sum(axis=0)

@@ -88,9 +88,9 @@ class StepRecorder:
     reached: ``record`` raises the abort, and ``accumulate_ito`` adds one
     step of the stochastic mass sum."""
 
-    def __init__(self, grid, stepper, params, n_steps, save_set, snapshot=None):
+    def __init__(self, grid, block, params, n_steps, save_set, snapshot=None):
         self.grid = grid
-        self.stepper = stepper
+        self.block = block  # a one-path block: its tables are row 0
         self.direct = params.scheme == "direct"
         self.cv = grid.cell_volume
         self.n_steps = n_steps
@@ -102,7 +102,7 @@ class StepRecorder:
         self.final_x = None
         self.final_y = None
         # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
-        self.s_incr = 2.0 * (stepper.model.mu.real @ stepper.path.increments)
+        self.s_incr = 2.0 * (block.model.mu.real @ block.paths[0].increments)
 
     def mass_of(self, values):
         return self.cv * float(_squared_norms(values))
@@ -115,16 +115,16 @@ class StepRecorder:
         """
         if not np.isfinite(mass):
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
-        stepper = self.stepper
-        rm = stepper.re_m[k]
+        block = self.block
+        rm = block.re_m[0, k]
         y = None
         try:
             if self.direct:
                 self.mass_x[k] = mass
-                if stepper.homogeneous:
+                if block.homogeneous:
                     self.mass_y[k] = math.exp(-2.0 * rm) * mass
                 else:
-                    y = v * np.exp(-stepper.m_field_values(k))
+                    y = v * np.exp(-block.m_field_values(0, k))
                     self.mass_y[k] = self.mass_of(y)
             else:
                 self.mass_y[k] = mass
@@ -140,26 +140,26 @@ class StepRecorder:
         if self.direct:
             x = v
         else:
-            x, y = v * np.exp(stepper.m_scalar[k]), v
+            x, y = v * np.exp(block.m_scalar[0, k]), v
         if self.snapshot is not None:
-            self.snapshot(k, float(stepper.path.times[k]), ComplexField(x, self.grid))
+            self.snapshot(k, float(block.paths[0].times[k]), ComplexField(x, self.grid))
         if k == self.n_steps:
             if y is None:
-                y = v * np.exp(-stepper.m_field_values(k))
+                y = v * np.exp(-block.m_field_values(0, k))
             self.final_x = ComplexField(x.copy(), self.grid)
             self.final_y = ComplexField(y.copy(), self.grid)
 
     def accumulate_ito(self, k, phys):
         """Stochastic mass sum increment for step k (left endpoint)."""
-        stepper = self.stepper
-        if stepper.homogeneous:
+        block = self.block
+        if block.homogeneous:
             self.ito[k + 1] = self.ito[k] + self.s_incr[k] * self.mass_x[k]
         else:
             amp2 = phys.real**2 + phys.imag**2
-            w = self.cv * (stepper.e_values * amp2).sum(axis=-1)
-            mu_re = stepper.model.mu.real
+            w = self.cv * (block.e_values * amp2).sum(axis=-1)
+            mu_re = block.model.mu.real
             self.ito[k + 1] = self.ito[k] + 2.0 * float(
-                (mu_re * stepper.path.increments[:, k]) @ w
+                (mu_re * block.paths[0].increments[:, k]) @ w
             )
 
 

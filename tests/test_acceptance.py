@@ -15,7 +15,7 @@ import pytest
 from snls_lab.diagnostics import mass_identity_residual, omega
 from snls_lab.errors import AssumptionVeto
 from snls_lab.harness import RunConfig, run, run_ensemble
-from snls_lab.integrator import SimParams, _Stepper, simulate
+from snls_lab.integrator import SimParams, _Block, simulate
 from snls_lab.mild_picard import PicardConfig, picard_iterate
 from snls_lab.noise_process import (
     DensitySpec,
@@ -243,7 +243,7 @@ def test_criterion_09_noise_flow_martingale_property():
     model = const_model(1.0)
     params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=1000.0, scheme="direct")
     path = sample_martingale(model, 1e-2, 100000, 77)
-    ratios = np.abs(_Stepper(g, model, params, path).mid_scalar) ** 2
+    ratios = np.abs(_Block(g, model, params, [path]).mid_scalar[0]) ** 2
     assert ratios.size == 100000
     mean = float(ratios.mean())
     ok = 0.99 <= mean <= 1.01

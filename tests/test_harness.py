@@ -761,6 +761,15 @@ MALFORMED = {
                                "noise.profiles[0].width"),
     "half_length_overflow": ("simulate", {"grid.dimension": 2, "grid.points": 4,
                                           "grid.half_length": 1e200}, "grid.half_length"),
+    # finite floats with a derived value past double range: the spacing 2L/n,
+    # a width's square, the decay fit's squared times
+    "half_length_spacing_overflow": ("simulate", {"grid.half_length": 1e308},
+                                     "grid.half_length"),
+    "initial_width_underflow": ("simulate", {"initial.width": 1e-300}, "initial.width"),
+    "decay_fit_dt_float_floor": ("simulate", {"sim.dt": 1e-300, "sim.t_final": 1e-299},
+                                 "sim.dt"),
+    "ensemble_dt_float_floor": ("ensemble", {"sim.dt": 1e-300, "sim.t_final": 1e-299},
+                                "sim.dt"),
 }
 
 

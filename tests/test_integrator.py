@@ -21,7 +21,7 @@ from snls_lab.integrator import (
     MAX_STEPS,
     OVERFLOW_GUARD,
     SimParams,
-    _Stepper,
+    _Block,
     simulate,
     simulate_block,
 )
@@ -34,6 +34,7 @@ from snls_lab.noise_process import (
 )
 from snls_lab.spectral_grid import (
     ComplexField,
+    GridSpec,
     _squared_norms,
     constant_field,
     free_propagator_apply,
@@ -139,7 +140,7 @@ class TestNoiseStepDirect:
         m = const_model(1.0)
         p = sample_martingale(m, 1e-2, 10000, 77)
         params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=100.0, scheme="direct")
-        ratios = np.abs(_Stepper(g, m, params, p).mid_scalar) ** 2
+        ratios = np.abs(_Block(g, m, params, [p]).mid_scalar[0]) ** 2
         assert ratios.size == 10000
         assert 0.98 <= ratios.mean() <= 1.02
 
@@ -363,40 +364,40 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
-    stepper = _Stepper(grid, model, params, path)
-    run = StepRecorder(grid, stepper, params, n_steps, save_set, snapshot)
-    shape, half = grid.shape, stepper.lin_half
+    block = _Block(grid, model, params, [path])
+    run = StepRecorder(grid, block, params, n_steps, save_set, snapshot)
+    shape, half = grid.shape, block.lin_half
     parseval = grid.cell_volume / grid.size
 
     def rotate(u, coef):
         # u *= exp(-i coef |u|^{alpha-1}), written with np.exp
         amp = u.real**2 + u.imag**2
-        if stepper.pow_half != 1.0:
-            amp = amp**stepper.pow_half
+        if block.pow_half != 1.0:
+            amp = amp**block.pow_half
         u *= np.exp(amp * (-1j * coef))
 
     phys = x.values.copy()
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
-        if stepper.homogeneous and abs(stepper.re_m[k + 1]) > OVERFLOW_GUARD:
+        if block.homogeneous and abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
                                  f"{k + 1}", time_index=k + 1)
         run.accumulate_ito(k, phys)
         u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
-        if stepper.mid_scalar is not None:
-            if stepper.phase_on:
-                rotate(u, stepper.phase_fused[k])
-            u *= stepper.mid_scalar[k]
+        if block.mid_scalar is not None:
+            if block.phase_on:
+                rotate(u, block.phase_fused[0, k])
+            u *= block.mid_scalar[0, k]
         else:
-            if stepper.phase_on:
-                rotate(u, stepper.phase_half[k])
-            u *= np.exp(stepper.noise_exponent(k))
-            if stepper.phase_on:
-                rotate(u, stepper.phase_half[k])
+            if block.phase_on:
+                rotate(u, block.phase_half[0, k])
+            u *= np.exp(block.noise_exponent(0, k))
+            if block.phase_on:
+                rotate(u, block.phase_half[0, k])
         yh = half * np.fft.fftn(u.reshape(shape)).ravel()
         mass = parseval * float(_squared_norms(yh))
-        if k + 1 in save_set or not stepper.homogeneous:
+        if k + 1 in save_set or not block.homogeneous:
             phys = np.fft.ifftn(yh.reshape(shape)).ravel()
         run.record(k + 1, phys, mass)
     return run
@@ -526,6 +527,25 @@ class TestBlockMarch:
             assert np.array_equal(bare.final_y.values, full.final_y.values)
             assert np.array_equal(bare.mass_x, full.mass_x)
 
+    def test_shared_tables_built_once(self, monkeypatch):
+        # a block builds the propagator and the profile table once for all
+        # its rows, not once per row
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(GridSpec, "propagator")
+        count(NoiseModel, "sample_profiles")
+        grid, model, params = BLOCK_CASES["direct_bump"]
+        simulate_block(grid, model, params, gaussian_field(grid), [0, 1, 2, 3])
+        assert sorted(calls) == ["propagator", "sample_profiles"]
+
     def test_snapshot_callables_match_seeds(self):
         grid, model, params = BLOCK_CASES["rescaled"]
         with pytest.raises(ValueError, match="snapshot callables"):
@@ -574,7 +594,7 @@ class TestBlockMarch:
 def test_unfused_march_working_set(splitting, bound):
     # Peak traced memory of a 32^3 direct bump run, in grid-size complex
     # arrays: the state and its transforms, the noise and rotation scratch,
-    # the recording temporaries and the stepper's tables.  It reads 16.08
+    # the recording temporaries and the block's tables.  It reads 16.08
     # (Strang) and 15.08 (Lie); one field kept alive by mistake adds one.
     grid = make_grid(3, 32, 8.0)
     unit = DensitySpec.constant(1.0, alpha0=1.0, v_max=1.0)

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from snls_lab.integrator import SimParams, _Stepper
+from snls_lab.integrator import SimParams, _Block
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
@@ -143,17 +143,17 @@ class TestNoiseField:
     """M(t_k, xi) = sum_j mu_j e_j(xi) M_j(t_k) as the integrator assembles it."""
 
     @staticmethod
-    def stepper(model, path, grid):
+    def block(model, path, grid):
         params = SimParams(lam=0, alpha=3.0, dt=path.dt, t_final=path.dt * path.n_steps,
                            scheme="direct")
-        return _Stepper(grid, model, params, path)
+        return _Block(grid, model, params, [path])
 
     def test_zero_values_give_zero_field(self):
         g = make_grid(1, 16, 2.0)
         prof = SpatialProfile("gaussian-bump", width=1.0)
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
-        out = self.stepper(m, p, g).m_field_values(0)  # M(0) = 0
+        out = self.block(m, p, g).m_field_values(0, 0)  # M(0) = 0
         assert np.all(out == 0.0)
 
     def test_constant_profile_substitution(self):
@@ -162,7 +162,7 @@ class TestNoiseField:
                        [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         p.values[0, 5] = 0.5  # pin the component value
-        out = self.stepper(m, p, g).m_field_values(5)
+        out = self.block(m, p, g).m_field_values(0, 5)
         assert np.allclose(out, 1.0 + 0.5j, atol=1e-15)
 
     def test_grid_mismatch(self):
@@ -171,7 +171,7 @@ class TestNoiseField:
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         with pytest.raises(ValueError):
-            self.stepper(m, p, g)
+            self.block(m, p, g)
 
 
 class TestLlnRatio:

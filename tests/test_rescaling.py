@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snls_lab.errors import NumericalAbort
-from snls_lab.integrator import SimParams, _Stepper, simulate
+from snls_lab.integrator import SimParams, _Block, simulate
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
@@ -49,9 +49,9 @@ def direct_run(seed, model=None):
     return simulate(GRID, model or bump_model(), params, X0, seed=seed)
 
 
-def rescaled_stepper(model, dt=1e-2, steps=10, seed=0):
+def rescaled_block(model, dt=1e-2, steps=10, seed=0):
     params = SimParams(lam=1, alpha=3.0, dt=dt, t_final=dt * steps, scheme="rescaled")
-    return _Stepper(GRID, model, params, sample_martingale(model, dt, steps, seed))
+    return _Block(GRID, model, params, [sample_martingale(model, dt, steps, seed)])
 
 
 class TestRoundTrip:
@@ -98,13 +98,13 @@ class TestPotentialFields:
     gamma = (1/2) sum_j (|mu_j|^2 + mu_j^2) V_j, in closed form."""
 
     def test_purely_imaginary_coefficient_kills_gamma(self):
-        stepper = rescaled_stepper(const_model(1j))
-        assert np.abs(stepper.mid_scalar - 1.0).max() <= 1e-15
+        block = rescaled_block(const_model(1j))
+        assert np.abs(block.mid_scalar[0] - 1.0).max() <= 1e-15
 
     def test_unit_coefficient_gamma(self):
-        stepper = rescaled_stepper(const_model(1.0))
-        assert np.allclose(stepper.mid_scalar, np.exp(-1e-2), rtol=1e-15, atol=0.0)
-        assert np.all(stepper.mid_scalar.imag == 0.0)
+        block = rescaled_block(const_model(1.0))
+        assert np.allclose(block.mid_scalar[0], np.exp(-1e-2), rtol=1e-15, atol=0.0)
+        assert np.all(block.mid_scalar[0].imag == 0.0)
 
     def test_gamma_real_part_identity(self):
         # Re gamma = sum_j (Re mu_j)^2 V_j and Im gamma = sum_j Re mu_j Im mu_j V_j,
@@ -114,11 +114,11 @@ class TestPotentialFields:
                            [DensitySpec.constant(1.0),
                             DensitySpec.tabulated([0.0, 1.0], [1.0, 3.0])])
         dt = 1e-2
-        stepper = rescaled_stepper(model, dt=dt, steps=50, seed=1)
+        block = rescaled_block(model, dt=dt, steps=50, seed=1)
         t = dt * np.arange(50)
         v = np.stack([np.ones(50), 1.0 + 2.0 * t])
         gamma = (mu.real**2 + 1j * mu.real * mu.imag) @ v
-        assert np.allclose(-np.log(np.abs(stepper.mid_scalar)), gamma.real * dt,
+        assert np.allclose(-np.log(np.abs(block.mid_scalar[0])), gamma.real * dt,
                            rtol=1e-12, atol=0.0)
-        assert np.allclose(-np.angle(stepper.mid_scalar), gamma.imag * dt,
+        assert np.allclose(-np.angle(block.mid_scalar[0]), gamma.imag * dt,
                            rtol=1e-12, atol=0.0)

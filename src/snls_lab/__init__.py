@@ -44,12 +44,9 @@ from .spectral_grid import (
     ComplexField,
     GridSpec,
     constant_field,
-    free_propagator_apply,
     gaussian_field,
-    laplacian_symbol,
     make_grid,
     norm_L2,
-    norm_Lp,
     plane_wave,
     spectral_tail_fraction,
 )

@@ -590,9 +590,11 @@ def _ensemble_member(args) -> list:
     path indices).  Returns per-path dicts in index order."""
     built, master_seed, fit_window, indices = args
     model, params = built.model, built.params
-    seeds = [seeding.derive_seed(master_seed, index) for index in indices]
+    paths = [sample_martingale(model, params.dt, params.n_steps,
+                               seeding.derive_seed(master_seed, index))
+             for index in indices]
     # decay_fit and gronwall_check read only the scalar series.
-    outcomes = simulate_block(built.grid, model, params, built.x, seeds)
+    outcomes = simulate_block(built.grid, model, params, built.x, paths)
     per_path = []
     for index, record in zip(indices, outcomes):
         out: dict = {"index": index, "status": "ok"}
@@ -673,7 +675,7 @@ def run_convergence(config: RunConfig) -> dict:
     ref_params = b.ladder[ref_dt]
     ref_steps = ref_params.n_steps
     master = sample_martingale(model, ref_dt, ref_steps, config.seed)
-    ref_record = simulate(grid, model, ref_params, x, seed=config.seed, path=master)
+    ref_record = simulate(grid, model, ref_params, x, path=master)
     ref_final = ref_record.final_x.values
     ref_norm = norm_L2(ref_record.final_x)
 
@@ -681,7 +683,7 @@ def run_convergence(config: RunConfig) -> dict:
     for dt in dts:
         factor = int(round(dt / ref_dt))
         coarse = restrict_path(master, factor)
-        rec = simulate(grid, model, b.ladder[dt], x, seed=config.seed, path=coarse)
+        rec = simulate(grid, model, b.ladder[dt], x, path=coarse)
         errors.append(norm_L2(ComplexField(rec.final_x.values - ref_final, grid)))
 
     floor = 1e-12 * max(ref_norm, 1.0)

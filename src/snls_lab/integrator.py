@@ -202,16 +202,17 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
     """Integrate from x over [0, t_final] and record the run.
 
     The noise path is sampled once from (model, dt, n_steps, seed) unless one
-    is supplied, so paired runs can share it.  Scalar series (masses, Re M,
-    the stochastic mass sum) are recorded at every step.  ``snapshot``, when
-    given, is called as ``snapshot(k, t_k, X)`` with the X field at every
-    ``save_every``-th time index (default about 512 over the run) and at the
-    last one, in time order, as the march produces them; X must not be
-    modified.  The record keeps only the final state.  This is the one-path
-    call of :func:`simulate_block`.
+    is supplied, so paired runs can share it; ``seed`` is then unused.
+    Scalar series (masses, Re M, the stochastic mass sum) are recorded at
+    every step.  ``snapshot``, when given, is called as ``snapshot(k, t_k, X)``
+    with the X field at every ``save_every``-th time index (default about 512
+    over the run) and at the last one, in time order, as the march produces
+    them; X must not be modified.  The record keeps only the final state.
+    This is the one-path call of :func:`simulate_block`.
     """
-    outcome, = simulate_block(grid, model, params, x, [seed],
-                              paths=None if path is None else [path],
+    if path is None:
+        path = sample_martingale(model, params.dt, params.n_steps, seed)
+    outcome, = simulate_block(grid, model, params, x, [path],
                               snapshots=None if snapshot is None else [snapshot])
     if isinstance(outcome, NumericalAbort):
         raise outcome
@@ -219,22 +220,23 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
 
 
 def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
-                   x: ComplexField, seeds: list,
-                   paths: list | None = None,
+                   x: ComplexField, paths: list,
                    snapshots: list | None = None) -> list:
-    """Integrate one path per seed from x over [0, t_final], marched together.
+    """Integrate from x over [0, t_final] along each noise path, marched together.
 
-    Returns, in seed order, each path's :class:`SolutionRecord` or the
-    :class:`NumericalAbort` that stopped it, so one diverging path does not
-    stop its neighbours.  Paths are sampled from (model, dt, n_steps, seed)
-    unless supplied.  ``snapshots`` holds one snapshot callable per seed (see
-    :func:`simulate`); an aborted path has handed over the fields of the save
-    indices before its abort.
+    ``paths`` is a non-empty list of :class:`MartingalePath`, each with the
+    run's dt and step count.  Returns, in path order, each path's
+    :class:`SolutionRecord` or the :class:`NumericalAbort` that stopped it,
+    so one diverging path does not stop its neighbours.  ``snapshots`` holds
+    one snapshot callable per path (see :func:`simulate`); an aborted path
+    has handed over the fields of the save indices before its abort.
     """
+    if not paths:
+        raise ValueError("paths: a block needs at least one noise path")
     if x.grid is not grid and x.grid != grid:
         raise ValueError("initial state lives on a different grid")
-    if snapshots is not None and len(snapshots) != len(seeds):
-        raise ValueError(f"{len(snapshots)} snapshot callables for {len(seeds)} seeds")
+    if snapshots is not None and len(snapshots) != len(paths):
+        raise ValueError(f"{len(snapshots)} snapshot callables for {len(paths)} paths")
     params.validate_alpha(grid.dimension)
     if params.scheme == "rescaled" and not model.spatially_homogeneous:
         raise AssumptionVeto(
@@ -242,8 +244,6 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
             "noise.profiles to constant-one or use scheme=direct)"
         )
     n_steps = params.n_steps
-    if paths is None:
-        paths = [sample_martingale(model, params.dt, n_steps, s) for s in seeds]
     for path in paths:
         if path.n_steps != n_steps:
             raise ValueError(

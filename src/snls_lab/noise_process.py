@@ -122,22 +122,6 @@ class DensitySpec:
             return self.values[idx]
         return np.interp(t, self.times, self.values)
 
-    @classmethod
-    def constant(cls, value: float, alpha0: float | None = None,
-                 v_max: float | None = None, horizon: float = math.inf) -> "DensitySpec":
-        return cls("constant", alpha0, v_max, value=value, horizon=horizon)
-
-    @classmethod
-    def piecewise(cls, times, values, alpha0: float | None = None,
-                  v_max: float | None = None, horizon: float = math.inf) -> "DensitySpec":
-        return cls("piecewise-constant", alpha0, v_max, times=times, values=values,
-                   horizon=horizon)
-
-    @classmethod
-    def tabulated(cls, times, values, alpha0: float | None = None,
-                  v_max: float | None = None) -> "DensitySpec":
-        return cls("tabulated", alpha0, v_max, times=times, values=values)
-
 
 # -- spatial profiles -----------------------------------------------------------
 

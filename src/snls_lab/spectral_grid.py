@@ -82,6 +82,9 @@ class GridSpec:
         if np.isinf(cell_volume):  # also when the spacing 2L/n overflows
             raise ValueError(f"half_length: the cell volume (2L/n)^{d} overflows for "
                              f"L = {L:g}")
+        if cell_volume == 0.0:
+            raise ValueError(f"half_length: the cell volume (2L/n)^{d} underflows to 0 "
+                             f"for L = {L:g}")
         object.__setattr__(self, "cell_volume", cell_volume)
         object.__setattr__(self, "shape", (n,) * d)
         object.__setattr__(self, "size", n**d)
@@ -91,8 +94,12 @@ class GridSpec:
         object.__setattr__(self, "axis_wavenumbers", k1)
         mesh = np.meshgrid(*([k1] * d), indexing="ij")
         ksq = np.zeros(self.shape)
-        for comp in mesh:
-            ksq += comp**2
+        with np.errstate(over="ignore"):
+            for comp in mesh:
+                ksq += comp**2
+        if not np.isfinite(ksq).all():
+            raise ValueError(f"half_length: the wavenumbers' |k|^2 = (pi m/L)^2 "
+                             f"overflows for L = {L:g}")
         object.__setattr__(self, "k_squared", ksq.ravel())
         object.__setattr__(self, "axis_coordinates", -L + spacing * np.arange(n))
 
@@ -164,9 +171,6 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
         self.values = v
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.values.copy(), self.grid)
-
 
 # -- transforms ---------------------------------------------------------------
 
@@ -193,25 +197,6 @@ def laplacian_spectral(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.inverse(-grid.k_squared * vh)
 
 
-# -- operator symbols ---------------------------------------------------------
-
-def laplacian_symbol(grid: GridSpec) -> np.ndarray:
-    """Diagonal Fourier symbol of the Laplacian, -|k|^2 per mode (all <= 0)."""
-    return -grid.k_squared
-
-
-def free_propagator_apply(field: ComplexField, dt: float) -> ComplexField:
-    """Advance a field by the free Schrodinger group over time dt.
-
-    The sign convention ``i dX = Delta X dt`` gives the unitary multiplier
-    exp(i*|k|^2*dt); dt may be negative (the adjoint direction).
-    """
-    grid = field.grid
-    vh = grid.forward(field.values)
-    vh *= grid.propagator(dt)
-    return ComplexField(grid.inverse(vh), grid)
-
-
 # -- norms --------------------------------------------------------------------
 
 def _squared_norms(values: np.ndarray) -> np.ndarray:
@@ -227,16 +212,6 @@ def _squared_norms(values: np.ndarray) -> np.ndarray:
 def norm_L2(field: ComplexField) -> float:
     """Cell-volume weighted discrete L^2 norm."""
     return float(np.sqrt(field.grid.cell_volume * _squared_norms(field.values)))
-
-
-def norm_Lp(field: ComplexField, p: float) -> float:
-    """Cell-volume weighted discrete L^p norm; p = inf means max modulus."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    mod = np.abs(field.values)
-    if np.isinf(p):
-        return float(mod.max())
-    return float((field.grid.cell_volume * (mod**p).sum()) ** (1.0 / p))
 
 
 # -- resolution diagnostics ---------------------------------------------------

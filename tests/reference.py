@@ -8,8 +8,12 @@
   time index as the march reaches it, raising at the first failing one.
   The march records the same values and stops a row at the same index with
   the same message, so the two agree bit for bit.
+* The free propagator applied to one field and the discrete L^p norm,
+  which the two oracles above and below are built from.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
   one field at a time, against the node-batched map of ``mild_picard``.
+
+It also holds ``const_model``, the homogeneous noise model the tests share.
 """
 
 import math
@@ -18,12 +22,38 @@ import numpy as np
 
 from snls_lab.errors import NumericalAbort
 from snls_lab.integrator import OVERFLOW_GUARD
-from snls_lab.spectral_grid import (
-    ComplexField,
-    _squared_norms,
-    free_propagator_apply,
-    norm_Lp,
-)
+from snls_lab.noise_process import DensitySpec, NoiseModel, SpatialProfile
+from snls_lab.spectral_grid import ComplexField, _squared_norms
+
+
+def const_model(mu, v=1.0, alpha0=None, v_max=None):
+    """Noise with constant-one profiles and constant density v per component
+    of mu (a scalar or a sequence)."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
+                      [DensitySpec("constant", alpha0, v_max, value=v)] * mu.size)
+
+
+def free_propagator_apply(field, dt):
+    """Advance a field by the free Schrodinger group over time dt.
+
+    The sign convention ``i dX = Delta X dt`` gives the unitary multiplier
+    exp(i*|k|^2*dt); dt may be negative (the adjoint direction).
+    """
+    grid = field.grid
+    vh = grid.forward(field.values)
+    vh *= grid.propagator(dt)
+    return ComplexField(grid.inverse(vh), grid)
+
+
+def norm_Lp(field, p):
+    """Cell-volume weighted discrete L^p norm; p = inf means max modulus."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    mod = np.abs(field.values)
+    if np.isinf(p):
+        return float(mod.max())
+    return float((field.grid.cell_volume * (mod**p).sum()) ** (1.0 / p))
 
 
 def nonlinear_phase_step(y, dt, lam, alpha, re_m=0.0):
@@ -32,7 +62,7 @@ def nonlinear_phase_step(y, dt, lam, alpha, re_m=0.0):
     Preserves the pointwise modulus; lam = 0 is the identity.
     """
     if lam == 0 or dt == 0.0:
-        return y.copy()
+        return ComplexField(y.values.copy(), y.grid)
     scale = np.exp((alpha - 1.0) * np.asarray(re_m, dtype=float))
     amp = np.abs(y.values) ** (alpha - 1.0)
     return ComplexField(y.values * np.exp(-1j * lam * dt * scale * amp), y.grid)

@@ -12,18 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from reference import const_model
 from snls_lab.diagnostics import mass_identity_residual, omega
 from snls_lab.errors import AssumptionVeto
 from snls_lab.harness import RunConfig, run, run_ensemble
 from snls_lab.integrator import SimParams, _Block, simulate
 from snls_lab.mild_picard import PicardConfig, picard_iterate
-from snls_lab.noise_process import (
-    DensitySpec,
-    NoiseModel,
-    SpatialProfile,
-    restrict_path,
-    sample_martingale,
-)
+from snls_lab.noise_process import restrict_path, sample_martingale
 from snls_lab.spectral_grid import gaussian_field, make_grid
 
 GRID = make_grid(1, 256, 16.0)
@@ -37,12 +32,6 @@ SEED_RESIDUAL_PATH = 4       # criterion 4 refinement quotient
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def const_model(mu, v=1.0, alpha0=None, v_max=None):
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
-                      [DensitySpec.constant(v, alpha0=alpha0, v_max=v_max)] * mu.size)
 
 
 def decay_ensemble_config() -> dict:

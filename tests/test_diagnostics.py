@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from reference import const_model
 from snls_lab.diagnostics import (
     decay_fit,
     energy_identity_residual,
@@ -29,12 +30,6 @@ GRID = make_grid(1, 256, 16.0)
 X0 = gaussian_field(GRID, width=1.0)
 
 
-def const_model(mu, v=1.0, alpha0=None):
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
-                      [DensitySpec.constant(v, alpha0=alpha0)] * mu.size)
-
-
 class TestOmega:
     def test_unit_case(self):
         assert omega(const_model(1.0, alpha0=1.0)) == pytest.approx(2.0)
@@ -42,8 +37,8 @@ class TestOmega:
     def test_two_components(self):
         m = NoiseModel(np.array([1.0 + 1.0j, 2.0 + 0j]),
                        [SpatialProfile("constant-one")] * 2,
-                       [DensitySpec.constant(1.0, alpha0=0.5),
-                        DensitySpec.constant(1.0, alpha0=0.5)])
+                       [DensitySpec("constant", alpha0=0.5, value=1.0),
+                        DensitySpec("constant", alpha0=0.5, value=1.0)])
         assert omega(m) == pytest.approx(5.0)  # 2 * 0.5 * (1 + 4)
 
     def test_rejects_purely_imaginary(self):
@@ -57,7 +52,7 @@ class TestOmega:
     def test_rejects_varying_profiles(self):
         m = NoiseModel(np.array([1.0 + 0j]),
                        [SpatialProfile("gaussian-bump", width=1.0)],
-                       [DensitySpec.constant(1.0, alpha0=1.0)])
+                       [DensitySpec("constant", alpha0=1.0, value=1.0)])
         with pytest.raises(AssumptionVeto):
             omega(m)
 
@@ -71,9 +66,9 @@ class TestOmega:
             mu2 = re_parts * np.where(rng.random(3) < 0.5, 1, -1) \
                 + 1j * rng.standard_normal(3)
             m1 = NoiseModel(mu1, [SpatialProfile("constant-one")] * 3,
-                            [DensitySpec.constant(1.0, alpha0=0.8)] * 3)
+                            [DensitySpec("constant", alpha0=0.8, value=1.0)] * 3)
             m2 = NoiseModel(mu2, [SpatialProfile("constant-one")] * 3,
-                            [DensitySpec.constant(1.0, alpha0=0.8)] * 3)
+                            [DensitySpec("constant", alpha0=0.8, value=1.0)] * 3)
             assert omega(m1) == pytest.approx(omega(m2), rel=1e-14)
 
 

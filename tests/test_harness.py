@@ -416,6 +416,8 @@ class TestEnsembleBlocks:
             path = sample(model, dt, n_steps, seed, *args)
             return boosted(path) if seed == bad_seed else path
 
+        # the block samples its paths in harness, a lone path in integrator
+        monkeypatch.setattr(harness, "sample_martingale", sampler)
         monkeypatch.setattr(integrator, "sample_martingale", sampler)
         block = _ensemble_member((cfg.built, cfg.seed, None, [0, 1, 2]))
         assert [e["status"] == "ok" for e in block] == [True, False, True]
@@ -434,8 +436,7 @@ class TestEnsembleBlocks:
                  for s in (1, 2, 3)]
         paths[1] = boosted(paths[1], factor=1e5)
         keeps = [collector() for _ in paths]
-        block = integrator.simulate_block(grid, model, params, x, [1, 2, 3],
-                                          paths=paths,
+        block = integrator.simulate_block(grid, model, params, x, paths,
                                           snapshots=[keep for keep, _ in keeps])
         assert isinstance(block[1], NumericalAbort)
         for seed, path, row, (_, seen) in zip((1, 2, 3), paths, block, keeps):
@@ -765,6 +766,16 @@ MALFORMED = {
     # a width's square, the decay fit's squared times
     "half_length_spacing_overflow": ("simulate", {"grid.half_length": 1e308},
                                      "grid.half_length"),
+    # ... and below it: |k|^2 = (pi n / 2L)^2 overflows, the cell volume
+    # (2L/n)^3 underflows to 0
+    "half_length_wavenumber_overflow": ("simulate", {"grid.points": 32,
+                                                     "grid.half_length": 1e-300},
+                                        "grid.half_length"),
+    "half_length_cell_volume_underflow": ("simulate", {"grid.dimension": 3,
+                                                       "grid.points": 4,
+                                                       "grid.half_length": 1e-110,
+                                                       "sim.alpha": 1.5},
+                                          "grid.half_length"),
     "initial_width_underflow": ("simulate", {"initial.width": 1e-300}, "initial.width"),
     "decay_fit_dt_float_floor": ("simulate", {"sim.dt": 1e-300, "sim.t_final": 1e-299},
                                  "sim.dt"),
@@ -965,7 +976,8 @@ class TestFieldDumpStreaming:
         grid, model, params = build_grid(config), build_model(config), build_params(config)
         x, kept = build_initial(config, grid), []
         integrator.simulate(grid, model, params, x, seed=config.seed,
-                            snapshot=lambda k, t, f: kept.append((k, t, f.copy())))
+                            snapshot=lambda k, t, f: kept.append(
+                                (k, t, ComplexField(f.values.copy(), f.grid))))
         assert [k for k, _, _ in kept] == [0, 3, 6, 9, 10]
         bare = integrator.simulate(grid, model, params, x, seed=config.seed)
         assert np.array_equal(kept[-1][2].values, bare.final_x.values)

@@ -11,7 +11,9 @@ import pytest
 
 from reference import (
     StepRecorder,
+    const_model,
     damping_step,
+    free_propagator_apply,
     noise_step_direct,
     nonlinear_phase_step,
     step,
@@ -37,18 +39,11 @@ from snls_lab.spectral_grid import (
     GridSpec,
     _squared_norms,
     constant_field,
-    free_propagator_apply,
     gaussian_field,
     make_grid,
     norm_L2,
     plane_wave,
 )
-
-
-def const_model(mu, v=1.0, alpha0=None, v_max=None):
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
-                      [DensitySpec.constant(v, alpha0=alpha0, v_max=v_max)] * mu.size)
 
 
 GRID = make_grid(1, 256, 16.0)
@@ -289,7 +284,7 @@ class TestSimulate:
 
     def test_heterogeneous_direct_runs(self):
         prof = SpatialProfile("gaussian-bump", width=2.0)
-        m = NoiseModel(np.array([0.5 + 0.2j]), [prof], [DensitySpec.constant(1.0)])
+        m = NoiseModel(np.array([0.5 + 0.2j]), [prof], [DensitySpec("constant", value=1.0)])
         params = SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1, scheme="direct")
         rec = simulate(GRID, m, params, X0, seed=20)
         assert np.all(np.isfinite(rec.mass_x))
@@ -297,7 +292,7 @@ class TestSimulate:
 
     def test_rescaled_scheme_veto(self):
         prof = SpatialProfile("gaussian-bump", width=2.0)
-        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
+        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
         params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.1, scheme="rescaled")
         with pytest.raises(AssumptionVeto):
             simulate(GRID, m, params, X0, seed=0)
@@ -358,6 +353,11 @@ def assert_same_snapshots(got, want):
         assert np.array_equal(a, b)
 
 
+def sampled(model, params, seeds):
+    """One noise path per seed, for a block of the run ``params``."""
+    return [sample_martingale(model, params.dt, params.n_steps, s) for s in seeds]
+
+
 def reference_strang(grid, model, params, x, path, snapshot=None):
     """Fused Strang march of one path with every check and sum taken step by
     step: the oracle each row of a block must match bit for bit."""
@@ -408,11 +408,12 @@ def assert_rows_match_single_path_calls(grid, model, params, rows):
     bit: series, snapshots handed over, final state, or abort."""
     x = gaussian_field(grid, width=1.0)
     keeps = [collector() for _ in range(rows)]
-    block = simulate_block(grid, model, params, x, list(range(rows)),
+    block = simulate_block(grid, model, params, x, sampled(model, params, range(rows)),
                            snapshots=[keep for keep, _ in keeps])
     for seed, row in enumerate(block):
         keep, seen = collector()
-        alone, = simulate_block(grid, model, params, x, [seed], snapshots=[keep])
+        alone, = simulate_block(grid, model, params, x, sampled(model, params, [seed]),
+                                snapshots=[keep])
         assert_same_snapshots(keeps[seed][1], seen)
         if isinstance(alone, NumericalAbort):
             assert (str(row), row.time_index) == (str(alone), alone.time_index)
@@ -435,7 +436,7 @@ BLOCK_CASES = {
     "direct_bump": (make_grid(1, 128, 16.0),
                     NoiseModel(np.array([0.5 + 0.2j, 0.3]),
                                [BUMP, SpatialProfile("constant-one")],
-                               [DensitySpec.constant(1.0)] * 2),
+                               [DensitySpec("constant", value=1.0)] * 2),
                     SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.1,
                               scheme="direct")),
     "linear": (make_grid(1, 128, 16.0), const_model(1.0),
@@ -446,7 +447,7 @@ BLOCK_CASES = {
                        NoiseModel(np.array([0.5 + 0j]),
                                   [SpatialProfile("gaussian-bump", width=2.0,
                                                   center=(0.0, 0.0, 0.0))],
-                                  [DensitySpec.constant(1.0)]),
+                                  [DensitySpec("constant", value=1.0)]),
                        SimParams(lam=1, alpha=1.5, dt=1e-3, t_final=0.02,
                                  scheme="direct")),
     # rows abort at different indices: reconstruction overflow or the guard
@@ -461,14 +462,14 @@ BLOCK_CASES = {
                                scheme="direct")),
     "abort_bump": (make_grid(1, 64, 16.0),
                    NoiseModel(np.array([4000.0 + 0j]), [BUMP],
-                              [DensitySpec.constant(1.0)]),
+                              [DensitySpec("constant", value=1.0)]),
                    SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
                              scheme="direct")),
     # spatially varying rows stop on the noise-exponent guard at indices 16,
     # 9, 19 and 1 (seeds 0-3), mostly between save indices
     "abort_bump_mixed": (make_grid(1, 64, 16.0),
                          NoiseModel(np.array([36.5 + 0j]), [BUMP],
-                                    [DensitySpec.constant(1.0)]),
+                                    [DensitySpec("constant", value=1.0)]),
                          SimParams(lam=1, alpha=3.0, dt=0.5, t_final=10.0,
                                    scheme="direct", save_every=3)),
 }
@@ -481,12 +482,11 @@ class TestBlockMarch:
     def test_rows_match_step_by_step_reference(self, case):
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
-        seeds = [0, 1, 2, 3]
-        keeps = [collector() for _ in seeds]
-        block = simulate_block(grid, model, params, x, seeds,
+        paths = sampled(model, params, [0, 1, 2, 3])
+        keeps = [collector() for _ in paths]
+        block = simulate_block(grid, model, params, x, paths,
                                snapshots=[keep for keep, _ in keeps])
-        for seed, row, (_, seen) in zip(seeds, block, keeps):
-            path = sample_martingale(model, params.dt, params.n_steps, seed)
+        for path, row, (_, seen) in zip(paths, block, keeps):
             keep, want = collector()
             try:
                 ref = reference_strang(grid, model, params, x, path, keep)
@@ -507,8 +507,14 @@ class TestBlockMarch:
 
     def test_mixed_outcomes_in_one_block(self):
         grid, model, params = BLOCK_CASES["abort_rescaled"]
-        block = simulate_block(grid, model, params, gaussian_field(grid), [0, 1, 2])
+        block = simulate_block(grid, model, params, gaussian_field(grid),
+                               sampled(model, params, [0, 1, 2]))
         assert len({row.time_index for row in block}) > 1
+
+    def test_refuses_empty_paths(self):
+        grid, model, params = BLOCK_CASES["rescaled"]
+        with pytest.raises(ValueError, match="paths"):
+            simulate_block(grid, model, params, gaussian_field(grid), [])
 
     def test_without_snapshots_keeps_final_state(self):
         for case in ("rescaled", "direct", "direct_bump"):
@@ -516,8 +522,9 @@ class TestBlockMarch:
             params = dataclasses.replace(params, save_every=7)
             x = gaussian_field(grid, width=1.0)
             keep, seen = collector()
-            full, = simulate_block(grid, model, params, x, [5], snapshots=[keep])
-            bare, = simulate_block(grid, model, params, x, [5])
+            path = sampled(model, params, [5])
+            full, = simulate_block(grid, model, params, x, path, snapshots=[keep])
+            bare, = simulate_block(grid, model, params, x, path)
             n_steps = params.n_steps
             want = [*range(0, n_steps + 1, 7), n_steps]
             assert [k for k, _, _ in seen] == want, case
@@ -543,14 +550,15 @@ class TestBlockMarch:
         count(GridSpec, "propagator")
         count(NoiseModel, "sample_profiles")
         grid, model, params = BLOCK_CASES["direct_bump"]
-        simulate_block(grid, model, params, gaussian_field(grid), [0, 1, 2, 3])
+        paths = sampled(model, params, [0, 1, 2, 3])
+        simulate_block(grid, model, params, gaussian_field(grid), paths)
         assert sorted(calls) == ["propagator", "sample_profiles"]
 
     def test_snapshot_callables_match_seeds(self):
         grid, model, params = BLOCK_CASES["rescaled"]
         with pytest.raises(ValueError, match="snapshot callables"):
-            simulate_block(grid, model, params, gaussian_field(grid), [0, 1],
-                           snapshots=[collector()[0]])
+            simulate_block(grid, model, params, gaussian_field(grid),
+                           sampled(model, params, [0, 1]), snapshots=[collector()[0]])
 
     @pytest.mark.parametrize("case", ["rescaled", "direct", "direct_bump",
                                       "rescaled_2d", "abort_rescaled", "abort_bump",
@@ -597,7 +605,7 @@ def test_unfused_march_working_set(splitting, bound):
     # the recording temporaries and the block's tables.  It reads 16.08
     # (Strang) and 15.08 (Lie); one field kept alive by mistake adds one.
     grid = make_grid(3, 32, 8.0)
-    unit = DensitySpec.constant(1.0, alpha0=1.0, v_max=1.0)
+    unit = DensitySpec("constant", alpha0=1.0, v_max=1.0, value=1.0)
     model = NoiseModel(np.array([0.5 + 0j, 0.5 + 0j]),
                        [SpatialProfile("gaussian-bump", width=2.0, center=(0.0, 0.0, 0.0)),
                         SpatialProfile("constant-one")], [unit, unit])

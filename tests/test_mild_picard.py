@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from reference import duhamel_apply, mixed_norm
+from reference import (
+    const_model,
+    duhamel_apply,
+    free_propagator_apply,
+    mixed_norm,
+    norm_Lp,
+)
 from snls_lab.errors import AssumptionVeto
 from snls_lab.integrator import SimParams, simulate
 from snls_lab.mild_picard import (
@@ -21,20 +27,12 @@ from snls_lab.noise_process import (
 from snls_lab.spectral_grid import (
     ComplexField,
     constant_field,
-    free_propagator_apply,
     gaussian_field,
     make_grid,
     norm_L2,
-    norm_Lp,
 )
 
 GRID = make_grid(1, 256, 16.0)
-
-
-def unit_model(mu=1.0):
-    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
-    return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
-                      [DensitySpec.constant(1.0)] * mu.size)
 
 
 class TestStrichartzExponent:
@@ -89,7 +87,7 @@ class TestPicardIterate:
     def test_linear_free_case_converges_immediately(self):
         # lam = 0 and mu = 0: the map ignores its argument beyond the free
         # part, so the first correction already lands on the fixed point
-        m = unit_model(0.0)
+        m = const_model(0.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-3, 100, 0)
         rep = picard_iterate(x, m, path, PicardConfig(horizon=0.05, nodes=16), 0, 3.0)
@@ -98,7 +96,7 @@ class TestPicardIterate:
         assert all(r == 0.0 for r in rep.ratios)
 
     def test_contraction_at_short_horizon(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 0)
         cfg = PicardConfig(horizon=0.05, nodes=64, tolerance=1e-8)
@@ -110,7 +108,7 @@ class TestPicardIterate:
         assert rep.gamma_tau >= 1.0
 
     def test_agrees_with_integrator_at_horizon(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 3)
         cfg = PicardConfig(horizon=0.05, nodes=64, tolerance=1e-10)
@@ -123,7 +121,7 @@ class TestPicardIterate:
 
     def test_linear_node_convergence_is_second_order(self):
         # damped linear problem: closed form e^{-tau} U(tau,0) x
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 0)
         closed = np.exp(-0.05) * free_propagator_apply(x, 0.05).values
@@ -142,7 +140,7 @@ class TestPicardIterate:
     def test_one_correction_reproduces_duhamel_for_linear_problem(self):
         # F applied to the free trajectory subtracts exactly the Duhamel
         # integral of the damping forcing
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 1)
         tau, nodes = 0.04, 32
@@ -155,7 +153,7 @@ class TestPicardIterate:
         assert np.abs(mapped[-1] - expect).max() < 1e-12
 
     def test_fixed_point_residual_within_twice_tolerance(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 5)
         cfg = PicardConfig(horizon=0.05, nodes=64, tolerance=1e-8)
@@ -168,7 +166,7 @@ class TestPicardIterate:
         assert resid <= 2.0 * cfg.tolerance
 
     def test_halving_horizon_never_increases_max_ratio(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         for seed in range(10):
             path = sample_martingale(m, 1e-4, 500, seed)
@@ -181,7 +179,7 @@ class TestPicardIterate:
     def test_no_contraction_status_on_long_horizon(self):
         # a large state on a long horizon leaves the contraction regime:
         # the report flags it instead of raising
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=40.0)
         path = sample_martingale(m, 1e-3, 2000, 2)
         cfg = PicardConfig(horizon=2.0, nodes=64, max_iterations=12)
@@ -191,21 +189,21 @@ class TestPicardIterate:
 
     def test_requires_homogeneous_profiles(self):
         prof = SpatialProfile("gaussian-bump", width=1.0)
-        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec.constant(1.0)])
+        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
         x = gaussian_field(GRID, width=1.0)
         path = sample_martingale(m, 1e-3, 100, 0)
         with pytest.raises(AssumptionVeto):
             picard_iterate(x, m, path, PicardConfig(horizon=0.05), 1, 3.0)
 
     def test_rejects_zero_state(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = constant_field(GRID, 0.0)
         path = sample_martingale(m, 1e-3, 100, 0)
         with pytest.raises(ValueError):
             picard_iterate(x, m, path, PicardConfig(horizon=0.05), 1, 3.0)
 
     def test_report_json_surface(self):
-        m = unit_model(1.0)
+        m = const_model(1.0)
         x = gaussian_field(GRID, width=1.0, l2_norm=1.0)
         path = sample_martingale(m, 1e-4, 500, 0)
         rep = picard_iterate(x, m, path, PicardConfig(horizon=0.05, nodes=32), 1, 3.0)

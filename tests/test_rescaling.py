@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import const_model
 from snls_lab.errors import NumericalAbort
 from snls_lab.integrator import SimParams, _Block, simulate
 from snls_lab.noise_process import (
@@ -27,13 +28,8 @@ def bump_model(scale=1.0):
     profs = [SpatialProfile("gaussian-bump", width=1.0, center=(0.3,)),
              SpatialProfile("gaussian-bump", width=1.2, center=(-0.5,))]
     mu = scale * np.array([0.8 - 0.3j, 1.1 + 0.6j])
-    dens = [DensitySpec.constant(1.0), DensitySpec.constant(2.0)]
+    dens = [DensitySpec("constant", value=1.0), DensitySpec("constant", value=2.0)]
     return NoiseModel(mu, profs, dens)
-
-
-def const_model(mu):
-    return NoiseModel(np.array([mu], dtype=complex), [SpatialProfile("constant-one")],
-                      [DensitySpec.constant(1.0)])
 
 
 def noise_at(model, path, k):
@@ -111,8 +107,8 @@ class TestPotentialFields:
         # with V taken at each step's left endpoint
         mu = np.array([0.8 - 0.3j, 1.1 + 0.6j])
         model = NoiseModel(mu, [SpatialProfile("constant-one")] * 2,
-                           [DensitySpec.constant(1.0),
-                            DensitySpec.tabulated([0.0, 1.0], [1.0, 3.0])])
+                           [DensitySpec("constant", value=1.0),
+                            DensitySpec("tabulated", times=[0.0, 1.0], values=[1.0, 3.0])])
         dt = 1e-2
         block = rescaled_block(model, dt=dt, steps=50, seed=1)
         t = dt * np.arange(50)

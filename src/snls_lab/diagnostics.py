@@ -184,9 +184,3 @@ def gronwall_check(record: SolutionRecord, model: NoiseModel) -> dict:
     excess = float((e0 / np.maximum(envelope, MASS_FLOOR)).max())
     return {"violations": violations, "monotone": monotone, "max_ratio": excess}
 
-
-def residual_to_csv(series: ResidualSeries, fh) -> None:
-    """Write a residual series as CSV: t, residual; 17 significant digits."""
-    fh.write("t,residual\n")
-    for t, r in zip(series.times, series.values):
-        fh.write(f"{format(t, '.17g')},{format(r, '.17g')}\n")

@@ -50,7 +50,6 @@ from .diagnostics import (
     gronwall_check,
     mass_identity_residual,
     omega,
-    residual_to_csv,
 )
 from .errors import (
     EXIT_ASSUMPTION_VETO,
@@ -67,7 +66,6 @@ from .noise_process import (
     DensitySpec,
     NoiseModel,
     SpatialProfile,
-    path_to_csv,
     restrict_path,
     sample_martingale,
     validate_assumptions,
@@ -76,6 +74,7 @@ from .spectral_grid import (
     MAX_GRID_VALUES,
     ComplexField,
     GridSpec,
+    _squared_norms,
     constant_field,
     gaussian_field,
     make_grid,
@@ -92,10 +91,6 @@ RUN_KINDS = ("simulate", "ensemble", "picard", "convergence", "validate")
 _NEEDS = {"simulate": ("sim", "initial"), "ensemble": ("sim", "initial"),
           "picard": ("picard", "initial"), "convergence": ("sim", "initial", "convergence"),
           "validate": ()}
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -374,9 +369,13 @@ def _construct(config: RunConfig) -> Built:
     for j, dns in enumerate(model.densities):
         _require(run_end <= dns.horizon * (1.0 + 1e-12), f"noise.densities[{j}]",
                  f"horizon {dns.horizon:g} ends before the run ({run_end:g})")
-    if fits or config.kind == "picard":
-        _require(norm_L2(x) ** 2 > MASS_FLOOR, "initial",
-                 "zero mass; decay fits and picard runs need a nonzero state")
+    if config.kind != "validate":
+        with np.errstate(over="ignore"):  # the mass the march records at index 0
+            mass = grid.cell_volume * float(_squared_norms(x.values))
+        _require(math.isfinite(mass), "initial", "the state's mass overflows a double")
+        if fits or config.kind == "picard":
+            _require(mass > MASS_FLOOR, "initial",
+                     "zero mass; decay fits and picard runs need a nonzero state")
     return Built(grid, model, x, params, ladder, picard)
 
 
@@ -713,30 +712,36 @@ def run_validate(config: RunConfig):
 
 # -- file output ------------------------------------------------------------------------
 
+@contextmanager
+def _output(path: Path, binary: bool = False):
+    """``path`` opened to write (text: UTF-8, ``\n`` endings); an OSError from
+    opening, writing or closing it is a :class:`ConfigError`."""
+    try:
+        with (open(path, "wb") if binary else
+              open(path, "w", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+    with _output(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def save_series_csv(record: SolutionRecord, path: Path) -> None:
-    """Scalar series CSV: t, mass_X, mass_y, ReM, Q_1..Q_N at every step."""
-    n = record.path.n_components
-    header = ["t", "mass_X", "mass_y", "ReM"] + [f"Q_{j + 1}" for j in range(n)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(record.times.size):
-            row = [_fmt(record.times[k]), _fmt(record.mass_x[k]),
-                   _fmt(record.mass_y[k]), _fmt(record.re_m[k])]
-            row += [_fmt(record.path.qv[j, k]) for j in range(n)]
-            fh.write(",".join(row) + "\n")
+def save_series_csv(path: Path, columns: dict) -> None:
+    """CSV of equal-length columns under their names, 17 significant digits."""
+    with _output(path) as fh:
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.17g",
+                   delimiter=",", header=",".join(columns), comments="")
 
 
 def write_field_dump(field: ComplexField, t: float, path: Path) -> None:
     """Binary snapshot, little-endian: int32 d, int32 n, float64 L, float64 t,
     then n^d complex doubles (re, im interleaved)."""
     g = field.grid
-    with open(path, "wb") as fh:
+    with _output(path, binary=True) as fh:
         fh.write(struct.pack("<iidd", g.dimension, g.points, g.half_length, t))
         fh.write(field.values.astype("<c16").tobytes())
 
@@ -759,20 +764,21 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
             write_field_dump(x, t, out / f"field_{next(dumps):04d}.bin")
 
     record, report = run_simulation(config, snapshot=writer)
-    save_series_csv(record, out / "series.csv")
-    with open(out / "path.csv", "w", encoding="utf-8", newline="\n") as fh:
-        path_to_csv(record.path, fh)
+    path = record.path
+    m = {f"M_{j + 1}": values for j, values in enumerate(path.values)}
+    q = {f"Q_{j + 1}": qv for j, qv in enumerate(path.qv)}
+    save_series_csv(out / "series.csv", {"t": record.times, "mass_X": record.mass_x,
+                                         "mass_y": record.mass_y, "ReM": record.re_m, **q})
+    save_series_csv(out / "path.csv", {"t": path.times, **m, **q})
     if report is not None:
         _write_json(out / "decay_report.json", report.to_json_dict())
     if config.diagnostics.get("residuals", False):
-        mass_res = mass_identity_residual(record)
-        with open(out / "mass_residual.csv", "w", encoding="utf-8", newline="\n") as fh:
-            residual_to_csv(mass_res, fh)
+        res = mass_identity_residual(record)
+        save_series_csv(out / "mass_residual.csv", {"t": res.times, "residual": res.values})
         if record.scheme == "rescaled":
-            energy_res = energy_identity_residual(record, config.built.model)
-            with open(out / "energy_residual.csv", "w", encoding="utf-8",
-                      newline="\n") as fh:
-                residual_to_csv(energy_res, fh)
+            res = energy_identity_residual(record, config.built.model)
+            save_series_csv(out / "energy_residual.csv",
+                            {"t": res.times, "residual": res.values})
 
 
 def run(config_file_path, kind: str | None = None, out_dir: str | None = None,

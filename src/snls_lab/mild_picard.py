@@ -93,13 +93,16 @@ class PicardReport:
     iterate: np.ndarray
 
     def to_json_dict(self) -> dict:
+        def number(v) -> float | None:  # strict JSON has no inf or nan
+            return float(v) if np.isfinite(v) else None
+
         return {
-            "ratios": [float(r) for r in self.ratios],
-            "distances": [float(d) for d in self.distances],
+            "ratios": [number(r) for r in self.ratios],
+            "distances": [number(d) for d in self.distances],
             "converged": bool(self.converged),
             "no_contraction": bool(self.no_contraction),
             "iterations": int(self.iterations),
-            "gamma_tau": float(self.gamma_tau),
+            "gamma_tau": number(self.gamma_tau),
             "q": float(self.q),
         }
 

@@ -445,16 +445,3 @@ def validate_assumptions(model: NoiseModel, grid: GridSpec,
 
     return AssumptionReport(h1, h3, h4, witnesses)
 
-
-# -- CSV export -----------------------------------------------------------------------
-
-def path_to_csv(path: MartingalePath, fh) -> None:
-    """Write a path as CSV: t, M_1..M_N, Q_1..Q_N; 17 significant digits."""
-    n = path.n_components
-    header = ["t"] + [f"M_{j + 1}" for j in range(n)] + [f"Q_{j + 1}" for j in range(n)]
-    fh.write(",".join(header) + "\n")
-    for k in range(path.times.size):
-        row = [format(path.times[k], ".17g")]
-        row += [format(path.values[j, k], ".17g") for j in range(n)]
-        row += [format(path.qv[j, k], ".17g") for j in range(n)]
-        fh.write(",".join(row) + "\n")

@@ -1,7 +1,5 @@
 """Identity residuals, decay-rate definition, and log-slope fitting."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,9 @@ from snls_lab.diagnostics import (
     gronwall_check,
     mass_identity_residual,
     omega,
-    residual_to_csv,
 )
 from snls_lab.errors import AssumptionVeto
+from snls_lab.harness import save_series_csv
 from snls_lab.integrator import SimParams, simulate
 from snls_lab.noise_process import (
     DensitySpec,
@@ -232,13 +230,13 @@ class TestStructuralIdentities:
 
 
 class TestCsv:
-    def test_residual_csv_format(self):
+    def test_residual_csv_format(self, tmp_path):
         m = const_model(1.0)
         params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=0.1, scheme="rescaled")
         rec = simulate(GRID, m, params, X0, seed=0)
         res = energy_identity_residual(rec, m)
-        buf = io.StringIO()
-        residual_to_csv(res, buf)
-        lines = buf.getvalue().strip().split("\n")
+        # the columns of energy_residual.csv
+        save_series_csv(tmp_path / "r.csv", {"t": res.times, "residual": res.values})
+        lines = (tmp_path / "r.csv").read_bytes().decode().strip().split("\n")
         assert lines[0] == "t,residual"
         assert len(lines) == res.times.size + 1

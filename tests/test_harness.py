@@ -781,6 +781,11 @@ MALFORMED = {
                                  "sim.dt"),
     "ensemble_dt_float_floor": ("ensemble", {"sim.dt": 1e-300, "sim.t_final": 1e-299},
                                 "sim.dt"),
+    # a state whose mass h^d sum |x|^2 overflows a double
+    "initial_mass_overflow": ("simulate", {"initial.amplitude": 1e160}, "initial"),
+    "ensemble_initial_mass_overflow": ("ensemble", {"initial.l2_norm": 1e300},
+                                       "initial"),
+    "picard_initial_mass_overflow": ("picard", {"initial.amplitude": 1e308}, "initial"),
 }
 
 
@@ -804,6 +809,41 @@ class TestMalformedConfigs:
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_CONFIG_ERROR, err
         assert f"config error: {key}" in err
+
+
+# An output file of each kind and the run that writes it: the config echo,
+# a CSV, a field dump written inside the march and a report.
+OUTPUTS = {"config_echo.json": "simulate", "series.csv": "simulate",
+           "field_0002.bin": "simulate", "ensemble_report.json": "ensemble"}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_unwritable_output_is_config_error(tmp_path, name):
+    cfg = short_config(OUTPUTS[name])
+    cfg["diagnostics"]["field_dumps"] = True
+    (tmp_path / "out" / name).mkdir(parents=True)  # a directory in the file's place
+    code, err = run_captured(cfg, tmp_path)
+    assert code == EXIT_CONFIG_ERROR, err
+    assert f"config error: output_dir: cannot write {tmp_path / 'out' / name}" in err
+
+
+def test_picard_report_is_strict_json(tmp_path):
+    # mu = 1e5: e^{(alpha-1) Re M} overflows, so the first iterate leaves
+    # double range and gamma_tau is infinite
+    cfg = short_config("picard")
+    cfg["noise"]["coefficients"] = [1e5]
+    code, err = run_captured(cfg, tmp_path)
+    assert code == EXIT_OK, err
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((tmp_path / "out" / "picard_report.json").read_text(),
+                        parse_constant=refuse)
+    assert report["no_contraction"]
+    assert report["distances"] == [None] and report["gamma_tau"] is None
+    kept = run_picard(RunConfig.from_dict(cfg))
+    assert kept.distances == [np.inf] and kept.gamma_tau == np.inf
 
 
 def same(a, b) -> bool:

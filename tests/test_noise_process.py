@@ -1,18 +1,16 @@
 """Martingale sampling, noise field assembly, and assumption validation."""
 
-import io
-
 import numpy as np
 import pytest
 
 from reference import const_model
+from snls_lab.harness import save_series_csv
 from snls_lab.integrator import SimParams, _Block
 from snls_lab.noise_process import (
     DensitySpec,
     NoiseModel,
     SpatialProfile,
     lln_ratio,
-    path_to_csv,
     restrict_path,
     sample_martingale,
     validate_assumptions,
@@ -236,12 +234,14 @@ class TestValidateAssumptions:
 
 
 class TestCsvExport:
-    def test_header_and_precision(self):
+    def test_header_and_precision(self, tmp_path):
         m = const_model([1.0, 1.0])
         p = sample_martingale(m, 1e-3, 5, 1)
-        buf = io.StringIO()
-        path_to_csv(p, buf)
-        lines = buf.getvalue().split("\n")
+        # the columns of path.csv
+        save_series_csv(tmp_path / "path.csv", {"t": p.times, "M_1": p.values[0],
+                                                "M_2": p.values[1], "Q_1": p.qv[0],
+                                                "Q_2": p.qv[1]})
+        lines = (tmp_path / "path.csv").read_bytes().decode().split("\n")
         assert lines[0] == "t,M_1,M_2,Q_1,Q_2"
         assert len(lines) == 8  # header + 6 rows + trailing newline
         # values round-trip at 17 significant digits

@@ -137,19 +137,34 @@ def test_every_function_is_reached(tmp_path, capsys):
     assert elapsed < 3.0
 
 
+def nested(code):
+    """A code object and every code object defined inside it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from nested(const)
+
+
+def names_outside(module: str, names: set) -> list:
+    """Functions outside ``module`` whose code names one of ``names``."""
+    return sorted({name for name, code in defined_functions().items()
+                   if not name.startswith(f"{module}.")
+                   and any(names & set(c.co_names) for c in nested(code))})
+
+
 def test_transforms_live_in_spectral_grid():
     """Every Fourier transform goes through GridSpec.forward and
     GridSpec.inverse: no code outside spectral_grid names ``fft``."""
-    def nested(code):
-        yield code
-        for const in code.co_consts:
-            if isinstance(const, types.CodeType):
-                yield from nested(const)
-
-    calling = sorted({name for name, code in defined_functions().items()
-                      if not name.startswith("spectral_grid.")
-                      and any("fft" in c.co_names for c in nested(code))})
+    calling = names_outside("spectral_grid", {"fft"})
     assert not calling, f"functions that call numpy.fft directly: {calling}"
+
+
+def test_files_are_written_by_harness():
+    """Every output file is opened and written by harness, which sets its
+    format and reports a failed write as a config error: no code outside
+    harness names ``open``, ``write``, ``savetxt`` or ``tofile``."""
+    writing = names_outside("harness", {"open", "write", "savetxt", "tofile"})
+    assert not writing, f"functions that write files outside harness: {writing}"
 
 
 def test_public_helpers_still_used_by_the_benchmark():

@@ -19,6 +19,9 @@ exceed 1 for three consecutive iterations the report carries a
 ``no_contraction`` status instead of crashing, signalling that the horizon
 left the contraction regime.
 
+The map runs one node at a time, so an iteration holds three nodes x n^d
+complex blocks: the U(t_i, 0) multipliers, the iterate and the next one.
+
 The horizon is a user input: the proof-level stopping time depends on
 non-constructive constants, and the measurable quantity is the ratio
 sequence itself.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import AssumptionVeto
 from .noise_process import MartingalePath, NoiseModel
-from .spectral_grid import ComplexField, GridSpec, norm_L2
+from .spectral_grid import ComplexField, norm_L2
 
 
 def strichartz_exponent(dimension: int, alpha: float) -> float:
@@ -48,11 +51,6 @@ def strichartz_exponent(dimension: int, alpha: float) -> float:
     if not (1.0 < alpha < band):
         raise ValueError(f"alpha: {alpha} outside the band (1, {band}) for d = {dimension}")
     return 4.0 * (alpha + 1.0) / (dimension * (alpha - 1.0))
-
-
-def _sup_l2(diff: np.ndarray, grid: GridSpec) -> float:
-    cv = grid.cell_volume
-    return float(np.sqrt(cv * (np.abs(diff) ** 2).sum(axis=1).max()))
 
 
 @dataclass(frozen=True)
@@ -108,23 +106,23 @@ class PicardReport:
 
 
 class _MapKernel:
-    """Spectral evaluation of the fixed-point map on fixed nodes."""
+    """Spectral evaluation of the fixed-point map on fixed nodes, one node at
+    a time on preallocated (n^d,) rows."""
 
     def __init__(self, x: ComplexField, model: NoiseModel, path: MartingalePath,
                  tau: float, nodes: int, lam: int, alpha: float):
-        grid = x.grid
-        self.grid = grid
+        self.grid = grid = x.grid
         self.lam = lam
         self.alpha = alpha
+        self.q = strichartz_exponent(grid.dimension, alpha)
         self.nodes = nodes
         self.times = np.linspace(0.0, tau, nodes)
         self.ds = tau / (nodes - 1)
 
-        # U(t_i, 0) and U(0, t_i) as diagonal multipliers, one row per node.
+        # U(t_i, 0) as a diagonal multiplier, one row per node (U(0, t_i) is
+        # its conjugate), and the initial state's spectrum.
         self.fwd = grid.propagator(self.times[:, None])
-        self.bwd = self.fwd.conj()
         self.xh = grid.forward(x.values)
-        self.free_h = self.fwd * self.xh  # (nodes, size) spectral free trajectory
 
         v = np.array([dns.evaluate(self.times) for dns in model.densities])
         mu = model.mu
@@ -137,32 +135,61 @@ class _MapKernel:
             )
         idx = np.minimum((self.times / path.dt).astype(int), path.n_steps)
         re_m = path.real_part_series(mu)[idx]
-        self.phase_coef = lam * np.exp((alpha - 1.0) * re_m)
-
-    @staticmethod
-    def _by_row(transform, rows: np.ndarray) -> np.ndarray:
-        """One transform call per node: faster here than one call on the block."""
-        out = np.empty_like(rows)
-        for i in range(rows.shape[0]):
-            out[i] = transform(rows[i])
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as no_contraction
+            self.phase_coef = 1j * (lam * np.exp((alpha - 1.0) * re_m))
 
     def free_trajectory(self) -> np.ndarray:
-        return self._by_row(self.grid.inverse, self.free_h)
+        """U(t_i, 0) x on the nodes: the first iterate."""
+        out = np.empty_like(self.fwd)
+        for i, row in enumerate(self.fwd):
+            out[i] = self.grid.inverse(row * self.xh)
+        return out
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """F(y) on the nodes; y and the result are (nodes, size) physical arrays."""
-        amp = np.abs(y) ** (self.alpha - 1.0)
-        forcing = self.damp_coef[:, None] * y
-        if self.lam != 0:
-            forcing = forcing + (1j * self.phase_coef)[:, None] * (amp * y)
-        # Back-transport to time 0, cumulative trapezoid, forward transport.
-        b = self._by_row(self.grid.forward, forcing) * self.bwd
-        acc = np.zeros_like(b)
-        half = 0.5 * self.ds
-        for i in range(1, self.nodes):
-            acc[i] = acc[i - 1] + half * (b[i - 1] + b[i])
-        return self._by_row(self.grid.inverse, self.fwd * (self.xh - acc))
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F(y) on the nodes, y and F(y) (nodes, size) physical arrays, with
+        the per-node sums of |F(y) - y|^2 and |F(y) - y|^{alpha+1}.
+
+        Each node's forcing goes back to time 0 and into the running
+        trapezoid sum, which goes forward to the node.  The products keep
+        the block form's operand order on large blocks, so the bits match
+        it: complex products do not commute bit for bit.
+        """
+        grid, fwd, xh = self.grid, self.fwd, self.xh
+        out, sq, lp = np.empty_like(y), np.empty(self.nodes), np.empty(self.nodes)
+        f, g, acc = np.empty_like(xh), np.empty_like(xh), np.zeros_like(xh)
+        mod, pw = np.empty(xh.shape), np.empty(xh.shape)
+        half, b_prev = 0.5 * self.ds, None
+        for i, yi in enumerate(y):
+            np.multiply(self.damp_coef[i], yi, out=f)
+            if self.lam != 0:
+                np.abs(yi, out=mod)
+                mod **= self.alpha - 1.0
+                np.multiply(mod, yi, out=g)
+                g *= self.phase_coef[i]
+                f += g
+            b = grid.forward(f)
+            b *= np.conjugate(fwd[i], out=g)
+            if b_prev is not None:
+                np.add(b_prev, b, out=g)
+                g *= half
+                acc += g
+            b_prev = b
+            np.subtract(xh, acc, out=g)
+            g *= fwd[i]
+            out[i] = grid.inverse(g)
+            np.subtract(out[i], yi, out=g)
+            np.abs(g, out=mod)
+            sq[i] = np.square(mod, out=pw).sum()
+            mod **= self.alpha + 1.0
+            lp[i] = mod.sum()
+        return out, sq, lp
+
+    def x_norm(self, sq: np.ndarray, lp: np.ndarray) -> float:
+        """||F(y) - y||_X from :meth:`apply`'s per-node sums."""
+        cv, q = self.grid.cell_volume, self.q
+        sup = float(np.sqrt(cv * sq.max()))
+        phi = (cv * lp) ** (1.0 / (self.alpha + 1.0))
+        return sup + float(np.trapezoid(phi**q, self.times) ** (1.0 / q))
 
 
 def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
@@ -174,25 +201,11 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     group) and a nonzero initial state.
     """
     if not model.spatially_homogeneous:
-        raise AssumptionVeto(
-            "picard iteration requires constant-one noise profiles"
-        )
+        raise AssumptionVeto("picard iteration requires constant-one noise profiles")
     if norm_L2(x) == 0.0:
         raise ValueError("initial state must be nonzero")
-    grid = x.grid
-    q = strichartz_exponent(grid.dimension, alpha)
     cfg = picard_config
     kern = _MapKernel(x, model, path, cfg.horizon, cfg.nodes, lam, alpha)
-    times = kern.times
-
-    def x_norm(diff: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sup = _sup_l2(diff, grid)
-            phi = (grid.cell_volume * (np.abs(diff) ** (alpha + 1.0)).sum(axis=1)) \
-                ** (1.0 / (alpha + 1.0))
-            lq = float(np.trapezoid(phi**q, times) ** (1.0 / q))
-        return sup + lq
-
     y = kern.free_trajectory()
     distances: list[float] = []
     ratios: list[float] = []
@@ -201,9 +214,9 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     iterations = 0
     for _ in range(cfg.max_iterations):
         with np.errstate(over="ignore", invalid="ignore"):
-            y_next = kern.apply(y)
+            y_next, sq, lp = kern.apply(y)
+            d = kern.x_norm(sq, lp)
         iterations += 1
-        d = x_norm(y_next - y)
         if not np.isfinite(d):
             # the iterate left double range: the horizon is far outside the
             # contraction regime
@@ -227,7 +240,8 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     # Spatially constant noise: the sup of |M| over path times up to tau.
     m_abs = np.abs(path.complex_series(model.mu))
     in_horizon = path.times <= cfg.horizon * (1.0 + 1e-12)
-    gamma_tau = float(np.exp((alpha - 1.0) * m_abs[in_horizon].max()))
+    with np.errstate(over="ignore"):  # written as null when infinite
+        gamma_tau = float(np.exp((alpha - 1.0) * m_abs[in_horizon].max()))
 
     return PicardReport(
         distances=distances,
@@ -236,6 +250,6 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
         no_contraction=no_contraction,
         iterations=iterations,
         gamma_tau=gamma_tau,
-        q=q,
+        q=kern.q,
         iterate=y,
     )

@@ -827,19 +827,23 @@ def test_unwritable_output_is_config_error(tmp_path, name):
     assert f"config error: output_dir: cannot write {tmp_path / 'out' / name}" in err
 
 
+def read_strict_json(path):
+    """The JSON file at path, refusing the NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_picard_report_is_strict_json(tmp_path):
     # mu = 1e5: e^{(alpha-1) Re M} overflows, so the first iterate leaves
-    # double range and gamma_tau is infinite
+    # double range and gamma_tau is infinite; the run warns of neither
     cfg = short_config("picard")
     cfg["noise"]["coefficients"] = [1e5]
     code, err = run_captured(cfg, tmp_path)
     assert code == EXIT_OK, err
-
-    def refuse(token):
-        raise ValueError(f"{token} is not JSON")
-
-    report = json.loads((tmp_path / "out" / "picard_report.json").read_text(),
-                        parse_constant=refuse)
+    report = read_strict_json(tmp_path / "out" / "picard_report.json")
     assert report["no_contraction"]
     assert report["distances"] == [None] and report["gamma_tau"] is None
     kept = run_picard(RunConfig.from_dict(cfg))
@@ -984,6 +988,26 @@ def test_noisy_dynamics_exit_cleanly(kind, points, modulus, angle, density, floo
         code, err = run_captured(cfg, root)
     assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,
                     EXIT_NUMERICAL_ABORT), err
+
+
+# Valid picard configs on n = 32 from no noise to noise that overflows
+# e^{(alpha-1) Re M}, on horizons far past the contraction regime.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(modulus=st.one_of(st.just(0.0), st.floats(1e-2, 1e5)),
+       angle=st.floats(-np.pi, np.pi), horizon=st.floats(1e-3, 2.0),
+       nodes=st.integers(8, 32), lam=st.sampled_from([-1, 0, 1]),
+       alpha=st.floats(1.0, 5.0, exclude_min=True, exclude_max=True))
+def test_picard_exits_cleanly(modulus, angle, horizon, nodes, lam, alpha):
+    cfg = short_config("picard")
+    cfg["grid"]["points"] = 32
+    cfg["noise"]["coefficients"] = [[modulus * np.cos(angle), modulus * np.sin(angle)]]
+    cfg["picard"] = {"horizon": horizon, "nodes": nodes, "lambda": lam, "alpha": alpha}
+    with tempfile.TemporaryDirectory() as root:
+        code, err = run_captured(cfg, root)
+        assert code in (EXIT_OK, EXIT_CONFIG_ERROR, EXIT_ASSUMPTION_VETO,
+                        EXIT_NUMERICAL_ABORT), err
+        if code == EXIT_OK:
+            read_strict_json(Path(root) / "out" / "picard_report.json")
 
 
 # -- streamed field dumps ---------------------------------------------------------

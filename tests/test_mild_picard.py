@@ -1,9 +1,13 @@
 """Duhamel quadrature and the fixed-point iteration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reference import (
+    block_map_apply,
+    block_x_norm,
     const_model,
     duhamel_apply,
     free_propagator_apply,
@@ -146,7 +150,7 @@ class TestPicardIterate:
         tau, nodes = 0.04, 32
         kern = _MapKernel(x, m, path, tau, nodes, 0, 3.0)
         free = [free_propagator_apply(x, t) for t in kern.times]
-        mapped = kern.apply(np.stack([f.values for f in free]))
+        mapped, _, _ = kern.apply(np.stack([f.values for f in free]))
         forcing = [ComplexField(1.0 * f.values, GRID) for f in free]  # coef = 1
         duh = duhamel_apply(forcing, GRID, tau, nodes)
         expect = free[-1].values - duh.values
@@ -160,10 +164,12 @@ class TestPicardIterate:
         rep = picard_iterate(x, m, path, cfg, 1, 3.0)
         assert rep.converged
         kern = _MapKernel(x, m, path, cfg.horizon, cfg.nodes, 1, 3.0)
-        diff = [ComplexField(row, GRID) for row in kern.apply(rep.iterate) - rep.iterate]
+        mapped, sq, lp = kern.apply(rep.iterate)
+        diff = [ComplexField(row, GRID) for row in mapped - rep.iterate]
         sup = max(norm_L2(f) for f in diff)
         resid = sup + mixed_norm(kern.times, diff, rep.q, 3.0)
         assert resid <= 2.0 * cfg.tolerance
+        assert kern.x_norm(sq, lp) == pytest.approx(resid, rel=1e-12)
 
     def test_halving_horizon_never_increases_max_ratio(self):
         m = const_model(1.0)
@@ -209,6 +215,57 @@ class TestPicardIterate:
         rep = picard_iterate(x, m, path, PicardConfig(horizon=0.05, nodes=32), 1, 3.0)
         d = rep.to_json_dict()
         assert set(d) >= {"ratios", "distances", "converged", "gamma_tau", "q"}
+
+
+# (dimension, lam, alpha) across the band of each dimension: alpha = 1.5
+# takes numpy's square-root power, 2.5 a power with no fast path.
+NODE_LOOP_CASES = [(d, lam, alpha) for d in (1, 2) for lam in (0, 1, -1)
+                   for alpha in (1.5, 2.0, 2.5, 3.0) if alpha < 1.0 + 4.0 / d]
+
+
+@pytest.mark.parametrize("dimension, lam, alpha", NODE_LOOP_CASES)
+def test_node_loop_equals_block_form(dimension, lam, alpha):
+    # The map runs node by node; the block form makes each stage one pass
+    # over all nodes.  Iterates and distances agree bit for bit.  The blocks
+    # are 384 KiB, a size at which the block form's operand order is also
+    # the order numpy ran its expressions in.
+    grid = make_grid(dimension, 1024 if dimension == 1 else 32, 8.0)
+    m = const_model(1.0 + 0.5j)
+    x = gaussian_field(grid, width=1.0, l2_norm=2.0)
+    path = sample_martingale(m, 1e-3, 200, 4)
+    kern = _MapKernel(x, m, path, 0.1, 24, lam, alpha)
+    y = kern.free_trajectory()
+    assert np.array_equal(y, np.array([grid.inverse(r) for r in kern.fwd * kern.xh]))
+    for _ in range(3):
+        y_next, sq, lp = kern.apply(y)
+        expect = block_map_apply(kern, y)
+        assert np.array_equal(y_next, expect)
+        assert kern.x_norm(sq, lp) == block_x_norm(kern, expect - y)
+        y = y_next
+
+
+def test_picard_working_set():
+    # Peak traced memory of one 2-D picard_iterate, in units of nodes x n^d
+    # complex values: the U(t_i, 0) multipliers, the iterate and the next
+    # one, and the map's few (n^d,) rows.  It reads 3.13; the block form,
+    # which held every stage of the map as a full block, read 9.55.
+    grid = make_grid(2, 64, 8.0)
+    m = const_model(1.0 + 0.5j)
+    x = gaussian_field(grid, width=1.0, l2_norm=1.0)
+    path = sample_martingale(m, 1e-4, 500, 0)
+    cfg = PicardConfig(horizon=0.05, nodes=64, max_iterations=3)
+
+    def run():
+        picard_iterate(x, m, path, cfg, 1, 2.0)
+
+    run()  # warm-up: first-call allocations are not the iteration's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * cfg.nodes * grid.size) < 3.5
 
 
 class TestMixedNorm:

@@ -24,24 +24,39 @@ splittings march a block of B paths held as one (B, n^d) complex
 array (``simulate_block``; ``simulate`` is its B = 1 call).  A step leads
 with the linear flow, half (Strang) or full (Lie), rotates the phase and
 applies the noise-or-damping multiplier; Strang then trails with the second
-half linear flow.  Each path's per-step scalars (the spatially constant
-mid multiplier, the phase coefficient) enter as (B, 1) columns.  The state
-stays spectral between steps, so consecutive linear flows meet without a
-transform, and for spatially constant mid multipliers Strang merges its two
-half phases through the known modulus scaling (Lie has one phase at the full
-step); both are algebraically identical to the plain composition and leave
-two transforms per step.
+half linear flow.  The state stays spectral between steps, so consecutive
+linear flows meet without a transform.  Every step rotates once:
+
+* a spatially constant mid multiplier (homogeneous rows, and every rescaled
+  row) enters as a (B, 1) column after one rotation; Strang's second half
+  phase is the first scaled by the known |mid|^{alpha-1}, so the two merge
+  into one coefficient column.  Two transforms per step.
+* a spatially varying noise multiplier e^{a + ib} scales |u| by e^a
+  pointwise, so Strang's two half phases and the noise phase b merge into
+  one angle, theta = b - c |u|^{alpha-1} (1 + e^{(alpha-1) a}) with c the
+  half-step coefficient, and the row takes u *= e^a (cos theta + i sin
+  theta): one real exp, one cos/sin pair, no complex exp (Lie: theta = b -
+  c_full |u|^{alpha-1}).  Where e^{(alpha-1) a} overflows, the second half
+  phase comes from |u e^a|^{alpha-1} instead, so the row stops where two
+  rotations would.  The recording needs the physical state, so Strang
+  takes three transforms per step.
+
+All of this is algebraically identical to the plain composition.  Every
+step writes into the block's scratch: the spectrum, a spectral and a
+physical buffer, the rotation factor and two real fields, allocated once.
 
 One state, ``_Block``, holds the block: the tables every path shares, built
 once; each path's tables (Re M, mid multipliers, phase coefficients, mass
-weights), stacked as (B, ...) rows; and every row's series as
-(B, n_steps + 1) arrays.  One call records a time index for all rows still
-marching: each row's own mass, taken by Parseval from the block's one sum of
-squares, and the other mass.  On homogeneous rows that is three operations
-over the block: the own masses, the ``math.exp`` weights times them, and one
-finiteness test.  A spatially varying row takes the mass of y = X e^{-M(xi)}
-and its Ito increment row by row, so the march transforms it back to
-physical space at every step.  A row leaves the block at its first index
+weights, noise coefficients), stacked as (B, ...) rows; every row's series
+as (B, n_steps + 1) arrays; and the scratch.  One call records a time index
+for all rows still marching: each row's own mass, taken by Parseval from the
+block's one sum of squares, and the other mass.  On homogeneous rows that is
+three operations over the block: the own masses, the ``math.exp`` weights
+times them, and one finiteness test.  A spatially varying row takes the mass
+of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, and its
+Ito increment from the same |X|^2, row by row, so the march transforms it
+back to physical space at every step; the complex y is built only at the
+last index.  A row leaves the block at its first index
 with a non-finite mass, or before the step its guard trips (|Re M| past
 ``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying
 one).  One method sets a row's end and stop, called by the recording with
@@ -57,9 +72,15 @@ and sums taken step by step, because:
 * the free multiplier is applied as ``half * x`` (complex products are not
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
 * the phase rotation is written in place as cos + i sin of the real angle,
-  which equals ``exp`` of the purely imaginary exponent;
-* each row's mass is a numpy pairwise sum of squares over that row alone
-  (never BLAS, whose threads change the bits);
+  which equals ``exp`` of the purely imaginary exponent, and a varying
+  row's e^a (cos theta + i sin theta) equals ``np.exp(a) * np.exp(1j *
+  theta)``;
+* a varying row's noise exponent, merged angle, mass weight and Ito sums
+  are taken one row at a time, from that row's (n^d,) values and its own
+  path's coefficients;
+* each row's mass, and a varying row's weighted mass sum, is a numpy
+  pairwise sum over that row alone (never BLAS, whose threads change the
+  bits);
 * the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
@@ -207,7 +228,9 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
     every step.  ``snapshot``, when given, is called as ``snapshot(k, t_k, X)``
     with the X field at every ``save_every``-th time index (default about 512
     over the run) and at the last one, in time order, as the march produces
-    them; X must not be modified.  The record keeps only the final state.
+    them; X must not be modified, but it is a field the march never writes
+    again, so the callable may keep it without a copy.  The record keeps
+    only the final state.
     This is the one-path call of :func:`simulate_block`.
     """
     if path is None:
@@ -276,8 +299,9 @@ def _exp_series(args: np.ndarray) -> list:
 class _Block:
     """The march's state for B paths on one grid, row b for ``paths[b]``: the
     tables every path shares, built once; each path's tables, built path by
-    path and stacked as (B, ...) arrays; and each row's series, end and stop.
-    The defaults build the tables alone, with no save index and no snapshot."""
+    path and stacked as (B, ...) arrays; each row's series, end and stop; and
+    the scratch every step writes into.  The defaults build the tables alone,
+    with no save index and no snapshot."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
                  paths: list, save_set=frozenset(), snapshots: list | None = None):
@@ -289,16 +313,23 @@ class _Block:
         self.n_steps = n_steps = params.n_steps
         dt, mu, alpha = params.dt, model.mu, params.alpha
         self.lin_half = grid.propagator(0.5 * dt)
-        self.lin_full = self.lin_half * self.lin_half
         self.pow_half = 0.5 * (alpha - 1.0)
         self.phase_on = params.lam != 0
         qv_coef = mu**2 + np.abs(mu) ** 2  # twice the Ito correction per unit dQ_j
         corr = 0.5 * qv_coef
         if not self.homogeneous:
             e = model.sample_profiles(grid)
-            self.e_values = e
-            self.mu_e = mu[:, None] * e
-            self.corr_base = 0.5 * (qv_coef[:, None] * e**2)
+            # the real table [e; e^2], whose first J rows are the profiles:
+            # the real and imaginary parts of step k's noise exponent
+            # sum_j mu_j e_j dM_j(k) - corr_j e_j^2 dQ_j(k) are the product of
+            # a path's (2, 2J) coefficient block k with it
+            self.profile_table = np.concatenate([e, e**2])
+            self.e_values = self.profile_table[:mu.size]
+            self.noise_coefs = []
+            for p in paths:
+                c = np.concatenate([mu[:, None] * p.increments, -corr[:, None] * p.dqv])
+                self.noise_coefs.append(np.ascontiguousarray(
+                    np.stack([c.real, c.imag]).transpose(2, 0, 1)))
 
         # sum_j Re(mu_j) M_j and sum_j mu_j M_j at every grid time
         self.re_m = np.array([path.real_part_series(mu) for path in paths])
@@ -344,19 +375,83 @@ class _Block:
                 self.stop_after(b, k - 1,
                                 _abort_at("|Re M| exceeds the overflow guard", k))
 
-    def noise_exponent(self, b: int, k: int) -> np.ndarray:
-        """Exponent of row b's spatially varying noise multiplier of step k."""
-        path = self.paths[b]
-        expo = path.increments[:, k] @ self.mu_e - path.dqv[:, k] @ self.corr_base
-        if np.abs(expo.real).max() > OVERFLOW_GUARD:
+        # Scratch every step writes into, rows 0..B-1 for the rows still
+        # marching: the state's spectrum, a spectral and a physical buffer,
+        # the rotation factor, and two real fields; a varying row's step also
+        # takes the real and imaginary parts of its noise exponent.
+        rows = (len(paths), grid.size)
+        self.yh, self.spec, self.phys, self.rot = np.empty((4, *rows), dtype=complex)
+        self.amp, self.angle = np.empty((2, *rows))
+        if not self.homogeneous:
+            self.ab = np.empty((2, grid.size))
+
+    def noise_exponent(self, b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of row b's spatially varying noise
+        exponent of step k, the two rows of the block's ``ab`` scratch."""
+        a, im = np.matmul(self.noise_coefs[b][k], self.profile_table, out=self.ab)
+        if a.max() > OVERFLOW_GUARD or a.min() < -OVERFLOW_GUARD:
             raise _abort_at("noise exponent exceeds the overflow guard", k)
-        return expo
+        return a, im
+
+    def noise_step(self, i: int, b: int, k: int, neg_coef) -> None:
+        """Apply row b's noise multiplier of step k, e^{a + i im}, and the
+        step's phase rotation to the row's physical state, block row i, in
+        one product: u *= e^a (cos theta + i sin theta), one real exp and one
+        cos/sin pair.
+
+        ``neg_coef`` is -coef, the row's phase coefficient of step k, or None
+        without a phase (theta = im).  A Lie step rotates once, by theta =
+        im - coef |u|^{alpha-1}.  Strang's two half phases meet the noise
+        between them, which scales |u| by e^a pointwise, so they merge into
+        theta = im - coef |u|^{alpha-1} (1 + e^{(alpha-1) a}).  Raises the
+        noise guard's abort before touching u."""
+        a, im = self.noise_exponent(b, k)
+        u, amp, angle, rot = self.phys[i], self.amp[i], self.angle[i], self.rot[i]
+        if neg_coef is None:
+            angle = im
+        else:
+            np.square(u.real, out=amp)
+            np.square(u.imag, out=angle)
+            amp += angle
+            if self.pow_half != 1.0:
+                amp **= self.pow_half
+            if self.params.splitting == "lie":
+                np.multiply(amp, neg_coef, out=angle)
+            else:
+                np.multiply(a, self.params.alpha - 1.0, out=angle)
+                np.exp(angle, out=angle)
+                if angle.max() == math.inf:
+                    # e^{(alpha-1) a} overflows: take the second half phase
+                    # from |u e^a|^{alpha-1}, as a second rotation would, so
+                    # u = 0 stays 0 and the angle overflows only where that
+                    # rotation's does
+                    ea = np.exp(a)
+                    np.square(u.real, out=angle)
+                    angle += np.square(u.imag)
+                    angle *= ea
+                    angle *= ea
+                    angle **= self.pow_half
+                    angle += amp
+                else:
+                    angle += 1.0
+                    angle *= amp
+                angle *= neg_coef
+            angle += im
+        np.exp(a, out=a)
+        np.cos(angle, out=rot.real)
+        np.sin(angle, out=rot.imag)
+        rot.real *= a
+        rot.imag *= a
+        u *= rot
 
     def m_field_values(self, b: int, k: int) -> np.ndarray:
         """Row b's M(t_k, xi), flat complex (a scalar broadcast if homogeneous)."""
         if self.homogeneous:
             return np.full(self.grid.size, self.m_scalar[b, k])
-        return self.paths[b].values[:, k] @ self.mu_e
+        c = self.model.mu * self.paths[b].values[:, k]
+        m = np.empty(self.grid.size, dtype=np.complex128)
+        m.real, m.imag = c.real @ self.e_values, c.imag @ self.e_values
+        return m
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort) -> None:
         """Record no time index of row b after ``end``; the row returns
@@ -365,6 +460,31 @@ class _Block:
 
     def mass_of(self, values: np.ndarray) -> float:
         return self.cv * float(_squared_norms(values))
+
+    def varying_masses(self, i: int, b: int, k: int, v: np.ndarray) -> float:
+        """Row b's mass of y = v e^{-M} at index k, from its physical state v
+        in block row i: cv sum |v|^2 e^{-2 Re M}, with e^{-Re M} applied
+        twice, so the sum overflows where |y|^2 does.  Before the last index
+        it also sets the row's stochastic mass sum increment over step k
+        from the same |v|^2."""
+        amp2, w, tmp = self.amp[i], self.angle[i], self.ab[0]
+        np.square(v.real, out=amp2)
+        amp2 += np.square(v.imag, out=tmp)
+        path = self.paths[b]
+        # -Re M(t_k, xi) = sum_j (-Re mu_j) M_j(t_k) e_j(xi), all real
+        np.exp(np.matmul(-self.model.mu.real * path.values[:, k], self.e_values,
+                         out=w), out=w)
+        np.multiply(amp2, w, out=tmp)
+        tmp *= w
+        mass = self.cv * float(tmp.sum())
+        if k < self.n_steps:
+            # the increment over step k, at its left endpoint:
+            # 2 sum_j Re(mu_j) dM_j(k) cv sum e_j |v|^2
+            w_j = [self.cv * float(np.multiply(e, amp2, out=tmp).sum())
+                   for e in self.e_values]
+            self.ito[b, k + 1] = 2.0 * float(
+                (self.model.mu.real * path.increments[:, k]) @ w_j)
+        return mass
 
     def record(self, k: int, rows: np.ndarray, masses: np.ndarray, phys) -> bool:
         """Record time index k of the block rows ``rows`` from their own
@@ -375,8 +495,8 @@ class _Block:
         Where either mass is non-finite the row stops after k with the reason
         (a non-finite own mass before an overflowing reconstruction weight
         before a non-finite other mass) and hands nothing over.  Otherwise, at
-        a save index the X field goes to the row's snapshot callable, and at
-        the last index the (X, y) pair is kept."""
+        a save index a copy of the X field goes to the row's snapshot
+        callable, and at the last index the (X, y) pair is kept."""
         own, other = self.own, self.other
         if self.homogeneous:
             at = k if rows.size == len(self.paths) else (k, rows)
@@ -390,14 +510,10 @@ class _Block:
         for i, b in enumerate(rows.tolist()):
             if self.end[b] < k:
                 continue
-            y = None
             if not self.homogeneous:
                 own[k, b] = masses[i]
-                if math.isfinite(masses[i]):
-                    y = phys[i] * np.exp(-self.m_field_values(b, k))
-                    other[k, b] = self.mass_of(y)
-                else:
-                    other[k, b] = math.nan
+                other[k, b] = self.varying_masses(i, b, k, phys[i]) \
+                    if math.isfinite(masses[i]) else math.nan
             if not math.isfinite(other[k, b]):
                 if not math.isfinite(own[k, b]):
                     reason = "non-finite state"
@@ -409,22 +525,21 @@ class _Block:
                 recorded = False
                 continue
             if k in self.save_set:
+                # phys is the march's scratch: the snapshot gets its own copy
                 v = phys[i]
-                x, y = (v, y) if self.direct else (v * np.exp(self.m_scalar[b, k]), v)
+                x = v.copy() if self.direct else v * np.exp(self.m_scalar[b, k])
                 if self.snapshots is not None:
                     self.snapshots[b](k, float(self.paths[b].times[k]),
                                       ComplexField(x, self.grid))
                 if k == self.n_steps:
-                    if y is None:
-                        y = v * np.exp(-self.m_field_values(b, k))
+                    if self.direct:  # y = v e^{-M}, built in place
+                        y = self.m_field_values(b, k)
+                        np.exp(np.negative(y, out=y), out=y)
+                        np.multiply(v, y, out=y)
+                    else:
+                        y = v.copy()
                     self.final_x[b] = ComplexField(x.copy(), self.grid)
-                    self.final_y[b] = ComplexField(y.copy(), self.grid)
-            if not self.homogeneous and k < self.n_steps:
-                # the stochastic mass sum's increment over step k (left endpoint)
-                amp2 = phys[i].real**2 + phys[i].imag**2
-                w = self.cv * (self.e_values * amp2).sum(axis=-1)
-                self.ito[b, k + 1] = 2.0 * float(
-                    (self.model.mu.real * self.paths[b].increments[:, k]) @ w)
+                    self.final_y[b] = ComplexField(y, self.grid)
         return recorded
 
     def outcomes(self) -> list:
@@ -460,7 +575,7 @@ def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
     np.square(u.imag, out=angle)
     amp += angle
     if pow_half != 1.0:
-        amp = amp ** pow_half
+        amp **= pow_half
     np.multiply(amp, neg_coef, out=angle)
     np.cos(angle, out=rot.real)
     np.sin(angle, out=rot.imag)
@@ -472,28 +587,26 @@ def _march(block: _Block, x: ComplexField) -> None:
     per step (Strang with spatially varying noise: three), masses by
     Parseval.  Strang steps lead and trail with the half linear flow, Lie
     steps lead with the full one.  ``rows`` holds the block rows still
-    marching; every row records every time index it reaches and leaves after
-    its end: its first failing index, or the step before a guard."""
+    marching, and row i of each scratch buffer holds ``rows[i]``; every row
+    records every time index it reaches and leaves after its end: its first
+    failing index, or the step before a guard."""
     grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
     fused = block.mid_scalar is not None
-    phase_on = block.phase_on
     strang = block.params.splitting == "strang"
-    lead, trail = (block.lin_half, block.lin_half) if strang else (block.lin_full, None)
+    half = block.lin_half
+    lead, trail = (half, half) if strang else (half * half, None)
     parseval = grid.cell_volume / grid.size
+    scratch = (block.yh, block.spec, block.phys, block.rot, block.amp, block.angle)
+    yh, spec, u, rot, amp, angle = scratch
 
     rows = np.arange(len(block.paths))
-    phys = np.tile(x.values, (rows.size, 1))
-    yh = grid.forward(phys)
-    block.record(0, rows, np.full(rows.size, block.mass_of(x.values)), phys)
-    if fused:
-        mid = block.mid_scalar
-    else:
-        noise = np.empty(phys.shape, dtype=np.complex128)
-    if phase_on:
+    u[:] = x.values
+    grid.forward(u, out=yh)
+    block.record(0, rows, np.full(rows.size, block.mass_of(x.values)), u)
+    mid, neg_coef = block.mid_scalar, None
+    if block.phase_on:
         neg_coef = -((block.phase_fused if fused else block.phase_half) if strang
                      else block.phase_full)
-        amp, angle = np.empty(phys.shape), np.empty(phys.shape)
-        rot = np.empty(phys.shape, dtype=np.complex128)
 
     next_end = block.end.min()
     for k in range(n_steps):
@@ -501,40 +614,39 @@ def _march(block: _Block, x: ComplexField) -> None:
             keep = block.end[rows] > k
             if not keep.any():
                 break
+            nb = int(np.count_nonzero(keep))
+            block.yh[:nb] = yh[keep]
+            yh, spec, u, rot, amp, angle = (buf[:nb] for buf in scratch)
             rows = rows[keep]
-            yh = yh[keep]
             if fused:
                 mid = mid[keep]
-            if phase_on:
+            if neg_coef is not None:
                 neg_coef = neg_coef[keep]
             next_end = block.end[rows].min()
-        nb = rows.size
 
-        u = grid.inverse(lead * yh)
-        if phase_on:
-            _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp[:nb], angle[:nb],
-                    rot[:nb])
+        np.multiply(lead, yh, out=spec)
+        grid.inverse(spec, out=u)
         if fused:
+            if neg_coef is not None:
+                _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp, angle, rot)
             u *= mid[:, k:k + 1]
         else:
             for i, b in enumerate(rows.tolist()):
+                coef = None if neg_coef is None else neg_coef[i, k]
                 try:
-                    noise[i] = block.noise_exponent(b, k)
+                    block.noise_step(i, b, k, coef)
                 except NumericalAbort as exc:
                     block.stop_after(b, k, exc)
                     next_end = k + 1
-                    noise[i] = 0.0
-            u *= np.exp(noise[:nb])
-            if phase_on and strang:
-                _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp[:nb],
-                        angle[:nb], rot[:nb])
-        yh = grid.forward(u)
-        if trail is not None:
-            yh = trail * yh
+        if trail is None:
+            grid.forward(u, out=yh)
+        else:
+            grid.forward(u, out=spec)
+            np.multiply(trail, spec, out=yh)
 
         if fused and k + 1 not in save_set:
             phys = None
         else:
-            phys = u if trail is None else grid.inverse(yh)
-        if not block.record(k + 1, rows, parseval * _squared_norms(yh), phys):
+            phys = u if trail is None else grid.inverse(yh, out=u)
+        if not block.record(k + 1, rows, parseval * _squared_norms(yh, rot), phys):
             next_end = k + 1

@@ -142,7 +142,7 @@ class _MapKernel:
         """U(t_i, 0) x on the nodes: the first iterate."""
         out = np.empty_like(self.fwd)
         for i, row in enumerate(self.fwd):
-            out[i] = self.grid.inverse(row * self.xh)
+            self.grid.inverse(row * self.xh, out=out[i])
         return out
 
     def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,8 +157,9 @@ class _MapKernel:
         grid, fwd, xh = self.grid, self.fwd, self.xh
         out, sq, lp = np.empty_like(y), np.empty(self.nodes), np.empty(self.nodes)
         f, g, acc = np.empty_like(xh), np.empty_like(xh), np.zeros_like(xh)
+        b, b_prev = np.empty_like(xh), np.empty_like(xh)
         mod, pw = np.empty(xh.shape), np.empty(xh.shape)
-        half, b_prev = 0.5 * self.ds, None
+        half = 0.5 * self.ds
         for i, yi in enumerate(y):
             np.multiply(self.damp_coef[i], yi, out=f)
             if self.lam != 0:
@@ -167,16 +168,16 @@ class _MapKernel:
                 np.multiply(mod, yi, out=g)
                 g *= self.phase_coef[i]
                 f += g
-            b = grid.forward(f)
+            grid.forward(f, out=b)
             b *= np.conjugate(fwd[i], out=g)
-            if b_prev is not None:
+            if i:
                 np.add(b_prev, b, out=g)
                 g *= half
                 acc += g
-            b_prev = b
+            b, b_prev = b_prev, b
             np.subtract(xh, acc, out=g)
             g *= fwd[i]
-            out[i] = grid.inverse(g)
+            grid.inverse(g, out=out[i])
             np.subtract(out[i], yi, out=g)
             np.abs(g, out=mod)
             sq[i] = np.square(mod, out=pw).sum()

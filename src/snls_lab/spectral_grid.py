@@ -103,21 +103,31 @@ class GridSpec:
         object.__setattr__(self, "k_squared", ksq.ravel())
         object.__setattr__(self, "axis_coordinates", -L + spacing * np.arange(n))
 
-    def forward(self, a: np.ndarray) -> np.ndarray:
-        """Unnormalized DFT of each flat field along the last axis of a."""
-        if self.dimension == 1:
-            return np.fft.fft(a, axis=-1)
-        axes = tuple(range(1, self.dimension + 1))
-        return np.fft.fftn(a.reshape(-1, *self.shape), s=self.shape,
-                            axes=axes).reshape(a.shape)
+    def forward(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Unnormalized DFT of each flat field along the last axis of a.
 
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`forward`."""
+        ``out``, when given, receives the result: a C-contiguous complex128
+        array of a's shape that does not overlap a.  Its values equal the
+        allocating call's bit for bit.
+        """
         if self.dimension == 1:
-            return np.fft.ifft(a, axis=-1)
-        axes = tuple(range(1, self.dimension + 1))
-        return np.fft.ifftn(a.reshape(-1, *self.shape), s=self.shape,
-                            axes=axes).reshape(a.shape)
+            return np.fft.fft(a, axis=-1, out=out)
+        return self._nd(np.fft.fftn, a, out)
+
+    def inverse(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse of :meth:`forward`, with the same ``out``."""
+        if self.dimension == 1:
+            return np.fft.ifft(a, axis=-1, out=out)
+        return self._nd(np.fft.ifftn, a, out)
+
+    def _nd(self, transform, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        fields = (-1, *self.shape)
+        if out is not None:
+            if not out.flags.c_contiguous:  # a reshaped copy would take the result
+                raise ValueError("out: must be C-contiguous")
+            out = out.reshape(fields)
+        return transform(a.reshape(fields), s=self.shape, out=out,
+                         axes=tuple(range(1, self.dimension + 1))).reshape(a.shape)
 
     def propagator(self, t) -> np.ndarray:
         """The free group's multiplier exp(i |k|^2 t); an array of times such
@@ -199,14 +209,17 @@ def laplacian_spectral(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 # -- norms --------------------------------------------------------------------
 
-def _squared_norms(values: np.ndarray) -> np.ndarray:
-    """sum |v|^2 over the last axis of contiguous complex128 rows.
+def _squared_norms(values: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """sum |v|^2 over the last axis of contiguous complex128 rows; the
+    squares go into ``scratch``, a contiguous complex128 array of the same
+    shape, when given.
 
     A numpy pairwise sum, not BLAS: its bits depend on neither the BLAS
     thread count (``np.vdot`` threads at 16,384 values and more) nor on how
     many rows share the call.
     """
-    return np.square(values.view(np.float64)).sum(axis=-1)
+    out = None if scratch is None else scratch.view(np.float64)
+    return np.square(values.view(np.float64), out=out).sum(axis=-1)
 
 
 def norm_L2(field: ComplexField) -> float:

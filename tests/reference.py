@@ -152,15 +152,19 @@ class StepRecorder:
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
         block = self.block
         rm = block.re_m[0, k]
-        y = None
         try:
             if self.direct:
                 self.mass_x[k] = mass
                 if block.homogeneous:
                     self.mass_y[k] = math.exp(-2.0 * rm) * mass
                 else:
-                    y = v * np.exp(-block.m_field_values(0, k))
-                    self.mass_y[k] = self.mass_of(y)
+                    # the mass of y = v e^{-M} with the real weight e^{-2 Re M},
+                    # applied as e^{-Re M} twice
+                    amp2 = v.real**2 + v.imag**2
+                    neg_re_m = (-block.model.mu.real * block.paths[0].values[:, k]) \
+                        @ block.e_values
+                    w = np.exp(neg_re_m)
+                    self.mass_y[k] = self.cv * float(((amp2 * w) * w).sum())
             else:
                 self.mass_y[k] = mass
                 self.mass_x[k] = math.exp(2.0 * rm) * mass
@@ -172,15 +176,11 @@ class StepRecorder:
             raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
         if k not in self.save_set:
             return
-        if self.direct:
-            x = v
-        else:
-            x, y = v * np.exp(block.m_scalar[0, k]), v
+        x = v if self.direct else v * np.exp(block.m_scalar[0, k])
         if self.snapshot is not None:
             self.snapshot(k, float(block.paths[0].times[k]), ComplexField(x, self.grid))
         if k == self.n_steps:
-            if y is None:
-                y = v * np.exp(-block.m_field_values(0, k))
+            y = v * np.exp(-block.m_field_values(0, k)) if self.direct else v
             self.final_x = ComplexField(x.copy(), self.grid)
             self.final_y = ComplexField(y.copy(), self.grid)
 

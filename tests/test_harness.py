@@ -952,7 +952,11 @@ def test_mutated_configs_exit_cleanly(kind, mutations):
 
 # Valid configs whose noise paths carry the runs anywhere: strong
 # coefficients, small or large density floors, both schemes, splittings and
-# profile kinds, and fit windows the mass may underflow before.
+# profile kinds, and fit windows the mass may underflow before.  Spatially
+# varying runs take the wider draw ``varying``: coefficients up to 1000,
+# alpha across the whole band (1, 5) of d = 1, up to 2,000 steps on n = 32,
+# and initial amplitudes up to 1e150, which overflow |u|^{alpha-1} and so the
+# merged phase angle.
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(kind=st.sampled_from(["simulate", "ensemble"]),
@@ -964,15 +968,22 @@ def test_mutated_configs_exit_cleanly(kind, mutations):
        scheme=st.sampled_from(["rescaled", "direct"]),
        splitting=st.sampled_from(["strang", "lie"]),
        profile=st.sampled_from([{"kind": "constant-one"}, BUMP_PROFILE]),
-       fit=st.booleans(), start=st.integers(0, 199), width=st.integers(1, 200))
+       fit=st.booleans(), start=st.integers(0, 199), width=st.integers(1, 200),
+       varying=st.tuples(st.floats(0.0, 1000.0),
+                         st.floats(1.0, 5.0, exclude_min=True, exclude_max=True),
+                         st.integers(1, 2000), st.sampled_from([1.0, 1e40, 1e150])))
 def test_noisy_dynamics_exit_cleanly(kind, points, modulus, angle, density, floor,
                                      lam, alpha, dt, steps, scheme, splitting,
-                                     profile, fit, start, width):
+                                     profile, fit, start, width, varying):
+    amplitude = 1.0
     if profile["kind"] != "constant-one":
         # vetoed before the march in any other run
         kind, scheme, fit = "simulate", "direct", False
+        modulus, alpha, steps, amplitude = varying
+        points = 32
     cfg = short_config(kind)
     cfg["grid"]["points"] = points
+    cfg["initial"]["amplitude"] = amplitude
     cfg["noise"] = {"coefficients": [[modulus * np.cos(angle), modulus * np.sin(angle)]],
                     "profiles": [profile],
                     "densities": [{"kind": "constant", "value": density,

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from snls_lab.integrator import (
 )
 from snls_lab.noise_process import (
     DensitySpec,
+    MartingalePath,
     NoiseModel,
     SpatialProfile,
     restrict_path,
@@ -341,6 +343,16 @@ class TestSimulate:
             simulate(GRID, m, params, X0, seed=0)
 
 
+def count_calls(monkeypatch, calls, owner, name):
+    """Replace ``owner.name`` with a wrapper that appends name to calls."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
 def collector():
     """A snapshot callable and the list of (k, t, X values) it fills."""
     seen = []
@@ -390,11 +402,23 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
                 rotate(u, block.phase_fused[0, k])
             u *= block.mid_scalar[0, k]
         else:
+            # the noise multiplier e^{a + ib} and both half phases in one
+            # rotation: the second half phase sees the modulus |u| e^a
+            a, im = (part.copy() for part in block.noise_exponent(0, k))
+            theta = im
             if block.phase_on:
-                rotate(u, block.phase_half[0, k])
-            u *= np.exp(block.noise_exponent(0, k))
-            if block.phase_on:
-                rotate(u, block.phase_half[0, k])
+                amp = u.real**2 + u.imag**2
+                if block.pow_half != 1.0:
+                    amp = amp**block.pow_half
+                s = np.exp((params.alpha - 1.0) * a)
+                if np.isinf(s).any():
+                    # e^{(alpha-1) a} overflows: |u e^a|^{alpha-1} directly
+                    ea = np.exp(a)
+                    phases = ((u.real**2 + u.imag**2) * ea * ea) ** block.pow_half + amp
+                else:
+                    phases = (s + 1.0) * amp
+                theta = im + phases * -block.phase_half[0, k]
+            u *= np.exp(a) * np.exp(1j * theta)
         yh = half * np.fft.fftn(u.reshape(shape)).ravel()
         mass = parseval * float(_squared_norms(yh))
         if k + 1 in save_set or not block.homogeneous:
@@ -538,17 +562,8 @@ class TestBlockMarch:
         # a block builds the propagator and the profile table once for all
         # its rows, not once per row
         calls = []
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
-
-        count(GridSpec, "propagator")
-        count(NoiseModel, "sample_profiles")
+        count_calls(monkeypatch, calls, GridSpec, "propagator")
+        count_calls(monkeypatch, calls, NoiseModel, "sample_profiles")
         grid, model, params = BLOCK_CASES["direct_bump"]
         paths = sampled(model, params, [0, 1, 2, 3])
         simulate_block(grid, model, params, gaussian_field(grid), paths)
@@ -596,14 +611,94 @@ class TestBlockMarch:
         scale = np.abs(state.values).max()
         assert np.abs(final.values - state.values).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("case", ["direct", "direct_bump", "rescaled"])
+    def test_kept_snapshots_are_not_reused(self, case):
+        # a snapshot callable may keep the X it is handed without copying:
+        # the march hands over a field it never writes again
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, save_every=3)
+        x = gaussian_field(grid, width=1.0)
+        path = sample_martingale(model, params.dt, params.n_steps, 2)
+        kept = []
+        simulate(grid, model, params, x, path=path,
+                 snapshot=lambda k, t, f: kept.append((k, t, f.values)))
+        keep, want = collector()
+        reference_strang(grid, model, params, x, path, keep)
+        assert len(kept) > 2
+        assert_same_snapshots(kept, want)
+
+    def test_one_rotation_and_three_transforms_per_step(self, monkeypatch):
+        # a spatially varying Strang step: inverse, forward, and the inverse
+        # the recording needs, with one cos for the merged rotation; the run
+        # adds the initial spectrum and the two resolution checks
+        calls = []
+        for owner, name in ((GridSpec, "forward"), (GridSpec, "inverse"), (np, "cos")):
+            count_calls(monkeypatch, calls, owner, name)
+        grid, model, params = BLOCK_CASES["direct_bump"]
+        simulate(grid, model, params, gaussian_field(grid), seed=1)
+        n = params.n_steps
+        assert Counter(calls) == {"forward": n + 3, "inverse": 2 * n, "cos": n}
+
+
+def handmade_path(increments, dt):
+    """A path with the given increments (components x steps) and no
+    quadratic variation, so the noise exponent is sum_j mu_j e_j dM_j."""
+    increments = np.asarray(increments, dtype=float)
+    steps = increments.shape[1]
+    values = np.zeros((increments.shape[0], steps + 1))
+    np.cumsum(increments, axis=1, out=values[:, 1:])
+    return MartingalePath(dt * np.arange(steps + 1), values, increments,
+                          np.zeros(increments.shape), np.zeros(values.shape), dt)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning",
+                            "ignore::snls_lab.spectral_grid.SpectralTailWarning")
+class TestMergedAngleOverflow:
+    """e^{(alpha-1) a} overflows where the noise exponent a passes
+    709.78 / (alpha - 1).  The merged angle then comes from |u e^a|, as the
+    second of two rotations takes it, so a state the two rotations keep
+    finite stays finite, and one they make non-finite stops the row at the
+    same index."""
+
+    GRID = make_grid(1, 64, 16.0)
+    MODEL = NoiseModel(np.array([1.0 + 0j]), [BUMP], [DensitySpec("constant", value=1.0)])
+    PARAMS = SimParams(lam=1, alpha=4.0, dt=0.01, t_final=0.01, scheme="direct")
+    # a = 240 e(xi): (alpha - 1) a = 720 near the bump's centre
+    PATH = handmade_path([[240.0]], 0.01)
+
+    def plain_step(self, x):
+        return step(x, self.PATH, 0, self.PARAMS, self.MODEL).values
+
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-104])
+    def test_finite_where_two_rotations_are(self, amplitude):
+        # amplitude 0: u = 0 stays 0; 1e-104: |u e^a| is of order one
+        x = gaussian_field(self.GRID, width=1.0, amplitude=amplitude)
+        rec = simulate(self.GRID, self.MODEL, self.PARAMS, x, path=self.PATH)
+        ref = reference_strang(self.GRID, self.MODEL, self.PARAMS, x, self.PATH)
+        assert np.array_equal(rec.final_x.values, ref.final_x.values)
+        assert np.array_equal(rec.mass_y, ref.mass_y)
+        want = self.plain_step(x)
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(rec.final_x.values - want).max() <= 1e-12 * scale
+        if amplitude:
+            assert np.abs(want).max() > 1.0
+
+    def test_stops_where_two_rotations_overflow(self):
+        x = gaussian_field(self.GRID, width=1.0)
+        with pytest.raises(NumericalAbort, match="^non-finite state at time index 1$"):
+            simulate(self.GRID, self.MODEL, self.PARAMS, x, path=self.PATH)
+        with pytest.raises(ValueError, match="non-finite"):
+            self.plain_step(x)
+
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
-@pytest.mark.parametrize("splitting, bound", [("strang", 16.5), ("lie", 15.5)])
+@pytest.mark.parametrize("splitting, bound", [("strang", 13.5), ("lie", 13.6)])
 def test_unfused_march_working_set(splitting, bound):
     # Peak traced memory of a 32^3 direct bump run, in grid-size complex
-    # arrays: the state and its transforms, the noise and rotation scratch,
-    # the recording temporaries and the block's tables.  It reads 16.08
-    # (Strang) and 15.08 (Lie); one field kept alive by mistake adds one.
+    # arrays: the block's scratch and tables, the recording temporaries and
+    # the final fields.  It reads 13.03 (Strang) and 13.09 (Lie); before the
+    # scratch buffers it read 16.08 and 15.08.  One field kept alive by
+    # mistake adds one.
     grid = make_grid(3, 32, 8.0)
     unit = DensitySpec("constant", alpha0=1.0, v_max=1.0, value=1.0)
     model = NoiseModel(np.array([0.5 + 0j, 0.5 + 0j]),

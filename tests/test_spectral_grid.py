@@ -186,6 +186,18 @@ class TestGridTransforms:
             expect = np.fft.ifftn(row.reshape(g.shape)).ravel()
             for got in (inv[i], g.inverse(row), inverse_transform(row, g).values):
                 assert np.array_equal(got, expect)
+        for transform, want in ((g.forward, fwd), (g.inverse, inv)):
+            out = np.empty_like(block)
+            transform(block, out=out)
+            assert np.array_equal(out, want)
+
+    def test_out_must_be_contiguous(self):
+        g = make_grid(2, 8, 3.0)
+        block = np.zeros((2, g.size), dtype=complex)
+        strided = np.empty((2, 2 * g.size), dtype=complex)[:, ::2]
+        for transform in (g.forward, g.inverse):
+            with pytest.raises(ValueError, match="^out: must be C-contiguous$"):
+                transform(block, out=strided)
 
     @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
     def test_propagator_equals_multiplier_forms(self, d, n):

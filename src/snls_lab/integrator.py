@@ -25,29 +25,31 @@ array (``simulate_block``; ``simulate`` is its B = 1 call).  A step leads
 with the linear flow, half (Strang) or full (Lie), rotates the phase and
 applies the noise-or-damping multiplier; Strang then trails with the second
 half linear flow.  The state stays spectral between steps, so consecutive
-linear flows meet without a transform.  Every step rotates once:
+linear flows meet without a transform.  Every step of every row makes one
+pointwise pass, ``_Block.pointwise_step``:
 
-* a spatially constant mid multiplier (homogeneous rows, and every rescaled
-  row) enters as a (B, 1) column after one rotation; Strang's second half
-  phase is the first scaled by the known |mid|^{alpha-1}, so the two merge
-  into one coefficient column.  Two transforms per step.
-* a spatially varying noise multiplier e^{a + ib} scales |u| by e^a
-  pointwise, so Strang's two half phases and the noise phase b merge into
-  one angle, theta = b - c |u|^{alpha-1} (1 + e^{(alpha-1) a}) with c the
-  half-step coefficient, and the row takes u *= e^a (cos theta + i sin
-  theta): one real exp, one cos/sin pair, no complex exp (Lie: theta = b -
-  c_full |u|^{alpha-1}).  Where e^{(alpha-1) a} overflows, the second half
-  phase comes from |u e^a|^{alpha-1} instead, so the row stops where two
-  rotations would.  The recording needs the physical state, so Strang
-  takes three transforms per step.
+* the noise-or-damping multiplier e^{a + ib} scales |u| by e^a pointwise,
+  so Strang's two half phases merge into one, theta = -c |u|^{alpha-1}
+  (1 + e^{(alpha-1) a}) with c the half-step coefficient (Lie: theta =
+  -c_full |u|^{alpha-1}), and the row takes u *= e^a (cos(b + theta) +
+  i sin(b + theta)).  On a spatially varying row, a and b come from one
+  batched product of the path coefficients with the profile table, and b
+  and e^a enter the rotation: one real exp and one cos/sin pair per point.
+  On a homogeneous row (every rescaled row) they are constant in space and
+  read from per-path tables: the row rotates by theta alone, then takes
+  e^{a + ib} as one complex factor, since theta is small where |u| is and
+  cos and sin of small angles cost about half.  Where e^{(alpha-1) a}
+  overflows on a row, its second half phase comes from |u e^a|^{alpha-1}
+  instead, so the row stops where two rotations would.  Two transforms per
+  step; a varying row's recording needs the physical state, so its Strang
+  step takes three.
 
 All of this is algebraically identical to the plain composition.  Every
-step writes into the block's scratch: the spectrum, a spectral and a
-physical buffer, the rotation factor and two real fields, allocated once.
+step writes into scratch the block allocates once.
 
 One state, ``_Block``, holds the block: the tables every path shares, built
-once; each path's tables (Re M, mid multipliers, phase coefficients, mass
-weights, noise coefficients), stacked as (B, ...) rows; every row's series
+once; each path's tables (Re M, multipliers or noise coefficients, phase
+coefficients, mass weights), stacked as (B, ...) rows; every row's series
 as (B, n_steps + 1) arrays; and the scratch.  One call records a time index
 for all rows still marching: each row's own mass, taken by Parseval from the
 block's one sum of squares, and the other mass.  On homogeneous rows that is
@@ -56,12 +58,14 @@ times them, and one finiteness test.  A spatially varying row takes the mass
 of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, and its
 Ito increment from the same |X|^2, row by row, so the march transforms it
 back to physical space at every step; the complex y is built only at the
-last index.  A row leaves the block at its first index
-with a non-finite mass, or before the step its guard trips (|Re M| past
-``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a varying
-one).  One method sets a row's end and stop, called by the recording with
-the reason and by both guards; the row then returns that abort, with the
-message and time index a step-by-step check gives, and its neighbours march on.
+last index.  A row leaves the block at its first index with a non-finite
+mass, or before the step its guard trips (|Re M| past ``OVERFLOW_GUARD`` on a
+homogeneous row, the noise exponent on a varying one).  One method sets a
+row's end and stop, called by the recording with the reason and by both
+guards; the row then returns that abort, with the message and time index a
+step-by-step check gives, and its neighbours march on.  The march runs under
+``np.errstate(over="ignore", invalid="ignore")``: a row that overflows goes
+through the block's arithmetic before it leaves, and its abort reports it.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
@@ -71,13 +75,14 @@ and sums taken step by step, because:
   across the path axis;
 * the free multiplier is applied as ``half * x`` (complex products are not
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
-* the phase rotation is written in place as cos + i sin of the real angle,
-  which equals ``exp`` of the purely imaginary exponent, and a varying
-  row's e^a (cos theta + i sin theta) equals ``np.exp(a) * np.exp(1j *
-  theta)``;
-* a varying row's noise exponent, merged angle, mass weight and Ito sums
-  are taken one row at a time, from that row's (n^d,) values and its own
-  path's coefficients;
+* the rotation is written in place as cos + i sin of the real angle, which
+  equals ``np.exp(1j * theta)``, times e^a on a varying row;
+* the pointwise step is elementwise in each row, with that row's own a, b
+  and coefficient; a varying row's noise exponents are its own slice of one
+  batched product, equal to its one-row product;
+* the noise guard and the e^{(alpha-1) a} overflow rule are decided per row;
+* a varying row's mass weight and Ito sums are taken one row at a time,
+  from that row's (n^d,) values and its own path's coefficients;
 * each row's mass, and a varying row's weighted mass sum, is a numpy
   pairwise sum over that row alone (never BLAS, whose threads change the
   bits);
@@ -280,8 +285,11 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     if snapshots is not None:
         save_every = params.save_every or max(1, math.ceil(n_steps / 512))
         save_set.update(range(0, n_steps + 1, save_every))
-    block = _Block(grid, model, params, paths, save_set, snapshots)
-    _march(block, x)
+    # a row whose tables or state overflow goes through the block's
+    # arithmetic before it leaves; its abort, not a numpy warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _Block(grid, model, params, paths, save_set, snapshots)
+        _march(block, x)
     return block.outcomes()
 
 
@@ -315,44 +323,45 @@ class _Block:
         self.lin_half = grid.propagator(0.5 * dt)
         self.pow_half = 0.5 * (alpha - 1.0)
         self.phase_on = params.lam != 0
+        self.strang_phase = self.phase_on and params.splitting == "strang"
+        self.phase_factor = self.neg_coef = None
         qv_coef = mu**2 + np.abs(mu) ** 2  # twice the Ito correction per unit dQ_j
         corr = 0.5 * qv_coef
-        if not self.homogeneous:
+        if self.homogeneous:
+            # every step's spatially constant multiplier e^{a + ib}, the damping
+            # (rescaled) or the noise (direct), and the factor
+            # 1 + e^{(alpha-1) a} of a Strang phase: one entry per path and step
+            expo = [mu @ p.increments.astype(np.complex128) - corr @ p.dqv if self.direct
+                    else -(corr @ p.dqv) for p in paths]
+            self.mid_scalar = np.array([np.exp(z) for z in expo])
+            if self.strang_phase:
+                self.phase_factor = np.array([np.exp((alpha - 1.0) * z.real) + 1.0
+                                              for z in expo])
+        else:
             e = model.sample_profiles(grid)
             # the real table [e; e^2], whose first J rows are the profiles:
-            # the real and imaginary parts of step k's noise exponent
+            # a and b of step k's noise exponent
             # sum_j mu_j e_j dM_j(k) - corr_j e_j^2 dQ_j(k) are the product of
-            # a path's (2, 2J) coefficient block k with it
+            # a path's (2, 2J) coefficient block k with it; (B, n_steps, 2, 2J)
             self.profile_table = np.concatenate([e, e**2])
             self.e_values = self.profile_table[:mu.size]
-            self.noise_coefs = []
-            for p in paths:
-                c = np.concatenate([mu[:, None] * p.increments, -corr[:, None] * p.dqv])
-                self.noise_coefs.append(np.ascontiguousarray(
-                    np.stack([c.real, c.imag]).transpose(2, 0, 1)))
+            c = np.array([np.concatenate([mu[:, None] * p.increments,
+                                          -corr[:, None] * p.dqv]) for p in paths])
+            self.noise_coefs = np.ascontiguousarray(
+                np.stack([c.real, c.imag]).transpose(1, 3, 0, 2))
 
         # sum_j Re(mu_j) M_j and sum_j mu_j M_j at every grid time
         self.re_m = np.array([path.real_part_series(mu) for path in paths])
         self.m_scalar = np.array([path.complex_series(mu) for path in paths])
-        self.mid_scalar = None
-        if params.scheme == "rescaled":
-            self.mid_scalar = np.array([np.exp(-(corr @ p.dqv)) for p in paths])
-        elif self.homogeneous:
-            self.mid_scalar = np.array([
-                np.exp(mu @ p.increments.astype(np.complex128) - corr @ p.dqv)
-                for p in paths])
         if self.phase_on:
             if params.scheme == "rescaled":
                 scale = params.lam * np.array([np.exp((alpha - 1.0) * r[:-1])
                                                for r in self.re_m])
             else:
                 scale = np.full((len(paths), n_steps), float(params.lam))
-            self.phase_half = scale * (0.5 * dt)
-            self.phase_full = scale * dt
-            if self.mid_scalar is not None:
-                # |mid|^{alpha-1} folds the second half phase into the first.
-                mod = np.array([np.abs(m) ** (alpha - 1.0) for m in self.mid_scalar])
-                self.phase_fused = self.phase_half * (1.0 + mod)
+            # -c, the rotation's coefficient of |u|^{alpha-1}: a half step's
+            # (Strang) or a full step's (Lie)
+            self.neg_coef = scale * (-0.5 * dt if params.splitting == "strang" else -dt)
 
         self.mass_x, self.mass_y = np.empty(self.re_m.shape), np.empty(self.re_m.shape)
         # the scheme's own mass (taken by Parseval) and the other one, as
@@ -377,72 +386,84 @@ class _Block:
 
         # Scratch every step writes into, rows 0..B-1 for the rows still
         # marching: the state's spectrum, a spectral and a physical buffer,
-        # the rotation factor, and two real fields; a varying row's step also
-        # takes the real and imaginary parts of its noise exponent.
+        # the rotation factor, two real fields, and e^a and the Strang phase
+        # factor, one column entry per row when they are constant in space.
         rows = (len(paths), grid.size)
         self.yh, self.spec, self.phys, self.rot = np.empty((4, *rows), dtype=complex)
         self.amp, self.angle = np.empty((2, *rows))
-        if not self.homogeneous:
-            self.ab = np.empty((2, grid.size))
+        self.ea, self.fac = np.empty((2, len(paths), 1 if self.homogeneous else grid.size))
 
-    def noise_exponent(self, b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of row b's spatially varying noise
-        exponent of step k, the two rows of the block's ``ab`` scratch."""
-        a, im = np.matmul(self.noise_coefs[b][k], self.profile_table, out=self.ab)
-        if a.max() > OVERFLOW_GUARD or a.min() < -OVERFLOW_GUARD:
-            raise _abort_at("noise exponent exceeds the overflow guard", k)
-        return a, im
+    def noise_factors(self, k: int, rows: np.ndarray, coefs: np.ndarray) -> tuple:
+        """The ``pointwise_step`` factors of step k on the varying rows
+        ``rows``: 1 + e^{(alpha-1) a} (Strang phase only, else None), e^a and
+        b, from the noise exponents a + ib, the product of the rows' (2, 2J)
+        coefficient blocks ``coefs`` with the profile table.  A row whose a
+        passes the guard stops after k."""
+        nb = rows.size
+        # a and b go into the spectral buffer, which the step does not read
+        # between its inverse and forward transforms
+        out = self.spec[:nb].view(np.float64).reshape(nb, 2, -1)
+        a, b = np.matmul(coefs, self.profile_table, out=out).transpose(1, 0, 2)
+        tripped = (a.max(axis=1) > OVERFLOW_GUARD) | (a.min(axis=1) < -OVERFLOW_GUARD)
+        for row in rows[tripped].tolist():
+            self.stop_after(row, k, _abort_at("noise exponent exceeds the overflow guard", k))
+        factor = None
+        if self.strang_phase:
+            factor = np.multiply(a, self.params.alpha - 1.0, out=self.fac[:nb])
+            np.exp(factor, out=factor)
+            factor += 1.0
+        return factor, np.exp(a, out=self.ea[:nb]), b
 
-    def noise_step(self, i: int, b: int, k: int, neg_coef) -> None:
-        """Apply row b's noise multiplier of step k, e^{a + i im}, and the
-        step's phase rotation to the row's physical state, block row i, in
-        one product: u *= e^a (cos theta + i sin theta), one real exp and one
-        cos/sin pair.
-
-        ``neg_coef`` is -coef, the row's phase coefficient of step k, or None
-        without a phase (theta = im).  A Lie step rotates once, by theta =
-        im - coef |u|^{alpha-1}.  Strang's two half phases meet the noise
-        between them, which scales |u| by e^a pointwise, so they merge into
-        theta = im - coef |u|^{alpha-1} (1 + e^{(alpha-1) a}).  Raises the
-        noise guard's abort before touching u."""
-        a, im = self.noise_exponent(b, k)
-        u, amp, angle, rot = self.phys[i], self.amp[i], self.angle[i], self.rot[i]
+    def pointwise_step(self, u: np.ndarray, neg_coef: np.ndarray | None,
+                       factor: np.ndarray | None, scale: np.ndarray,
+                       b: np.ndarray | None) -> None:
+        """Apply the step's multiplier e^{a + ib} and its phase rotation to
+        the physical states u of the rows still marching, as the module
+        docstring describes.  ``neg_coef`` is the (nb, 1) column of -c, the
+        rows' phase coefficient of the step, or None without a phase;
+        ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase is
+        Strang's.  On spatially varying rows, ``factor``, ``scale`` = e^a
+        and ``b`` are (nb, n^d) rows; on homogeneous rows, ``factor`` is an
+        (nb, 1) column, ``scale`` the multiplier e^{a + ib} as an (nb, 1)
+        complex column, and ``b`` None.  Where e^{(alpha-1) a} overflows,
+        the row's second half phase comes from |u e^a|^{alpha-1}, as a
+        second rotation takes it: u = 0 stays 0, and the angle overflows only
+        where that rotation's does."""
+        nb = u.shape[0]
+        amp, angle, rot, fac = self.amp[:nb], self.angle[:nb], self.rot[:nb], self.fac[:nb]
         if neg_coef is None:
-            angle = im
+            angle = b
         else:
             np.square(u.real, out=amp)
             np.square(u.imag, out=angle)
             amp += angle
             if self.pow_half != 1.0:
                 amp **= self.pow_half
-            if self.params.splitting == "lie":
+            if factor is None:
                 np.multiply(amp, neg_coef, out=angle)
             else:
-                np.multiply(a, self.params.alpha - 1.0, out=angle)
-                np.exp(angle, out=angle)
-                if angle.max() == math.inf:
-                    # e^{(alpha-1) a} overflows: take the second half phase
-                    # from |u e^a|^{alpha-1}, as a second rotation would, so
-                    # u = 0 stays 0 and the angle overflows only where that
-                    # rotation's does
-                    ea = np.exp(a)
-                    np.square(u.real, out=angle)
-                    angle += np.square(u.imag)
-                    angle *= ea
-                    angle *= ea
-                    angle **= self.pow_half
-                    angle += amp
+                # per row, so that no row's bits depend on its neighbours
+                over = None if factor.max() < math.inf else factor.max(axis=1) == math.inf
+                if b is None:  # one factor per row: fold -coef into it first
+                    np.multiply(amp, np.multiply(factor, neg_coef, out=fac), out=angle)
                 else:
-                    angle += 1.0
-                    angle *= amp
-                angle *= neg_coef
-            angle += im
-        np.exp(a, out=a)
-        np.cos(angle, out=rot.real)
-        np.sin(angle, out=rot.imag)
-        rot.real *= a
-        rot.imag *= a
-        u *= rot
+                    np.multiply(amp, factor, out=angle)
+                    angle *= neg_coef
+                if over is not None and over.any():
+                    v, e = u[over], np.abs(scale[over])
+                    second = ((np.square(v.real) + np.square(v.imag)) * e * e) ** self.pow_half
+                    angle[over] = (second + amp[over]) * neg_coef[over]
+            if b is not None:
+                angle += b
+        if angle is not None:
+            np.cos(angle, out=rot.real)
+            np.sin(angle, out=rot.imag)
+            if b is not None:
+                rot.real *= scale
+                rot.imag *= scale
+            u *= rot
+        if b is None:
+            u *= scale
 
     def m_field_values(self, b: int, k: int) -> np.ndarray:
         """Row b's M(t_k, xi), flat complex (a scalar broadcast if homogeneous)."""
@@ -467,7 +488,7 @@ class _Block:
         twice, so the sum overflows where |y|^2 does.  Before the last index
         it also sets the row's stochastic mass sum increment over step k
         from the same |v|^2."""
-        amp2, w, tmp = self.amp[i], self.angle[i], self.ab[0]
+        amp2, w, tmp = self.amp[i], self.angle[i], self.fac[i]
         np.square(v.real, out=amp2)
         amp2 += np.square(v.imag, out=tmp)
         path = self.paths[b]
@@ -501,7 +522,7 @@ class _Block:
         if self.homogeneous:
             at = k if rows.size == len(self.paths) else (k, rows)
             own[at] = masses
-            # Python floats, as numpy warns on the inf * 0 or overflow that stops a row
+            # Python floats: on a few rows cheaper than numpy calls
             other[at] = weighted = [w * m for w, m in zip(self.weights[at].tolist(),
                                                           masses.tolist())]
             if all(map(math.isfinite, weighted)) and k not in self.save_set:
@@ -564,49 +585,31 @@ class _Block:
         return out
 
 
-def _rotate(u: np.ndarray, neg_coef: np.ndarray, pow_half: float,
-            amp: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
-    """u *= exp(-i coef |u|^{alpha-1}) in place, as cos + i sin of the angle.
-
-    ``neg_coef`` is the (B, 1) column of -coef; amp, angle and rot are
-    scratch of u's shape.
-    """
-    np.square(u.real, out=amp)
-    np.square(u.imag, out=angle)
-    amp += angle
-    if pow_half != 1.0:
-        amp **= pow_half
-    np.multiply(amp, neg_coef, out=angle)
-    np.cos(angle, out=rot.real)
-    np.sin(angle, out=rot.imag)
-    u *= rot
-
-
 def _march(block: _Block, x: ComplexField) -> None:
     """March a block from x: spectral state at integer times, two transforms
     per step (Strang with spatially varying noise: three), masses by
     Parseval.  Strang steps lead and trail with the half linear flow, Lie
     steps lead with the full one.  ``rows`` holds the block rows still
-    marching, and row i of each scratch buffer holds ``rows[i]``; every row
-    records every time index it reaches and leaves after its end: its first
-    failing index, or the step before a guard."""
+    marching, and row i of each scratch buffer and live table holds
+    ``rows[i]``; every row records every time index it reaches and leaves
+    after its end: its first failing index, or the step before a guard."""
     grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
-    fused = block.mid_scalar is not None
     strang = block.params.splitting == "strang"
     half = block.lin_half
     lead, trail = (half, half) if strang else (half * half, None)
     parseval = grid.cell_volume / grid.size
-    scratch = (block.yh, block.spec, block.phys, block.rot, block.amp, block.angle)
-    yh, spec, u, rot, amp, angle = scratch
+    scratch = (block.yh, block.spec, block.phys, block.rot)
+    yh, spec, u, rot = scratch
 
     rows = np.arange(len(block.paths))
     u[:] = x.values
     grid.forward(u, out=yh)
     block.record(0, rows, np.full(rows.size, block.mass_of(x.values)), u)
-    mid, neg_coef = block.mid_scalar, None
-    if block.phase_on:
-        neg_coef = -((block.phase_fused if fused else block.phase_half) if strang
-                     else block.phase_full)
+    # the per-row tables the step reads: the multipliers e^{a + ib}
+    # (homogeneous) or the noise coefficient blocks, the Strang phase
+    # factors, and the phase coefficients
+    mult = block.mid_scalar if block.homogeneous else block.noise_coefs
+    factor, neg_coef = block.phase_factor, block.neg_coef
 
     next_end = block.end.min()
     for k in range(n_steps):
@@ -616,35 +619,29 @@ def _march(block: _Block, x: ComplexField) -> None:
                 break
             nb = int(np.count_nonzero(keep))
             block.yh[:nb] = yh[keep]
-            yh, spec, u, rot, amp, angle = (buf[:nb] for buf in scratch)
+            yh, spec, u, rot = (buf[:nb] for buf in scratch)
             rows = rows[keep]
-            if fused:
-                mid = mid[keep]
-            if neg_coef is not None:
-                neg_coef = neg_coef[keep]
+            mult, factor, neg_coef = (None if table is None else table[keep]
+                                      for table in (mult, factor, neg_coef))
             next_end = block.end[rows].min()
 
         np.multiply(lead, yh, out=spec)
         grid.inverse(spec, out=u)
-        if fused:
-            if neg_coef is not None:
-                _rotate(u, neg_coef[:, k:k + 1], block.pow_half, amp, angle, rot)
-            u *= mid[:, k:k + 1]
+        coef = None if neg_coef is None else neg_coef[:, k:k + 1]
+        if block.homogeneous:
+            block.pointwise_step(u, coef, None if factor is None else factor[:, k:k + 1],
+                                 mult[:, k:k + 1], None)
         else:
-            for i, b in enumerate(rows.tolist()):
-                coef = None if neg_coef is None else neg_coef[i, k]
-                try:
-                    block.noise_step(i, b, k, coef)
-                except NumericalAbort as exc:
-                    block.stop_after(b, k, exc)
-                    next_end = k + 1
+            factors = block.noise_factors(k, rows, mult[:, k])
+            next_end = min(next_end, block.end[rows].min())
+            block.pointwise_step(u, coef, *factors)
         if trail is None:
             grid.forward(u, out=yh)
         else:
             grid.forward(u, out=spec)
             np.multiply(trail, spec, out=yh)
 
-        if fused and k + 1 not in save_set:
+        if block.homogeneous and k + 1 not in save_set:
             phys = None
         else:
             phys = u if trail is None else grid.inverse(yh, out=u)

@@ -608,7 +608,6 @@ class TestCliRun:
 
     # every march abort's message names its time index: the noise-exponent
     # guard, the |Re M| guard and an overflowing mass reconstruction
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("noise, sim, seed, message", [
         ({"coefficients": [36.5], "profiles": [{"kind": "gaussian-bump", "width": 2.0}]},
          {"lambda": 1, "dt": 0.5, "scheme": "direct"}, 0,
@@ -627,6 +626,38 @@ class TestCliRun:
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_NUMERICAL_ABORT, err
         assert err == f"numerical abort: {message}\n"
+
+    # the |Re M| guard of homogeneous rows, reached from a config: with
+    # mu = 300 it stops these draws before the mass overflows
+    @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+    @pytest.mark.parametrize("scheme, seed, index", [("rescaled", 0, 589),
+                                                     ("direct", 5, 141)])
+    def test_homogeneous_guard_from_config(self, tmp_path, scheme, seed, index):
+        cfg = base_config(seed=seed, diagnostics={})
+        cfg["grid"].update(points=32)
+        cfg["noise"].update(coefficients=[300.0],
+                            densities=[{"kind": "constant", "value": 1.0}])
+        cfg["sim"].update(dt=0.01, t_final=10.0, scheme=scheme)
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_NUMERICAL_ABORT, err
+        assert err == ("numerical abort: |Re M| exceeds the overflow guard at time "
+                       f"index {index}\n")
+
+    # an initial amplitude of 1e150 overflows |u|^{alpha-1} in the first step
+    # of a spatially varying row: the abort line is all the run prints
+    @pytest.mark.filterwarnings("error::RuntimeWarning",
+                                "ignore::snls_lab.spectral_grid.SpectralTailWarning")
+    @pytest.mark.parametrize("splitting", ["strang", "lie"])
+    def test_overflowing_march_prints_only_its_abort(self, tmp_path, splitting):
+        cfg = base_config(diagnostics={"residuals": True})
+        cfg["grid"].update(points=32)
+        cfg["noise"].update(profiles=[{"kind": "gaussian-bump", "width": 2.0}])
+        cfg["sim"].update(alpha=3.53, dt=0.01, t_final=0.1, scheme="direct",
+                          splitting=splitting)
+        cfg["initial"]["amplitude"] = 1e150
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_NUMERICAL_ABORT, err
+        assert err == "numerical abort: non-finite state at time index 1\n"
 
 
 class TestFieldDump:

@@ -370,9 +370,10 @@ def sampled(model, params, seeds):
     return [sample_martingale(model, params.dt, params.n_steps, s) for s in seeds]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as the march runs
 def reference_strang(grid, model, params, x, path, snapshot=None):
-    """Fused Strang march of one path with every check and sum taken step by
-    step: the oracle each row of a block must match bit for bit."""
+    """Strang march of one path with every check and sum taken step by step:
+    the oracle each row of a block must match bit for bit."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
@@ -380,13 +381,6 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
     run = StepRecorder(grid, block, params, n_steps, save_set, snapshot)
     shape, half = grid.shape, block.lin_half
     parseval = grid.cell_volume / grid.size
-
-    def rotate(u, coef):
-        # u *= exp(-i coef |u|^{alpha-1}), written with np.exp
-        amp = u.real**2 + u.imag**2
-        if block.pow_half != 1.0:
-            amp = amp**block.pow_half
-        u *= np.exp(amp * (-1j * coef))
 
     phys = x.values.copy()
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
@@ -397,28 +391,39 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
                                  f"{k + 1}", time_index=k + 1)
         run.accumulate_ito(k, phys)
         u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
-        if block.mid_scalar is not None:
+        # the multiplier e^{a + ib} and both half phases: the second half
+        # phase sees the modulus |u| e^a.  A varying row rotates once by the
+        # merged angle; a homogeneous row rotates by the phase alone, then
+        # takes e^{a + ib} as one factor.
+        if block.homogeneous:
+            mid, theta = block.mid_scalar[0, k], None
             if block.phase_on:
-                rotate(u, block.phase_fused[0, k])
-            u *= block.mid_scalar[0, k]
+                ea, f = np.abs(mid), block.phase_factor[0, k]
         else:
-            # the noise multiplier e^{a + ib} and both half phases in one
-            # rotation: the second half phase sees the modulus |u| e^a
-            a, im = (part.copy() for part in block.noise_exponent(0, k))
-            theta = im
-            if block.phase_on:
-                amp = u.real**2 + u.imag**2
-                if block.pow_half != 1.0:
-                    amp = amp**block.pow_half
-                s = np.exp((params.alpha - 1.0) * a)
-                if np.isinf(s).any():
-                    # e^{(alpha-1) a} overflows: |u e^a|^{alpha-1} directly
-                    ea = np.exp(a)
-                    phases = ((u.real**2 + u.imag**2) * ea * ea) ** block.pow_half + amp
-                else:
-                    phases = (s + 1.0) * amp
-                theta = im + phases * -block.phase_half[0, k]
-            u *= np.exp(a) * np.exp(1j * theta)
+            a, theta = block.noise_coefs[0, k] @ block.profile_table
+            if a.max() > OVERFLOW_GUARD or a.min() < -OVERFLOW_GUARD:
+                raise NumericalAbort("noise exponent exceeds the overflow guard at "
+                                     f"time index {k}", time_index=k)
+            f, ea = np.exp((params.alpha - 1.0) * a) + 1.0, np.exp(a)
+        if block.phase_on:
+            amp = u.real**2 + u.imag**2
+            if block.pow_half != 1.0:
+                amp = amp**block.pow_half
+            c = block.neg_coef[0, k]
+            if np.isinf(f).any():
+                # e^{(alpha-1) a} overflows: |u e^a|^{alpha-1} directly
+                phases = (((u.real**2 + u.imag**2) * ea * ea) ** block.pow_half + amp) * c
+            elif block.homogeneous:
+                phases = amp * (f * c)
+            else:
+                phases = f * amp * c
+            theta = phases if theta is None else theta + phases
+        if block.homogeneous:
+            if theta is not None:
+                u *= np.exp(1j * theta)
+            u *= mid
+        else:
+            u *= ea * np.exp(1j * theta)
         yh = half * np.fft.fftn(u.reshape(shape)).ravel()
         mass = parseval * float(_squared_norms(yh))
         if k + 1 in save_set or not block.homogeneous:
@@ -499,8 +504,7 @@ BLOCK_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                            "ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 class TestBlockMarch:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_rows_match_step_by_step_reference(self, case):
@@ -627,17 +631,22 @@ class TestBlockMarch:
         assert len(kept) > 2
         assert_same_snapshots(kept, want)
 
-    def test_one_rotation_and_three_transforms_per_step(self, monkeypatch):
-        # a spatially varying Strang step: inverse, forward, and the inverse
-        # the recording needs, with one cos for the merged rotation; the run
-        # adds the initial spectrum and the two resolution checks
+    @pytest.mark.parametrize("case, per_step, last", [("direct_bump", 2, 0),
+                                                      ("rescaled", 1, 1)],
+                             ids=["direct_bump", "rescaled"])
+    def test_one_rotation_per_step(self, monkeypatch, case, per_step, last):
+        # a Strang step: inverse, forward and one cos for the merged
+        # rotation; a spatially varying row adds the inverse its recording
+        # needs, a homogeneous row needs one only at the last index.  The
+        # run adds the initial spectrum and the two resolution checks.
         calls = []
         for owner, name in ((GridSpec, "forward"), (GridSpec, "inverse"), (np, "cos")):
             count_calls(monkeypatch, calls, owner, name)
-        grid, model, params = BLOCK_CASES["direct_bump"]
+        grid, model, params = BLOCK_CASES[case]
         simulate(grid, model, params, gaussian_field(grid), seed=1)
         n = params.n_steps
-        assert Counter(calls) == {"forward": n + 3, "inverse": 2 * n, "cos": n}
+        assert Counter(calls) == {"forward": n + 3, "inverse": per_step * n + last,
+                                  "cos": n}
 
 
 def handmade_path(increments, dt):
@@ -651,8 +660,7 @@ def handmade_path(increments, dt):
                           np.zeros(increments.shape), np.zeros(values.shape), dt)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning",
-                            "ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 class TestMergedAngleOverflow:
     """e^{(alpha-1) a} overflows where the noise exponent a passes
     709.78 / (alpha - 1).  The merged angle then comes from |u e^a|, as the
@@ -667,7 +675,8 @@ class TestMergedAngleOverflow:
     PATH = handmade_path([[240.0]], 0.01)
 
     def plain_step(self, x):
-        return step(x, self.PATH, 0, self.PARAMS, self.MODEL).values
+        with np.errstate(over="ignore", invalid="ignore"):  # it overflows below
+            return step(x, self.PATH, 0, self.PARAMS, self.MODEL).values
 
     @pytest.mark.parametrize("amplitude", [0.0, 1e-104])
     def test_finite_where_two_rotations_are(self, amplitude):
@@ -689,6 +698,14 @@ class TestMergedAngleOverflow:
             simulate(self.GRID, self.MODEL, self.PARAMS, x, path=self.PATH)
         with pytest.raises(ValueError, match="non-finite"):
             self.plain_step(x)
+
+
+class TestMergedAngleOverflowHomogeneous(TestMergedAngleOverflow):
+    """The same checks on a constant-one profile: a homogeneous row, whose
+    a = 240 is constant in space, takes the same rule, so it stays finite
+    where the plain composition does."""
+
+    MODEL = const_model(1.0)
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")

@@ -6,6 +6,7 @@ is surface no run uses, and fails the test unless it is one of the
 documented public helpers listed below.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import snls_lab
+from snls_lab import integrator
 from snls_lab.cli import main
 
 # Public helpers that no run calls.  ``read_field_dump`` is the documented
@@ -174,3 +176,25 @@ def test_public_helpers_still_used_by_the_benchmark():
     stale = sorted(name for name in PUBLIC_HELPERS - {"harness.read_field_dump"}
                    if name.rsplit(".", 1)[-1] not in sources)
     assert not stale, f"allow-list entries perfbench no longer calls: {stale}"
+
+
+def test_one_step_kernel_rotates():
+    """Every row of the march, homogeneous or spatially varying, goes
+    through one pointwise kernel: at most one function in ``integrator``
+    calls ``np.cos`` or ``np.sin``."""
+    rotating = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(func, ast.Attribute) \
+                    and func.attr in ("cos", "sin") and isinstance(func.value, ast.Name) \
+                    and func.value.id in ("np", "numpy"):
+                rotating.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(Path(integrator.__file__).read_text(encoding="utf-8")), "integrator")
+    assert len(rotating) <= 1, f"functions that rotate: {sorted(rotating)}"

@@ -35,7 +35,6 @@ from .noise_process import (
     MartingalePath,
     NoiseModel,
     SpatialProfile,
-    lln_ratio,
     restrict_path,
     sample_martingale,
     validate_assumptions,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
 from .integrator import SolutionRecord
-from .noise_process import NoiseModel, lln_ratio
+from .noise_process import NoiseModel
 
 #: Masses below this are treated as underflow and excluded from log fits.
 MASS_FLOOR = 1e-300
@@ -54,16 +54,6 @@ class DecayReport:
     lln_ratio: float
     margin: float
     fit_window: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "fitted_slope": self.fitted_slope,
-            "lyapunov": self.lyapunov,
-            "lln_ratio": self.lln_ratio,
-            "margin": self.margin,
-            "fit_window": list(self.fit_window),
-        }
 
 
 def omega(model: NoiseModel) -> float:
@@ -95,21 +85,20 @@ def mass_identity_residual(record: SolutionRecord) -> ResidualSeries:
 def energy_identity_residual(record: SolutionRecord, model: NoiseModel) -> ResidualSeries:
     """Left-endpoint residual of the dissipation identity for E0 = ||y||^2.
 
-    Deterministic given the path's densities; only rescaled-scheme records
-    qualify (the identity lives in the rescaled variable).
+    Deterministic given the path's left-endpoint densities, the ones that
+    drove the march; only rescaled-scheme records qualify (the identity
+    lives in the rescaled variable).
     """
     if record.scheme != "rescaled":
         raise ValueError("energy identity requires a rescaled-scheme record")
-    times = record.times
+    times, path = record.times, record.path
     e0 = record.mass_y
-    dt = float(times[1] - times[0])
     weights = model.mu.real**2
-    left = times[:-1]
     integrand = np.zeros(times.size - 1)
-    for j, dns in enumerate(model.densities):
-        integrand += weights[j] * dns.evaluate(left)
+    for j, density in enumerate(path.density_values):
+        integrand += weights[j] * density
     cumulative = np.zeros(times.size)
-    np.cumsum(integrand * e0[:-1] * dt, out=cumulative[1:])
+    np.cumsum(integrand * e0[:-1] * path.dt, out=cumulative[1:])
     r = e0 - e0[0] + 2.0 * cumulative
     return ResidualSeries(times.copy(), r, float(np.abs(r).max()))
 
@@ -169,7 +158,7 @@ def decay_fit(record: SolutionRecord, model: NoiseModel,
     lyap = float(math.log(masses[last] / masses[0]) / t_last) if t_last > 0 else 0.0
 
     w = omega(model)
-    lln = lln_ratio(model, record.path, record.times.size - 1)
+    lln = float(record.re_m[-1] / record.times[-1])
     return DecayReport(w, slope, lyap, lln, slope + w, window)
 
 

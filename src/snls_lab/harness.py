@@ -1,6 +1,8 @@
 """Configuration, orchestration, and file output.
 
-Configs are JSON with a ``schema_version`` field.  Validation is
+Configs are JSON with a ``schema_version`` field.  :meth:`RunConfig.from_file`
+is the one reader: it parses the file and applies the run's ``kind`` and
+``seed`` overrides before the one validation.  Validation is
 construction: :meth:`RunConfig.from_dict` checks the run kind, the seed and
 the sections the kind requires; then one builder per section reads its
 leaves through one typed reader, which names the key path and never takes a
@@ -36,7 +38,7 @@ import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,6 @@ from .spectral_grid import (
     MAX_GRID_VALUES,
     ComplexField,
     GridSpec,
-    _squared_norms,
     constant_field,
     gaussian_field,
     make_grid,
@@ -236,39 +237,29 @@ class RunConfig:
         return config
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_dict(_read_json(path))
+    def from_file(cls, path, kind: str | None = None,
+                  seed: int | None = None) -> "RunConfig":
+        """Read a config file and check it with :meth:`from_dict`; an
+        unreadable file or invalid JSON is a :class:`ConfigError`.  ``kind``
+        and ``seed`` override the file's before the one validation: the
+        required sections depend on the kind."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+        if isinstance(raw, dict):
+            raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
+        return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "seed": self.seed,
-            "grid": self.grid,
-            "noise": self.noise,
-            "output_dir": self.output_dir,
-        }
-        if self.sim is not None:
-            out["sim"] = self.sim
-        if self.initial is not None:
-            out["initial"] = self.initial
-        for name in ("diagnostics", "ensemble", "picard", "convergence", "validate"):
-            value = getattr(self, name)
-            if value:
-                out[name] = value
-        return out
-
-
-def _read_json(path):
-    """The parsed JSON of a config file; an unreadable file or invalid JSON
-    is a :class:`ConfigError`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+        """The normalized config for ``config_echo.json``: every field but
+        ``built`` that is set (not None and not an empty section)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "built"}
+        return {name: value for name, value in out.items()
+                if value is not None and value != {}}
 
 
 def _normalize_diagnostics(dg: dict) -> dict:
@@ -371,7 +362,7 @@ def _construct(config: RunConfig) -> Built:
                  f"horizon {dns.horizon:g} ends before the run ({run_end:g})")
     if config.kind != "validate":
         with np.errstate(over="ignore"):  # the mass the march records at index 0
-            mass = grid.cell_volume * float(_squared_norms(x.values))
+            mass = x.mass
         _require(math.isfinite(mass), "initial", "the state's mass overflows a double")
         if fits or config.kind == "picard":
             _require(mass > MASS_FLOOR, "initial",
@@ -529,20 +520,10 @@ class EnsembleReport:
 
     size: int
     omega: float
-    lyapunov_quantiles: dict
-    lln_quantiles: dict
+    lyapunov: dict
+    lln_ratio: dict
     fraction_passing: float | None
     per_path: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "omega": self.omega,
-            "lyapunov": self.lyapunov_quantiles,
-            "lln_ratio": self.lln_quantiles,
-            "fraction_passing": self.fraction_passing,
-            "per_path": self.per_path,
-        }
 
 
 # -- single runs ----------------------------------------------------------------------
@@ -652,8 +633,8 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     return EnsembleReport(
         size=size,
         omega=w,
-        lyapunov_quantiles=_quantiles(lyaps),
-        lln_quantiles=_quantiles(llns),
+        lyapunov=_quantiles(lyaps),
+        lln_ratio=_quantiles(llns),
         fraction_passing=frac,
         per_path=per_path,
     )
@@ -771,7 +752,7 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
                                          "mass_y": record.mass_y, "ReM": record.re_m, **q})
     save_series_csv(out / "path.csv", {"t": path.times, **m, **q})
     if report is not None:
-        _write_json(out / "decay_report.json", report.to_json_dict())
+        _write_json(out / "decay_report.json", asdict(report))
     if config.diagnostics.get("residuals", False):
         res = mass_identity_residual(record)
         save_series_csv(out / "mass_residual.csv", {"t": res.times, "residual": res.values})
@@ -796,12 +777,7 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
             print(f"error: SNLS_LAB_THREADS: not an integer: {env!r}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
     try:
-        raw = _read_json(config_file_path)
-        # overrides apply before the one validation: the required sections
-        # depend on the kind
-        if isinstance(raw, dict):
-            raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
-        config = RunConfig.from_dict(raw)
+        config = RunConfig.from_file(config_file_path, kind, seed)
         out = Path(out_dir if out_dir is not None else config.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -813,7 +789,7 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
             _emit_simulate(config, out)
         elif config.kind == "ensemble":
             report = run_ensemble(config, threads=threads)
-            _write_json(out / "ensemble_report.json", report.to_json_dict())
+            _write_json(out / "ensemble_report.json", asdict(report))
         elif config.kind == "picard":
             report = run_picard(config)
             _write_json(out / "picard_report.json", report.to_json_dict())

@@ -325,8 +325,7 @@ class _Block:
         self.phase_on = params.lam != 0
         self.strang_phase = self.phase_on and params.splitting == "strang"
         self.phase_factor = self.neg_coef = None
-        qv_coef = mu**2 + np.abs(mu) ** 2  # twice the Ito correction per unit dQ_j
-        corr = 0.5 * qv_coef
+        corr = model.ito_correction
         if self.homogeneous:
             # every step's spatially constant multiplier e^{a + ib}, the damping
             # (rescaled) or the noise (direct), and the factor
@@ -479,9 +478,6 @@ class _Block:
         ``abort``.  The only code that changes a row's ``end`` and ``stop``."""
         self.end[b], self.stop[b] = end, abort
 
-    def mass_of(self, values: np.ndarray) -> float:
-        return self.cv * float(_squared_norms(values))
-
     def varying_masses(self, i: int, b: int, k: int, v: np.ndarray) -> float:
         """Row b's mass of y = v e^{-M} at index k, from its physical state v
         in block row i: cv sum |v|^2 e^{-2 Re M}, with e^{-Re M} applied
@@ -604,7 +600,7 @@ def _march(block: _Block, x: ComplexField) -> None:
     rows = np.arange(len(block.paths))
     u[:] = x.values
     grid.forward(u, out=yh)
-    block.record(0, rows, np.full(rows.size, block.mass_of(x.values)), u)
+    block.record(0, rows, np.full(rows.size, x.mass), u)
     # the per-row tables the step reads: the multipliers e^{a + ib}
     # (homogeneous) or the noise coefficient blocks, the Strang phase
     # factors, and the phase coefficients

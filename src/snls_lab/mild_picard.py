@@ -125,8 +125,7 @@ class _MapKernel:
         self.xh = grid.forward(x.values)
 
         v = np.array([dns.evaluate(self.times) for dns in model.densities])
-        mu = model.mu
-        self.damp_coef = (0.5 * (np.abs(mu) ** 2 + mu**2)) @ v.astype(np.complex128)
+        self.damp_coef = model.ito_correction @ v.astype(np.complex128)
 
         # Step-start Re M at each node from the shared path (left endpoint).
         if tau > path.times[-1] * (1.0 + 1e-12):
@@ -134,7 +133,7 @@ class _MapKernel:
                 f"horizon {tau:g} exceeds the sampled path horizon {path.times[-1]:g}"
             )
         idx = np.minimum((self.times / path.dt).astype(int), path.n_steps)
-        re_m = path.real_part_series(mu)[idx]
+        re_m = path.real_part_series(model.mu)[idx]
         with np.errstate(over="ignore", invalid="ignore"):  # reported as no_contraction
             self.phase_coef = 1j * (lam * np.exp((alpha - 1.0) * re_m))
 
@@ -212,12 +211,10 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     ratios: list[float] = []
     converged = False
     no_contraction = False
-    iterations = 0
     for _ in range(cfg.max_iterations):
         with np.errstate(over="ignore", invalid="ignore"):
             y_next, sq, lp = kern.apply(y)
             d = kern.x_norm(sq, lp)
-        iterations += 1
         if not np.isfinite(d):
             # the iterate left double range: the horizon is far outside the
             # contraction regime
@@ -249,7 +246,7 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
         ratios=ratios,
         converged=converged,
         no_contraction=no_contraction,
-        iterations=iterations,
+        iterations=len(distances),
         gamma_tau=gamma_tau,
         q=kern.q,
         iterate=y,

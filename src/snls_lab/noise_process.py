@@ -199,6 +199,11 @@ class NoiseModel:
         return all(p.spatially_constant for p in self.profiles)
 
     @property
+    def ito_correction(self) -> np.ndarray:
+        """(mu_j^2 + |mu_j|^2) / 2, the Ito correction per unit dQ_j."""
+        return 0.5 * (self.mu**2 + np.abs(self.mu) ** 2)
+
+    @property
     def min_alpha0(self) -> float:
         return min(d.alpha0 for d in self.densities)
 
@@ -325,16 +330,6 @@ def restrict_path(path: MartingalePath, factor: int) -> MartingalePath:
     qv = np.zeros((path.n_components, times.size))
     np.cumsum(density * dt, axis=1, out=qv[:, 1:])
     return MartingalePath(times, values, increments, density, qv, dt)
-
-
-def lln_ratio(model: NoiseModel, path: MartingalePath, k: int) -> float:
-    """Re M(t_k) / t_k, the fluctuation ratio that vanishes at large time."""
-    if not (0 <= k < path.times.size):
-        raise ValueError(f"time index {k} outside path range 0..{path.times.size - 1}")
-    t = path.times[k]
-    if t == 0.0:
-        raise ValueError("lln_ratio undefined at t = 0")
-    return float(path.real_part_series(model.mu)[k] / t)
 
 
 # -- assumption validation -----------------------------------------------------------

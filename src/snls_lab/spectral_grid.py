@@ -181,6 +181,11 @@ class ComplexField:
             raise ValueError("field contains non-finite entries")
         self.values = v
 
+    @property
+    def mass(self) -> float:
+        """The discrete mass cv sum |v|^2."""
+        return self.grid.cell_volume * float(_squared_norms(self.values))
+
 
 # -- transforms ---------------------------------------------------------------
 
@@ -224,7 +229,7 @@ def _squared_norms(values: np.ndarray, scratch: np.ndarray | None = None) -> np.
 
 def norm_L2(field: ComplexField) -> float:
     """Cell-volume weighted discrete L^2 norm."""
-    return float(np.sqrt(field.grid.cell_volume * _squared_norms(field.values)))
+    return float(np.sqrt(field.mass))
 
 
 # -- resolution diagnostics ---------------------------------------------------

@@ -172,14 +172,14 @@ class TestRunKinds:
                                               ensemble={"size": 6}))
         r1 = run_ensemble(cfg, threads=1)
         r8 = run_ensemble(cfg, threads=8)
-        assert json.dumps(r1.to_json_dict(), sort_keys=True) == \
-            json.dumps(r8.to_json_dict(), sort_keys=True)
+        assert json.dumps(dataclasses.asdict(r1), sort_keys=True) == \
+            json.dumps(dataclasses.asdict(r8), sort_keys=True)
 
     def test_ensemble_quantiles_monotone(self):
         cfg = RunConfig.from_dict(base_config(kind="ensemble",
                                               ensemble={"size": 8}))
         rep = run_ensemble(cfg, threads=1)
-        q = rep.lyapunov_quantiles
+        q = rep.lyapunov
         assert q["q01"] <= q["q25"] <= q["q50"] <= q["q75"] <= q["q99"]
         assert len(rep.per_path) == 8
 
@@ -231,13 +231,13 @@ class TestRunKinds:
                 assert entry["status"] == "ok"
                 fitted.append(entry["lyapunov"])
         assert 0 < len(fitted) < len(rep.per_path)
-        assert rep.lyapunov_quantiles["q50"] == pytest.approx(float(np.median(fitted)))
+        assert rep.lyapunov["q50"] == pytest.approx(float(np.median(fitted)))
         # with no path fitted there is no fraction to report, not a zero one
         cfg = RunConfig.from_dict(underflow_config("ensemble", [2.35, 2.6]))
         rep = run_ensemble(cfg, threads=1)
         assert all(p["status"].startswith("unfitted") for p in rep.per_path)
         assert rep.fraction_passing is None
-        assert rep.lyapunov_quantiles == rep.lln_quantiles == {}
+        assert rep.lyapunov == rep.lln_ratio == {}
 
     def test_ensemble_veto_before_marching(self, monkeypatch):
         # omega is undefined for mu = i, so no path may march
@@ -495,6 +495,23 @@ class TestCliRun:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run(tmp_path / "nope.json") == EXIT_CONFIG_ERROR
+
+    def test_from_file_applies_overrides(self, tmp_path):
+        # the overrides replace the file's kind and seed before validation
+        cfg = base_config(kind="validate", validate={"horizon": 1.0})
+        p = self.write_config(tmp_path, cfg)
+        assert RunConfig.from_file(p, kind="simulate", seed=5) == \
+            RunConfig.from_dict({**cfg, "kind": "simulate", "seed": 5})
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config: must be an object"),
+        ('{"kind": ', "config: invalid JSON in"),
+    ])
+    def test_unparsable_config_is_config_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "config.json"
+        p.write_text(text, encoding="utf-8")
+        assert run(p, kind="simulate", out_dir=str(tmp_path / "out")) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
 
     def test_kind_override_revalidates_requirements(self, tmp_path):
         # a config valid for 'validate' lacks sim/initial: forcing it to run

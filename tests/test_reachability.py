@@ -26,7 +26,6 @@ from snls_lab.cli import main
 # reader of the field-dump format; the others stay only while the benchmark
 # in perfbench/ calls them.
 PUBLIC_HELPERS = {
-    "harness.RunConfig.from_file",  # read by perfbench/run.py's setup timing
     "harness.read_field_dump",
     "integrator.SolutionRecord.snapshots_x",  # read by perfbench/spans.py
     "integrator.SolutionRecord.snapshots_y",
@@ -167,6 +166,16 @@ def test_files_are_written_by_harness():
     harness names ``open``, ``write``, ``savetxt`` or ``tofile``."""
     writing = names_outside("harness", {"open", "write", "savetxt", "tofile"})
     assert not writing, f"functions that write files outside harness: {writing}"
+
+
+def test_one_config_reader():
+    """Every config file is read by RunConfig.from_file, which applies the
+    run's overrides and reports an unreadable file or invalid JSON: no other
+    function names ``json.load``."""
+    reading = sorted(name for name, code in defined_functions().items()
+                     if name != "harness.RunConfig.from_file"
+                     and any({"json", "load"} <= set(c.co_names) for c in nested(code)))
+    assert not reading, f"functions that parse JSON files: {reading}"
 
 
 def test_public_helpers_still_used_by_the_benchmark():

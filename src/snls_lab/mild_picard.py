@@ -19,8 +19,11 @@ exceed 1 for three consecutive iterations the report carries a
 ``no_contraction`` status instead of crashing, signalling that the horizon
 left the contraction regime.
 
-The map runs one node at a time, so an iteration holds three nodes x n^d
-complex blocks: the U(t_i, 0) multipliers, the iterate and the next one.
+The map runs one node at a time and overwrites each node of the iterate
+with its image, so an iteration holds one nodes x n^d complex block, the
+iterate.  U(t_i, 0) depends on k only through |k|^2, so each node gathers
+its multiplier row from a (nodes, levels) table over the distinct |k|^2
+values: about half a block in 1-D, an eighth of one on 128^2.
 
 The horizon is a user input: the proof-level stopping time depends on
 non-constructive constants, and the measurable quantity is the ratio
@@ -77,8 +80,10 @@ class PicardConfig:
 class PicardReport:
     """Iterate distances d_m, their ratios r_m = d_m / d_{m-1}, and status.
 
-    ``iterate`` is the last accepted iterate on the quadrature nodes, one
-    physical field per row: shape (nodes, n^d).
+    ``iterate`` is the map's last output on the quadrature nodes, one
+    physical field per row: shape (nodes, n^d).  After a non-finite
+    distance that is F(y), whose values may be non-finite too, not the
+    iterate it was mapped from.
     """
 
     distances: list
@@ -107,7 +112,12 @@ class PicardReport:
 
 class _MapKernel:
     """Spectral evaluation of the fixed-point map on fixed nodes, one node at
-    a time on preallocated (n^d,) rows."""
+    a time on preallocated (n^d,) rows.
+
+    It keeps no (nodes, n^d) block: U(t_i, 0) is gathered per node from
+    ``table``, its values at the distinct |k|^2 levels, which equal
+    ``grid.propagator(times[:, None])`` bit for bit.
+    """
 
     def __init__(self, x: ComplexField, model: NoiseModel, path: MartingalePath,
                  tau: float, nodes: int, lam: int, alpha: float):
@@ -119,9 +129,10 @@ class _MapKernel:
         self.times = np.linspace(0.0, tau, nodes)
         self.ds = tau / (nodes - 1)
 
-        # U(t_i, 0) as a diagonal multiplier, one row per node (U(0, t_i) is
-        # its conjugate), and the initial state's spectrum.
-        self.fwd = grid.propagator(self.times[:, None])
+        # U(t_i, 0) at each |k|^2 level, one row per node (U(0, t_i) is its
+        # conjugate), and the initial state's spectrum.
+        levels, self.level_of = np.unique(grid.k_squared, return_inverse=True)
+        self.table = grid.propagator(self.times[:, None], levels)
         self.xh = grid.forward(x.values)
 
         v = np.array([dns.evaluate(self.times) for dns in model.densities])
@@ -137,29 +148,40 @@ class _MapKernel:
         with np.errstate(over="ignore", invalid="ignore"):  # reported as no_contraction
             self.phase_coef = 1j * (lam * np.exp((alpha - 1.0) * re_m))
 
+    def multiplier(self, i: int, out: np.ndarray) -> np.ndarray:
+        """U(t_i, 0) as a diagonal (n^d,) multiplier, written into out."""
+        # the indices are in range; "clip" only spares take's buffered copy
+        return np.take(self.table[i], self.level_of, out=out, mode="clip")
+
     def free_trajectory(self) -> np.ndarray:
         """U(t_i, 0) x on the nodes: the first iterate."""
-        out = np.empty_like(self.fwd)
-        for i, row in enumerate(self.fwd):
-            self.grid.inverse(row * self.xh, out=out[i])
+        out = np.empty((self.nodes, self.grid.size), dtype=np.complex128)
+        u = np.empty_like(self.xh)
+        for i in range(self.nodes):
+            self.multiplier(i, u)
+            u *= self.xh
+            self.grid.inverse(u, out=out[i])
         return out
 
-    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F(y) on the nodes, y and F(y) (nodes, size) physical arrays, with
-        the per-node sums of |F(y) - y|^2 and |F(y) - y|^{alpha+1}.
+    def apply(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Overwrite the (nodes, size) physical array y with F(y); return the
+        per-node sums of |F(y) - y|^2 and |F(y) - y|^{alpha+1}.
 
-        Each node's forcing goes back to time 0 and into the running
-        trapezoid sum, which goes forward to the node.  The products keep
-        the block form's operand order on large blocks, so the bits match
-        it: complex products do not commute bit for bit.
+        Node i of F(y) reads only y[i], so each row is replaced once its
+        node is done; the forcing row ``f`` holds F(y)[i] until then.  Each
+        node's forcing goes back to time 0 and into the running trapezoid
+        sum, which goes forward to the node.  The products keep the block
+        form's operand order on large blocks, so the bits match it: complex
+        products do not commute bit for bit.
         """
-        grid, fwd, xh = self.grid, self.fwd, self.xh
-        out, sq, lp = np.empty_like(y), np.empty(self.nodes), np.empty(self.nodes)
-        f, g, acc = np.empty_like(xh), np.empty_like(xh), np.zeros_like(xh)
-        b, b_prev = np.empty_like(xh), np.empty_like(xh)
+        grid, xh = self.grid, self.xh
+        sq, lp = np.empty(self.nodes), np.empty(self.nodes)
+        u, f, g, b, b_prev = (np.empty_like(xh) for _ in range(5))
+        acc = np.zeros_like(xh)
         mod, pw = np.empty(xh.shape), np.empty(xh.shape)
         half = 0.5 * self.ds
         for i, yi in enumerate(y):
+            self.multiplier(i, u)
             np.multiply(self.damp_coef[i], yi, out=f)
             if self.lam != 0:
                 np.abs(yi, out=mod)
@@ -168,21 +190,22 @@ class _MapKernel:
                 g *= self.phase_coef[i]
                 f += g
             grid.forward(f, out=b)
-            b *= np.conjugate(fwd[i], out=g)
+            b *= np.conjugate(u, out=g)
             if i:
                 np.add(b_prev, b, out=g)
                 g *= half
                 acc += g
             b, b_prev = b_prev, b
             np.subtract(xh, acc, out=g)
-            g *= fwd[i]
-            grid.inverse(g, out=out[i])
-            np.subtract(out[i], yi, out=g)
+            g *= u
+            grid.inverse(g, out=f)
+            np.subtract(f, yi, out=g)
+            np.copyto(yi, f)
             np.abs(g, out=mod)
             sq[i] = np.square(mod, out=pw).sum()
             mod **= self.alpha + 1.0
             lp[i] = mod.sum()
-        return out, sq, lp
+        return sq, lp
 
     def x_norm(self, sq: np.ndarray, lp: np.ndarray) -> float:
         """||F(y) - y||_X from :meth:`apply`'s per-node sums."""
@@ -213,7 +236,7 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
     no_contraction = False
     for _ in range(cfg.max_iterations):
         with np.errstate(over="ignore", invalid="ignore"):
-            y_next, sq, lp = kern.apply(y)
+            sq, lp = kern.apply(y)
             d = kern.x_norm(sq, lp)
         if not np.isfinite(d):
             # the iterate left double range: the horizon is far outside the
@@ -227,7 +250,6 @@ def picard_iterate(x: ComplexField, model: NoiseModel, path: MartingalePath,
             prev = distances[-1]
             ratios.append(d / prev if prev > 0.0 else 0.0)
         distances.append(d)
-        y = y_next
         if d <= cfg.tolerance:
             converged = True
             break

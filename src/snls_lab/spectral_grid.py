@@ -129,10 +129,15 @@ class GridSpec:
         return transform(a.reshape(fields), s=self.shape, out=out,
                          axes=tuple(range(1, self.dimension + 1))).reshape(a.shape)
 
-    def propagator(self, t) -> np.ndarray:
+    def propagator(self, t, k_squared: np.ndarray | None = None) -> np.ndarray:
         """The free group's multiplier exp(i |k|^2 t); an array of times such
-        as ``times[:, None]`` gives one row per time."""
-        return np.exp(1j * self.k_squared * t)
+        as ``times[:, None]`` gives one row per time.
+
+        ``k_squared`` replaces the grid's |k|^2 values, for instance by their
+        distinct levels; each value maps to the same bits either way.
+        """
+        ksq = self.k_squared if k_squared is None else k_squared
+        return np.exp(1j * ksq * t)
 
     def coordinates(self) -> np.ndarray:
         """Grid point coordinates, shape (dimension, n^d), row-major."""

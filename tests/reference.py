@@ -236,16 +236,17 @@ def block_map_apply(kern, y):
     the right-hand temporary in place.
     """
     grid = kern.grid
+    fwd = grid.propagator(kern.times[:, None])  # U(t_i, 0), one row per node
     amp = np.abs(y) ** (kern.alpha - 1.0)
     forcing = kern.damp_coef[:, None] * y
     if kern.lam != 0:
         forcing = forcing + (amp * y) * kern.phase_coef[:, None]
-    b = np.array([grid.forward(row) for row in forcing]) * kern.fwd.conj()
+    b = np.array([grid.forward(row) for row in forcing]) * fwd.conj()
     acc = np.zeros_like(b)
     half = 0.5 * kern.ds
     for i in range(1, kern.nodes):
         acc[i] = acc[i - 1] + half * (b[i - 1] + b[i])
-    return np.array([grid.inverse(row) for row in (kern.xh - acc) * kern.fwd])
+    return np.array([grid.inverse(row) for row in (kern.xh - acc) * fwd])
 
 
 def block_x_norm(kern, diff):

@@ -896,6 +896,9 @@ def test_picard_report_is_strict_json(tmp_path):
     assert report["distances"] == [None] and report["gamma_tau"] is None
     kept = run_picard(RunConfig.from_dict(cfg))
     assert kept.distances == [np.inf] and kept.gamma_tau == np.inf
+    # the iterate is the map's last output, the non-finite F(y), not the
+    # finite free trajectory it was mapped from
+    assert not np.isfinite(kept.iterate).all()
 
 
 def same(a, b) -> bool:

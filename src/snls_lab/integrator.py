@@ -50,22 +50,24 @@ step writes into scratch the block allocates once.
 One state, ``_Block``, holds the block: the tables every path shares, built
 once; each path's tables (Re M, multipliers or noise coefficients, phase
 coefficients, mass weights), stacked as (B, ...) rows; every row's series
-as (B, n_steps + 1) arrays; and the scratch.  One call records a time index
-for all rows still marching: each row's own mass, taken by Parseval from the
-block's one sum of squares, and the other mass.  On homogeneous rows that is
-three operations over the block: the own masses, the ``math.exp`` weights
-times them, and one finiteness test.  A spatially varying row takes the mass
-of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, and its
-Ito increment from the same |X|^2, row by row, so the march transforms it
-back to physical space at every step; the complex y is built only at the
-last index.  A row leaves the block at its first index with a non-finite
-mass, or before the step its guard trips (|Re M| past ``OVERFLOW_GUARD`` on a
-homogeneous row, the noise exponent on a varying one).  One method sets a
-row's end and stop, called by the recording with the reason and by both
-guards; the row then returns that abort, with the message and time index a
-step-by-step check gives, and its neighbours march on.  The march runs under
-``np.errstate(over="ignore", invalid="ignore")``: a row that overflows goes
-through the block's arithmetic before it leaves, and its abort reports it.
+as (B, n_steps + 1) arrays; and the scratch.  Row b of each is ``paths[b]``
+for the whole march.  One call records a time index for every row: its own
+mass, taken by Parseval from the block's one sum of squares, and the other
+mass.  On homogeneous rows that is three operations over the block: the own
+masses, the ``math.exp`` weights times them, and one finiteness test.  A
+spatially varying row takes the mass of y = X e^{-M(xi)} as
+cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, and its Ito increment from the
+same |X|^2, row by row, so the march transforms it back to physical space at
+every step; the complex y is built only at the last index.  A row stops at
+its first index with a non-finite mass, or before the step its guard trips
+(|Re M| past ``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a
+varying one).  One method sets a row's end and stop, called by the recording
+with the reason and by both guards; the row then returns that abort, with
+the message and time index a step-by-step check gives.  It keeps its slot
+and is stepped with its neighbours, but records nothing more; the march ends
+once every row has stopped.  It runs under ``np.errstate(over="ignore",
+invalid="ignore")``: a row that overflows goes through the block's
+arithmetic, and its abort, not a numpy warning, reports it.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
@@ -80,7 +82,8 @@ and sums taken step by step, because:
 * the pointwise step is elementwise in each row, with that row's own a, b
   and coefficient; a varying row's noise exponents are its own slice of one
   batched product, equal to its one-row product;
-* the noise guard and the e^{(alpha-1) a} overflow rule are decided per row;
+* the noise guard and the e^{(alpha-1) a} overflow rule are decided per row,
+  and the guard trips only rows still marching;
 * a varying row's mass weight and Ito sums are taken one row at a time,
   from that row's (n^d,) values and its own path's coefficients;
 * each row's mass, and a varying row's weighted mass sum, is a numpy
@@ -95,8 +98,8 @@ sum) at every step, but keeps no field except its final state: the record
 holds the one (X, y) pair at t_final.  Fields at the save indices (every
 ``save_every`` steps, and the last step) go to an optional snapshot callable
 as they are produced, so memory is bounded by the grid, not by the run
-length.  A row stops marching at its first failing index, so no snapshot is
-handed over past an abort.
+length.  A row records nothing past its first failing index, so no snapshot
+is handed over past an abort.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -286,7 +289,7 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
         save_every = params.save_every or max(1, math.ceil(n_steps / 512))
         save_set.update(range(0, n_steps + 1, save_every))
     # a row whose tables or state overflow goes through the block's
-    # arithmetic before it leaves; its abort, not a numpy warning, reports it
+    # arithmetic; its abort, not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
         block = _Block(grid, model, params, paths, save_set, snapshots)
         _march(block, x)
@@ -371,6 +374,7 @@ class _Block:
         self.ito = np.zeros(self.re_m.shape)
         self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
         self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
+        self.last = n_steps
         if self.homogeneous:
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
@@ -383,53 +387,51 @@ class _Block:
                 self.stop_after(b, k - 1,
                                 _abort_at("|Re M| exceeds the overflow guard", k))
 
-        # Scratch every step writes into, rows 0..B-1 for the rows still
-        # marching: the state's spectrum, a spectral and a physical buffer,
-        # the rotation factor, two real fields, and e^a and the Strang phase
+        # Scratch every step writes into, row b for paths[b] for the whole
+        # march: the state's spectrum, a spectral and a physical buffer, the
+        # rotation factor, two real fields, and e^a and the Strang phase
         # factor, one column entry per row when they are constant in space.
         rows = (len(paths), grid.size)
         self.yh, self.spec, self.phys, self.rot = np.empty((4, *rows), dtype=complex)
         self.amp, self.angle = np.empty((2, *rows))
         self.ea, self.fac = np.empty((2, len(paths), 1 if self.homogeneous else grid.size))
 
-    def noise_factors(self, k: int, rows: np.ndarray, coefs: np.ndarray) -> tuple:
-        """The ``pointwise_step`` factors of step k on the varying rows
-        ``rows``: 1 + e^{(alpha-1) a} (Strang phase only, else None), e^a and
-        b, from the noise exponents a + ib, the product of the rows' (2, 2J)
-        coefficient blocks ``coefs`` with the profile table.  A row whose a
-        passes the guard stops after k."""
-        nb = rows.size
+    def noise_factors(self, k: int, coefs: np.ndarray) -> tuple:
+        """The ``pointwise_step`` factors of step k on every varying row:
+        1 + e^{(alpha-1) a} (Strang phase only, else None), e^a and b, from
+        the noise exponents a + ib, the product of the rows' (2, 2J)
+        coefficient blocks ``coefs`` with the profile table.  A row still
+        marching whose a passes the guard stops after k."""
         # a and b go into the spectral buffer, which the step does not read
         # between its inverse and forward transforms
-        out = self.spec[:nb].view(np.float64).reshape(nb, 2, -1)
+        out = self.spec.view(np.float64).reshape(len(self.paths), 2, -1)
         a, b = np.matmul(coefs, self.profile_table, out=out).transpose(1, 0, 2)
         tripped = (a.max(axis=1) > OVERFLOW_GUARD) | (a.min(axis=1) < -OVERFLOW_GUARD)
-        for row in rows[tripped].tolist():
+        for row in np.flatnonzero(tripped & (self.end > k)).tolist():
             self.stop_after(row, k, _abort_at("noise exponent exceeds the overflow guard", k))
         factor = None
         if self.strang_phase:
-            factor = np.multiply(a, self.params.alpha - 1.0, out=self.fac[:nb])
+            factor = np.multiply(a, self.params.alpha - 1.0, out=self.fac)
             np.exp(factor, out=factor)
             factor += 1.0
-        return factor, np.exp(a, out=self.ea[:nb]), b
+        return factor, np.exp(a, out=self.ea), b
 
     def pointwise_step(self, u: np.ndarray, neg_coef: np.ndarray | None,
                        factor: np.ndarray | None, scale: np.ndarray,
                        b: np.ndarray | None) -> None:
         """Apply the step's multiplier e^{a + ib} and its phase rotation to
-        the physical states u of the rows still marching, as the module
-        docstring describes.  ``neg_coef`` is the (nb, 1) column of -c, the
+        the physical states u of every row, as the module docstring
+        describes.  ``neg_coef`` is the (B, 1) column of -c, the
         rows' phase coefficient of the step, or None without a phase;
         ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase is
         Strang's.  On spatially varying rows, ``factor``, ``scale`` = e^a
-        and ``b`` are (nb, n^d) rows; on homogeneous rows, ``factor`` is an
-        (nb, 1) column, ``scale`` the multiplier e^{a + ib} as an (nb, 1)
+        and ``b`` are (B, n^d) rows; on homogeneous rows, ``factor`` is a
+        (B, 1) column, ``scale`` the multiplier e^{a + ib} as a (B, 1)
         complex column, and ``b`` None.  Where e^{(alpha-1) a} overflows,
         the row's second half phase comes from |u e^a|^{alpha-1}, as a
         second rotation takes it: u = 0 stays 0, and the angle overflows only
         where that rotation's does."""
-        nb = u.shape[0]
-        amp, angle, rot, fac = self.amp[:nb], self.angle[:nb], self.rot[:nb], self.fac[:nb]
+        amp, angle, rot, fac = self.amp, self.angle, self.rot, self.fac
         if neg_coef is None:
             angle = b
         else:
@@ -474,17 +476,18 @@ class _Block:
         return m
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort) -> None:
-        """Record no time index of row b after ``end``; the row returns
-        ``abort``.  The only code that changes a row's ``end`` and ``stop``."""
+        """Row b records no index after ``end`` and returns ``abort``.  The
+        only code that sets ``end``, ``stop`` and ``last``, the largest end."""
         self.end[b], self.stop[b] = end, abort
+        self.last = int(self.end.max())
 
-    def varying_masses(self, i: int, b: int, k: int, v: np.ndarray) -> float:
-        """Row b's mass of y = v e^{-M} at index k, from its physical state v
-        in block row i: cv sum |v|^2 e^{-2 Re M}, with e^{-Re M} applied
-        twice, so the sum overflows where |y|^2 does.  Before the last index
-        it also sets the row's stochastic mass sum increment over step k
-        from the same |v|^2."""
-        amp2, w, tmp = self.amp[i], self.angle[i], self.fac[i]
+    def varying_masses(self, b: int, k: int, v: np.ndarray) -> float:
+        """Row b's mass of y = v e^{-M} at index k, from its physical state
+        v: cv sum |v|^2 e^{-2 Re M}, with e^{-Re M} applied twice, so the
+        sum overflows where |y|^2 does.  Before the last index it also sets
+        the row's stochastic mass sum increment over step k from the same
+        |v|^2."""
+        amp2, w, tmp = self.amp[b], self.angle[b], self.fac[b]
         np.square(v.real, out=amp2)
         amp2 += np.square(v.imag, out=tmp)
         path = self.paths[b]
@@ -503,34 +506,31 @@ class _Block:
                 (self.model.mu.real * path.increments[:, k]) @ w_j)
         return mass
 
-    def record(self, k: int, rows: np.ndarray, masses: np.ndarray, phys) -> bool:
-        """Record time index k of the block rows ``rows`` from their own
-        masses and physical states ``phys``, which homogeneous rows need only
-        at save indices; False if a row stopped.  A row its noise guard
-        stopped before k is skipped.
+    def record(self, k: int, masses: np.ndarray, phys) -> None:
+        """Record time index k of every row from its own mass and physical
+        state ``phys``, which homogeneous rows need only at save indices.  A
+        row that stopped before k is skipped.
 
         Where either mass is non-finite the row stops after k with the reason
         (a non-finite own mass before an overflowing reconstruction weight
         before a non-finite other mass) and hands nothing over.  Otherwise, at
-        a save index a copy of the X field goes to the row's snapshot
-        callable, and at the last index the (X, y) pair is kept."""
+        a save index the row's X field, built once, goes to its snapshot
+        callable, and at the last index that field and y are kept."""
         own, other = self.own, self.other
         if self.homogeneous:
-            at = k if rows.size == len(self.paths) else (k, rows)
-            own[at] = masses
+            own[k] = masses
             # Python floats: on a few rows cheaper than numpy calls
-            other[at] = weighted = [w * m for w, m in zip(self.weights[at].tolist(),
-                                                          masses.tolist())]
+            other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
+                                                         masses.tolist())]
             if all(map(math.isfinite, weighted)) and k not in self.save_set:
-                return True
-        recorded = True
-        for i, b in enumerate(rows.tolist()):
+                return
+        for b in range(len(self.paths)):
             if self.end[b] < k:
                 continue
             if not self.homogeneous:
-                own[k, b] = masses[i]
-                other[k, b] = self.varying_masses(i, b, k, phys[i]) \
-                    if math.isfinite(masses[i]) else math.nan
+                own[k, b] = masses[b]
+                other[k, b] = self.varying_masses(b, k, phys[b]) \
+                    if math.isfinite(masses[b]) else math.nan
             if not math.isfinite(other[k, b]):
                 if not math.isfinite(own[k, b]):
                     reason = "non-finite state"
@@ -539,15 +539,14 @@ class _Block:
                 else:
                     reason = "non-finite mass"
                 self.stop_after(b, k, _abort_at(reason, k))
-                recorded = False
                 continue
             if k in self.save_set:
-                # phys is the march's scratch: the snapshot gets its own copy
-                v = phys[i]
-                x = v.copy() if self.direct else v * np.exp(self.m_scalar[b, k])
+                # phys is the march's scratch: the X field gets its own copy
+                v = phys[b]
+                x = ComplexField(v.copy() if self.direct else v * np.exp(self.m_scalar[b, k]),
+                                 self.grid)
                 if self.snapshots is not None:
-                    self.snapshots[b](k, float(self.paths[b].times[k]),
-                                      ComplexField(x, self.grid))
+                    self.snapshots[b](k, float(self.paths[b].times[k]), x)
                 if k == self.n_steps:
                     if self.direct:  # y = v e^{-M}, built in place
                         y = self.m_field_values(b, k)
@@ -555,9 +554,8 @@ class _Block:
                         np.multiply(v, y, out=y)
                     else:
                         y = v.copy()
-                    self.final_x[b] = ComplexField(x.copy(), self.grid)
+                    self.final_x[b] = x
                     self.final_y[b] = ComplexField(y, self.grid)
-        return recorded
 
     def outcomes(self) -> list:
         """Each row's record, or the abort that stopped it, in row order."""
@@ -585,42 +583,29 @@ def _march(block: _Block, x: ComplexField) -> None:
     """March a block from x: spectral state at integer times, two transforms
     per step (Strang with spatially varying noise: three), masses by
     Parseval.  Strang steps lead and trail with the half linear flow, Lie
-    steps lead with the full one.  ``rows`` holds the block rows still
-    marching, and row i of each scratch buffer and live table holds
-    ``rows[i]``; every row records every time index it reaches and leaves
-    after its end: its first failing index, or the step before a guard."""
+    steps lead with the full one.  Row b of every buffer and table is
+    ``paths[b]``; a row records every index up to its end (its first failing
+    index, or the step before a guard), is stepped but skipped after it, and
+    the march ends at ``block.last``, once every row has stopped."""
     grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
     strang = block.params.splitting == "strang"
     half = block.lin_half
     lead, trail = (half, half) if strang else (half * half, None)
     parseval = grid.cell_volume / grid.size
-    scratch = (block.yh, block.spec, block.phys, block.rot)
-    yh, spec, u, rot = scratch
+    yh, spec, u, rot = block.yh, block.spec, block.phys, block.rot
 
-    rows = np.arange(len(block.paths))
     u[:] = x.values
     grid.forward(u, out=yh)
-    block.record(0, rows, np.full(rows.size, x.mass), u)
+    block.record(0, np.full(len(block.paths), x.mass), u)
     # the per-row tables the step reads: the multipliers e^{a + ib}
     # (homogeneous) or the noise coefficient blocks, the Strang phase
     # factors, and the phase coefficients
     mult = block.mid_scalar if block.homogeneous else block.noise_coefs
     factor, neg_coef = block.phase_factor, block.neg_coef
 
-    next_end = block.end.min()
     for k in range(n_steps):
-        if k >= next_end:
-            keep = block.end[rows] > k
-            if not keep.any():
-                break
-            nb = int(np.count_nonzero(keep))
-            block.yh[:nb] = yh[keep]
-            yh, spec, u, rot = (buf[:nb] for buf in scratch)
-            rows = rows[keep]
-            mult, factor, neg_coef = (None if table is None else table[keep]
-                                      for table in (mult, factor, neg_coef))
-            next_end = block.end[rows].min()
-
+        if k >= block.last:
+            break
         np.multiply(lead, yh, out=spec)
         grid.inverse(spec, out=u)
         coef = None if neg_coef is None else neg_coef[:, k:k + 1]
@@ -628,9 +613,7 @@ def _march(block: _Block, x: ComplexField) -> None:
             block.pointwise_step(u, coef, None if factor is None else factor[:, k:k + 1],
                                  mult[:, k:k + 1], None)
         else:
-            factors = block.noise_factors(k, rows, mult[:, k])
-            next_end = min(next_end, block.end[rows].min())
-            block.pointwise_step(u, coef, *factors)
+            block.pointwise_step(u, coef, *block.noise_factors(k, mult[:, k]))
         if trail is None:
             grid.forward(u, out=yh)
         else:
@@ -641,5 +624,4 @@ def _march(block: _Block, x: ComplexField) -> None:
             phys = None
         else:
             phys = u if trail is None else grid.inverse(yh, out=u)
-        if not block.record(k + 1, rows, parseval * _squared_norms(yh, rot), phys):
-            next_end = k + 1
+        block.record(k + 1, parseval * _squared_norms(yh, rot), phys)

@@ -370,15 +370,28 @@ class TestEnsembleBlocks:
     def test_report_bytes_independent_of_workers(self, tmp_path):
         cfg = base_config(kind="ensemble", ensemble={"size": 7})
         cfg["sim"]["t_final"] = 0.1
-        p = tmp_path / "config.json"
-        p.write_text(json.dumps(cfg), encoding="utf-8")
-        reports = []
-        for threads in (1, 2, 3, 8):
-            out = tmp_path / f"t{threads}"
-            assert run(p, out_dir=str(out), threads=threads) == EXIT_OK
-            reports.append((out / "ensemble_report.json").read_bytes())
-        assert all(r == reports[0] for r in reports[1:])
-        assert len(json.loads(reports[0])["per_path"]) == 7
+        # mu = 150 on 32 points: paths 3 and 6 abort late in the march, one
+        # in each two-worker block, while their neighbours march on and fit
+        aborting = base_config(kind="ensemble", ensemble={"size": 7},
+                               diagnostics={"decay_fit": True, "fit_window": [0.0, 0.01]})
+        aborting["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
+        aborting["noise"]["coefficients"] = [150.0]
+        aborting["sim"]["t_final"] = 3.0
+        statuses = {}
+        for name, c in (("plain", cfg), ("aborting", aborting)):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(c), encoding="utf-8")
+            reports = []
+            for threads in (1, 2, 3, 7, 8):
+                out = tmp_path / f"{name}{threads}"
+                assert run(p, out_dir=str(out), threads=threads) == EXIT_OK
+                reports.append((out / "ensemble_report.json").read_bytes())
+            assert all(r == reports[0] for r in reports[1:]), name
+            statuses[name] = [e["status"] for e in json.loads(reports[0])["per_path"]]
+        assert statuses["plain"] == ["ok"] * 7
+        assert [s.startswith("aborted") for s in statuses["aborting"]] == \
+            [False, False, False, True, False, False, True]
+        assert statuses["aborting"].count("ok") == 5
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         cores = os.cpu_count()

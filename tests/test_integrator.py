@@ -539,6 +539,18 @@ class TestBlockMarch:
                                sampled(model, params, [0, 1, 2]))
         assert len({row.time_index for row in block}) > 1
 
+    def test_march_ends_once_every_row_has_stopped(self, monkeypatch):
+        # the rows stop at indices 4, 2 and 11, the last before the step its
+        # guard trips on, so the march takes steps 0-9 of 20: one forward
+        # transform each, plus the initial spectrum and resolution check
+        calls = []
+        count_calls(monkeypatch, calls, GridSpec, "forward")
+        grid, model, params = BLOCK_CASES["abort_rescaled"]
+        block = simulate_block(grid, model, params, gaussian_field(grid),
+                               sampled(model, params, [0, 1, 2]))
+        assert [row.time_index for row in block] == [4, 2, 11]
+        assert len(calls) == 1 + 1 + 10
+
     def test_refuses_empty_paths(self):
         grid, model, params = BLOCK_CASES["rescaled"]
         with pytest.raises(ValueError, match="paths"):

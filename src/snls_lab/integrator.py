@@ -44,8 +44,9 @@ pointwise pass, ``_Block.pointwise_step``:
   step; a varying row's recording needs the physical state, so its Strang
   step takes three.
 
-All of this is algebraically identical to the plain composition.  Every
-step writes into scratch the block allocates once.
+All of this is algebraically identical to the plain composition; only the
+fast-forward below departs from it, by dropping phase angles that sum to
+less than 2^-63.  Every step writes into scratch the block allocates once.
 
 One state, ``_Block``, holds the block: the tables every path shares, built
 once; each path's tables (Re M, multipliers or noise coefficients, phase
@@ -61,11 +62,34 @@ same |X|^2, row by row, so the march transforms it back to physical space at
 every step; the complex y is built only at the last index.  A row stops at
 its first index with a non-finite mass, or before the step its guard trips
 (|Re M| past ``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a
-varying one).  One method sets a row's end and stop, called by the recording
-with the reason and by both guards; the row then returns that abort, with
-the message and time index a step-by-step check gives.  It keeps its slot
-and is stepped with its neighbours, but records nothing more; the march ends
-once every row has stopped.  It runs under ``np.errstate(over="ignore",
+varying one).
+
+A homogeneous row also stops marching once its nonlinear phase is below
+rounding for the rest of the run, and fast-forwards.  Its multiplier is
+constant in space and commutes with the free flow, which keeps |yh| per
+mode, so S_k = (1/N) sum |yh_k| times the product of the later |mid_i|
+bounds |u| at every later step, and with the path-known phase coefficients
+c_j and Strang factors F_j, S_k^{alpha-1} R_k, where
+R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1}, bounds the
+summed angle of every step after k at every point.  At every index
+k = 0 (mod ``FF_EVERY``) a row still marching compares that bound, from its
+own spectrum and tables alone, with ``FF_THRESHOLD`` = 2^-63, a margin of
+2^10 under the rounding unit 2^-53; a row without a phase (lambda = 0)
+passes at k = 0.  Once it passes, the row's remaining indices are recorded
+at once in closed form: own masses as the mass at k times the running
+product of |mid_i|^2, the other masses through the same weights, and the
+state at each later save index as prod mid_i U((s - k) dt) yh_k, one
+multiply and one inverse transform, so fields still stream.  The tail takes
+the same checks, reasons and time indices as a marched index, and the
+row's guard, if it trips later, still stops it.
+
+One method, ``stop_after``, sets a row's end and stop: called by the
+recording with the reason, by both guards, and with no reason when the row
+fast-forwards; an aborted row returns its abort, with the message and time
+index a step-by-step check gives.  A stopped or fast-forwarded row keeps its
+slot and is stepped with its neighbours, but records nothing more; the
+march ends once every row has stopped, so a block takes as many steps as
+its last row needs.  It runs under ``np.errstate(over="ignore",
 invalid="ignore")``: a row that overflows goes through the block's
 arithmetic, and its abort, not a numpy warning, reports it.
 
@@ -89,17 +113,21 @@ and sums taken step by step, because:
 * each row's mass, and a varying row's weighted mass sum, is a numpy
   pairwise sum over that row alone (never BLAS, whose threads change the
   bits);
+* a row fast-forwards at an index decided from its own spectrum and its own
+  path's tables, and its tail is computed from that row alone;
 * the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
 
 A run records its scalar series (both masses, Re M, the stochastic mass
-sum) at every step, but keeps no field except its final state: the record
-holds the one (X, y) pair at t_final.  Fields at the save indices (every
-``save_every`` steps, and the last step) go to an optional snapshot callable
-as they are produced, so memory is bounded by the grid, not by the run
-length.  A row records nothing past its first failing index, so no snapshot
-is handed over past an abort.
+sum) at every step, marched or fast-forwarded, but keeps no field except its
+final state: the record holds the one (X, y) pair at t_final.  Fields at the
+save indices (every ``save_every`` steps, and the last step) go to an
+optional snapshot callable as they are produced, in time order, so memory is
+bounded by the grid, not by the run length; M(t_k) is kept at those indices
+only.  A row records nothing past its first failing index, so no snapshot
+is handed over past an abort.  A handed-over field skips ``ComplexField``'s
+finiteness scan: its masses, sums of its squares, were checked finite.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -117,7 +145,8 @@ import numpy as np
 from .errors import AssumptionVeto, NumericalAbort
 from .mild_picard import strichartz_exponent
 from .noise_process import MartingalePath, NoiseModel, sample_martingale
-from .spectral_grid import ComplexField, GridSpec, _squared_norms, warn_if_underresolved
+from .spectral_grid import (ComplexField, GridSpec, _squared_norms, _trusted_field,
+                            warn_if_underresolved)
 
 SCHEMES = ("direct", "rescaled")
 SPLITTINGS = ("lie", "strang")
@@ -127,6 +156,13 @@ MAX_STEPS = 10**7
 #: |Re M| beyond which exp() leaves double range; a path this large has long
 #: since left any physically meaningful regime.
 OVERFLOW_GUARD = 700.0
+#: A homogeneous row tests whether it may fast-forward at every index
+#: k = 0 (mod FF_EVERY); the test costs one sum over the row's spectrum.
+FF_EVERY = 16
+#: Bound on the summed nonlinear angle of every remaining step, at every
+#: point, below which a homogeneous row fast-forwards: 2^-63, a margin of
+#: 2^10 under the rounding unit 2^-53 of one rotation.
+FF_THRESHOLD = 2.0 ** -63
 
 
 def _abort_at(message: str, k: int) -> NumericalAbort:
@@ -296,6 +332,29 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     return block.outcomes()
 
 
+def _log_tail(mid: np.ndarray, neg_coef: np.ndarray | None, factor: np.ndarray | None,
+              power: float) -> np.ndarray:
+    """log R_k of one homogeneous row at k = 0, FF_EVERY, ... <= n_steps, with
+    R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1} (``power`` is
+    alpha - 1, F_j the Strang phase factor or 1), summed in logs because the
+    products underflow over a decay run; -inf where R_k = 0, as without a
+    phase."""
+    n = mid.size
+    out = np.full(n // FF_EVERY + 1, -math.inf)
+    if neg_coef is None:
+        return out
+    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero factor
+        cum = np.zeros(n + 1)
+        np.cumsum(power * np.log(np.abs(mid)), out=cum[1:])
+        terms = np.log(np.abs(neg_coef)) + cum[:-1]
+        if factor is not None:
+            terms += np.log(factor)
+    suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
+    ks = np.arange(0, n, FF_EVERY)
+    out[:ks.size] = suffix[ks] - cum[ks]
+    return out
+
+
 def _exp_series(args: np.ndarray) -> list:
     """``math.exp`` of every entry, +inf where it overflows."""
     out = []
@@ -352,9 +411,12 @@ class _Block:
             self.noise_coefs = np.ascontiguousarray(
                 np.stack([c.real, c.imag]).transpose(1, 3, 0, 2))
 
-        # sum_j Re(mu_j) M_j and sum_j mu_j M_j at every grid time
+        # sum_j Re(mu_j) M_j at every grid time, and sum_j mu_j M_j at the
+        # save indices, the only ones that read it (taken from the whole
+        # series: one entry's own product can differ from it in the last bit)
         self.re_m = np.array([path.real_part_series(mu) for path in paths])
-        self.m_scalar = np.array([path.complex_series(mu) for path in paths])
+        saves = sorted(save_set)
+        self.m_saved = [dict(zip(saves, path.complex_series(mu)[saves])) for path in paths]
         if self.phase_on:
             if params.scheme == "rescaled":
                 scale = params.lam * np.array([np.exp((alpha - 1.0) * r[:-1])
@@ -374,8 +436,13 @@ class _Block:
         self.ito = np.zeros(self.re_m.shape)
         self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
         self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
-        self.last = n_steps
+        self.first = self.last = n_steps
         if self.homogeneous:
+            # log R_k at k = 0, FF_EVERY, ...: see ``finished``
+            coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
+            factors = [None] * len(paths) if self.phase_factor is None else self.phase_factor
+            self.log_tail = np.array([_log_tail(m, c, f, alpha - 1.0) for m, c, f
+                                      in zip(self.mid_scalar, coefs, factors)])
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
             # before that index.
@@ -466,20 +533,74 @@ class _Block:
         if b is None:
             u *= scale
 
+    def m_value(self, b: int, k: int) -> complex:
+        """Row b's sum_j mu_j M_j(t_k): kept for the save indices, taken from
+        the whole series otherwise."""
+        saved = self.m_saved[b]
+        return saved[k] if k in saved else self.paths[b].complex_series(self.model.mu)[k]
+
     def m_field_values(self, b: int, k: int) -> np.ndarray:
         """Row b's M(t_k, xi), flat complex (a scalar broadcast if homogeneous)."""
         if self.homogeneous:
-            return np.full(self.grid.size, self.m_scalar[b, k])
+            return np.full(self.grid.size, self.m_value(b, k))
         c = self.model.mu * self.paths[b].values[:, k]
         m = np.empty(self.grid.size, dtype=np.complex128)
         m.real, m.imag = c.real @ self.e_values, c.imag @ self.e_values
         return m
 
-    def stop_after(self, b: int, end: int, abort: NumericalAbort) -> None:
-        """Row b records no index after ``end`` and returns ``abort``.  The
-        only code that sets ``end``, ``stop`` and ``last``, the largest end."""
+    def stop_after(self, b: int, end: int, abort: NumericalAbort | None = None) -> None:
+        """Row b's march records no index after ``end``.  With ``abort`` the
+        row returns it.  Without one the row has finished (``finished``): its
+        later indices, up to the step before its guard if it has one, are
+        recorded in closed form now, and it returns the tail's abort or the
+        guard's, if any.  The only code that sets ``end``, ``stop``, ``first``
+        (the smallest end) and ``last`` (the largest)."""
+        if abort is None:
+            abort = self.fast_forward(b, end) or self.stop[b]
         self.end[b], self.stop[b] = end, abort
-        self.last = int(self.end.max())
+        self.first, self.last = int(self.end.min()), int(self.end.max())
+
+    def finished(self, b: int, k: int, yh: np.ndarray) -> bool:
+        """Whether homogeneous row b, at k = 0 (mod FF_EVERY) with spectrum
+        yh, may drop its nonlinear phase for the rest of the run.  The
+        free flow keeps |yh| per mode and the multipliers only scale it, so
+        S = (1/N) sum |yh| times prod |mid_i| bounds |u| at every later
+        step, and S^{alpha-1} R_k (``_log_tail``) bounds the summed angle of
+        every step after k at every point; it must be below FF_THRESHOLD.
+        Read from the row's own spectrum and tables only."""
+        log_r = float(self.log_tail[b, k // FF_EVERY])
+        if log_r == -math.inf:
+            return True
+        s = float(np.abs(yh).sum()) / self.grid.size
+        return s == 0.0 or (math.isfinite(s) and (self.params.alpha - 1.0) * math.log(s)
+                            + log_r < math.log(FF_THRESHOLD))
+
+    def fast_forward(self, b: int, k0: int) -> NumericalAbort | None:
+        """Record row b's indices k0 < k <= ``end[b]`` in closed form from its
+        spectrum ``yh[b]`` at k0, as if every later step had no phase: the own
+        mass is the own mass at k0 times the running product of |mid_i|^2,
+        the other mass its ``math.exp`` weight times that, and the spectrum
+        at a save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one
+        multiply and one inverse.  Returns the abort of the first index whose
+        mass is non-finite, as ``record`` names it; no field is handed over
+        from that index on."""
+        end = int(self.end[b])
+        tail = slice(k0 + 1, end + 1)
+        mid = self.mid_scalar[b, k0:end]
+        own, other = self.own[tail, b], self.other[tail, b]
+        np.multiply(self.own[k0, b], np.cumprod(np.square(np.abs(mid))), out=own)
+        np.multiply(self.weights[tail, b], own, out=other)
+        bad = np.flatnonzero(~np.isfinite(other))
+        good = end if bad.size == 0 else k0 + int(bad[0])
+        saves = [s for s in sorted(self.save_set) if k0 < s <= good]
+        if saves:
+            factors, spec, v = np.cumprod(mid), self.spec[b], self.phys[b]
+            for s in saves:
+                np.multiply(self.grid.propagator((s - k0) * self.params.dt), self.yh[b],
+                            out=spec)
+                spec *= factors[s - k0 - 1]
+                self.save(b, s, self.grid.inverse(spec, out=v))
+        return None if good == end else self.failure(b, good + 1)
 
     def varying_masses(self, b: int, k: int, v: np.ndarray) -> float:
         """Row b's mass of y = v e^{-M} at index k, from its physical state
@@ -509,22 +630,29 @@ class _Block:
     def record(self, k: int, masses: np.ndarray, phys) -> None:
         """Record time index k of every row from its own mass and physical
         state ``phys``, which homogeneous rows need only at save indices.  A
-        row that stopped before k is skipped.
+        row that stopped before k is skipped; a finished row's later
+        indices already hold its tail.
 
         Where either mass is non-finite the row stops after k with the reason
-        (a non-finite own mass before an overflowing reconstruction weight
-        before a non-finite other mass) and hands nothing over.  Otherwise, at
-        a save index the row's X field, built once, goes to its snapshot
-        callable, and at the last index that field and y are kept."""
+        (``failure``) and hands nothing over.  Otherwise, at a save index the
+        row's fields are handed over (``save``).  Then, at k = 0 (mod
+        FF_EVERY), every homogeneous row still marching that may fast-forward
+        finishes after k."""
         own, other = self.own, self.other
+        rows = range(len(self.paths))
         if self.homogeneous:
-            own[k] = masses
-            # Python floats: on a few rows cheaper than numpy calls
-            other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
-                                                         masses.tolist())]
+            if k <= self.first:
+                own[k] = masses
+                # Python floats: on a few rows cheaper than numpy calls
+                other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
+                                                             masses.tolist())]
+            else:
+                rows = np.flatnonzero(self.end >= k).tolist()
+                own[k, rows] = masses[rows]
+                other[k, rows] = weighted = self.weights[k, rows] * masses[rows]
             if all(map(math.isfinite, weighted)) and k not in self.save_set:
-                return
-        for b in range(len(self.paths)):
+                rows = ()
+        for b in rows:
             if self.end[b] < k:
                 continue
             if not self.homogeneous:
@@ -532,30 +660,45 @@ class _Block:
                 other[k, b] = self.varying_masses(b, k, phys[b]) \
                     if math.isfinite(masses[b]) else math.nan
             if not math.isfinite(other[k, b]):
-                if not math.isfinite(own[k, b]):
-                    reason = "non-finite state"
-                elif self.homogeneous and math.isinf(self.weights[k, b]):
-                    reason = "mass reconstruction overflows"
-                else:
-                    reason = "non-finite mass"
-                self.stop_after(b, k, _abort_at(reason, k))
-                continue
-            if k in self.save_set:
-                # phys is the march's scratch: the X field gets its own copy
-                v = phys[b]
-                x = ComplexField(v.copy() if self.direct else v * np.exp(self.m_scalar[b, k]),
-                                 self.grid)
-                if self.snapshots is not None:
-                    self.snapshots[b](k, float(self.paths[b].times[k]), x)
-                if k == self.n_steps:
-                    if self.direct:  # y = v e^{-M}, built in place
-                        y = self.m_field_values(b, k)
-                        np.exp(np.negative(y, out=y), out=y)
-                        np.multiply(v, y, out=y)
-                    else:
-                        y = v.copy()
-                    self.final_x[b] = x
-                    self.final_y[b] = ComplexField(y, self.grid)
+                self.stop_after(b, k, self.failure(b, k))
+            elif k in self.save_set:
+                self.save(b, k, phys[b])
+        if self.homogeneous and k % FF_EVERY == 0:
+            for b in np.flatnonzero(self.end > k).tolist():
+                if self.finished(b, k, self.yh[b]):
+                    self.stop_after(b, k)
+
+    def failure(self, b: int, k: int) -> NumericalAbort:
+        """The abort of row b at k, where its other mass is non-finite: a
+        non-finite own mass, before an overflowing reconstruction weight,
+        before a non-finite other mass."""
+        if not math.isfinite(self.own[k, b]):
+            reason = "non-finite state"
+        elif self.homogeneous and math.isinf(self.weights[k, b]):
+            reason = "mass reconstruction overflows"
+        else:
+            reason = "non-finite mass"
+        return _abort_at(reason, k)
+
+    def save(self, b: int, k: int, v: np.ndarray) -> None:
+        """Hand row b's X field at save index k, built once from its physical
+        state v, to its snapshot callable, and at the last index keep it and
+        y.  Both masses are finite here, so the fields are built without a
+        finiteness scan."""
+        # v is the march's scratch: the X field gets its own copy
+        x = _trusted_field(v.copy() if self.direct else v * np.exp(self.m_value(b, k)),
+                           self.grid)
+        if self.snapshots is not None:
+            self.snapshots[b](k, float(self.paths[b].times[k]), x)
+        if k == self.n_steps:
+            if self.direct:  # y = v e^{-M}, built in place
+                y = self.m_field_values(b, k)
+                np.exp(np.negative(y, out=y), out=y)
+                np.multiply(v, y, out=y)
+            else:
+                y = v.copy()
+            self.final_x[b] = x
+            self.final_y[b] = _trusted_field(y, self.grid)
 
     def outcomes(self) -> list:
         """Each row's record, or the abort that stopped it, in row order."""
@@ -584,9 +727,10 @@ def _march(block: _Block, x: ComplexField) -> None:
     per step (Strang with spatially varying noise: three), masses by
     Parseval.  Strang steps lead and trail with the half linear flow, Lie
     steps lead with the full one.  Row b of every buffer and table is
-    ``paths[b]``; a row records every index up to its end (its first failing
-    index, or the step before a guard), is stepped but skipped after it, and
-    the march ends at ``block.last``, once every row has stopped."""
+    ``paths[b]``; a row marches every index up to its end (its first failing
+    index, the step before a guard, or the index where it fast-forwards), is
+    stepped but skipped after it, and the march ends at ``block.last``, once
+    every row has stopped."""
     grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
     strang = block.params.splitting == "strang"
     half = block.lin_half

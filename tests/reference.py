@@ -7,7 +7,8 @@
 * The step-by-step recorder: every check and sum of a run taken at each
   time index as the march reaches it, raising at the first failing one.
   The march records the same values and stops a row at the same index with
-  the same message, so the two agree bit for bit.
+  the same message, so the two agree bit for bit.  ``fast_forward`` records
+  a homogeneous run's linear tail the same way, one index at a time.
 * The free propagator applied to one field and the discrete L^p norm,
   which the two oracles above and below are built from.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
@@ -138,6 +139,8 @@ class StepRecorder:
         self.final_y = None
         # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
         self.s_incr = 2.0 * (block.model.mu.real @ block.paths[0].increments)
+        # sum_j mu_j M_j(t_k), the homogeneous M
+        self.m = block.paths[0].complex_series(block.model.mu)
 
     def mass_of(self, values):
         return self.cv * float(_squared_norms(values))
@@ -176,11 +179,13 @@ class StepRecorder:
             raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
         if k not in self.save_set:
             return
-        x = v if self.direct else v * np.exp(block.m_scalar[0, k])
+        x = v if self.direct else v * np.exp(self.m[k])
         if self.snapshot is not None:
             self.snapshot(k, float(block.paths[0].times[k]), ComplexField(x, self.grid))
         if k == self.n_steps:
-            y = v * np.exp(-block.m_field_values(0, k)) if self.direct else v
+            m = np.full(self.grid.size, self.m[k]) if block.homogeneous \
+                else block.m_field_values(0, k)
+            y = v * np.exp(-m) if self.direct else v
             self.final_x = ComplexField(x.copy(), self.grid)
             self.final_y = ComplexField(y.copy(), self.grid)
 
@@ -196,6 +201,30 @@ class StepRecorder:
             self.ito[k + 1] = self.ito[k] + 2.0 * float(
                 (mu_re * block.paths[0].increments[:, k]) @ w
             )
+
+
+def fast_forward(run, yh, k0):
+    """Record the rest of a homogeneous run from its spectrum yh at index k0,
+    one index at a time, as if no later step had a phase: the own mass
+    is the mass at k0 times the running product of |mid_i|^2, and the state
+    at a save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh.  Each index
+    takes the guard and the recorder's checks as a marched step does."""
+    block = run.block
+    mid = block.mid_scalar[0, k0:]
+    gains, factors = np.cumprod(np.abs(mid) ** 2), np.cumprod(mid)
+    own = run.mass_x if run.direct else run.mass_y
+    start, shape = own[k0], run.grid.shape
+    for k in range(k0, run.n_steps):
+        if abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
+            raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
+                                 f"{k + 1}", time_index=k + 1)
+        run.accumulate_ito(k, None)
+        v = None
+        if k + 1 in run.save_set:
+            spec = run.grid.propagator((k + 1 - k0) * block.params.dt) * yh
+            spec = spec * factors[k - k0]
+            v = np.fft.ifftn(spec.reshape(shape)).ravel()
+        run.record(k + 1, v, start * gains[k - k0])
 
 
 def duhamel_apply(forcing_series, grid, tau, nodes):

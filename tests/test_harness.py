@@ -367,7 +367,7 @@ class TestEnsembleBlocks:
         assert _ensemble_blocks(5, 1, BLOCK_BUDGET // 2) == [[0, 1], [2, 3], [4]]
         assert _ensemble_blocks(3, 2, 4 * BLOCK_BUDGET) == [[0], [1], [2]]
 
-    def test_report_bytes_independent_of_workers(self, tmp_path):
+    def test_report_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         cfg = base_config(kind="ensemble", ensemble={"size": 7})
         cfg["sim"]["t_final"] = 0.1
         # mu = 150 on 32 points: paths 3 and 6 abort late in the march, one
@@ -377,8 +377,14 @@ class TestEnsembleBlocks:
         aborting["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
         aborting["noise"]["coefficients"] = [150.0]
         aborting["sim"]["t_final"] = 3.0
+        # mu = 3 over 400 steps: every path fast-forwards, each at its own
+        # index, the two of a block at different ones
+        fast = base_config(kind="ensemble", ensemble={"size": 4})
+        fast["grid"] = {"dimension": 1, "points": 64, "half_length": 16.0}
+        fast["noise"]["coefficients"] = [3.0]
+        fast["sim"].update(dt=1e-2, t_final=4.0)
         statuses = {}
-        for name, c in (("plain", cfg), ("aborting", aborting)):
+        for name, c in (("plain", cfg), ("aborting", aborting), ("fast", fast)):
             p = tmp_path / f"{name}.json"
             p.write_text(json.dumps(c), encoding="utf-8")
             reports = []
@@ -392,6 +398,51 @@ class TestEnsembleBlocks:
         assert [s.startswith("aborted") for s in statuses["aborting"]] == \
             [False, False, False, True, False, False, True]
         assert statuses["aborting"].count("ok") == 5
+        assert statuses["fast"] == ["ok"] * 4
+
+        # Each block marches until its last row finishes: one forward
+        # transform a step, plus the initial spectrum, the initial resolution
+        # check and one final check per row.  A row finishes where it does
+        # marched alone.
+        config = RunConfig.from_dict(fast)
+        model, params = config.built.model, config.built.params
+        finish = []
+        for index in range(4):
+            path = integrator.sample_martingale(model, params.dt, params.n_steps,
+                                                seeding.derive_seed(config.seed, index))
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = integrator._Block(config.built.grid, model, params, [path])
+                integrator._march(block, config.built.x)
+            finish.append(int(block.end[0]))
+        assert finish == [224, 208, 208, 224]
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        calls = []
+        forward = integrator.GridSpec.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(integrator.GridSpec, "forward", counted)
+        for threads in (1, 2):
+            calls.clear()
+            run_ensemble(config, threads=threads)
+            blocks = _ensemble_blocks(4, threads, config.built.grid.size)
+            assert len(blocks) == threads
+            assert len(calls) == sum(2 + max(finish[i] for i in b) + len(b) for b in blocks)
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         cores = os.cpu_count()

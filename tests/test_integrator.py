@@ -14,17 +14,22 @@ from reference import (
     StepRecorder,
     const_model,
     damping_step,
+    fast_forward,
     free_propagator_apply,
     noise_step_direct,
     nonlinear_phase_step,
     step,
 )
+from snls_lab.diagnostics import decay_fit
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
+    FF_EVERY,
     MAX_STEPS,
     OVERFLOW_GUARD,
+    SPLITTINGS,
     SimParams,
     _Block,
+    _march,
     simulate,
     simulate_block,
 )
@@ -371,9 +376,12 @@ def sampled(model, params, seeds):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the march runs
-def reference_strang(grid, model, params, x, path, snapshot=None):
+def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, angles=None):
     """Strang march of one path with every check and sum taken step by step:
-    the oracle each row of a block must match bit for bit."""
+    the oracle each row of a block must match bit for bit.  A homogeneous
+    run fast-forwards where the march does, unless ``jump`` is False; then
+    it marches every step, and ``angles``, a list, receives each step's
+    largest |merged phase angle|."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
@@ -386,6 +394,9 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
+        if jump and block.homogeneous and k % FF_EVERY == 0 and block.finished(0, k, yh):
+            fast_forward(run, yh, k)
+            break
         if block.homogeneous and abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
                                  f"{k + 1}", time_index=k + 1)
@@ -418,6 +429,8 @@ def reference_strang(grid, model, params, x, path, snapshot=None):
             else:
                 phases = f * amp * c
             theta = phases if theta is None else theta + phases
+            if angles is not None:
+                angles.append(float(np.abs(phases).max()))
         if block.homogeneous:
             if theta is not None:
                 u *= np.exp(1j * theta)
@@ -472,6 +485,17 @@ BLOCK_CASES = {
                SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.2)),
     "rescaled_2d": (make_grid(2, 16, 8.0), const_model(1.0),
                     SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.05)),
+    "rescaled_three": (make_grid(1, 64, 16.0), const_model([0.7 + 0.2j, 0.4, 0.3 - 0.6j]),
+                       SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1)),
+    # homogeneous rows fast-forward from indices 192-224 of 400, every index
+    # a save index, and from 848-1424 of 2,000 (every fourth)
+    "fast_forward": (make_grid(1, 64, 16.0), const_model(3.0),
+                     SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=4.0)),
+    "fast_forward_direct": (make_grid(1, 64, 16.0), const_model(3.0),
+                            SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=4.0,
+                                      scheme="direct")),
+    "decay": (make_grid(1, 128, 16.0), const_model(2.0 + 0.5j),
+              SimParams(lam=1, alpha=3.0, dt=5e-3, t_final=10.0)),
     "direct_bump_3d": (make_grid(3, 8, 8.0),
                        NoiseModel(np.array([0.5 + 0j]),
                                   [SpatialProfile("gaussian-bump", width=2.0,
@@ -659,6 +683,120 @@ class TestBlockMarch:
         n = params.n_steps
         assert Counter(calls) == {"forward": n + 3, "inverse": per_step * n + last,
                                   "cos": n}
+
+
+HOMOGENEOUS_CASES = sorted(case for case, (_, model, _) in BLOCK_CASES.items()
+                           if model.spatially_homogeneous and not case.startswith("abort"))
+
+
+def marched_block(grid, model, params, paths, x):
+    """A block marched from x, as ``simulate_block`` marches it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _Block(grid, model, params, paths, {params.n_steps})
+        _march(block, x)
+    return block
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+class TestFastForward:
+    """A homogeneous row marches until its remaining nonlinear phase is
+    below rounding, then takes its tail in closed form."""
+
+    @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
+    def test_skipped_angles_below_rounding(self, case):
+        # on full step-by-step marches, the largest angle of each step the
+        # row skips, summed, is below one rounding unit: it read at most
+        # 1.3e-4 of 2^-53 over these 24 rows (the test's bound is 2^-63)
+        grid, model, params = BLOCK_CASES[case]
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(8))
+        block = marched_block(grid, model, params, paths, x)
+        assert 0 < block.end.min() and block.end.max() < params.n_steps
+        for b, path in enumerate(paths):
+            angles = []
+            reference_strang(grid, model, params, x, path, jump=False, angles=angles)
+            assert len(angles) == params.n_steps
+            assert sum(angles[block.end[b]:]) < 2.0 ** -53
+
+    @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
+    def test_jump_matches_full_march(self, case):
+        # measured over these 24 rows: masses 3.8e-13 relative, final y
+        # 1.2e-13 in relative L2 and the Lyapunov exponent 3.7e-14
+        grid, model, params = BLOCK_CASES[case]
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(8))
+        for path, rec in zip(paths, simulate_block(grid, model, params, x, paths)):
+            full = reference_strang(grid, model, params, x, path, jump=False)
+            for name in ("mass_x", "mass_y"):
+                got, want = getattr(rec, name), getattr(full, name)
+                assert np.abs(got / want - 1.0).max() <= 1e-12, name
+            want = full.final_y.values
+            assert np.linalg.norm(rec.final_y.values - want) <= 5e-13 * np.linalg.norm(want)
+            marched = dataclasses.replace(rec, mass_x=full.mass_x, mass_y=full.mass_y)
+            assert abs(decay_fit(rec, model).lyapunov
+                       - decay_fit(marched, model).lyapunov) <= 1e-13
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
+    def test_own_mass_follows_the_multipliers(self, case, splitting):
+        # The free flow and the rotation keep the mass, so a homogeneous
+        # row's own mass is ||x||^2 prod |mid_i|^2 up to rounding, marched
+        # or fast-forwarded.  The largest relative deviation read 1.0e-15
+        # per step (5.1e-12 over the 5,000 steps of "decay" at dt = 2e-3).
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting=splitting)
+        if case == "decay":
+            params = dataclasses.replace(params, dt=2e-3)
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(4))
+        tables = _Block(grid, model, params, paths)
+        for b, rec in enumerate(simulate_block(grid, model, params, x, paths)):
+            own = rec.mass_x if params.scheme == "direct" else rec.mass_y
+            gains = np.cumsum(np.log(np.abs(tables.mid_scalar[b]) ** 2))
+            want = x.mass * np.exp(np.concatenate([[0.0], gains]))
+            assert np.abs(own / want - 1.0).max() <= 2e-15 * params.n_steps
+
+    def test_rows_finish_at_their_own_index(self, monkeypatch):
+        # rows 0-3 of "fast_forward" finish at 208, 192, 224 and 192, each
+        # where it finishes alone; the block marches to the largest, 224
+        # steps: one forward transform each, plus the initial spectrum, the
+        # initial resolution check and one final check per row
+        grid, model, params = BLOCK_CASES["fast_forward"]
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(4))
+        alone = [int(marched_block(grid, model, params, [p], x).end[0]) for p in paths]
+        assert alone == [208, 192, 224, 192]
+        assert marched_block(grid, model, params, paths, x).end.tolist() == alone
+        calls = []
+        count_calls(monkeypatch, calls, GridSpec, "forward")
+        simulate_block(grid, model, params, x, paths)
+        assert len(calls) == 1 + 1 + 224 + 4
+
+    def test_without_phase_finishes_at_once(self, monkeypatch):
+        # lambda = 0: no step is marched, and the tail is the whole run
+        calls = []
+        count_calls(monkeypatch, calls, GridSpec, "forward")
+        grid, model, params = BLOCK_CASES["linear"]
+        simulate_block(grid, model, params, gaussian_field(grid),
+                       sampled(model, params, [0, 1]))
+        assert len(calls) == 1 + 1 + 2
+
+    @pytest.mark.parametrize("mu", [[1.0 + 0.5j], [0.7 + 0.2j, 0.4],
+                                    [0.7 + 0.2j, 0.4, 0.3 - 0.6j]], ids=["J1", "J2", "J3"])
+    def test_m_at_save_indices_is_the_series_entry(self, mu):
+        grid = make_grid(1, 32, 8.0)
+        model = const_model(mu)
+        params = SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=0.5, save_every=1)
+        paths = sampled(model, params, range(3))
+        saves = set(range(params.n_steps + 1))
+        block = _Block(grid, model, params, paths, saves)
+        for b, path in enumerate(paths):
+            series = path.complex_series(model.mu)
+            assert block.m_saved[b].keys() == saves
+            for k in saves:
+                assert block.m_value(b, k) == series[k]
+                assert np.array_equal(block.m_field_values(b, k),
+                                      np.full(grid.size, series[k]))
 
 
 def handmade_path(increments, dt):

@@ -71,11 +71,16 @@ mode, so S_k = (1/N) sum |yh_k| times the product of the later |mid_i|
 bounds |u| at every later step, and with the path-known phase coefficients
 c_j and Strang factors F_j, S_k^{alpha-1} R_k, where
 R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1}, bounds the
-summed angle of every step after k at every point.  At every index
-k = 0 (mod ``FF_EVERY``) a row still marching compares that bound, from its
-own spectrum and tables alone, with ``FF_THRESHOLD`` = 2^-63, a margin of
-2^10 under the rounding unit 2^-53; a row without a phase (lambda = 0)
-passes at k = 0.  Once it passes, the row's remaining indices are recorded
+summed angle of every step after k at every point.  At the rungs of a
+dyadic ladder, 0, n >> j and n - (n >> j) for j >= 1 with n = n_steps
+(``_ladder``), a row still marching compares that bound, from its own
+spectrum and tables alone, with ``FF_THRESHOLD`` = 2^-63, a margin of 2^10
+under the rounding unit 2^-53; a row without a phase (lambda = 0) passes at
+k = 0.  A row so marches at most twice as far as its phase needs in the first
+half of the run, and at most half its remaining steps in the second.  A
+block's march length is one of a few rungs set by the run length, not a step
+count that follows each path's noise, so an ensemble's cost holds from one
+seed to the next.  Once it passes, the row's remaining indices are recorded
 at once in closed form: own masses as the mass at k times the running
 product of |mid_i|^2, the other masses through the same weights, and the
 state at each later save index as prod mid_i U((s - k) dt) yh_k, one
@@ -156,9 +161,6 @@ MAX_STEPS = 10**7
 #: |Re M| beyond which exp() leaves double range; a path this large has long
 #: since left any physically meaningful regime.
 OVERFLOW_GUARD = 700.0
-#: A homogeneous row tests whether it may fast-forward at every index
-#: k = 0 (mod FF_EVERY); the test costs one sum over the row's spectrum.
-FF_EVERY = 16
 #: Bound on the summed nonlinear angle of every remaining step, at every
 #: point, below which a homogeneous row fast-forwards: 2^-63, a margin of
 #: 2^10 under the rounding unit 2^-53 of one rotation.
@@ -332,17 +334,23 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     return block.outcomes()
 
 
+def _ladder(n_steps: int) -> list:
+    """The indices where a homogeneous row tests whether it may fast-forward,
+    ascending: 0, n >> j and n - (n >> j) for j >= 1, n = n_steps."""
+    halves = [n_steps >> j for j in range(1, n_steps.bit_length())]
+    return sorted({0} | set(halves) | {n_steps - h for h in halves})
+
+
 def _log_tail(mid: np.ndarray, neg_coef: np.ndarray | None, factor: np.ndarray | None,
-              power: float) -> np.ndarray:
-    """log R_k of one homogeneous row at k = 0, FF_EVERY, ... <= n_steps, with
+              power: float, ks: list) -> np.ndarray:
+    """log R_k of one homogeneous row at the indices ``ks`` < n_steps, with
     R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1} (``power`` is
     alpha - 1, F_j the Strang phase factor or 1), summed in logs because the
     products underflow over a decay run; -inf where R_k = 0, as without a
     phase."""
     n = mid.size
-    out = np.full(n // FF_EVERY + 1, -math.inf)
     if neg_coef is None:
-        return out
+        return np.full(len(ks), -math.inf)
     with np.errstate(divide="ignore"):  # log 0 = -inf: a zero factor
         cum = np.zeros(n + 1)
         np.cumsum(power * np.log(np.abs(mid)), out=cum[1:])
@@ -350,9 +358,7 @@ def _log_tail(mid: np.ndarray, neg_coef: np.ndarray | None, factor: np.ndarray |
         if factor is not None:
             terms += np.log(factor)
     suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
-    ks = np.arange(0, n, FF_EVERY)
-    out[:ks.size] = suffix[ks] - cum[ks]
-    return out
+    return suffix[ks] - cum[ks]
 
 
 def _exp_series(args: np.ndarray) -> list:
@@ -436,12 +442,16 @@ class _Block:
         self.ito = np.zeros(self.re_m.shape)
         self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
         self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
-        self.first = self.last = n_steps
+        self.last = n_steps
+        # row b -> (indices, own masses, other masses) of its closed-form tail
+        self.tails = {}
         if self.homogeneous:
-            # log R_k at k = 0, FF_EVERY, ...: see ``finished``
+            # log R_k on the ladder, by rung: see ``finished``
+            ladder = _ladder(n_steps)
+            self.rung = {k: i for i, k in enumerate(ladder)}
             coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
             factors = [None] * len(paths) if self.phase_factor is None else self.phase_factor
-            self.log_tail = np.array([_log_tail(m, c, f, alpha - 1.0) for m, c, f
+            self.log_tail = np.array([_log_tail(m, c, f, alpha - 1.0, ladder) for m, c, f
                                       in zip(self.mid_scalar, coefs, factors)])
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
@@ -553,22 +563,22 @@ class _Block:
         row returns it.  Without one the row has finished (``finished``): its
         later indices, up to the step before its guard if it has one, are
         recorded in closed form now, and it returns the tail's abort or the
-        guard's, if any.  The only code that sets ``end``, ``stop``, ``first``
-        (the smallest end) and ``last`` (the largest)."""
+        guard's, if any.  The only code that sets ``end``, ``stop`` and
+        ``last``, the largest end."""
         if abort is None:
             abort = self.fast_forward(b, end) or self.stop[b]
         self.end[b], self.stop[b] = end, abort
-        self.first, self.last = int(self.end.min()), int(self.end.max())
+        self.last = int(self.end.max())
 
     def finished(self, b: int, k: int, yh: np.ndarray) -> bool:
-        """Whether homogeneous row b, at k = 0 (mod FF_EVERY) with spectrum
-        yh, may drop its nonlinear phase for the rest of the run.  The
-        free flow keeps |yh| per mode and the multipliers only scale it, so
+        """Whether homogeneous row b, at ladder index k with spectrum yh, may
+        drop its nonlinear phase for the rest of the run.  The free flow
+        keeps |yh| per mode and the multipliers only scale it, so
         S = (1/N) sum |yh| times prod |mid_i| bounds |u| at every later
         step, and S^{alpha-1} R_k (``_log_tail``) bounds the summed angle of
         every step after k at every point; it must be below FF_THRESHOLD.
         Read from the row's own spectrum and tables only."""
-        log_r = float(self.log_tail[b, k // FF_EVERY])
+        log_r = float(self.log_tail[b, self.rung[k]])
         if log_r == -math.inf:
             return True
         s = float(np.abs(yh).sum()) / self.grid.size
@@ -581,15 +591,17 @@ class _Block:
         mass is the own mass at k0 times the running product of |mid_i|^2,
         the other mass its ``math.exp`` weight times that, and the spectrum
         at a save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one
-        multiply and one inverse.  Returns the abort of the first index whose
-        mass is non-finite, as ``record`` names it; no field is handed over
-        from that index on."""
+        multiply and one inverse.  The masses are also kept in ``tails``,
+        because the march, which steps the row on, writes over them.  Returns
+        the abort of the first index whose mass is non-finite, as ``record``
+        names it; no field is handed over from that index on."""
         end = int(self.end[b])
         tail = slice(k0 + 1, end + 1)
         mid = self.mid_scalar[b, k0:end]
         own, other = self.own[tail, b], self.other[tail, b]
         np.multiply(self.own[k0, b], np.cumprod(np.square(np.abs(mid))), out=own)
         np.multiply(self.weights[tail, b], own, out=other)
+        self.tails[b] = (tail, own.copy(), other.copy())
         bad = np.flatnonzero(~np.isfinite(other))
         good = end if bad.size == 0 else k0 + int(bad[0])
         saves = [s for s in sorted(self.save_set) if k0 < s <= good]
@@ -630,26 +642,22 @@ class _Block:
     def record(self, k: int, masses: np.ndarray, phys) -> None:
         """Record time index k of every row from its own mass and physical
         state ``phys``, which homogeneous rows need only at save indices.  A
-        row that stopped before k is skipped; a finished row's later
-        indices already hold its tail.
+        row that stopped before k is skipped.  A homogeneous index is
+        written for every row, a finished one too, whose tail ``outcomes``
+        puts back: one store per index, whoever has finished.
 
         Where either mass is non-finite the row stops after k with the reason
         (``failure``) and hands nothing over.  Otherwise, at a save index the
-        row's fields are handed over (``save``).  Then, at k = 0 (mod
-        FF_EVERY), every homogeneous row still marching that may fast-forward
-        finishes after k."""
+        row's fields are handed over (``save``).  Then, at a ladder index,
+        every homogeneous row still marching that may fast-forward finishes
+        after k."""
         own, other = self.own, self.other
         rows = range(len(self.paths))
         if self.homogeneous:
-            if k <= self.first:
-                own[k] = masses
-                # Python floats: on a few rows cheaper than numpy calls
-                other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
-                                                             masses.tolist())]
-            else:
-                rows = np.flatnonzero(self.end >= k).tolist()
-                own[k, rows] = masses[rows]
-                other[k, rows] = weighted = self.weights[k, rows] * masses[rows]
+            own[k] = masses
+            # Python floats: on a few rows cheaper than numpy calls
+            other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
+                                                         masses.tolist())]
             if all(map(math.isfinite, weighted)) and k not in self.save_set:
                 rows = ()
         for b in rows:
@@ -663,7 +671,7 @@ class _Block:
                 self.stop_after(b, k, self.failure(b, k))
             elif k in self.save_set:
                 self.save(b, k, phys[b])
-        if self.homogeneous and k % FF_EVERY == 0:
+        if self.homogeneous and k in self.rung:
             for b in np.flatnonzero(self.end > k).tolist():
                 if self.finished(b, k, self.yh[b]):
                     self.stop_after(b, k)
@@ -702,6 +710,8 @@ class _Block:
 
     def outcomes(self) -> list:
         """Each row's record, or the abort that stopped it, in row order."""
+        for b, (tail, own, other) in self.tails.items():
+            self.own[tail, b], self.other[tail, b] = own, other
         out = []
         for b, path in enumerate(self.paths):
             if self.stop[b] is not None:

@@ -377,12 +377,12 @@ class TestEnsembleBlocks:
         aborting["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
         aborting["noise"]["coefficients"] = [150.0]
         aborting["sim"]["t_final"] = 3.0
-        # mu = 3 over 400 steps: every path fast-forwards, each at its own
-        # index, the two of a block at different ones
+        # mu = 3 over 400 steps: every path fast-forwards at a rung of the
+        # ladder, the two of the second two-worker block at different ones
         fast = base_config(kind="ensemble", ensemble={"size": 4})
         fast["grid"] = {"dimension": 1, "points": 64, "half_length": 16.0}
         fast["noise"]["coefficients"] = [3.0]
-        fast["sim"].update(dt=1e-2, t_final=4.0)
+        fast["sim"].update(dt=2e-2, t_final=8.0)
         statuses = {}
         for name, c in (("plain", cfg), ("aborting", aborting), ("fast", fast)):
             p = tmp_path / f"{name}.json"
@@ -414,7 +414,7 @@ class TestEnsembleBlocks:
                 block = integrator._Block(config.built.grid, model, params, [path])
                 integrator._march(block, config.built.x)
             finish.append(int(block.end[0]))
-        assert finish == [224, 208, 208, 224]
+        assert finish == [200, 200, 200, 100]
 
         class InProcessPool:
             def __init__(self, max_workers):

@@ -20,10 +20,10 @@ from reference import (
     nonlinear_phase_step,
     step,
 )
+from snls_lab import integrator
 from snls_lab.diagnostics import decay_fit
 from snls_lab.errors import AssumptionVeto, NumericalAbort
 from snls_lab.integrator import (
-    FF_EVERY,
     MAX_STEPS,
     OVERFLOW_GUARD,
     SPLITTINGS,
@@ -394,7 +394,7 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
-        if jump and block.homogeneous and k % FF_EVERY == 0 and block.finished(0, k, yh):
+        if jump and block.homogeneous and k in block.rung and block.finished(0, k, yh):
             fast_forward(run, yh, k)
             break
         if block.homogeneous and abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
@@ -487,8 +487,8 @@ BLOCK_CASES = {
                     SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.05)),
     "rescaled_three": (make_grid(1, 64, 16.0), const_model([0.7 + 0.2j, 0.4, 0.3 - 0.6j]),
                        SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1)),
-    # homogeneous rows fast-forward from indices 192-224 of 400, every index
-    # a save index, and from 848-1424 of 2,000 (every fourth)
+    # homogeneous rows fast-forward at the ladder's rungs 200-375 of 400,
+    # every index a save index, and 1,000-1,750 of 2,000 (every fourth)
     "fast_forward": (make_grid(1, 64, 16.0), const_model(3.0),
                      SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=4.0)),
     "fast_forward_direct": (make_grid(1, 64, 16.0), const_model(3.0),
@@ -565,15 +565,21 @@ class TestBlockMarch:
 
     def test_march_ends_once_every_row_has_stopped(self, monkeypatch):
         # the rows stop at indices 4, 2 and 11, the last before the step its
-        # guard trips on, so the march takes steps 0-9 of 20: one forward
-        # transform each, plus the initial spectrum and resolution check
+        # guard trips on, so with the fast-forward tested at k = 0 alone the
+        # march takes steps 0-9 of 20: one forward transform each, plus the
+        # initial spectrum and resolution check.  On the ladder every mass
+        # underflows to 0 after one step, so every row finishes at rung 1 and
+        # its tail meets the same aborts.
+        grid, model, params = BLOCK_CASES["abort_rescaled"]
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
-        grid, model, params = BLOCK_CASES["abort_rescaled"]
-        block = simulate_block(grid, model, params, gaussian_field(grid),
-                               sampled(model, params, [0, 1, 2]))
-        assert [row.time_index for row in block] == [4, 2, 11]
-        assert len(calls) == 1 + 1 + 10
+        for ladder, steps in ((lambda n: [0], 10), (integrator._ladder, 1)):
+            monkeypatch.setattr(integrator, "_ladder", ladder)
+            calls.clear()
+            block = simulate_block(grid, model, params, gaussian_field(grid),
+                                   sampled(model, params, [0, 1, 2]))
+            assert [row.time_index for row in block] == [4, 2, 11]
+            assert len(calls) == 1 + 1 + steps
 
     def test_refuses_empty_paths(self):
         grid, model, params = BLOCK_CASES["rescaled"]
@@ -706,7 +712,7 @@ class TestFastForward:
     def test_skipped_angles_below_rounding(self, case):
         # on full step-by-step marches, the largest angle of each step the
         # row skips, summed, is below one rounding unit: it read at most
-        # 1.3e-4 of 2^-53 over these 24 rows (the test's bound is 2^-63)
+        # 2.3e-5 of 2^-53 over these 24 rows (the test's bound is 2^-63)
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(8))
@@ -720,8 +726,8 @@ class TestFastForward:
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_jump_matches_full_march(self, case):
-        # measured over these 24 rows: masses 3.8e-13 relative, final y
-        # 1.2e-13 in relative L2 and the Lyapunov exponent 3.7e-14
+        # measured over these 24 rows: masses 3.3e-13 relative, final y
+        # 1.1e-13 in relative L2 and the Lyapunov exponent 3.4e-14
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(8))
@@ -757,20 +763,20 @@ class TestFastForward:
             assert np.abs(own / want - 1.0).max() <= 2e-15 * params.n_steps
 
     def test_rows_finish_at_their_own_index(self, monkeypatch):
-        # rows 0-3 of "fast_forward" finish at 208, 192, 224 and 192, each
-        # where it finishes alone; the block marches to the largest, 224
+        # rows 0-3 of "fast_forward" finish at rungs 300, 200, 300 and 200,
+        # each where it finishes alone; the block marches to the largest, 300
         # steps: one forward transform each, plus the initial spectrum, the
         # initial resolution check and one final check per row
         grid, model, params = BLOCK_CASES["fast_forward"]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(4))
         alone = [int(marched_block(grid, model, params, [p], x).end[0]) for p in paths]
-        assert alone == [208, 192, 224, 192]
+        assert alone == [300, 200, 300, 200]
         assert marched_block(grid, model, params, paths, x).end.tolist() == alone
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
         simulate_block(grid, model, params, x, paths)
-        assert len(calls) == 1 + 1 + 224 + 4
+        assert len(calls) == 1 + 1 + 300 + 4
 
     def test_without_phase_finishes_at_once(self, monkeypatch):
         # lambda = 0: no step is marched, and the tail is the whole run

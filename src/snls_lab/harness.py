@@ -724,7 +724,8 @@ def write_field_dump(field: ComplexField, t: float, path: Path) -> None:
     g = field.grid
     with _output(path, binary=True) as fh:
         fh.write(struct.pack("<iidd", g.dimension, g.points, g.half_length, t))
-        fh.write(field.values.astype("<c16").tobytes())
+        # the field's own buffer when it is contiguous and little-endian
+        fh.write(np.ascontiguousarray(field.values, dtype="<c16"))
 
 
 def read_field_dump(path: Path) -> tuple[ComplexField, float]:

@@ -1,6 +1,10 @@
 """Duhamel quadrature and the fixed-point iteration."""
 
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from reference import (
     mixed_norm,
     norm_Lp,
 )
+from snls_lab import mild_picard
 from snls_lab.errors import AssumptionVeto
 from snls_lab.integrator import SimParams, simulate
 from snls_lab.mild_picard import (
@@ -30,6 +35,7 @@ from snls_lab.noise_process import (
 )
 from snls_lab.spectral_grid import (
     ComplexField,
+    GridSpec,
     constant_field,
     gaussian_field,
     make_grid,
@@ -37,6 +43,35 @@ from snls_lab.spectral_grid import (
 )
 
 GRID = make_grid(1, 256, 16.0)
+
+
+@pytest.fixture
+def pipelined(monkeypatch):
+    """Every map runs its heads on the helper thread, whatever the grid size
+    and the core count."""
+    monkeypatch.setattr(mild_picard, "PIPELINE_MIN_SIZE", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def bounded(fn, timeout=60.0):
+    """fn() on a thread joined with a timeout, so a run that hangs fails
+    instead of stalling the suite; returns fn's result or raises its
+    exception."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            out["error"] = exc
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"no result after {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 class TestStrichartzExponent:
@@ -225,17 +260,13 @@ NODE_LOOP_CASES = [(d, lam, alpha) for d in (1, 2) for lam in (0, 1, -1)
                    for alpha in (1.5, 2.0, 2.5, 3.0) if alpha < 1.0 + 4.0 / d]
 
 
-@pytest.mark.parametrize("dimension, lam, alpha", NODE_LOOP_CASES)
-def test_node_loop_equals_block_form(dimension, lam, alpha):
-    # The map runs node by node; the block form makes each stage one pass
-    # over all nodes.  Iterates and distances agree bit for bit.  The blocks
-    # are 384 KiB, a size at which the block form's operand order is also
-    # the order numpy ran its expressions in.
-    grid = make_grid(dimension, 1024 if dimension == 1 else 32, 8.0)
+def check_node_loop(grid, lam, alpha, nodes):
+    """Iterates and distances of three maps equal the block form's bit for
+    bit."""
     m = const_model(1.0 + 0.5j)
     x = gaussian_field(grid, width=1.0, l2_norm=2.0)
     path = sample_martingale(m, 1e-3, 200, 4)
-    kern = _MapKernel(x, m, path, 0.1, 24, lam, alpha)
+    kern = _MapKernel(x, m, path, 0.1, nodes, lam, alpha)
     fwd = grid.propagator(kern.times[:, None])
     y = kern.free_trajectory()
     assert np.array_equal(y, np.array([grid.inverse(r) for r in fwd * kern.xh]))
@@ -245,6 +276,122 @@ def test_node_loop_equals_block_form(dimension, lam, alpha):
         sq, lp = kern.apply(y)  # y becomes F(y)
         assert np.array_equal(y, expect)
         assert kern.x_norm(sq, lp) == block_x_norm(kern, expect - y_prev)
+    return kern
+
+
+@pytest.mark.parametrize("dimension, lam, alpha", NODE_LOOP_CASES)
+def test_node_loop_equals_block_form(dimension, lam, alpha):
+    # The map runs node by node; the block form makes each stage one pass
+    # over all nodes.  Iterates and distances agree bit for bit.  The blocks
+    # are 384 KiB, a size at which the block form's operand order is also
+    # the order numpy ran its expressions in.
+    grid = make_grid(dimension, 1024 if dimension == 1 else 32, 8.0)
+    assert not check_node_loop(grid, lam, alpha, 24).pipelined
+
+
+@pytest.mark.parametrize("nodes", [8, 9])
+@pytest.mark.parametrize("dimension, lam, alpha", NODE_LOOP_CASES)
+def test_pipelined_node_loop_equals_block_form(pipelined, dimension, lam, alpha, nodes):
+    # The same bits when the helper thread runs the heads: 8 and 9 nodes end
+    # the rings of two multipliers and three spectra at different slots.
+    # The blocks are 512 KiB and more, so the block form's operand order
+    # still holds.
+    grid = make_grid(dimension, 8192 if dimension == 1 else 64, 8.0)
+    assert check_node_loop(grid, lam, alpha, nodes).pipelined
+
+
+@pytest.mark.parametrize("slow", ["_head", "_tail"])
+def test_pipelined_node_loop_with_a_lagging_stage(pipelined, monkeypatch, slow):
+    # A stage that sleeps before each node lets the other run ahead: a slow
+    # tail lets each head write its ring slots before the tail of the node
+    # before reads its own, and a slow head makes each tail wait for the
+    # head of its node.  A slot shared between the two shows in the bits.
+    original = getattr(_MapKernel, slow)
+
+    def lagging(self, *args):
+        time.sleep(1e-3)
+        return original(self, *args)
+
+    monkeypatch.setattr(_MapKernel, slow, lagging)
+    check_node_loop(make_grid(1, 8192, 8.0), 1, 2.5, 9)
+
+
+class Boom(Exception):
+    pass
+
+
+def spy(monkeypatch, stage, fail_at=None):
+    """Record the thread of every call of GridSpec.<stage>; the call numbered
+    fail_at (from 1) raises a Boom instead."""
+    original = getattr(GridSpec, stage)
+    threads = []
+
+    def recorded(self, a, out=None):
+        threads.append(threading.current_thread())
+        if len(threads) == fail_at:
+            raise Boom(stage, fail_at)
+        return original(self, a, out=out)
+
+    monkeypatch.setattr(GridSpec, stage, recorded)
+    return threads
+
+
+def run_on_thread(nodes=16, l2_norm=1.0):
+    """picard_iterate on GRID through :func:`bounded`; returns the report and
+    the thread that called it."""
+    m = const_model(1.0)
+    x = gaussian_field(GRID, width=1.0, l2_norm=l2_norm)
+    path = sample_martingale(m, 1e-4, 500, 0)
+    cfg = PicardConfig(horizon=0.05, nodes=nodes)
+    caller = []
+
+    def run():
+        caller.append(threading.current_thread())
+        return picard_iterate(x, m, path, cfg, 1, 3.0)
+
+    return bounded(run), caller
+
+
+def test_helper_runs_the_heads_and_ends_with_the_call(pipelined, monkeypatch):
+    threads = spy(monkeypatch, "forward")
+    before = threading.active_count()
+    rep, (caller,) = run_on_thread()
+    assert rep.converged
+    assert threading.active_count() == before
+    # the kernel's x spectrum and each map's first head run on the caller,
+    # every other head on one helper per map, joined before the map returns
+    helpers = [t for t in threads if t is not caller]
+    assert len(helpers) == rep.iterations * 15
+    assert not any(t.is_alive() for t in helpers)
+    assert len(set(helpers)) == rep.iterations
+
+
+# Forward call 4 is the head of node 2, on the helper; inverse call 19 is the
+# tail of node 2 (16 inverses build the free trajectory), on the caller,
+# while the helper runs the head of node 3.
+@pytest.mark.parametrize("stage, fail_at, on_helper", [("forward", 4, True),
+                                                       ("inverse", 19, False)])
+def test_stage_error_propagates_and_ends_the_helper(pipelined, monkeypatch, stage,
+                                                    fail_at, on_helper):
+    threads = spy(monkeypatch, stage, fail_at)
+    before = threading.active_count()
+    with pytest.raises(Boom) as info:
+        run_on_thread()
+    assert info.value.args == (stage, fail_at)
+    assert threading.active_count() == before
+    caller = threads[0]  # x's spectrum, or the free trajectory's first node
+    assert (threads[fail_at - 1] is not caller) == on_helper
+
+
+def test_overflowing_head_warns_nothing(pipelined):
+    # |y|^2 y overflows in every head of the first map: the helper computes
+    # under the caller's error state, so the run reports no_contraction
+    # and no RuntimeWarning escapes from either thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep, _ = run_on_thread(l2_norm=1e120)
+    assert rep.no_contraction and not rep.converged
+    assert rep.distances == [float("inf")]
 
 
 @pytest.mark.parametrize("dimension, n", [(1, 1024), (2, 128), (3, 32)])
@@ -263,15 +410,18 @@ def test_gathered_multipliers_equal_propagator(dimension, n):
         assert np.array_equal(row.view(np.uint64), full[i].view(np.uint64))
 
 
-@pytest.mark.parametrize("dimension, n, bound", [(1, 4096, 1.8), (2, 64, 1.4)])
+@pytest.mark.parametrize("dimension, n, bound", [(1, 4096, 1.8), (2, 64, 1.4),
+                                                 (2, 128, 1.4)])
 def test_picard_working_set(dimension, n, bound):
     # Peak traced memory of one picard_iterate, in units of nodes x n^d
     # complex values: the iterate, which the map overwrites node by node,
     # the U(t_i, 0) table over the distinct |k|^2 levels (half a block in
-    # 1-D, an eighth on 64^2) and the map's few (n^d,) rows.  It reads
-    # 1.65 in 1-D and 1.28 in 2-D.  With a stored multiplier block and a
-    # fresh output block per call it read 3.13 in 2-D; the block form, which
-    # held every stage of the map as a full block, read 9.55.
+    # 1-D, an eighth on 64^2 and 128^2) and the map's (n^d,) rows.  It reads
+    # 1.71 in 1-D, 1.33 on 64^2 and 1.31 on 128^2, where the helper thread
+    # runs the heads.  With one multiplier row and one scratch set shared by
+    # both stages it read 1.65 and 1.28.  With a stored multiplier block and
+    # a fresh output block per call it read 3.13 in 2-D; the block form,
+    # which held every stage of the map as a full block, read 9.55.
     grid = make_grid(dimension, n, 8.0)
     m = const_model(1.0 + 0.5j)
     x = gaussian_field(grid, width=1.0, l2_norm=1.0)

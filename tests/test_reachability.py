@@ -1,7 +1,8 @@
 """Every function defined in src/snls_lab is reached by some run.
 
 Each run kind goes once through the command-line entry point on a tiny
-config, under ``sys.setprofile``.  A function that none of the runs calls
+config, under ``sys.setprofile`` and ``threading.setprofile``, so calls on
+the threads a run starts count too.  A function that none of the runs calls
 is surface no run uses, and fails the test unless it is one of the
 documented public helpers listed below.
 """
@@ -10,8 +11,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -74,6 +77,9 @@ RUNS = [
       "convergence": {"dts": [0.04, 0.02, 0.01], "reference_dt": 0.00125}}, 0),
     ({"kind": "picard", "grid": GRID_1D, "noise": HOMOGENEOUS, "initial": GAUSSIAN,
       "picard": {"horizon": 0.02, "nodes": 8, "alpha": 2.0}}, 0),
+    # at mild_picard.PIPELINE_MIN_SIZE values a helper thread runs the heads
+    ({"kind": "picard", "grid": {**GRID_1D, "points": 8192}, "noise": HOMOGENEOUS,
+      "initial": GAUSSIAN, "picard": {"horizon": 0.02, "nodes": 8, "alpha": 2.0}}, 0),
     ({"kind": "validate", "grid": GRID_1D, "noise": BUMP,
       "initial": {"kind": "constant", "value": 1.0},
       "validate": {"horizon": 1.0}}, 0),
@@ -109,7 +115,8 @@ def defined_functions() -> dict:
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
-def test_every_function_is_reached(tmp_path, capsys):
+def test_every_function_is_reached(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the helper needs a second core
     seen = set()
 
     def profile(frame, event, arg):
@@ -119,6 +126,7 @@ def test_every_function_is_reached(tmp_path, capsys):
     codes = []
     start = time.perf_counter()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         for i, (cfg, _) in enumerate(RUNS):
             path = tmp_path / f"config_{i}.json"
@@ -126,6 +134,7 @@ def test_every_function_is_reached(tmp_path, capsys):
             codes.append(main([cfg["kind"], "--config", str(path), "--out",
                                str(tmp_path / f"out_{i}"), "--threads", "1"]))
     finally:
+        threading.setprofile(None)
         sys.setprofile(None)
     elapsed = time.perf_counter() - start
 

@@ -61,14 +61,19 @@ def omega(model: NoiseModel) -> float:
 
     Undefined (raises) when the model leaves that regime: any purely
     imaginary coefficient, a density lower bound of zero, or spatially
-    varying profiles.
+    varying profiles; and when the rate overflows a double.
     """
     failures = model.h4_failures()
     if failures:
         raise AssumptionVeto(
             "decay rate undefined for this model: " + "; ".join(failures)
         )
-    return float(2.0 * model.min_alpha0 * (model.mu.real**2).sum())
+    with np.errstate(over="ignore"):
+        w = float(2.0 * model.min_alpha0 * (model.mu.real**2).sum())
+    if not math.isfinite(w):
+        raise AssumptionVeto("decay rate undefined for this model: noise.coefficients: "
+                             "2 alpha0 sum_j (Re mu_j)^2 overflows a double")
+    return w
 
 
 def mass_identity_residual(record: SolutionRecord) -> ResidualSeries:

@@ -2,12 +2,14 @@
 
 Configs are JSON with a ``schema_version`` field.  :meth:`RunConfig.from_file`
 is the one reader: it parses the file and applies the run's ``kind`` and
-``seed`` overrides before the one validation.  Validation is
-construction: :meth:`RunConfig.from_dict` checks the run kind, the seed and
-the sections the kind requires; then one builder per section reads its
-leaves through one typed reader, which names the key path and never takes a
-bool or a string for a number, puts the normalized section back on the
-config for ``config_echo.json``, and builds the grid, the noise model, the
+``seed`` overrides before the one validation.  Every leaf's type and
+default is written once, in :data:`CONFIG_KEYS`, and one reader,
+:func:`_leaves`, reads a section by it: it names the key path, never takes a
+bool or a string for a number, and returns the normalized section that
+``config_echo.json`` writes.  Validation is construction:
+:meth:`RunConfig.from_dict` checks the run kind, the seed and the sections
+the kind requires; then one builder per section reads its section, puts it
+back on the config normalized, and builds the grid, the noise model, the
 initial state, the parameters or the Picard controls.  Their constructors
 make the range checks, and a ``ValueError``/``TypeError`` they raise becomes
 a :class:`ConfigError` prefixed with the key path.  The harness checks only
@@ -30,10 +32,12 @@ error, 3 assumption veto, 4 numerical abort.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
 import os
+import re
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -99,16 +103,72 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
+# -- the config contract ---------------------------------------------------------
+# Every leaf of a config as (type, default), by section, in the order it is
+# read.  A type is float, int, bool, str, list or dict; [t] is a list of t;
+# (t,) is a t or a list of t, read as a list; complex is a number or an
+# [re, im] pair, read as the pair; a string is the section of that name, for
+# the entries of a list.  The default REQUIRED makes a leaf required, and None
+# leaves it out of the normalized section unless it is set: the domain object
+# or the run decides.  In a section with a ``kind`` leaf, an entry that maps
+# names to leaves holds the leaves of the kind of that name.  The README's
+# "Config keys" table lists these keys, types and defaults, and a test holds
+# it to them.
+
+REQUIRED = object()
+_TIMES_VALUES = {"times": ([float], REQUIRED), "values": ([float], REQUIRED)}
+CONFIG_KEYS = {
+    "": {"schema_version": (int, SCHEMA_VERSION), "kind": (str, REQUIRED),
+         "seed": (int, 0), "grid": (dict, REQUIRED), "noise": (dict, REQUIRED),
+         "sim": (dict, None), "initial": (dict, None), "diagnostics": (dict, {}),
+         "ensemble": (dict, {}), "picard": (dict, {}), "convergence": (dict, {}),
+         "validate": (dict, {}), "output_dir": (str, "out")},
+    "grid": {"dimension": (int, REQUIRED), "points": (int, REQUIRED),
+             "half_length": (float, REQUIRED)},
+    "noise": {"coefficients": ([complex], REQUIRED),
+              "profiles": (["noise.profiles[j]"], REQUIRED),
+              "densities": (["noise.densities[j]"], REQUIRED)},
+    "noise.profiles[j]": {
+        "kind": (str, REQUIRED),
+        "gaussian-bump": {"amplitude": (float, 1.0), "width": (float, 1.0),
+                          "center": ((float,), [0.0])},
+        "tabulated": {"values": ([float], REQUIRED)}},
+    "noise.densities[j]": {
+        "kind": (str, REQUIRED), "constant": {"value": (float, REQUIRED)},
+        "piecewise-constant": _TIMES_VALUES, "tabulated": _TIMES_VALUES,
+        "alpha0": (float, None), "v_max": (float, None), "horizon": (float, None)},
+    "sim": {"lambda": (int, REQUIRED), "alpha": (float, 3.0), "dt": (float, REQUIRED),
+            "t_final": (float, REQUIRED), "scheme": (str, "rescaled"),
+            "splitting": (str, "strang"), "save_every": (int, None)},
+    "initial": {
+        "kind": (str, REQUIRED),
+        "gaussian": {"width": (float, 1.0), "center": ((float,), [0.0]),
+                     "amplitude": (float, 1.0), "l2_norm": (float, None)},
+        "constant": {"value": (float, 1.0)},
+        "plane-wave": {"mode": ((int,), [1])}},
+    "diagnostics": {"decay_fit": (bool, None), "residuals": (bool, None),
+                    "field_dumps": (bool, None), "fit_window": ([float], None)},
+    "ensemble": {"size": (int, REQUIRED), "lyapunov_tolerance": (float, 0.5)},
+    "picard": {"horizon": (float, REQUIRED), "nodes": (int, 64),
+               "max_iterations": (int, 20), "tolerance": (float, 1e-8),
+               "lambda": (int, 1), "alpha": (float, 3.0), "path_dt": (float, None)},
+    "convergence": {"dts": ([float], REQUIRED), "reference_dt": (float, REQUIRED)},
+    "validate": {"horizon": (float, None)},
+}
+
 # -- typed reads ------------------------------------------------------------------
 
-_REQUIRED = object()
 _TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
                str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(value, kind, key: str):
-    """``value`` as ``kind`` (float, int, bool, str, list, dict, or ``[k]`` for
-    a list of k); a bool or a string never passes as a number or an int."""
+    """``value`` read as a :data:`CONFIG_KEYS` type; a bool or a string never
+    passes as a number or an int."""
+    if isinstance(kind, str):
+        return _leaves(value, key)
+    if isinstance(kind, tuple):
+        kind, value = [kind[0]], value if isinstance(value, list) else [value]
     if isinstance(kind, list):
         value = _typed(value, list, key)
         # all floats with a finite sum, so all finite: no call per entry
@@ -116,6 +176,11 @@ def _typed(value, kind, key: str):
                 and math.isfinite(sum(value)):
             return list(value)
         return [_typed(v, kind[0], f"{key}[{i}]") for i, v in enumerate(value)]
+    if kind is complex:
+        pair = (_typed(value, [float], key) if isinstance(value, list)
+                else [_typed(value, float, key), 0.0])
+        _require(len(pair) == 2, key, "must be a number or an [re, im] pair")
+        return pair
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
         ok = number and -sys.float_info.max <= value <= sys.float_info.max
@@ -128,23 +193,32 @@ def _typed(value, kind, key: str):
     return float(value) if kind is float else value
 
 
-def _read(section: dict, key: str, kind, default=_REQUIRED):
+def _read(section: dict, key: str, kind, default):
     """Typed read of the leaf at key path ``key`` from its ``section``; an
-    absent or null leaf takes ``default``, and is an error when there is none."""
+    absent or null leaf takes ``default``, and is an error when it is REQUIRED."""
     value = section.get(key.rsplit(".", 1)[-1])
     if value is None:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise ConfigError(f"{key}: missing required key")
-        return default
+        return copy.copy(default)
     return _typed(value, kind, key)
 
 
-def _vector(section: dict, key: str, kind, default: list) -> list:
-    """A scalar or a list of ``kind``, read as a list."""
-    value = section.get(key.rsplit(".", 1)[-1])
-    if value is None:
-        return default
-    return _typed(value if isinstance(value, list) else [value], [kind], key)
+def _leaves(section, path: str, spec: dict | None = None) -> dict:
+    """The section at key path ``path``, read leaf by leaf in
+    :data:`CONFIG_KEYS` order with its defaults filled in: the normalized
+    section, which reads back to itself."""
+    if spec is None:
+        section = _typed(section, dict, path)
+        spec = CONFIG_KEYS[re.sub(r"\[\d+\]", "[j]", path)]
+    out = {}
+    for name, leaf in spec.items():
+        if isinstance(leaf, dict):  # the leaves of one kind
+            if name == out.get("kind"):
+                out.update(_leaves(section, path, leaf))
+        elif (value := _read(section, f"{path}.{name}", *leaf)) is not None:
+            out[name] = value
+    return out
 
 
 @contextmanager
@@ -185,54 +259,66 @@ class RunConfig:
     seed: int
     grid: dict
     noise: dict
-    sim: dict | None = None
-    initial: dict | None = None
-    diagnostics: dict = field(default_factory=dict)
-    ensemble: dict = field(default_factory=dict)
-    picard: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
-    validate: dict = field(default_factory=dict)
-    output_dir: str = "out"
-    schema_version: int = SCHEMA_VERSION
+    sim: dict | None
+    initial: dict | None
+    diagnostics: dict
+    ensemble: dict
+    picard: dict
+    convergence: dict
+    validate: dict
+    output_dir: str
+    schema_version: int
     built: Built | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Check a parsed JSON config by building its domain objects; each
-        builder normalizes the section it reads."""
+        """Check a parsed JSON config by building its domain objects.  The
+        diagnostics, ensemble, convergence and validate sections are
+        normalized here, and each builder normalizes the section it reads."""
         _typed(raw, dict, "config")
-        version = _read(raw, "schema_version", int, SCHEMA_VERSION)
+
+        def read(name: str):
+            return _read(raw, name, *CONFIG_KEYS[""][name])
+
+        version = read("schema_version")
         _require(version == SCHEMA_VERSION, "schema_version",
                  f"unsupported version {version}, expected {SCHEMA_VERSION}")
-        kind = _read(raw, "kind", str)
+        kind = read("kind")
         _require(kind in RUN_KINDS, "kind", f"must be one of {RUN_KINDS}, got {kind!r}")
-        seed = _read(raw, "seed", int, 0)
+        seed = read("seed")
         _require(0 <= seed < 2**64, "seed", "must be an integer in [0, 2^64)")
 
-        grid, noise = _read(raw, "grid", dict), _read(raw, "noise", dict)
-        sim, initial = _read(raw, "sim", dict, None), _read(raw, "initial", dict, None)
-        diagnostics = _normalize_diagnostics(_read(raw, "diagnostics", dict, {}))
-        ensemble = _normalize_ensemble(_read(raw, "ensemble", dict, {}))
-        picard = _read(raw, "picard", dict, {})
-        convergence = _read(raw, "convergence", dict, {})
-        convergence = _normalize_convergence(convergence) if convergence else {}
-        horizon = _read(_read(raw, "validate", dict, {}), "validate.horizon", float, None)
+        grid, noise, sim, initial = map(read, ("grid", "noise", "sim", "initial"))
+        diagnostics = _leaves(read("diagnostics"), "diagnostics")
+        fw = diagnostics.get("fit_window")
+        _require(fw is None or len(fw) == 2, "diagnostics.fit_window", "must be [t0, t1]")
+        ensemble = read("ensemble")
+        if ensemble:
+            ensemble = _leaves(ensemble, "ensemble")
+            _require(ensemble["size"] >= 1, "ensemble.size", "must be >= 1")
+            _require(ensemble["size"] <= MAX_ENSEMBLE_SIZE, "ensemble.size",
+                     f"{ensemble['size']} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
+        picard = read("picard")
+        convergence = read("convergence")
+        if convergence:
+            convergence = _normalize_convergence(_leaves(convergence, "convergence"))
+        validate = _leaves(read("validate"), "validate")
+        horizon = validate.get("horizon")
         _require(horizon is None or horizon > 0, "validate.horizon",
                  f"must be positive, got {horizon}")
         if kind == "validate":
             _require(horizon is not None or sim is not None, "validate.horizon",
                      "required when sim.t_final is absent")
-        validate = {} if horizon is None else {"horizon": horizon}
 
         present = {"sim": sim, "initial": initial, "picard": picard,
                    "convergence": convergence}
         for name in _NEEDS[kind]:
             _require(bool(present[name]), name, f"required for kind={kind!r}")
 
-        out_dir = _read(raw, "output_dir", str, "out")
+        out_dir = read("output_dir")
         _require(bool(out_dir), "output_dir", "must be a nonempty string")
         config = cls(kind, seed, grid, noise, sim, initial, diagnostics,
-                     ensemble, picard, convergence, validate, out_dir, SCHEMA_VERSION)
+                     ensemble, picard, convergence, validate, out_dir, version)
         config.built = _construct(config)
         return config
 
@@ -262,32 +348,8 @@ class RunConfig:
                 if value is not None and value != {}}
 
 
-def _normalize_diagnostics(dg: dict) -> dict:
-    out = {}
-    for flag in ("decay_fit", "residuals", "field_dumps"):
-        value = _read(dg, f"diagnostics.{flag}", bool, None)
-        if value is not None:
-            out[flag] = value
-    fw = _read(dg, "diagnostics.fit_window", [float], None)
-    if fw is not None:
-        _require(len(fw) == 2, "diagnostics.fit_window", "must be [t0, t1]")
-        out["fit_window"] = fw
-    return out
-
-
-def _normalize_ensemble(en: dict) -> dict:
-    if not en:
-        return {}
-    size = _read(en, "ensemble.size", int)
-    _require(size >= 1, "ensemble.size", "must be >= 1")
-    _require(size <= MAX_ENSEMBLE_SIZE, "ensemble.size",
-             f"{size} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
-    return {"size": size,
-            "lyapunov_tolerance": _read(en, "ensemble.lyapunov_tolerance", float, 0.5)}
-
-
 def _normalize_convergence(cv: dict) -> dict:
-    dts = _read(cv, "convergence.dts", [float])
+    dts, ref = cv["dts"], cv["reference_dt"]
     _require(len(dts) >= 3, "convergence.dts", "must list at least 3 step sizes")
     _require(all(v > 0 for v in dts), "convergence.dts", "must be positive")
     dts_sorted = sorted(dts, reverse=True)
@@ -295,7 +357,6 @@ def _normalize_convergence(cv: dict) -> dict:
     _require(all(abs(r - ratios[0]) <= 1e-9 * ratios[0] for r in ratios),
              "convergence.dts", "must form a strict geometric ladder")
     _require(ratios[0] > 1.0 + 1e-12, "convergence.dts", "must be strictly decreasing")
-    ref = _read(cv, "convergence.reference_dt", float)
     _require(ref > 0, "convergence.reference_dt", "must be positive")
     _require(min(dts) / ref >= 8.0 - 1e-9, "convergence.reference_dt",
              "must be at least 8x finer than the smallest dt")
@@ -371,128 +432,59 @@ def _construct(config: RunConfig) -> Built:
 
 
 # -- builders ---------------------------------------------------------------------
-# Each reads its own section, puts it back on the config normalized, and builds
-# from it; a normalized section reads back to itself, so a second call builds
-# an equal object.
-
-def _given(section: dict, path: str, kind, keys) -> dict:
-    """The optional leaves among ``keys`` that ``section`` sets, typed."""
-    found = {key: _read(section, f"{path}.{key}", kind, None) for key in keys}
-    return {key: value for key, value in found.items() if value is not None}
-
+# Each reads its own section through _leaves, puts it back on the config
+# normalized, and builds from it; a normalized section reads back to itself,
+# so a second call builds an equal object.
 
 def build_grid(config: RunConfig) -> GridSpec:
-    g = config.grid
-    config.grid = g = {"dimension": _read(g, "grid.dimension", int),
-                       "points": _read(g, "grid.points", int),
-                       "half_length": _read(g, "grid.half_length", float)}
+    config.grid = g = _leaves(config.grid, "grid")
     with _at("grid"):
         return make_grid(**g)
 
 
 def build_model(config: RunConfig) -> NoiseModel:
-    nz = config.noise
-    coeffs = []
-    for i, c in enumerate(_read(nz, "noise.coefficients", list)):
-        key = f"noise.coefficients[{i}]"
-        pair = (_typed(c, [float], key) if isinstance(c, list)
-                else [_typed(c, float, key), 0.0])
-        _require(len(pair) == 2, key, "must be a number or an [re, im] pair")
-        coeffs.append(pair)
-
-    profiles = []
-    for i, p in enumerate(_read(nz, "noise.profiles", list)):
-        key = f"noise.profiles[{i}]"
-        p = _typed(p, dict, key)
-        entry = {"kind": _read(p, f"{key}.kind", str)}
-        if entry["kind"] == "gaussian-bump":
-            entry["amplitude"] = _read(p, f"{key}.amplitude", float, 1.0)
-            entry["width"] = _read(p, f"{key}.width", float, 1.0)
-            entry["center"] = _vector(p, f"{key}.center", float, [0.0])
-        elif entry["kind"] == "tabulated":
-            entry["values"] = _read(p, f"{key}.values", [float])
-        profiles.append(entry)
-
-    densities = []
-    for i, dn in enumerate(_read(nz, "noise.densities", list)):
-        key = f"noise.densities[{i}]"
-        dn = _typed(dn, dict, key)
-        entry = {"kind": _read(dn, f"{key}.kind", str)}
-        if entry["kind"] == "constant":
-            entry["value"] = _read(dn, f"{key}.value", float)
-        elif entry["kind"] in ("piecewise-constant", "tabulated"):
-            entry["times"] = _read(dn, f"{key}.times", [float])
-            entry["values"] = _read(dn, f"{key}.values", [float])
-        entry.update(_given(dn, key, float, ("alpha0", "v_max", "horizon")))
-        densities.append(entry)
-    config.noise = {"coefficients": coeffs, "profiles": profiles, "densities": densities}
-
+    config.noise = nz = _leaves(config.noise, "noise")
     parts = {}
     for name, cls in (("profiles", SpatialProfile), ("densities", DensitySpec)):
         parts[name] = []
-        for j, entry in enumerate(config.noise[name]):
+        for j, entry in enumerate(nz[name]):
             with _at(f"noise.{name}[{j}]"):
                 parts[name].append(cls(**entry))
-    mu = np.array([complex(re, im) for re, im in coeffs])
+    mu = np.array([complex(*pair) for pair in nz["coefficients"]])
     with _at("noise"):
         return NoiseModel(mu, **parts)
 
 
 def build_params(config: RunConfig) -> SimParams:
-    s = config.sim
-    config.sim = s = {"lambda": _read(s, "sim.lambda", int),
-                      "alpha": _read(s, "sim.alpha", float, 3.0),
-                      "dt": _read(s, "sim.dt", float),
-                      "t_final": _read(s, "sim.t_final", float),
-                      "scheme": _read(s, "sim.scheme", str, "rescaled"),
-                      "splitting": _read(s, "sim.splitting", str, "strang"),
-                      **_given(s, "sim", int, ("save_every",))}
+    config.sim = s = _leaves(config.sim, "sim")
     with _at("sim"):
         return SimParams(lam=s["lambda"], **{k: v for k, v in s.items() if k != "lambda"})
 
 
-# Initial states by kind; each factory's parameters are the section's keys.
+# Initial states by kind; each factory's parameters are the kind's leaves.
 _INITIAL_STATES = {"gaussian": gaussian_field, "constant": constant_field,
                    "plane-wave": plane_wave}
 
 
 def build_initial(config: RunConfig, grid: GridSpec) -> ComplexField:
-    init = config.initial
-    kind = _read(init, "initial.kind", str)
-    if kind == "gaussian":
-        leaves = {"width": _read(init, "initial.width", float, 1.0),
-                  "center": _vector(init, "initial.center", float, [0.0]),
-                  "amplitude": _read(init, "initial.amplitude", float, 1.0),
-                  **_given(init, "initial", float, ("l2_norm",))}
-    elif kind == "constant":
-        leaves = {"value": _read(init, "initial.value", float, 1.0)}
-    elif kind == "plane-wave":
-        leaves = {"mode": _vector(init, "initial.mode", int, [1])}
-    else:
+    config.initial = init = _leaves(config.initial, "initial")
+    kind = init["kind"]
+    if kind not in _INITIAL_STATES:
         raise ConfigError(f"initial.kind: unknown initial kind {kind!r}")
-    config.initial = {"kind": kind, **leaves}
     with _at("initial"):
-        return _INITIAL_STATES[kind](grid, **leaves)
+        return _INITIAL_STATES[kind](grid, **{k: v for k, v in init.items() if k != "kind"})
 
 
 def _picard_setup(config: RunConfig) -> tuple[PicardConfig, float, int]:
     """The checked picard controls, and the step and step count of its path."""
-    pc = config.picard
-    leaves = {"horizon": _read(pc, "picard.horizon", float),
-              "nodes": _read(pc, "picard.nodes", int, 64),
-              "max_iterations": _read(pc, "picard.max_iterations", int, 20),
-              "tolerance": _read(pc, "picard.tolerance", float, 1e-8)}
-    config.picard = {**leaves, "lambda": _read(pc, "picard.lambda", int, 1),
-                     "alpha": _read(pc, "picard.alpha", float, 3.0)}
-    _require(config.picard["lambda"] in (-1, 0, 1), "picard.lambda",
-             "must be -1, 0 or 1")
-    path_dt = _read(pc, "picard.path_dt", float, None)
-    if path_dt is not None:
-        _require(path_dt > 0, "picard.path_dt", "must be positive")
-        config.picard["path_dt"] = path_dt
+    config.picard = pc = _leaves(config.picard, "picard")
+    _require(pc["lambda"] in (-1, 0, 1), "picard.lambda", "must be -1, 0 or 1")
+    path_dt = pc.get("path_dt")
+    _require(path_dt is None or path_dt > 0, "picard.path_dt", "must be positive")
     with _at("picard"):
-        controls = PicardConfig(**leaves)
-        strichartz_exponent(config.grid["dimension"], config.picard["alpha"])
+        controls = PicardConfig(pc["horizon"], pc["nodes"], pc["max_iterations"],
+                                pc["tolerance"])
+        strichartz_exponent(config.grid["dimension"], pc["alpha"])
     path_dt = path_dt or controls.horizon / 1024.0
     steps = controls.horizon / path_dt
     _require(steps <= MAX_STEPS, "picard.path_dt",
@@ -536,7 +528,7 @@ def run_simulation(config: RunConfig,
     record = simulate(b.grid, b.model, b.params, b.x, seed=config.seed,
                       snapshot=snapshot)
     report = None
-    if config.diagnostics.get("decay_fit", False):
+    if config.diagnostics.get("decay_fit"):
         report = decay_fit(record, b.model, _fit_window(config))
     return record, report
 
@@ -613,8 +605,9 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     and left out of the quantiles.  At most one worker per core runs.
     """
     threads = min(threads, os.cpu_count() or 1)
-    size = config.ensemble.get("size", 1)
-    tol = config.ensemble.get("lyapunov_tolerance", 0.5)
+    # a run with no ensemble section marches one path
+    en = _leaves(config.ensemble or {"size": 1}, "ensemble")
+    size, tol = en["size"], en["lyapunov_tolerance"]
     # Every path's decay fit needs omega: veto before any path marches.
     w = omega(config.built.model)
     points = config.built.grid.size
@@ -739,7 +732,7 @@ def read_field_dump(path: Path) -> tuple[ComplexField, float]:
 
 def _emit_simulate(config: RunConfig, out: Path) -> None:
     writer = None
-    if config.diagnostics.get("field_dumps", False):
+    if config.diagnostics.get("field_dumps"):
         dumps = itertools.count()
 
         def writer(k: int, t: float, x: ComplexField) -> None:
@@ -754,7 +747,7 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
     save_series_csv(out / "path.csv", {"t": path.times, **m, **q})
     if report is not None:
         _write_json(out / "decay_report.json", asdict(report))
-    if config.diagnostics.get("residuals", False):
+    if config.diagnostics.get("residuals"):
         res = mass_identity_residual(record)
         save_series_csv(out / "mass_residual.csv", {"t": res.times, "residual": res.values})
         if record.scheme == "rescaled":

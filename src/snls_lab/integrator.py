@@ -544,13 +544,12 @@ class _Block:
             u *= scale
 
     def m_value(self, b: int, k: int) -> complex:
-        """Row b's sum_j mu_j M_j(t_k): kept for the save indices, taken from
-        the whole series otherwise."""
-        saved = self.m_saved[b]
-        return saved[k] if k in saved else self.paths[b].complex_series(self.model.mu)[k]
+        """Row b's sum_j mu_j M_j(t_k) at save index k."""
+        return self.m_saved[b][k]
 
     def m_field_values(self, b: int, k: int) -> np.ndarray:
-        """Row b's M(t_k, xi), flat complex (a scalar broadcast if homogeneous)."""
+        """Row b's M(t_k, xi), flat complex; if homogeneous, a scalar broadcast,
+        and k must be a save index."""
         if self.homogeneous:
             return np.full(self.grid.size, self.m_value(b, k))
         c = self.model.mu * self.paths[b].values[:, k]

@@ -174,9 +174,7 @@ class _MapKernel:
         self.u_ring = np.empty((2, size), dtype=np.complex128)
         self.b_ring = np.empty((3, size), dtype=np.complex128)
         self.head_rows = np.empty(size, dtype=np.complex128), np.empty(size)
-        self.tail_rows = (np.empty(size, dtype=np.complex128),
-                          np.empty(size, dtype=np.complex128),
-                          np.empty(size), np.empty(size))
+        self.tail_rows = np.empty((2, size), dtype=np.complex128)
         self.acc = np.empty(size, dtype=np.complex128)
 
     def multiplier(self, i: int, out: np.ndarray) -> np.ndarray:
@@ -251,7 +249,10 @@ class _MapKernel:
         the bits match it: complex products do not commute bit for bit.
         """
         yi, u, acc = y[i], self.u_ring[i % 2], self.acc
-        f, g, mod, pw = self.tail_rows
+        f, g = self.tail_rows
+        # once y[i] holds F(y)[i], f is spent: its two float64 halves are the
+        # real scratch rows
+        mod, pw = f.view(np.float64).reshape(2, -1)
         if i:
             np.add(self.b_ring[(i - 1) % 3], self.b_ring[i % 3], out=g)
             g *= 0.5 * self.ds

@@ -141,6 +141,64 @@ class TestConfigValidation:
         assert json.dumps(echo["validate"]) == '{"horizon": 2.0}'
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+# The README's words for the types of CONFIG_KEYS
+TYPE_WORDS = {int: "integer", float: "number", bool: "bool", str: "string", dict: "object"}
+PLURALS = {int: "integers", float: "numbers", complex: "numbers or `[re, im]` pairs"}
+
+
+def type_words(kind) -> str:
+    if isinstance(kind, tuple):  # a scalar or a list
+        return f"{TYPE_WORDS[kind[0]]} or list of {PLURALS[kind[0]]}"
+    if isinstance(kind, list):  # entries of a section are objects
+        return "list of " + ("objects" if isinstance(kind[0], str) else PLURALS[kind[0]])
+    return TYPE_WORDS[kind]
+
+
+def default_words(default) -> str:
+    if default is harness.REQUIRED:
+        return "required"
+    return "absent" if default is None else f"`{json.dumps(default)}`"
+
+
+def table_rows() -> list:
+    """(key, type, default) of every CONFIG_KEYS leaf in table order; a leaf
+    that several kinds have is listed once, and must agree between them."""
+    rows = {}
+    for section, spec in harness.CONFIG_KEYS.items():
+        for name, leaf in spec.items():
+            for leaf_name, (kind, default) in (leaf.items() if isinstance(leaf, dict)
+                                               else [(name, leaf)]):
+                key = f"{section}.{leaf_name}" if section else leaf_name
+                row = (type_words(kind), default_words(default))
+                assert rows.setdefault(key, row) == row, key
+    return [(key, *row) for key, row in rows.items()]
+
+
+def readme_rows() -> list:
+    """(key, type, default) of each row of the README's "Config keys" table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, kind, default = (c.strip() for c in re.split(r"(?<!\\)\|", line)[1:4])
+            rows.append((key.strip("`"), kind, default))
+    return rows
+
+
+def test_readme_lists_the_config_keys():
+    """The README's key table lists exactly the keys of CONFIG_KEYS, in its
+    order, with their types and defaults; a default may carry a note in
+    parentheses."""
+    readme, table = readme_rows(), table_rows()
+    assert [row[0] for row in readme] == [row[0] for row in table]
+    for (key, kind, default), (_, want_kind, want_default) in zip(readme, table):
+        assert kind == want_kind, key
+        assert default == want_default or (
+            default.startswith(f"{want_default} (") and default.endswith(")")), key
+
+
 class TestRunKinds:
     def test_simulate_and_decay(self):
         rec, report = run_simulation(RunConfig.from_dict(base_config()))
@@ -240,16 +298,26 @@ class TestRunKinds:
         assert rep.lyapunov == rep.lln_ratio == {}
 
     def test_ensemble_veto_before_marching(self, monkeypatch):
-        # omega is undefined for mu = i, so no path may march
-        cfg = base_config(kind="ensemble", ensemble={"size": 2})
-        cfg["noise"]["coefficients"] = [[0.0, 1.0]]
-
         def march(*args, **kwargs):
             raise AssertionError("an ensemble with no decay rate marched")
 
         monkeypatch.setattr(harness, "simulate_block", march)
-        with pytest.raises(AssumptionVeto, match="decay rate undefined"):
-            run_ensemble(RunConfig.from_dict(cfg), threads=1)
+        # omega is undefined for mu = i, and overflows a double for mu = 2e154
+        # (2 alpha0 mu^2 = 8e308), so no path may march
+        for coefficient, message in [([0.0, 1.0], "decay rate undefined"),
+                                     (2e154, "noise.coefficients: .* overflows a double")]:
+            cfg = base_config(kind="ensemble", ensemble={"size": 2})
+            cfg["noise"]["coefficients"] = [coefficient]
+            with pytest.raises(AssumptionVeto, match=message):
+                run_ensemble(RunConfig.from_dict(cfg), threads=1)
+
+    def test_overflowing_decay_rate_exits_3(self, tmp_path):
+        cfg = short_config("ensemble")
+        cfg["noise"]["coefficients"] = [2e154]
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_ASSUMPTION_VETO, err
+        assert err.startswith("assumption veto: ") and "Traceback" not in err
+        assert "noise.coefficients" in err
 
     def test_validate_kind(self):
         cfg = RunConfig.from_dict(base_config(kind="validate"))

@@ -417,11 +417,13 @@ def test_picard_working_set(dimension, n, bound):
     # complex values: the iterate, which the map overwrites node by node,
     # the U(t_i, 0) table over the distinct |k|^2 levels (half a block in
     # 1-D, an eighth on 64^2 and 128^2) and the map's (n^d,) rows.  It reads
-    # 1.71 in 1-D, 1.33 on 64^2 and 1.31 on 128^2, where the helper thread
-    # runs the heads.  With one multiplier row and one scratch set shared by
-    # both stages it read 1.65 and 1.28.  With a stored multiplier block and
-    # a fresh output block per call it read 3.13 in 2-D; the block form,
-    # which held every stage of the map as a full block, read 9.55.
+    # 1.69 in 1-D, 1.32 on 64^2 and 1.30 on 128^2, where the helper thread
+    # runs the heads.  With the tail's two real rows held apart from its
+    # complex row f it read 1.71, 1.33 and 1.31.  With one multiplier row and
+    # one scratch set shared by both stages it read 1.65 and 1.28.  With a
+    # stored multiplier block and a fresh output block per call it read 3.13
+    # in 2-D; the block form, which held every stage of the map as a full
+    # block, read 9.55.
     grid = make_grid(dimension, n, 8.0)
     m = const_model(1.0 + 0.5j)
     x = gaussian_field(grid, width=1.0, l2_norm=1.0)

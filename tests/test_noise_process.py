@@ -137,10 +137,10 @@ class TestNoiseField:
     """M(t_k, xi) = sum_j mu_j e_j(xi) M_j(t_k) as the integrator assembles it."""
 
     @staticmethod
-    def block(model, path, grid):
+    def block(model, path, grid, saves=frozenset()):
         params = SimParams(lam=0, alpha=3.0, dt=path.dt, t_final=path.dt * path.n_steps,
                            scheme="direct")
-        return _Block(grid, model, params, [path])
+        return _Block(grid, model, params, [path], saves)
 
     def test_zero_values_give_zero_field(self):
         g = make_grid(1, 16, 2.0)
@@ -156,7 +156,7 @@ class TestNoiseField:
                        [DensitySpec("constant", value=1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
         p.values[0, 5] = 0.5  # pin the component value
-        out = self.block(m, p, g).m_field_values(0, 5)
+        out = self.block(m, p, g, saves={5}).m_field_values(0, 5)
         assert np.allclose(out, 1.0 + 0.5j, atol=1e-15)
 
     def test_grid_mismatch(self):

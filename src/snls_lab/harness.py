@@ -579,14 +579,10 @@ def _ensemble_member(args) -> list:
         except NumericalAbort as exc:
             out["status"] = f"unfitted: mass underflows at time index {exc.time_index}"
             continue
-        out.update({
-            "lyapunov": report.lyapunov,
-            "fitted_slope": report.fitted_slope,
-            "lln_ratio": report.lln_ratio,
-            "margin": report.margin,
-            "final_mass_x": float(record.mass_x[-1]),
-            "final_mass_y": float(record.mass_y[-1]),
-        })
+        out.update({k: v for k, v in asdict(report).items()
+                    if k not in ("omega", "fit_window")},
+                   final_mass_x=float(record.mass_x[-1]),
+                   final_mass_y=float(record.mass_y[-1]))
         if params.scheme == "rescaled":
             env = gronwall_check(record, model)
             out["gronwall_violations"] = env["violations"]

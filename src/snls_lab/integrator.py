@@ -80,13 +80,13 @@ k = 0.  A row so marches at most twice as far as its phase needs in the first
 half of the run, and at most half its remaining steps in the second.  A
 block's march length is one of a few rungs set by the run length, not a step
 count that follows each path's noise, so an ensemble's cost holds from one
-seed to the next.  Once it passes, the row's remaining indices are recorded
-at once in closed form: own masses as the mass at k times the running
-product of |mid_i|^2, the other masses through the same weights, and the
-state at each later save index as prod mid_i U((s - k) dt) yh_k, one
-multiply and one inverse transform, so fields still stream.  The tail takes
-the same checks, reasons and time indices as a marched index, and the
-row's guard, if it trips later, still stops it.
+seed to the next.  Once it passes, the row keeps its spectrum yh_k, and
+after the march its remaining indices are recorded once, in closed form:
+own masses as the mass at k times the running product of |mid_i|^2, the
+other masses through the same weights, and the state at each later save
+index as prod mid_i U((s - k) dt) yh_k, one multiply and one inverse
+transform.  The tail takes the same checks, reasons and time indices as a
+marched index, and the row's guard, if it trips later, still stops it.
 
 One method, ``stop_after``, sets a row's end and stop: called by the
 recording with the reason, by both guards, and with no reason when the row
@@ -94,7 +94,7 @@ fast-forwards; an aborted row returns its abort, with the message and time
 index a step-by-step check gives.  A stopped or fast-forwarded row keeps its
 slot and is stepped with its neighbours, but records nothing more; the
 march ends once every row has stopped, so a block takes as many steps as
-its last row needs.  It runs under ``np.errstate(over="ignore",
+its last row needs.  March and tails run under ``np.errstate(over="ignore",
 invalid="ignore")``: a row that overflows goes through the block's
 arithmetic, and its abort, not a numpy warning, reports it.
 
@@ -273,8 +273,8 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
     Scalar series (masses, Re M, the stochastic mass sum) are recorded at
     every step.  ``snapshot``, when given, is called as ``snapshot(k, t_k, X)``
     with the X field at every ``save_every``-th time index (default about 512
-    over the run) and at the last one, in time order, as the march produces
-    them; X must not be modified, but it is a field the march never writes
+    over the run) and at the last one, in time order, as the run produces
+    them; X must not be modified, but it is a field the run never writes
     again, so the callable may keep it without a copy.  The record keeps
     only the final state.
     This is the one-path call of :func:`simulate_block`.
@@ -331,7 +331,7 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     with np.errstate(over="ignore", invalid="ignore"):
         block = _Block(grid, model, params, paths, save_set, snapshots)
         _march(block, x)
-    return block.outcomes()
+        return block.outcomes()
 
 
 def _ladder(n_steps: int) -> list:
@@ -443,7 +443,8 @@ class _Block:
         self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
         self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
         self.last = n_steps
-        # row b -> (indices, own masses, other masses) of its closed-form tail
+        # finished row b -> (its finish index, its end before it, its spectrum
+        # there): the closed-form tail ``outcomes`` records
         self.tails = {}
         if self.homogeneous:
             # log R_k on the ladder, by rung: see ``finished``
@@ -559,14 +560,13 @@ class _Block:
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort | None = None) -> None:
         """Row b's march records no index after ``end``.  With ``abort`` the
-        row returns it.  Without one the row has finished (``finished``): its
-        later indices, up to the step before its guard if it has one, are
-        recorded in closed form now, and it returns the tail's abort or the
-        guard's, if any.  The only code that sets ``end``, ``stop`` and
-        ``last``, the largest end."""
+        row returns it.  Without one the row has finished (``finished``): it
+        keeps its guard's abort, if any, and its spectrum at ``end`` and its
+        previous end, from which ``outcomes`` records its tail.  The only
+        code that sets ``end``, ``stop`` and ``last``, the largest end."""
         if abort is None:
-            abort = self.fast_forward(b, end) or self.stop[b]
-        self.end[b], self.stop[b] = end, abort
+            self.tails[b] = (end, int(self.end[b]), self.yh[b].copy())
+        self.end[b], self.stop[b] = end, abort or self.stop[b]
         self.last = int(self.end.max())
 
     def finished(self, b: int, k: int, yh: np.ndarray) -> bool:
@@ -584,31 +584,28 @@ class _Block:
         return s == 0.0 or (math.isfinite(s) and (self.params.alpha - 1.0) * math.log(s)
                             + log_r < math.log(FF_THRESHOLD))
 
-    def fast_forward(self, b: int, k0: int) -> NumericalAbort | None:
-        """Record row b's indices k0 < k <= ``end[b]`` in closed form from its
-        spectrum ``yh[b]`` at k0, as if every later step had no phase: the own
-        mass is the own mass at k0 times the running product of |mid_i|^2,
-        the other mass its ``math.exp`` weight times that, and the spectrum
-        at a save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one
-        multiply and one inverse.  The masses are also kept in ``tails``,
-        because the march, which steps the row on, writes over them.  Returns
-        the abort of the first index whose mass is non-finite, as ``record``
-        names it; no field is handed over from that index on."""
-        end = int(self.end[b])
+    def fast_forward(self, b: int, k0: int, end: int,
+                     yh: np.ndarray) -> NumericalAbort | None:
+        """Record row b's indices k0 < k <= end in closed form from its
+        spectrum yh at k0, as if every later step had no phase: the own mass
+        is the own mass at k0 times the running product of |mid_i|^2, the
+        other mass its ``math.exp`` weight times that, and the spectrum at a
+        save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one multiply
+        and one inverse.  Returns the abort of the first index whose mass is
+        non-finite, as ``record`` names it; no field is handed over from that
+        index on."""
         tail = slice(k0 + 1, end + 1)
         mid = self.mid_scalar[b, k0:end]
         own, other = self.own[tail, b], self.other[tail, b]
         np.multiply(self.own[k0, b], np.cumprod(np.square(np.abs(mid))), out=own)
         np.multiply(self.weights[tail, b], own, out=other)
-        self.tails[b] = (tail, own.copy(), other.copy())
         bad = np.flatnonzero(~np.isfinite(other))
         good = end if bad.size == 0 else k0 + int(bad[0])
         saves = [s for s in sorted(self.save_set) if k0 < s <= good]
         if saves:
             factors, spec, v = np.cumprod(mid), self.spec[b], self.phys[b]
             for s in saves:
-                np.multiply(self.grid.propagator((s - k0) * self.params.dt), self.yh[b],
-                            out=spec)
+                np.multiply(self.grid.propagator((s - k0) * self.params.dt), yh, out=spec)
                 spec *= factors[s - k0 - 1]
                 self.save(b, s, self.grid.inverse(spec, out=v))
         return None if good == end else self.failure(b, good + 1)
@@ -643,7 +640,7 @@ class _Block:
         state ``phys``, which homogeneous rows need only at save indices.  A
         row that stopped before k is skipped.  A homogeneous index is
         written for every row, a finished one too, whose tail ``outcomes``
-        puts back: one store per index, whoever has finished.
+        writes over: one store per index, whoever has finished.
 
         Where either mass is non-finite the row stops after k with the reason
         (``failure``) and hands nothing over.  Otherwise, at a save index the
@@ -708,13 +705,14 @@ class _Block:
             self.final_y[b] = _trusted_field(y, self.grid)
 
     def outcomes(self) -> list:
-        """Each row's record, or the abort that stopped it, in row order."""
-        for b, (tail, own, other) in self.tails.items():
-            self.own[tail, b], self.other[tail, b] = own, other
+        """Each row's record, or the abort that stopped it, in row order.  A
+        finished row's tail is recorded first (``fast_forward``), under the
+        march's ``np.errstate``; its abort wins over the row's guard."""
         out = []
         for b, path in enumerate(self.paths):
-            if self.stop[b] is not None:
-                out.append(self.stop[b])
+            tail = self.fast_forward(b, *self.tails[b]) if b in self.tails else None
+            if (abort := tail or self.stop[b]) is not None:
+                out.append(abort)
                 continue
             ito = self.ito[b]
             if self.homogeneous:

@@ -19,7 +19,10 @@ Assumptions reported by :func:`validate_assumptions`:
   zeta(xi) * (|e| + |grad e| + |lap e|) falls off at large radius, with
   zeta = 1+|xi|^2 (or the extra squared-log factor in dimension 2).  Checked
   only as a finite-grid proxy on the outer radial shell.
-* ``h3`` - the densities are uniformly bounded in time.
+* ``h3`` - the densities are uniformly bounded in time.  This holds by
+  construction: :class:`DensitySpec` accepts only values inside its declared
+  band alpha0 <= V <= v_max, and every evaluation selects or linearly
+  interpolates those values.
 * ``h4`` - spatially homogeneous nondegenerate damping regime: every profile
   is constant-one, every Re(mu_j) is nonzero, and every density is bounded
   below by a strictly positive alpha0.
@@ -293,10 +296,7 @@ def sample_martingale(model: NoiseModel, dt: float, n_steps: int,
     density_values = np.empty((n, n_steps))
     increments = np.empty((n, n_steps))
     for j, dns in enumerate(model.densities):
-        v = dns.evaluate(left)
-        if np.any(v < 0):
-            raise ValueError(f"density {j} evaluates negative on the grid")
-        density_values[j] = v
+        density_values[j] = v = dns.evaluate(left)
         stream = seeding.derive_seed(seed, 0, j)
         xi = seeding.normals(stream, n_steps)
         increments[j] = np.sqrt(v * dt) * xi
@@ -385,11 +385,13 @@ def _shell_monotone_decrease(radii, weighted) -> bool:
 
 def validate_assumptions(model: NoiseModel, grid: GridSpec,
                          horizon: float) -> AssumptionReport:
-    """Check the assumption flags on a grid over [0, horizon].
+    """Check the assumption flags on a grid.
 
     Failures are report entries, never exceptions.  The spatial-decay check
     (h1) is a finite-grid proxy: the true assumption is asymptotic and cannot
-    be decided from samples.
+    be decided from samples.  No flag depends on ``horizon``, the end of the
+    run validated: h3 passes on every horizon, since every density lies in
+    its declared band (see the module docstring).
     """
     witnesses: dict = {}
 
@@ -418,25 +420,11 @@ def validate_assumptions(model: NoiseModel, grid: GridSpec,
                 "zeta-weighted magnitude does not decrease on the outer radial shell"
             )
 
-    # h3: bounded densities over the horizon.
-    h3 = True
-    t_probe = np.linspace(0.0, min(horizon, model.horizon), 1025)
-    for j, dns in enumerate(model.densities):
-        v = dns.evaluate(t_probe)
-        if not np.all(np.isfinite(v)):
-            h3 = False
-            witnesses[f"h3.densities[{j}]"] = "density evaluates non-finite"
-        elif v.max() > dns.v_max * (1.0 + _BOUND_SLACK):
-            h3 = False
-            witnesses[f"h3.densities[{j}]"] = (
-                f"max V = {v.max():.6g} exceeds declared bound {dns.v_max:.6g}"
-            )
-
     # h4: homogeneous, nondegenerate damping regime.
     failures = model.h4_failures()
     h4 = not failures
     for i, msg in enumerate(failures):
         witnesses[f"h4[{i}]"] = msg
 
-    return AssumptionReport(h1, h3, h4, witnesses)
+    return AssumptionReport(h1, True, h4, witnesses)
 

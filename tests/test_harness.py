@@ -199,6 +199,14 @@ def test_readme_lists_the_config_keys():
             default.startswith(f"{want_default} (") and default.endswith(")")), key
 
 
+def test_readme_example_config_builds():
+    """The README's one JSON example is a valid config: a simulate run of
+    25,000 steps."""
+    example, = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    config = RunConfig.from_dict(json.loads(example))
+    assert config.kind == "simulate" and config.built.params.n_steps == 25_000
+
+
 class TestRunKinds:
     def test_simulate_and_decay(self):
         rec, report = run_simulation(RunConfig.from_dict(base_config()))
@@ -323,6 +331,37 @@ class TestRunKinds:
         cfg = RunConfig.from_dict(base_config(kind="validate"))
         rep = run_validate(cfg)
         assert rep.h4 and rep.h3 and not rep.h1
+
+    @pytest.mark.parametrize("profile, flags", [
+        ({"kind": "gaussian-bump", "width": 2.0}, {"h1": "pass", "h3": "pass", "h4": "fail"}),
+        ({"kind": "constant-one"}, {"h1": "fail", "h4": "pass"}),
+    ], ids=["bump", "constant"])
+    def test_validate_on_a_2d_grid(self, tmp_path, profile, flags):
+        # in d = 2 the weight zeta carries the extra factor (log(3 + |xi|^2))^2
+        cfg = base_config(kind="validate",
+                          grid={"dimension": 2, "points": 32, "half_length": 8.0})
+        cfg["sim"]["alpha"] = 2.0  # inside 1 < alpha < 1 + 4/d
+        cfg["noise"]["profiles"] = [profile]
+        assert run_captured(cfg, tmp_path) == (0, "")
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+        assert {key: report[key] for key in flags} == flags
+        if profile["kind"] == "gaussian-bump":
+            assert report["witnesses"]["h4[0]"] == "profiles[0]: not constant-one (gaussian-bump)"
+
+    def test_h3_passes_for_every_accepted_density(self, tmp_path):
+        # 5e-13 above v_max lies inside DensitySpec's slack of
+        # 1e-12 max(1, v_max): the density is accepted, so its band holds
+        # over the run [0, 1], second piece included
+        cfg = base_config(kind="validate")
+        cfg["noise"]["densities"] = [{"kind": "piecewise-constant", "alpha0": 0.05,
+                                      "v_max": 0.1, "times": [0.0, 1.0],
+                                      "values": [0.05, 0.1000000000005]}]
+        assert run_captured(cfg, tmp_path) == (0, "")
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+        assert report["h3"] == "pass"
+        assert not [key for key in report["witnesses"] if key.startswith("h3")]
+        (tmp_path / "simulate").mkdir()
+        assert run_captured({**cfg, "kind": "simulate"}, tmp_path / "simulate")[0] == 0
 
     def test_picard_kind(self):
         cfg = RunConfig.from_dict(base_config(
@@ -966,6 +1005,31 @@ MALFORMED = {
     "ensemble_initial_mass_overflow": ("ensemble", {"initial.l2_norm": 1e300},
                                        "initial"),
     "picard_initial_mass_overflow": ("picard", {"initial.amplitude": 1e308}, "initial"),
+    # range checks of the domain constructors, each named by its key
+    "t_final_negative": ("simulate", {"sim.t_final": -1.0}, "sim.t_final"),
+    "save_every_zero": ("simulate", {"sim.save_every": 0}, "sim.save_every"),
+    "picard_horizon_zero": ("picard", {"picard.horizon": 0.0}, "picard.horizon"),
+    "picard_nodes_few": ("picard", {"picard.nodes": 4}, "picard.nodes"),
+    "initial_kind_unknown": ("simulate", {"initial.kind": "bogus"}, "initial.kind"),
+    "initial_width_zero": ("simulate", {"initial.width": 0.0}, "initial.width"),
+    "density_kind_unknown": ("simulate", {"noise.densities[0].kind": "bogus"},
+                             "noise.densities[0].kind"),
+    "density_times_late_start": ("simulate", {"noise.densities[0]": {
+        "kind": "piecewise-constant", "times": [0.5, 1.0], "values": [1.0, 1.0]}},
+        "noise.densities[0].times"),
+    "density_times_repeated": ("simulate", {"noise.densities[0]": {
+        "kind": "piecewise-constant", "times": [0.0, 0.0], "values": [1.0, 1.0]}},
+        "noise.densities[0].times"),
+    "density_times_length": ("simulate", {"noise.densities[0]": {
+        "kind": "piecewise-constant", "times": [0.0, 0.5], "values": [1.0]}},
+        "noise.densities[0].times"),
+    "density_alpha0_negative": ("simulate", {"noise.densities[0].alpha0": -1.0},
+                                "noise.densities[0].alpha0"),
+    "density_v_max_zero": ("simulate", {"noise.densities[0].v_max": 0.0},
+                           "noise.densities[0].v_max"),
+    "profile_width_zero": ("simulate", {**DIRECT, "noise.profiles[0]": BUMP_PROFILE,
+                                        "noise.profiles[0].width": 0.0},
+                           "noise.profiles[0].width"),
 }
 
 

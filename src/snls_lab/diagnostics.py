@@ -175,6 +175,5 @@ def gronwall_check(record: SolutionRecord, model: NoiseModel) -> dict:
     envelope = e0[0] * np.exp(-w * record.times) * (1.0 + 1e-8)
     violations = int(np.count_nonzero(e0 > envelope))
     monotone = bool(np.all(np.diff(e0) <= 0.0))
-    excess = float((e0 / np.maximum(envelope, MASS_FLOOR)).max())
-    return {"violations": violations, "monotone": monotone, "max_ratio": excess}
+    return {"violations": violations, "monotone": monotone}
 

@@ -122,7 +122,7 @@ CONFIG_KEYS = {
          "seed": (int, 0), "grid": (dict, REQUIRED), "noise": (dict, REQUIRED),
          "sim": (dict, None), "initial": (dict, None), "diagnostics": (dict, {}),
          "ensemble": (dict, {}), "picard": (dict, {}), "convergence": (dict, {}),
-         "validate": (dict, {}), "output_dir": (str, "out")},
+         "output_dir": (str, "out")},
     "grid": {"dimension": (int, REQUIRED), "points": (int, REQUIRED),
              "half_length": (float, REQUIRED)},
     "noise": {"coefficients": ([complex], REQUIRED),
@@ -153,7 +153,6 @@ CONFIG_KEYS = {
                "max_iterations": (int, 20), "tolerance": (float, 1e-8),
                "lambda": (int, 1), "alpha": (float, 3.0), "path_dt": (float, None)},
     "convergence": {"dts": ([float], REQUIRED), "reference_dt": (float, REQUIRED)},
-    "validate": {"horizon": (float, None)},
 }
 
 # -- typed reads ------------------------------------------------------------------
@@ -265,7 +264,6 @@ class RunConfig:
     ensemble: dict
     picard: dict
     convergence: dict
-    validate: dict
     output_dir: str
     schema_version: int
     built: Built | None = field(default=None, init=False, compare=False, repr=False)
@@ -273,8 +271,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Check a parsed JSON config by building its domain objects.  The
-        diagnostics, ensemble, convergence and validate sections are
-        normalized here, and each builder normalizes the section it reads."""
+        diagnostics, ensemble and convergence sections are normalized here,
+        and each builder normalizes the section it reads."""
         _typed(raw, dict, "config")
 
         def read(name: str):
@@ -302,13 +300,6 @@ class RunConfig:
         convergence = read("convergence")
         if convergence:
             convergence = _normalize_convergence(_leaves(convergence, "convergence"))
-        validate = _leaves(read("validate"), "validate")
-        horizon = validate.get("horizon")
-        _require(horizon is None or horizon > 0, "validate.horizon",
-                 f"must be positive, got {horizon}")
-        if kind == "validate":
-            _require(horizon is not None or sim is not None, "validate.horizon",
-                     "required when sim.t_final is absent")
 
         present = {"sim": sim, "initial": initial, "picard": picard,
                    "convergence": convergence}
@@ -318,7 +309,7 @@ class RunConfig:
         out_dir = read("output_dir")
         _require(bool(out_dir), "output_dir", "must be a nonempty string")
         config = cls(kind, seed, grid, noise, sim, initial, diagnostics,
-                     ensemble, picard, convergence, validate, out_dir, version)
+                     ensemble, picard, convergence, out_dir, version)
         config.built = _construct(config)
         return config
 
@@ -332,10 +323,10 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         if isinstance(raw, dict):
             raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
         return cls.from_dict(raw)
@@ -525,17 +516,14 @@ def run_simulation(config: RunConfig,
     """One integrator run per the config, plus its decay fit when requested;
     ``snapshot`` receives the saved fields (see :func:`integrator.simulate`)."""
     b = config.built
+    if fit := config.diagnostics.get("decay_fit"):
+        omega(b.model)  # the decay fit needs omega: veto before the march
     record = simulate(b.grid, b.model, b.params, b.x, seed=config.seed,
                       snapshot=snapshot)
     report = None
-    if config.diagnostics.get("decay_fit"):
-        report = decay_fit(record, b.model, _fit_window(config))
+    if fit:
+        report = decay_fit(record, b.model, config.diagnostics.get("fit_window"))
     return record, report
-
-
-def _fit_window(config: RunConfig) -> tuple | None:
-    fw = config.diagnostics.get("fit_window")
-    return tuple(fw) if fw else None
 
 
 # Working-set budget of one ensemble block, in complex grid values: a block
@@ -607,7 +595,7 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     # Every path's decay fit needs omega: veto before any path marches.
     w = omega(config.built.model)
     points = config.built.grid.size
-    jobs = [(config.built, config.seed, _fit_window(config), block)
+    jobs = [(config.built, config.seed, config.diagnostics.get("fit_window"), block)
             for block in _ensemble_blocks(size, threads, points)]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
@@ -674,10 +662,7 @@ def run_picard(config: RunConfig):
 
 
 def run_validate(config: RunConfig):
-    horizon = config.validate.get("horizon")
-    if horizon is None:
-        horizon = config.sim["t_final"]
-    return validate_assumptions(config.built.model, config.built.grid, horizon)
+    return validate_assumptions(config.built.model, config.built.grid)
 
 
 # -- file output ------------------------------------------------------------------------
@@ -771,7 +756,7 @@ def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
         out = Path(out_dir if out_dir is not None else config.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"output_dir: cannot create {out}: {exc}") from exc
         _write_json(out / "config_echo.json", config.to_dict())
 

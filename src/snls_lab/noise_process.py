@@ -383,15 +383,13 @@ def _shell_monotone_decrease(radii, weighted) -> bool:
     return bool(np.all(np.diff(means) <= slack) and means[-1] <= means[0] + slack)
 
 
-def validate_assumptions(model: NoiseModel, grid: GridSpec,
-                         horizon: float) -> AssumptionReport:
+def validate_assumptions(model: NoiseModel, grid: GridSpec) -> AssumptionReport:
     """Check the assumption flags on a grid.
 
     Failures are report entries, never exceptions.  The spatial-decay check
     (h1) is a finite-grid proxy: the true assumption is asymptotic and cannot
-    be decided from samples.  No flag depends on ``horizon``, the end of the
-    run validated: h3 passes on every horizon, since every density lies in
-    its declared band (see the module docstring).
+    be decided from samples.  h3 passes on every horizon, since every density
+    lies in its declared band (see the module docstring).
     """
     witnesses: dict = {}
 

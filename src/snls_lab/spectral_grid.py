@@ -250,7 +250,7 @@ def norm_L2(field: ComplexField) -> float:
 
 def spectral_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral mass carried by the top 10% of |k| values."""
-    vh = forward_transform(field)
+    vh = field.grid.forward(field.values)
     power = np.abs(vh) ** 2
     total = power.sum()
     if total == 0.0:

@@ -135,10 +135,10 @@ class TestConfigValidation:
             RunConfig.from_dict(cfg)
 
 
-    def test_validate_section_is_normalized(self):
-        cfg = base_config(kind="validate", validate={"horizon": 2, "foo": "bar"})
+    def test_diagnostics_section_is_normalized(self):
+        cfg = base_config(diagnostics={"fit_window": [0, 1], "foo": "bar"})
         echo = RunConfig.from_dict(cfg).to_dict()
-        assert json.dumps(echo["validate"]) == '{"horizon": 2.0}'
+        assert json.dumps(echo["diagnostics"]) == '{"fit_window": [0.0, 1.0]}'
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -307,17 +307,32 @@ class TestRunKinds:
 
     def test_ensemble_veto_before_marching(self, monkeypatch):
         def march(*args, **kwargs):
-            raise AssertionError("an ensemble with no decay rate marched")
+            raise AssertionError("a decay fit with no decay rate marched")
 
         monkeypatch.setattr(harness, "simulate_block", march)
+        monkeypatch.setattr(harness, "simulate", march)
         # omega is undefined for mu = i, and overflows a double for mu = 2e154
-        # (2 alpha0 mu^2 = 8e308), so no path may march
+        # (2 alpha0 mu^2 = 8e308), so no path may march, in an ensemble or in
+        # a simulate run with a decay fit
         for coefficient, message in [([0.0, 1.0], "decay rate undefined"),
                                      (2e154, "noise.coefficients: .* overflows a double")]:
             cfg = base_config(kind="ensemble", ensemble={"size": 2})
             cfg["noise"]["coefficients"] = [coefficient]
             with pytest.raises(AssumptionVeto, match=message):
                 run_ensemble(RunConfig.from_dict(cfg), threads=1)
+            with pytest.raises(AssumptionVeto, match=message):
+                run_simulation(RunConfig.from_dict({**cfg, "kind": "simulate"}))
+
+    def test_simulate_decay_fit_veto_writes_only_the_echo(self, tmp_path):
+        # a bump profile leaves h4: no field is dumped before the veto
+        cfg = short_config()
+        cfg["noise"]["profiles"] = [BUMP_PROFILE]
+        cfg["sim"]["scheme"] = "direct"
+        cfg["diagnostics"]["field_dumps"] = True
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_ASSUMPTION_VETO, err
+        assert "decay rate undefined" in err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["config_echo.json"]
 
     def test_overflowing_decay_rate_exits_3(self, tmp_path):
         cfg = short_config("ensemble")
@@ -331,6 +346,16 @@ class TestRunKinds:
         cfg = RunConfig.from_dict(base_config(kind="validate"))
         rep = run_validate(cfg)
         assert rep.h4 and rep.h3 and not rep.h1
+
+    def test_validate_needs_only_grid_and_noise(self, tmp_path):
+        # a validate section is an unknown key: ignored and not echoed
+        cfg = {key: base_config()[key] for key in ("grid", "noise")}
+        cfg.update(kind="validate", validate={"horizon": -1})
+        assert run_captured(cfg, tmp_path) == (0, "")
+        echo = json.loads((tmp_path / "out" / "config_echo.json").read_text())
+        assert "validate" not in echo
+        report = json.loads((tmp_path / "out" / "validation_report.json").read_text())
+        assert report["h4"] == "pass"
 
     @pytest.mark.parametrize("profile, flags", [
         ({"kind": "gaussian-bump", "width": 2.0}, {"h1": "pass", "h3": "pass", "h4": "fail"}),
@@ -669,25 +694,36 @@ class TestCliRun:
 
     def test_from_file_applies_overrides(self, tmp_path):
         # the overrides replace the file's kind and seed before validation
-        cfg = base_config(kind="validate", validate={"horizon": 1.0})
+        cfg = base_config(kind="validate")
         p = self.write_config(tmp_path, cfg)
         assert RunConfig.from_file(p, kind="simulate", seed=5) == \
             RunConfig.from_dict({**cfg, "kind": "simulate", "seed": 5})
 
     @pytest.mark.parametrize("text, message", [
-        ("[1, 2]", "config: must be an object"),
-        ('{"kind": ', "config: invalid JSON in"),
+        (b"[1, 2]", "config: must be an object"),
+        (b'{"kind": ', "config: invalid JSON in"),
+        pytest.param(b'{"kind": "validate", "x": "\xff"}', "config: invalid JSON in",
+                     id="not_utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "config: invalid JSON in",
+                     id="nested_100000_deep"),
     ])
     def test_unparsable_config_is_config_error(self, tmp_path, capsys, text, message):
         p = tmp_path / "config.json"
-        p.write_text(text, encoding="utf-8")
+        p.write_bytes(text)
         assert run(p, kind="simulate", out_dir=str(tmp_path / "out")) == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
+
+    def test_nul_in_a_path_is_config_error(self, tmp_path, capsys):
+        p = self.write_config(tmp_path, base_config(kind="validate"))
+        assert run(p, out_dir=str(tmp_path / "o\0ut")) == EXIT_CONFIG_ERROR
+        assert "output_dir: cannot create" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="config: cannot read"):
+            RunConfig.from_file(f"{p}\0")
 
     def test_kind_override_revalidates_requirements(self, tmp_path):
         # a config valid for 'validate' lacks sim/initial: forcing it to run
         # as 'simulate' must fail cleanly, naming the missing section
-        cfg = base_config(kind="validate", validate={"horizon": 1.0})
+        cfg = base_config(kind="validate")
         del cfg["sim"]
         del cfg["initial"]
         p = self.write_config(tmp_path, cfg)
@@ -930,15 +966,11 @@ MALFORMED = {
                                "ensemble.lyapunov_tolerance"),
     "max_iterations_str": ("picard", {"picard.max_iterations": "20"},
                            "picard.max_iterations"),
-    "validate_horizon_str": ("validate", {"validate": {"horizon": "1.0"}},
-                             "validate.horizon"),
     "sim_alpha_band": ("simulate", {"sim.alpha": 7.0}, "sim.alpha"),
     "picard_alpha_band": ("picard", {"picard.alpha": 9.0}, "picard.alpha"),
     "max_iterations_zero": ("picard", {"picard.max_iterations": 0},
                             "picard.max_iterations"),
     "tolerance_negative": ("picard", {"picard.tolerance": -1.0}, "picard.tolerance"),
-    "validate_horizon_negative": ("validate", {"validate": {"horizon": -1.0}},
-                                  "validate.horizon"),
     "initial_mode_fraction": ("simulate", {"initial": {"kind": "plane-wave",
                                                        "mode": 1.5}}, "initial.mode"),
     "density_horizon_short": ("simulate", {"noise.densities[0].horizon": 0.05},
@@ -1121,8 +1153,7 @@ REBUILT = {
     "picard": {"picard.path_dt": 0.001, "initial": {"kind": "constant"}},
     "convergence": {"convergence": {"dts": [0.05, 0.025, 0.0125],
                                     "reference_dt": 0.0015625}},
-    "validate": {**DIRECT, "noise.profiles[0]": {"kind": "tabulated", "values": [1] * 64},
-                 "validate": {"horizon": 2}},
+    "validate": {**DIRECT, "noise.profiles[0]": {"kind": "tabulated", "values": [1] * 64}},
 }
 
 

@@ -205,7 +205,7 @@ class TestValidateAssumptions:
     def test_constant_profile_h4_pass_h1_fail(self):
         g = make_grid(1, 128, 8.0)
         m = const_model(1.0)
-        rep = validate_assumptions(m, g, 10.0)
+        rep = validate_assumptions(m, g)
         assert rep.h4 and not rep.h1 and rep.h3
         assert rep.h4 is True and rep.h1 is False
 
@@ -213,7 +213,7 @@ class TestValidateAssumptions:
         g = make_grid(1, 64, 8.0)
         m = NoiseModel(np.array([1j]), [SpatialProfile("constant-one")],
                        [DensitySpec("constant", value=1.0)])
-        rep = validate_assumptions(m, g, 10.0)
+        rep = validate_assumptions(m, g)
         assert not rep.h4
         assert any("Re mu = 0" in w for w in rep.witnesses.values())
 
@@ -221,13 +221,13 @@ class TestValidateAssumptions:
         g = make_grid(1, 128, 8.0)
         prof = SpatialProfile("gaussian-bump", width=np.sqrt(0.5))  # exp(-|xi|^2)
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
-        rep = validate_assumptions(m, g, 10.0)
+        rep = validate_assumptions(m, g)
         assert rep.h1
 
     def test_zero_alpha0_fails_h4(self):
         m = NoiseModel(np.array([1.0 + 0j]), [SpatialProfile("constant-one")],
                        [DensitySpec("constant", alpha0=0.0, value=1.0)])
-        rep = validate_assumptions(m, make_grid(1, 64, 4.0), 1.0)
+        rep = validate_assumptions(m, make_grid(1, 64, 4.0))
         assert not rep.h4
 
 

@@ -321,12 +321,14 @@ class RunConfig:
         and ``seed`` override the file's before the one validation: the
         required sections depend on the kind."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-        except (OSError, ValueError) as exc:
+            with open(path, "rb") as fh:
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        try:
+            raw = json.loads(text.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
         if isinstance(raw, dict):
             raw.update((k, v) for k, v in (("kind", kind), ("seed", seed)) if v is not None)
         return cls.from_dict(raw)

@@ -66,22 +66,19 @@ varying one).
 
 A homogeneous row also stops marching once its nonlinear phase is below
 rounding for the rest of the run, and fast-forwards.  Its multiplier is
-constant in space and commutes with the free flow, which keeps |yh| per
-mode, so S_k = (1/N) sum |yh_k| times the product of the later |mid_i|
-bounds |u| at every later step, and with the path-known phase coefficients
-c_j and Strang factors F_j, S_k^{alpha-1} R_k, where
-R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1}, bounds the
-summed angle of every step after k at every point.  At the rungs of a
-dyadic ladder, 0, n >> j and n - (n >> j) for j >= 1 with n = n_steps
-(``_ladder``), a row still marching compares that bound, from its own
-spectrum and tables alone, with ``FF_THRESHOLD`` = 2^-63, a margin of 2^10
-under the rounding unit 2^-53; a row without a phase (lambda = 0) passes at
-k = 0.  A row so marches at most twice as far as its phase needs in the first
-half of the run, and at most half its remaining steps in the second.  A
-block's march length is one of a few rungs set by the run length, not a step
-count that follows each path's noise, so an ensemble's cost holds from one
-seed to the next.  Once it passes, the row keeps its spectrum yh_k, and
-after the march its remaining indices are recorded once, in closed form:
+constant in space and commutes with the free flow, and the rotation keeps
+|u| pointwise, so its mass is mass_k = mass_0 prod_{i<k} |mid_i|^2, known
+from the path before any step.  By Cauchy-Schwarz and Parseval,
+|u| <= S_k = (1/N) sum |yh_k| <= sqrt(mass_k / cv) at step k, so with the
+path-known phase coefficients c_j and Strang factors F_j the bound
+B_k = (mass_0 / cv)^{(alpha-1)/2} sum_{j>=k} |c_j| F_j prod_{i<j}
+|mid_i|^{alpha-1} holds for the summed angle of every step after k at
+every point.  The row's finish index, the first k < n with
+B_k < ``FF_THRESHOLD`` = 2^-63 (a margin of 2^10 under the rounding unit
+2^-53), is read once from its tables and the initial mass when the block
+is built (``_finish_index``); a row without a phase (lambda = 0) finishes
+at k = 0.  The march copies the row's spectrum yh_k there, and after the
+march its remaining indices are recorded once, in closed form:
 own masses as the mass at k times the running product of |mid_i|^2, the
 other masses through the same weights, and the state at each later save
 index as prod mid_i U((s - k) dt) yh_k, one multiply and one inverse
@@ -118,8 +115,8 @@ and sums taken step by step, because:
 * each row's mass, and a varying row's weighted mass sum, is a numpy
   pairwise sum over that row alone (never BLAS, whose threads change the
   bits);
-* a row fast-forwards at an index decided from its own spectrum and its own
-  path's tables, and its tail is computed from that row alone;
+* a row fast-forwards at an index read from its own path's tables and the
+  initial mass, and its tail is computed from that row alone;
 * the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
@@ -329,36 +326,32 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
     # a row whose tables or state overflow goes through the block's
     # arithmetic; its abort, not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        block = _Block(grid, model, params, paths, save_set, snapshots)
+        block = _Block(grid, model, params, paths, save_set, snapshots, x.mass)
         _march(block, x)
         return block.outcomes()
 
 
-def _ladder(n_steps: int) -> list:
-    """The indices where a homogeneous row tests whether it may fast-forward,
-    ascending: 0, n >> j and n - (n >> j) for j >= 1, n = n_steps."""
-    halves = [n_steps >> j for j in range(1, n_steps.bit_length())]
-    return sorted({0} | set(halves) | {n_steps - h for h in halves})
-
-
-def _log_tail(mid: np.ndarray, neg_coef: np.ndarray | None, factor: np.ndarray | None,
-              power: float, ks: list) -> np.ndarray:
-    """log R_k of one homogeneous row at the indices ``ks`` < n_steps, with
-    R_k = sum_{j>=k} |c_j| F_j prod_{k<=i<j} |mid_i|^{alpha-1} (``power`` is
-    alpha - 1, F_j the Strang phase factor or 1), summed in logs because the
-    products underflow over a decay run; -inf where R_k = 0, as without a
-    phase."""
-    n = mid.size
-    if neg_coef is None:
-        return np.full(len(ks), -math.inf)
-    with np.errstate(divide="ignore"):  # log 0 = -inf: a zero factor
-        cum = np.zeros(n + 1)
-        np.cumsum(power * np.log(np.abs(mid)), out=cum[1:])
-        terms = np.log(np.abs(neg_coef)) + cum[:-1]
+def _finish_index(mid: np.ndarray, neg_coef: np.ndarray | None,
+                  factor: np.ndarray | None, power: float, log_scale: float) -> int:
+    """The first index k < n_steps at which one homogeneous row's bound
+    B_k (module docstring) is below FF_THRESHOLD, or n_steps if none is:
+    log B_k = log_scale + log sum_{j>=k} |c_j| F_j prod_{i<j} |mid_i|^power,
+    with log_scale = power/2 log(mass_0 / cv), ``power`` alpha - 1 and F_j
+    the Strang phase factor or 1.  Summed in logs because the products
+    underflow over a decay run; 0 without a phase or with a zero state."""
+    if neg_coef is None or log_scale == -math.inf:
+        return 0
+    # log 0 = -inf: a zero factor; a term 0 x inf follows a multiplier of
+    # exactly 0, after which the state is 0 and turns no more
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(np.abs(neg_coef))
+        terms[1:] += np.cumsum(power * np.log(np.abs(mid[:-1])))
         if factor is not None:
             terms += np.log(factor)
-    suffix = np.logaddexp.accumulate(terms[::-1])[::-1]
-    return suffix[ks] - cum[ks]
+        terms[np.isnan(terms)] = -math.inf
+        passed = np.logaddexp.accumulate(terms[::-1])[::-1] + log_scale \
+            < math.log(FF_THRESHOLD)
+    return int(passed.argmax()) if passed.any() else mid.size
 
 
 def _exp_series(args: np.ndarray) -> list:
@@ -376,11 +369,14 @@ class _Block:
     """The march's state for B paths on one grid, row b for ``paths[b]``: the
     tables every path shares, built once; each path's tables, built path by
     path and stacked as (B, ...) arrays; each row's series, end and stop; and
-    the scratch every step writes into.  The defaults build the tables alone,
-    with no save index and no snapshot."""
+    the scratch every step writes into.  ``mass`` is the initial state's,
+    from which each homogeneous row's finish index is read.  The defaults
+    build the tables alone, with no save index, no snapshot and an unbounded
+    state, so that only a row without a phase finishes."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
-                 paths: list, save_set=frozenset(), snapshots: list | None = None):
+                 paths: list, save_set=frozenset(), snapshots: list | None = None,
+                 mass: float = math.inf):
         self.grid, self.model, self.params, self.paths = grid, model, params, paths
         self.save_set, self.snapshots = save_set, snapshots
         self.homogeneous = model.spatially_homogeneous
@@ -446,14 +442,14 @@ class _Block:
         # finished row b -> (its finish index, its end before it, its spectrum
         # there): the closed-form tail ``outcomes`` records
         self.tails = {}
+        # each homogeneous row's finish index: see ``_finish_index``
+        self.finish = []
         if self.homogeneous:
-            # log R_k on the ladder, by rung: see ``finished``
-            ladder = _ladder(n_steps)
-            self.rung = {k: i for i, k in enumerate(ladder)}
             coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
             factors = [None] * len(paths) if self.phase_factor is None else self.phase_factor
-            self.log_tail = np.array([_log_tail(m, c, f, alpha - 1.0, ladder) for m, c, f
-                                      in zip(self.mid_scalar, coefs, factors)])
+            log_scale = self.pow_half * math.log(mass / self.cv) if mass > 0 else -math.inf
+            self.finish = [_finish_index(m, c, f, alpha - 1.0, log_scale) for m, c, f
+                           in zip(self.mid_scalar, coefs, factors)]
             # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
             # mass to the other one; |Re M| past the guard stops the row
             # before that index.
@@ -560,7 +556,7 @@ class _Block:
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort | None = None) -> None:
         """Row b's march records no index after ``end``.  With ``abort`` the
-        row returns it.  Without one the row has finished (``finished``): it
+        row returns it.  Without one the row has finished (``finish``): it
         keeps its guard's abort, if any, and its spectrum at ``end`` and its
         previous end, from which ``outcomes`` records its tail.  The only
         code that sets ``end``, ``stop`` and ``last``, the largest end."""
@@ -568,21 +564,6 @@ class _Block:
             self.tails[b] = (end, int(self.end[b]), self.yh[b].copy())
         self.end[b], self.stop[b] = end, abort or self.stop[b]
         self.last = int(self.end.max())
-
-    def finished(self, b: int, k: int, yh: np.ndarray) -> bool:
-        """Whether homogeneous row b, at ladder index k with spectrum yh, may
-        drop its nonlinear phase for the rest of the run.  The free flow
-        keeps |yh| per mode and the multipliers only scale it, so
-        S = (1/N) sum |yh| times prod |mid_i| bounds |u| at every later
-        step, and S^{alpha-1} R_k (``_log_tail``) bounds the summed angle of
-        every step after k at every point; it must be below FF_THRESHOLD.
-        Read from the row's own spectrum and tables only."""
-        log_r = float(self.log_tail[b, self.rung[k]])
-        if log_r == -math.inf:
-            return True
-        s = float(np.abs(yh).sum()) / self.grid.size
-        return s == 0.0 or (math.isfinite(s) and (self.params.alpha - 1.0) * math.log(s)
-                            + log_r < math.log(FF_THRESHOLD))
 
     def fast_forward(self, b: int, k0: int, end: int,
                      yh: np.ndarray) -> NumericalAbort | None:
@@ -644,9 +625,8 @@ class _Block:
 
         Where either mass is non-finite the row stops after k with the reason
         (``failure``) and hands nothing over.  Otherwise, at a save index the
-        row's fields are handed over (``save``).  Then, at a ladder index,
-        every homogeneous row still marching that may fast-forward finishes
-        after k."""
+        row's fields are handed over (``save``).  Then every homogeneous row
+        still marching whose finish index is k finishes after k."""
         own, other = self.own, self.other
         rows = range(len(self.paths))
         if self.homogeneous:
@@ -667,9 +647,9 @@ class _Block:
                 self.stop_after(b, k, self.failure(b, k))
             elif k in self.save_set:
                 self.save(b, k, phys[b])
-        if self.homogeneous and k in self.rung:
-            for b in np.flatnonzero(self.end > k).tolist():
-                if self.finished(b, k, self.yh[b]):
+        if k in self.finish:
+            for b, k_f in enumerate(self.finish):
+                if k_f == k < self.end[b]:
                     self.stop_after(b, k)
 
     def failure(self, b: int, k: int) -> NumericalAbort:

@@ -509,8 +509,8 @@ class TestEnsembleBlocks:
         aborting["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
         aborting["noise"]["coefficients"] = [150.0]
         aborting["sim"]["t_final"] = 3.0
-        # mu = 3 over 400 steps: every path fast-forwards at a rung of the
-        # ladder, the two of the second two-worker block at different ones
+        # mu = 3 over 400 steps: every path fast-forwards, each at its own
+        # index, so each two-worker block marches to its later one
         fast = base_config(kind="ensemble", ensemble={"size": 4})
         fast["grid"] = {"dimension": 1, "points": 64, "half_length": 16.0}
         fast["noise"]["coefficients"] = [3.0]
@@ -543,10 +543,11 @@ class TestEnsembleBlocks:
             path = integrator.sample_martingale(model, params.dt, params.n_steps,
                                                 seeding.derive_seed(config.seed, index))
             with np.errstate(over="ignore", invalid="ignore"):
-                block = integrator._Block(config.built.grid, model, params, [path])
+                block = integrator._Block(config.built.grid, model, params, [path],
+                                          mass=config.built.x.mass)
                 integrator._march(block, config.built.x)
             finish.append(int(block.end[0]))
-        assert finish == [200, 200, 200, 100]
+        assert finish == [128, 122, 111, 101]
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -1085,6 +1086,17 @@ class TestMalformedConfigs:
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_CONFIG_ERROR, err
         assert f"config error: {key}" in err
+
+    def test_integer_past_the_digit_limit_is_invalid_json(self, tmp_path):
+        # json reads an integer of more than 4,300 digits as a ValueError, not
+        # a JSONDecodeError: the file was read, and its JSON is not valid input
+        path = tmp_path / "config.json"
+        path.write_text('{"kind": "validate", "seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(path, out_dir=str(tmp_path / "out"), threads=1)
+        assert code == EXIT_CONFIG_ERROR, err.getvalue()
+        assert f"config error: config: invalid JSON in {path}" in err.getvalue()
 
 
 # An output file of each kind and the run that writes it: the config echo,

@@ -3,6 +3,7 @@ and full simulation runs."""
 
 import cmath
 import dataclasses
+import functools
 import math
 import tracemalloc
 from collections import Counter
@@ -376,16 +377,18 @@ def sampled(model, params, seeds):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the march runs
-def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, angles=None):
+def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, angles=None,
+                     sums=None):
     """Strang march of one path with every check and sum taken step by step:
     the oracle each row of a block must match bit for bit.  A homogeneous
-    run fast-forwards where the march does, unless ``jump`` is False; then
-    it marches every step, and ``angles``, a list, receives each step's
-    largest |merged phase angle|."""
+    run fast-forwards at its finish index, as the march does, unless
+    ``jump`` is False; then it marches every step, ``angles``, a list,
+    receives each step's largest |merged phase angle|, and ``sums`` each
+    step-start spectrum's (1/N) sum |yh|."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
-    block = _Block(grid, model, params, [path])
+    block = _Block(grid, model, params, [path], mass=x.mass)
     run = StepRecorder(grid, block, params, n_steps, save_set, snapshot)
     shape, half = grid.shape, block.lin_half
     parseval = grid.cell_volume / grid.size
@@ -394,9 +397,11 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
-        if jump and block.homogeneous and k in block.rung and block.finished(0, k, yh):
+        if jump and block.homogeneous and k == block.finish[0]:
             fast_forward(run, yh, k)
             break
+        if sums is not None:
+            sums.append(float(np.abs(yh).sum()) / grid.size)
         if block.homogeneous and abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
                                  f"{k + 1}", time_index=k + 1)
@@ -487,8 +492,8 @@ BLOCK_CASES = {
                     SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.05)),
     "rescaled_three": (make_grid(1, 64, 16.0), const_model([0.7 + 0.2j, 0.4, 0.3 - 0.6j]),
                        SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1)),
-    # homogeneous rows fast-forward at the ladder's rungs 200-375 of 400,
-    # every index a save index, and 1,000-1,750 of 2,000 (every fourth)
+    # homogeneous rows fast-forward at indices 193-362 of 400 (seeds 0-7),
+    # every index a save index, and 849-1,622 of 2,000 (every fourth)
     "fast_forward": (make_grid(1, 64, 16.0), const_model(3.0),
                      SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=4.0)),
     "fast_forward_direct": (make_grid(1, 64, 16.0), const_model(3.0),
@@ -565,16 +570,17 @@ class TestBlockMarch:
 
     def test_march_ends_once_every_row_has_stopped(self, monkeypatch):
         # the rows stop at indices 4, 2 and 11, the last before the step its
-        # guard trips on, so with the fast-forward tested at k = 0 alone the
-        # march takes steps 0-9 of 20: one forward transform each, plus the
-        # initial spectrum and resolution check.  On the ladder every mass
-        # underflows to 0 after one step, so every row finishes at rung 1 and
-        # its tail meets the same aborts.
+        # guard trips on, so with no row finishing the march takes steps 0-9
+        # of 20: one forward transform each, plus the initial spectrum and
+        # resolution check.  With the finish index, the bound is below 2^-63
+        # from index 1 on, where every row finishes and its tail meets the
+        # same aborts.
         grid, model, params = BLOCK_CASES["abort_rescaled"]
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
-        for ladder, steps in ((lambda n: [0], 10), (integrator._ladder, 1)):
-            monkeypatch.setattr(integrator, "_ladder", ladder)
+        for finish, steps in ((lambda mid, *_: mid.size, 10),
+                              (integrator._finish_index, 1)):
+            monkeypatch.setattr(integrator, "_finish_index", finish)
             calls.clear()
             block = simulate_block(grid, model, params, gaussian_field(grid),
                                    sampled(model, params, [0, 1, 2]))
@@ -698,9 +704,25 @@ HOMOGENEOUS_CASES = sorted(case for case, (_, model, _) in BLOCK_CASES.items()
 def marched_block(grid, model, params, paths, x):
     """A block marched from x, as ``simulate_block`` marches it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        block = _Block(grid, model, params, paths, {params.n_steps})
+        block = _Block(grid, model, params, paths, {params.n_steps}, mass=x.mass)
         _march(block, x)
     return block
+
+
+@functools.cache
+def full_marches(case):
+    """The block of a case's rows 0-7, marched, and each row's step-by-step
+    march with no jump: its ``angles`` and ``sums`` (``reference_strang``)."""
+    grid, model, params = BLOCK_CASES[case]
+    x = gaussian_field(grid, width=1.0)
+    paths = sampled(model, params, range(8))
+    block = marched_block(grid, model, params, paths, x)
+    marches = []
+    for path in paths:
+        angles, sums = [], []
+        reference_strang(grid, model, params, x, path, jump=False, angles=angles, sums=sums)
+        marches.append((angles, sums))
+    return block, marches
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
@@ -712,17 +734,32 @@ class TestFastForward:
     def test_skipped_angles_below_rounding(self, case):
         # on full step-by-step marches, the largest angle of each step the
         # row skips, summed, is below one rounding unit: it read at most
-        # 2.3e-5 of 2^-53 over these 24 rows (the test's bound is 2^-63)
-        grid, model, params = BLOCK_CASES[case]
-        x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(8))
-        block = marched_block(grid, model, params, paths, x)
-        assert 0 < block.end.min() and block.end.max() < params.n_steps
-        for b, path in enumerate(paths):
-            angles = []
-            reference_strang(grid, model, params, x, path, jump=False, angles=angles)
-            assert len(angles) == params.n_steps
+        # 6.0e-5 of 2^-53 over these 24 rows (the finish index's bound is 2^-63)
+        block, marches = full_marches(case)
+        n_steps = BLOCK_CASES[case][2].n_steps
+        assert 0 < block.end.min() and block.end.max() < n_steps
+        for b, (angles, _) in enumerate(marches):
+            assert len(angles) == n_steps
             assert sum(angles[block.end[b]:]) < 2.0 ** -53
+
+    @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
+    def test_finish_index_not_before_the_spectral_test(self, case):
+        # The finish index reads sqrt(mass_k / cv) where the spectral test
+        # reads S_k = (1/N) sum |yh_k| of the marched state, tested here at
+        # every step: S_k^{alpha-1} R_k < 2^-63, with
+        # R_k = |c_k| F_k + |mid_k|^{alpha-1} R_{k+1}.  Cauchy-Schwarz makes
+        # S_k the smaller, so the finish index is never the earlier; over
+        # these 24 rows it was 1.006-1.054 times the spectral index.
+        block, marches = full_marches(case)
+        power = BLOCK_CASES[case][2].alpha - 1.0
+        for b, (_, sums) in enumerate(marches):
+            tail, spectral = 0.0, []
+            for k in reversed(range(len(sums))):
+                tail = abs(block.neg_coef[b, k]) * block.phase_factor[b, k] \
+                    + abs(block.mid_scalar[b, k]) ** power * tail
+                spectral.append(sums[k] ** power * tail < 2.0 ** -63)
+            first = spectral[::-1].index(True)
+            assert first <= block.finish[b] == block.end[b], b
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_jump_matches_full_march(self, case):
@@ -762,21 +799,39 @@ class TestFastForward:
             want = x.mass * np.exp(np.concatenate([[0.0], gains]))
             assert np.abs(own / want - 1.0).max() <= 2e-15 * params.n_steps
 
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
+    def test_marched_mass_at_finish_follows_the_multipliers(self, case, splitting):
+        # The finish index reads the mass from ||x||^2 prod |mid_i|^2, not
+        # from the state, so the state's Parseval mass where the row stops
+        # marching (its finish index, or the last index) must be that mass
+        # up to rounding: it read at most 3.2e-16 per step over these rows
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting=splitting)
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(4))
+        block = marched_block(grid, model, params, paths, x)
+        for b in range(len(paths)):
+            k = int(block.end[b])
+            planned = x.mass * math.exp(np.log(np.abs(block.mid_scalar[b, :k]) ** 2).sum())
+            assert abs(block.own[k, b] / planned - 1.0) <= 2e-15 * k
+
     def test_rows_finish_at_their_own_index(self, monkeypatch):
-        # rows 0-3 of "fast_forward" finish at rungs 300, 200, 300 and 200,
-        # each where it finishes alone; the block marches to the largest, 300
+        # rows 0-3 of "fast_forward" finish at indices 207, 194, 222 and 193,
+        # each where it finishes alone; the block marches to the largest, 222
         # steps: one forward transform each, plus the initial spectrum, the
         # initial resolution check and one final check per row
         grid, model, params = BLOCK_CASES["fast_forward"]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(4))
         alone = [int(marched_block(grid, model, params, [p], x).end[0]) for p in paths]
-        assert alone == [300, 200, 300, 200]
-        assert marched_block(grid, model, params, paths, x).end.tolist() == alone
+        assert alone == [207, 194, 222, 193]
+        block = marched_block(grid, model, params, paths, x)
+        assert block.end.tolist() == block.finish == alone
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
         simulate_block(grid, model, params, x, paths)
-        assert len(calls) == 1 + 1 + 300 + 4
+        assert len(calls) == 1 + 1 + 222 + 4
 
     def test_without_phase_finishes_at_once(self, monkeypatch):
         # lambda = 0: no step is marched, and the tail is the whole run

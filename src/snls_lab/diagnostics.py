@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
-from .integrator import SolutionRecord
+from .integrator import MASS_FLOOR, SolutionRecord
 from .noise_process import NoiseModel
-
-#: Masses below this are treated as underflow and excluded from log fits.
-MASS_FLOOR = 1e-300
 
 #: Fraction of the horizon excluded from the head of a default fit window.
 BURN_IN_FRACTION = 0.1

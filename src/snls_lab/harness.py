@@ -351,6 +351,8 @@ def _normalize_convergence(cv: dict) -> dict:
              "convergence.dts", "must form a strict geometric ladder")
     _require(ratios[0] > 1.0 + 1e-12, "convergence.dts", "must be strictly decreasing")
     _require(ref > 0, "convergence.reference_dt", "must be positive")
+    _require(dts_sorted[0] / ref < math.inf, "convergence.reference_dt",
+             f"dt={dts_sorted[0]:g} / reference_dt overflows a double")
     _require(min(dts) / ref >= 8.0 - 1e-9, "convergence.reference_dt",
              "must be at least 8x finer than the smallest dt")
     for v in dts:
@@ -406,6 +408,9 @@ def _construct(config: RunConfig) -> Built:
                      "a decay fit over the default window needs at least two steps")
     if config.picard:
         picard = controls, path_dt, n_steps = _picard_setup(config)
+        _require(math.isfinite(float(grid.k_squared.max()) * controls.horizon),
+                 "picard.horizon",
+                 f"{controls.horizon:g} times the largest |k|^2 overflows a double")
         _require(controls.nodes * grid.size <= MAX_GRID_VALUES, "picard.nodes",
                  f"{controls.nodes} nodes of {grid.size} grid values exceed the "
                  f"ceiling of {MAX_GRID_VALUES}")
@@ -478,6 +483,8 @@ def _picard_setup(config: RunConfig) -> tuple[PicardConfig, float, int]:
         controls = PicardConfig(pc["horizon"], pc["nodes"], pc["max_iterations"],
                                 pc["tolerance"])
         strichartz_exponent(config.grid["dimension"], pc["alpha"])
+    _require(path_dt or controls.horizon / 1024.0 > 0, "picard.horizon",
+             f"{controls.horizon:g} / 1024, the default path_dt, underflows to 0")
     path_dt = path_dt or controls.horizon / 1024.0
     steps = controls.horizon / path_dt
     _require(steps <= MAX_STEPS, "picard.path_dt",

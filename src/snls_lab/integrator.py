@@ -52,25 +52,27 @@ One state, ``_Block``, holds the block: the tables every path shares, built
 once; each path's tables (Re M, multipliers or noise coefficients, phase
 coefficients, mass weights), stacked as (B, ...) rows; every row's series
 as (B, n_steps + 1) arrays; and the scratch.  Row b of each is ``paths[b]``
-for the whole march.  One call records a time index for every row: its own
-mass, taken by Parseval from the block's one sum of squares, and the other
-mass.  On homogeneous rows that is three operations over the block: the own
-masses, the ``math.exp`` weights times them, and one finiteness test.  A
-spatially varying row takes the mass of y = X e^{-M(xi)} as
-cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, and its Ito increment from the
-same |X|^2, row by row, so the march transforms it back to physical space at
-every step; the complex y is built only at the last index.  A row stops at
-its first index with a non-finite mass, or before the step its guard trips
-(|Re M| past ``OVERFLOW_GUARD`` on a homogeneous row, the noise exponent on a
-varying one).
+for the whole march.  A spatially varying row records both masses at every
+step: its own by Parseval from the block's one sum of squares, and the mass
+of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, with its
+Ito increment from the same |X|^2, row by row, so the march transforms it
+back to physical space at every step; the complex y is built only at the
+last index.
 
-A homogeneous row also stops marching once its nonlinear phase is below
-rounding for the rest of the run, and fast-forwards.  Its multiplier is
-constant in space and commutes with the free flow, and the rotation keeps
-|u| pointwise, so its mass is mass_k = mass_0 prod_{i<k} |mid_i|^2, known
-from the path before any step.  By Cauchy-Schwarz and Parseval,
-|u| <= S_k = (1/N) sum |yh_k| <= sqrt(mass_k / cv) at step k, so with the
-path-known phase coefficients c_j and Strang factors F_j the bound
+A homogeneous row's multiplier is constant in space and commutes with the
+free flow, and the rotation keeps |u| pointwise, so its mass is a functional
+of its path, mass_k = mass_0 prod_{i<k} |mid_i|^2.  Both its masses are
+written for every index when the block is built: the own mass as that
+running product, the other as the ``math.exp`` weight of -2 Re M (direct)
+or 2 Re M (rescaled) times it.  The march takes the row's Parseval mass only
+at its check indices, the save indices and its finish index, and stops the
+row there, before any field is handed over, where the sum is non-finite or
+departs from the identity by more than ``MASS_DEPARTURE`` per step
+(relative, where the identity exceeds ``MASS_FLOOR``).  The row stops
+marching at its finish index, once its nonlinear phase is below rounding
+for the rest of the run, and fast-forwards.  By Cauchy-Schwarz and
+Parseval, |u| <= S_k = (1/N) sum |yh_k| <= sqrt(mass_k / cv) at step k, so
+with the path-known phase coefficients c_j and Strang factors F_j the bound
 B_k = (mass_0 / cv)^{(alpha-1)/2} sum_{j>=k} |c_j| F_j prod_{i<j}
 |mid_i|^{alpha-1} holds for the summed angle of every step after k at
 every point.  The row's finish index, the first k < n with
@@ -78,29 +80,26 @@ B_k < ``FF_THRESHOLD`` = 2^-63 (a margin of 2^10 under the rounding unit
 2^-53), is read once from its tables and the initial mass when the block
 is built (``_finish_index``); a row without a phase (lambda = 0) finishes
 at k = 0.  The march copies the row's spectrum yh_k there, and after the
-march its remaining indices are recorded once, in closed form:
-own masses as the mass at k times the running product of |mid_i|^2, the
-other masses through the same weights, and the state at each later save
-index as prod mid_i U((s - k) dt) yh_k, one multiply and one inverse
-transform.  The tail takes the same checks, reasons and time indices as a
-marched index, and the row's guard, if it trips later, still stops it.
+march hands over its fields at each later save index in closed form,
+prod mid_i U((s - k) dt) yh_k: one multiply and one inverse transform.
 
-One method, ``stop_after``, sets a row's end and stop: called by the
-recording with the reason, by both guards, and with no reason when the row
-fast-forwards; an aborted row returns its abort, with the message and time
-index a step-by-step check gives.  A stopped or fast-forwarded row keeps its
-slot and is stepped with its neighbours, but records nothing more; the
-march ends once every row has stopped, so a block takes as many steps as
-its last row needs.  March and tails run under ``np.errstate(over="ignore",
-invalid="ignore")``: a row that overflows goes through the block's
-arithmetic, and its abort, not a numpy warning, reports it.
+A row stops at its first index with a non-finite mass (read before any step
+on a homogeneous row), at a failed check, or before the step its guard
+trips (|Re M| past ``OVERFLOW_GUARD`` on a homogeneous row, the noise
+exponent on a varying one): ``stop_after`` sets its end and abort, with the
+message and time index a step-by-step check gives, or, without an abort,
+finishes it.  A stopped row keeps its slot and is stepped with its
+neighbours, but records nothing more; the march ends once every row has
+stopped.  It runs under ``np.errstate(over="ignore", invalid="ignore")``: a
+row that overflows goes through the block's arithmetic, and its abort, not
+a numpy warning, reports it.
 
 Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
 
 * batched transforms over the spatial axes equal per-row transforms;
-* each path's tables are built from that path alone, never by a product
-  across the path axis;
+* each path's tables, and a homogeneous row's masses, end, finish index
+  and tail, are built from that path alone, never across the path axis;
 * the free multiplier is applied as ``half * x`` (complex products are not
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
 * the rotation is written in place as cos + i sin of the real angle, which
@@ -115,21 +114,18 @@ and sums taken step by step, because:
 * each row's mass, and a varying row's weighted mass sum, is a numpy
   pairwise sum over that row alone (never BLAS, whose threads change the
   bits);
-* a row fast-forwards at an index read from its own path's tables and the
-  initial mass, and its tail is computed from that row alone;
 * the mass reconstruction weights use ``math.exp``, never ``np.exp`` (the
   two differ in the last bit on some entries);
 * the stochastic mass sum is a sequential ``cumsum`` from 0.
 
 A run records its scalar series (both masses, Re M, the stochastic mass
-sum) at every step, marched or fast-forwarded, but keeps no field except its
-final state: the record holds the one (X, y) pair at t_final.  Fields at the
-save indices (every ``save_every`` steps, and the last step) go to an
-optional snapshot callable as they are produced, in time order, so memory is
-bounded by the grid, not by the run length; M(t_k) is kept at those indices
-only.  A row records nothing past its first failing index, so no snapshot
-is handed over past an abort.  A handed-over field skips ``ComplexField``'s
-finiteness scan: its masses, sums of its squares, were checked finite.
+sum) at every step, but keeps no field except its final state, the (X, y)
+pair at t_final.  Fields at the save indices (every ``save_every`` steps,
+and the last step) go to an optional snapshot callable in time order, so
+memory is bounded by the grid, not by the run length; M(t_k) is kept at
+those indices only.  No snapshot is handed over past an abort, and a
+handed-over field skips ``ComplexField``'s finiteness scan: its masses, and
+a marched one's Parseval sum, were checked finite.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -162,6 +158,12 @@ OVERFLOW_GUARD = 700.0
 #: point, below which a homogeneous row fast-forwards: 2^-63, a margin of
 #: 2^10 under the rounding unit 2^-53 of one rotation.
 FF_THRESHOLD = 2.0 ** -63
+#: Relative departure per step of a homogeneous row's Parseval mass from its
+#: identity past which the check stops the row: 250x the largest measured.
+MASS_DEPARTURE = 1e-13
+#: Masses below this are treated as underflow: excluded from log fits, and
+#: checked only for finiteness against the identity.
+MASS_FLOOR = 1e-300
 
 
 def _abort_at(message: str, k: int) -> NumericalAbort:
@@ -355,14 +357,10 @@ def _finish_index(mid: np.ndarray, neg_coef: np.ndarray | None,
 
 
 def _exp_series(args: np.ndarray) -> list:
-    """``math.exp`` of every entry, +inf where it overflows."""
-    out = []
-    for a in args.tolist():
-        try:
-            out.append(math.exp(a))
-        except OverflowError:
-            out.append(math.inf)
-    return out
+    """``math.exp`` of every entry, +inf where it overflows: past
+    log(DBL_MAX), which is the largest argument it takes."""
+    top = math.log(np.finfo(float).max)
+    return [math.inf if a > top else math.exp(a) for a in args.tolist()]
 
 
 class _Block:
@@ -370,9 +368,9 @@ class _Block:
     tables every path shares, built once; each path's tables, built path by
     path and stacked as (B, ...) arrays; each row's series, end and stop; and
     the scratch every step writes into.  ``mass`` is the initial state's,
-    from which each homogeneous row's finish index is read.  The defaults
-    build the tables alone, with no save index, no snapshot and an unbounded
-    state, so that only a row without a phase finishes."""
+    from which homogeneous rows' masses and finish indices are read.  The
+    defaults build the tables alone: no save index, no snapshot and an
+    unbounded state."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
                  paths: list, save_set=frozenset(), snapshots: list | None = None,
@@ -430,8 +428,8 @@ class _Block:
             self.neg_coef = scale * (-0.5 * dt if params.splitting == "strang" else -dt)
 
         self.mass_x, self.mass_y = np.empty(self.re_m.shape), np.empty(self.re_m.shape)
-        # the scheme's own mass (taken by Parseval) and the other one, as
-        # [k, b] views: one time index of every row is then a basic index
+        # the scheme's own mass (the state's) and the other one, as [k, b]
+        # views: one time index of every row is then a basic index
         self.own, self.other = (self.mass_x.T, self.mass_y.T) if self.direct \
             else (self.mass_y.T, self.mass_x.T)
         # increments of the stochastic mass sum, summed after the march
@@ -439,27 +437,33 @@ class _Block:
         self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
         self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
         self.last = n_steps
-        # finished row b -> (its finish index, its end before it, its spectrum
-        # there): the closed-form tail ``outcomes`` records
+        # finished row b -> (its finish index, its spectrum there)
         self.tails = {}
-        # each homogeneous row's finish index: see ``_finish_index``
-        self.finish = []
+        # each homogeneous row's finish index, and the indices the march checks
+        self.finish, self.checks = [], frozenset()
         if self.homogeneous:
             coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
             factors = [None] * len(paths) if self.phase_factor is None else self.phase_factor
             log_scale = self.pow_half * math.log(mass / self.cv) if mass > 0 else -math.inf
             self.finish = [_finish_index(m, c, f, alpha - 1.0, log_scale) for m, c, f
                            in zip(self.mid_scalar, coefs, factors)]
-            # math.exp of -2 Re M (direct) or 2 Re M (rescaled) takes the own
-            # mass to the other one; |Re M| past the guard stops the row
-            # before that index.
+            self.checks = frozenset(save_set).union(self.finish)
+            # the identity: the own mass is the running product of |mid_i|^2
+            # from the initial mass; math.exp of -2 Re M (direct) or 2 Re M
+            # (rescaled) takes it to the other one
+            own = self.own.T
+            own[:, 0] = mass
+            np.square(np.abs(self.mid_scalar), out=own[:, 1:])
+            np.cumprod(own, axis=1, out=own)
             sign = -2.0 if self.direct else 2.0
             self.weights = np.array([_exp_series(sign * r) for r in self.re_m]).T
-            over = np.abs(self.re_m[:, 1:]) > OVERFLOW_GUARD
-            for b in np.flatnonzero(over.any(axis=1)).tolist():
-                k = int(over[b].argmax()) + 1
-                self.stop_after(b, k - 1,
-                                _abort_at("|Re M| exceeds the overflow guard", k))
+            np.multiply(self.weights, self.own, out=self.other)
+            # a row stops before its first index with a non-finite mass or
+            # with |Re M| past the guard, and aborts there
+            bad = (np.abs(self.re_m) > OVERFLOW_GUARD) | ~np.isfinite(self.other.T)
+            for b in np.flatnonzero(bad.any(axis=1)).tolist():
+                k = int(bad[b].argmax())
+                self.stop_after(b, k - 1, self.failure(b, k))
 
         # Scratch every step writes into, row b for paths[b] for the whole
         # march: the state's spectrum, a spectral and a physical buffer, the
@@ -555,41 +559,29 @@ class _Block:
         return m
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort | None = None) -> None:
-        """Row b's march records no index after ``end``.  With ``abort`` the
-        row returns it.  Without one the row has finished (``finish``): it
-        keeps its guard's abort, if any, and its spectrum at ``end`` and its
-        previous end, from which ``outcomes`` records its tail.  The only
-        code that sets ``end``, ``stop`` and ``last``, the largest end."""
+        """Row b's march records no index after ``end``; the row returns
+        ``abort``, or without one finishes there (``tails``), keeping its
+        path's abort, if any.  The only code that sets ``end``, ``stop`` and
+        ``last``, the largest end."""
         if abort is None:
-            self.tails[b] = (end, int(self.end[b]), self.yh[b].copy())
+            self.tails[b] = (end, self.yh[b].copy())
         self.end[b], self.stop[b] = end, abort or self.stop[b]
         self.last = int(self.end.max())
 
-    def fast_forward(self, b: int, k0: int, end: int,
-                     yh: np.ndarray) -> NumericalAbort | None:
-        """Record row b's indices k0 < k <= end in closed form from its
-        spectrum yh at k0, as if every later step had no phase: the own mass
-        is the own mass at k0 times the running product of |mid_i|^2, the
-        other mass its ``math.exp`` weight times that, and the spectrum at a
-        save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one multiply
-        and one inverse.  Returns the abort of the first index whose mass is
-        non-finite, as ``record`` names it; no field is handed over from that
-        index on."""
-        tail = slice(k0 + 1, end + 1)
-        mid = self.mid_scalar[b, k0:end]
-        own, other = self.own[tail, b], self.other[tail, b]
-        np.multiply(self.own[k0, b], np.cumprod(np.square(np.abs(mid))), out=own)
-        np.multiply(self.weights[tail, b], own, out=other)
-        bad = np.flatnonzero(~np.isfinite(other))
-        good = end if bad.size == 0 else k0 + int(bad[0])
-        saves = [s for s in sorted(self.save_set) if k0 < s <= good]
+    def fast_forward(self, b: int, k0: int, yh: np.ndarray) -> None:
+        """Hand over row b's fields at the save indices after its finish
+        index k0 and before its path's abort, if any, from its spectrum yh
+        at k0, as if no later step had a phase: at save index s,
+        prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one multiply and one inverse."""
+        end = self.n_steps if self.stop[b] is None else self.stop[b].time_index - 1
+        saves = [s for s in sorted(self.save_set) if k0 < s <= end]
         if saves:
-            factors, spec, v = np.cumprod(mid), self.spec[b], self.phys[b]
+            factors = np.cumprod(self.mid_scalar[b, k0:end])
+            spec, v = self.spec[b], self.phys[b]
             for s in saves:
                 np.multiply(self.grid.propagator((s - k0) * self.params.dt), yh, out=spec)
                 spec *= factors[s - k0 - 1]
                 self.save(b, s, self.grid.inverse(spec, out=v))
-        return None if good == end else self.failure(b, good + 1)
 
     def varying_masses(self, b: int, k: int, v: np.ndarray) -> float:
         """Row b's mass of y = v e^{-M} at index k, from its physical state
@@ -616,47 +608,50 @@ class _Block:
                 (self.model.mu.real * path.increments[:, k]) @ w_j)
         return mass
 
-    def record(self, k: int, masses: np.ndarray, phys) -> None:
-        """Record time index k of every row from its own mass and physical
-        state ``phys``, which homogeneous rows need only at save indices.  A
-        row that stopped before k is skipped.  A homogeneous index is
-        written for every row, a finished one too, whose tail ``outcomes``
-        writes over: one store per index, whoever has finished.
-
-        Where either mass is non-finite the row stops after k with the reason
-        (``failure``) and hands nothing over.  Otherwise, at a save index the
-        row's fields are handed over (``save``).  Then every homogeneous row
-        still marching whose finish index is k finishes after k."""
-        own, other = self.own, self.other
-        rows = range(len(self.paths))
-        if self.homogeneous:
-            own[k] = masses
-            # Python floats: on a few rows cheaper than numpy calls
-            other[k] = weighted = [w * m for w, m in zip(self.weights[k].tolist(),
-                                                         masses.tolist())]
-            if all(map(math.isfinite, weighted)) and k not in self.save_set:
-                rows = ()
-        for b in rows:
-            if self.end[b] < k:
-                continue
-            if not self.homogeneous:
-                own[k, b] = masses[b]
-                other[k, b] = self.varying_masses(b, k, phys[b]) \
-                    if math.isfinite(masses[b]) else math.nan
-            if not math.isfinite(other[k, b]):
+    def record(self, k: int, masses: np.ndarray, phys: np.ndarray) -> None:
+        """Record time index k of every spatially varying row still marching
+        from its own mass and physical state ``phys``: where either mass is
+        non-finite the row stops after k with the reason (``failure``),
+        otherwise at a save index it hands its fields over (``save``)."""
+        for b in np.flatnonzero(self.end >= k).tolist():
+            self.own[k, b] = masses[b]
+            self.other[k, b] = self.varying_masses(b, k, phys[b]) \
+                if math.isfinite(masses[b]) else math.nan
+            if not math.isfinite(self.other[k, b]):
                 self.stop_after(b, k, self.failure(b, k))
             elif k in self.save_set:
                 self.save(b, k, phys[b])
-        if k in self.finish:
-            for b, k_f in enumerate(self.finish):
-                if k_f == k < self.end[b]:
+
+    def check(self, k: int, masses: np.ndarray, phys) -> None:
+        """Check index k on every homogeneous row still marching whose check
+        index it is (module docstring), from its Parseval mass ``masses[b]``
+        and physical state ``phys``: a row that fails stops after k with
+        the reason; one that passes hands its fields over at a save index,
+        and finishes at its finish index unless k is its last."""
+        save = k in self.save_set
+        for b in np.flatnonzero(self.end >= k).tolist():
+            if not (save or self.finish[b] == k):
+                continue
+            mass, own = float(masses[b]), float(self.own[k, b])
+            departure = abs(mass / own - 1.0) if own > MASS_FLOOR else 0.0
+            if not math.isfinite(mass):
+                self.stop_after(b, k, _abort_at("non-finite state", k))
+            elif departure > MASS_DEPARTURE * (k + 1):
+                self.stop_after(b, k, _abort_at(
+                    f"Parseval mass departs from the identity by {departure:.3g}", k))
+            else:
+                if save:
+                    self.save(b, k, phys[b])
+                if self.finish[b] == k < self.end[b]:
                     self.stop_after(b, k)
 
     def failure(self, b: int, k: int) -> NumericalAbort:
-        """The abort of row b at k, where its other mass is non-finite: a
-        non-finite own mass, before an overflowing reconstruction weight,
-        before a non-finite other mass."""
-        if not math.isfinite(self.own[k, b]):
+        """The abort of row b at k, where its other mass is non-finite or a
+        homogeneous row's |Re M| passes the guard: the guard, before a
+        non-finite own mass, before an overflowing weight, before the rest."""
+        if self.homogeneous and abs(self.re_m[b, k]) > OVERFLOW_GUARD:
+            reason = "|Re M| exceeds the overflow guard"
+        elif not math.isfinite(self.own[k, b]):
             reason = "non-finite state"
         elif self.homogeneous and math.isinf(self.weights[k, b]):
             reason = "mass reconstruction overflows"
@@ -686,13 +681,14 @@ class _Block:
 
     def outcomes(self) -> list:
         """Each row's record, or the abort that stopped it, in row order.  A
-        finished row's tail is recorded first (``fast_forward``), under the
-        march's ``np.errstate``; its abort wins over the row's guard."""
+        finished row's tail fields are handed over first (``fast_forward``),
+        under the march's ``np.errstate``."""
         out = []
         for b, path in enumerate(self.paths):
-            tail = self.fast_forward(b, *self.tails[b]) if b in self.tails else None
-            if (abort := tail or self.stop[b]) is not None:
-                out.append(abort)
+            if b in self.tails:
+                self.fast_forward(b, *self.tails[b])
+            if self.stop[b] is not None:
+                out.append(self.stop[b])
                 continue
             ito = self.ito[b]
             if self.homogeneous:
@@ -711,23 +707,23 @@ class _Block:
 
 def _march(block: _Block, x: ComplexField) -> None:
     """March a block from x: spectral state at integer times, two transforms
-    per step (Strang with spatially varying noise: three), masses by
-    Parseval.  Strang steps lead and trail with the half linear flow, Lie
-    steps lead with the full one.  Row b of every buffer and table is
-    ``paths[b]``; a row marches every index up to its end (its first failing
-    index, the step before a guard, or the index where it fast-forwards), is
-    stepped but skipped after it, and the march ends at ``block.last``, once
-    every row has stopped."""
+    per step (Strang with spatially varying noise: three), Parseval masses
+    at every index (varying) or at the check indices (homogeneous).  Strang
+    steps lead and trail with the half linear flow, Lie steps lead with the
+    full one.  Row b of every buffer and table is ``paths[b]``; a row is
+    recorded up to its end and stepped but skipped after it, and the march
+    ends at ``block.last``, once every row has stopped."""
     grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
     strang = block.params.splitting == "strang"
     half = block.lin_half
     lead, trail = (half, half) if strang else (half * half, None)
     parseval = grid.cell_volume / grid.size
     yh, spec, u, rot = block.yh, block.spec, block.phys, block.rot
+    record = block.check if block.homogeneous else block.record
 
     u[:] = x.values
     grid.forward(u, out=yh)
-    block.record(0, np.full(len(block.paths), x.mass), u)
+    record(0, np.full(len(block.paths), x.mass), u)
     # the per-row tables the step reads: the multipliers e^{a + ib}
     # (homogeneous) or the noise coefficient blocks, the Strang phase
     # factors, and the phase coefficients
@@ -751,8 +747,10 @@ def _march(block: _Block, x: ComplexField) -> None:
             grid.forward(u, out=spec)
             np.multiply(trail, spec, out=yh)
 
+        if block.homogeneous and k + 1 not in block.checks:
+            continue
         if block.homogeneous and k + 1 not in save_set:
             phys = None
         else:
             phys = u if trail is None else grid.inverse(yh, out=u)
-        block.record(k + 1, parseval * _squared_norms(yh, rot), phys)
+        record(k + 1, parseval * _squared_norms(yh, rot), phys)

@@ -292,7 +292,8 @@ def plane_wave(grid: GridSpec, mode) -> ComplexField:
 def gaussian_values(grid: GridSpec, width: float, center, amplitude) -> np.ndarray:
     """amplitude*exp(-|xi - c|^2 / (2 width^2)) at the grid points, flat
     row-major; a width whose square overflows, or underflows to 0, is a
-    ``width`` error."""
+    ``width`` error, and a squared distance from c that overflows a
+    ``center`` error."""
     try:
         var2 = 2.0 * width**2
     except OverflowError:
@@ -300,8 +301,12 @@ def gaussian_values(grid: GridSpec, width: float, center, amplitude) -> np.ndarr
     if var2 == 0.0:
         raise ValueError(f"width: {width:g} squared underflows to 0")
     c = per_axis(center, grid, "center")
-    xi = grid.coordinates()
-    r2 = ((xi - c[:, None]) ** 2).sum(axis=0)
+    with np.errstate(over="ignore"):
+        offsets = grid.coordinates() - c[:, None]
+        r2 = (offsets**2).sum(axis=0)
+    if not np.isfinite(r2).all():
+        raise ValueError(f"center: the squared distance |xi - c|^2 overflows a double "
+                         f"(largest |xi_i - c_i| {np.abs(offsets).max():g})")
     return amplitude * np.exp(-r2 / var2)
 
 

@@ -7,8 +7,10 @@
 * The step-by-step recorder: every check and sum of a run taken at each
   time index as the march reaches it, raising at the first failing one.
   The march records the same values and stops a row at the same index with
-  the same message, so the two agree bit for bit.  ``fast_forward`` records
-  a homogeneous run's linear tail the same way, one index at a time.
+  the same message, so the two agree bit for bit.  A homogeneous run's
+  masses come from its mass identity, and its Parseval mass is checked
+  against it at the check indices only.  ``fast_forward`` records a
+  homogeneous run's linear tail the same way, one index at a time.
 * The free propagator applied to one field and the discrete L^p norm,
   which the two oracles above and below are built from.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from snls_lab.errors import NumericalAbort
-from snls_lab.integrator import OVERFLOW_GUARD
+from snls_lab.integrator import MASS_DEPARTURE, MASS_FLOOR, OVERFLOW_GUARD
 from snls_lab.noise_process import DensitySpec, NoiseModel, SpatialProfile
 from snls_lab.spectral_grid import ComplexField, _squared_norms
 
@@ -120,11 +122,12 @@ def step(state, path, k, params, model):
 
 
 class StepRecorder:
-    """Per-step recording of one path, each check made as its index is
-    reached: ``record`` raises the abort, and ``accumulate_ito`` adds one
-    step of the stochastic mass sum."""
+    """Per-step recording of one path from x, each check made as its index
+    is reached: ``record`` raises the abort, and ``accumulate_ito`` adds one
+    step of the stochastic mass sum.  A homogeneous run's own mass is its
+    identity: the initial mass times the running product of |mid_k|^2."""
 
-    def __init__(self, grid, block, params, n_steps, save_set, snapshot=None):
+    def __init__(self, grid, block, params, n_steps, save_set, x, snapshot=None):
         self.grid = grid
         self.block = block  # a one-path block: its tables are row 0
         self.direct = params.scheme == "direct"
@@ -141,19 +144,31 @@ class StepRecorder:
         self.s_incr = 2.0 * (block.model.mu.real @ block.paths[0].increments)
         # sum_j mu_j M_j(t_k), the homogeneous M
         self.m = block.paths[0].complex_series(block.model.mu)
+        if block.homogeneous:
+            gains = np.abs(block.mid_scalar[0]) ** 2
+            self.identity = np.cumprod(np.concatenate([[x.mass], gains]))
+        # each index's Parseval mass, where the run took one
+        self.parseval = np.full(n_steps + 1, np.nan)
 
     def mass_of(self, values):
         return self.cv * float(_squared_norms(values))
 
-    def record(self, k, v, mass):
-        """Record time index k given the physical state and its mass.
+    def record(self, k, v, mass=None):
+        """Record time index k given the physical state and its Parseval
+        mass, None where the run took none.  A homogeneous run takes its own
+        mass from the identity, and checks ``mass`` against it at its check
+        indices only: the save indices and its finish index.
 
         At a save index the X field goes to the snapshot callable; at the
         last index the (X, y) pair is kept.
         """
+        block = self.block
+        self.parseval[k] = np.nan if mass is None else mass
+        if block.homogeneous:
+            checked = k in self.save_set or k == block.finish[0]
+            mass, parseval = self.identity[k], mass if checked else None
         if not np.isfinite(mass):
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
-        block = self.block
         rm = block.re_m[0, k]
         try:
             if self.direct:
@@ -177,6 +192,13 @@ class StepRecorder:
             ) from exc
         if not (np.isfinite(self.mass_x[k]) and np.isfinite(self.mass_y[k])):
             raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
+        if block.homogeneous and parseval is not None:
+            if not np.isfinite(parseval):
+                raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
+            departure = abs(parseval / mass - 1.0) if mass > MASS_FLOOR else 0.0
+            if departure > MASS_DEPARTURE * (k + 1):
+                raise NumericalAbort("Parseval mass departs from the identity by "
+                                     f"{departure:.3g} at time index {k}", time_index=k)
         if k not in self.save_set:
             return
         x = v if self.direct else v * np.exp(self.m[k])
@@ -205,15 +227,12 @@ class StepRecorder:
 
 def fast_forward(run, yh, k0):
     """Record the rest of a homogeneous run from its spectrum yh at index k0,
-    one index at a time, as if no later step had a phase: the own mass
-    is the mass at k0 times the running product of |mid_i|^2, and the state
-    at a save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh.  Each index
-    takes the guard and the recorder's checks as a marched step does."""
+    one index at a time, as if no later step had a phase: the state at a
+    save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh.  Each index
+    takes the guard and the recorder's checks of the identity masses as a
+    marched step does; no Parseval mass is checked."""
     block = run.block
-    mid = block.mid_scalar[0, k0:]
-    gains, factors = np.cumprod(np.abs(mid) ** 2), np.cumprod(mid)
-    own = run.mass_x if run.direct else run.mass_y
-    start, shape = own[k0], run.grid.shape
+    factors, shape = np.cumprod(block.mid_scalar[0, k0:]), run.grid.shape
     for k in range(k0, run.n_steps):
         if abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
@@ -224,7 +243,7 @@ def fast_forward(run, yh, k0):
             spec = run.grid.propagator((k + 1 - k0) * block.params.dt) * yh
             spec = spec * factors[k - k0]
             v = np.fft.ifftn(spec.reshape(shape)).ravel()
-        run.record(k + 1, v, start * gains[k - k0])
+        run.record(k + 1, v)
 
 
 def duhamel_apply(forcing_series, grid, tau, nodes):

@@ -97,6 +97,7 @@ def test_criterion_01_exact_linear_decay():
 def test_criterion_02_pathwise_decay_bound(decay_ensemble):
     rep, wall = decay_ensemble
     assert rep.omega == pytest.approx(2.0)
+    assert {p["status"] for p in rep.per_path} == {"ok"}
     lyaps = np.array([p["lyapunov"] for p in rep.per_path])
     assert lyaps.size == 200
     median = float(np.median(lyaps))
@@ -218,6 +219,7 @@ def test_criterion_07_conservation_degeneracy():
 def test_criterion_08_brownian_special_case(brownian_ensemble):
     rep = brownian_ensemble
     assert rep.omega == pytest.approx(2.5)
+    assert {p["status"] for p in rep.per_path} == {"ok"}
     lyaps = np.array([p["lyapunov"] for p in rep.per_path])
     median = float(np.median(lyaps))
     ok = median <= -2.45

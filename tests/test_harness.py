@@ -995,6 +995,10 @@ MALFORMED = {
     "convergence_reference_dt_tiny": ("convergence", {"convergence": {
         "dts": [0.05, 0.025, 0.0125], "reference_dt": 1e-300}},
         "convergence.reference_dt"),
+    # dt / reference_dt overflows a double
+    "convergence_reference_dt_subnormal": ("convergence", {"convergence": {
+        "dts": [0.05, 0.025, 0.0125], "reference_dt": 5e-324}},
+        "convergence.reference_dt"),
     "convergence_dts_fractional_steps": ("convergence", {
         "sim.t_final": 1.0,
         "convergence": {"dts": [0.4, 0.2, 0.1], "reference_dt": 0.0125}},
@@ -1009,6 +1013,12 @@ MALFORMED = {
     "ensemble_size_huge": ("ensemble", {"ensemble.size": 10**30}, "ensemble.size"),
     # finite floats whose square or cell volume overflows a double
     "initial_width_overflow": ("simulate", {"initial.width": 1e155}, "initial.width"),
+    # ... or whose squared distance |xi - c|^2 from a grid point does
+    "initial_center_far": ("simulate", {"initial.center": [1e308]}, "initial.center"),
+    "profile_center_far": ("simulate", {**DIRECT, "noise.profiles[0]": BUMP_PROFILE,
+                                        "noise.profiles[0].center": [1e308]},
+                           "noise.profiles[0].center"),
+    "gaussian_half_length_huge": ("simulate", {"grid.half_length": 1e300}, "initial"),
     "profile_width_overflow": ("simulate", {**DIRECT, "noise.profiles[0]": BUMP_PROFILE,
                                             "noise.profiles[0].width": 1e300},
                                "noise.profiles[0].width"),
@@ -1042,6 +1052,10 @@ MALFORMED = {
     "t_final_negative": ("simulate", {"sim.t_final": -1.0}, "sim.t_final"),
     "save_every_zero": ("simulate", {"sim.save_every": 0}, "sim.save_every"),
     "picard_horizon_zero": ("picard", {"picard.horizon": 0.0}, "picard.horizon"),
+    # the default path_dt, horizon / 1024, underflows to 0; the propagator's
+    # |k|^2 t overflows
+    "picard_horizon_subnormal": ("picard", {"picard.horizon": 5e-324}, "picard.horizon"),
+    "picard_horizon_huge": ("picard", {"picard.horizon": 1e308}, "picard.horizon"),
     "picard_nodes_few": ("picard", {"picard.nodes": 4}, "picard.nodes"),
     "initial_kind_unknown": ("simulate", {"initial.kind": "bogus"}, "initial.kind"),
     "initial_width_zero": ("simulate", {"initial.width": 0.0}, "initial.width"),

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -384,12 +385,13 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
     run fast-forwards at its finish index, as the march does, unless
     ``jump`` is False; then it marches every step, ``angles``, a list,
     receives each step's largest |merged phase angle|, and ``sums`` each
-    step-start spectrum's (1/N) sum |yh|."""
+    step-start spectrum's (1/N) sum |yh|.  The recorder's ``parseval``
+    holds the Parseval mass of every marched index."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
     block = _Block(grid, model, params, [path], mass=x.mass)
-    run = StepRecorder(grid, block, params, n_steps, save_set, snapshot)
+    run = StepRecorder(grid, block, params, n_steps, save_set, x, snapshot)
     shape, half = grid.shape, block.lin_half
     parseval = grid.cell_volume / grid.size
 
@@ -763,19 +765,22 @@ class TestFastForward:
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_jump_matches_full_march(self, case):
-        # measured over these 24 rows: masses 3.3e-13 relative, final y
-        # 1.1e-13 in relative L2 and the Lyapunov exponent 3.4e-14
+        # the record (identity masses, the final state fast-forwarded)
+        # against a march of every step with its Parseval masses.  Measured
+        # over these 24 rows: masses 6.6e-13 relative, final y 1.2e-13 in
+        # relative L2 and the Lyapunov exponent 6.6e-14
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(8))
         for path, rec in zip(paths, simulate_block(grid, model, params, x, paths)):
             full = reference_strang(grid, model, params, x, path, jump=False)
-            for name in ("mass_x", "mass_y"):
-                got, want = getattr(rec, name), getattr(full, name)
-                assert np.abs(got / want - 1.0).max() <= 1e-12, name
+            own = rec.mass_x if params.scheme == "direct" else rec.mass_y
+            ratio = full.parseval / own
+            assert np.abs(ratio - 1.0).max() <= 1e-12
             want = full.final_y.values
             assert np.linalg.norm(rec.final_y.values - want) <= 5e-13 * np.linalg.norm(want)
-            marched = dataclasses.replace(rec, mass_x=full.mass_x, mass_y=full.mass_y)
+            marched = dataclasses.replace(rec, mass_x=rec.mass_x * ratio,
+                                          mass_y=rec.mass_y * ratio)
             assert abs(decay_fit(rec, model).lyapunov
                        - decay_fit(marched, model).lyapunov) <= 1e-13
 
@@ -783,38 +788,42 @@ class TestFastForward:
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
     def test_own_mass_follows_the_multipliers(self, case, splitting):
         # The free flow and the rotation keep the mass, so a homogeneous
-        # row's own mass is ||x||^2 prod |mid_i|^2 up to rounding, marched
-        # or fast-forwarded.  The largest relative deviation read 1.0e-15
-        # per step (5.1e-12 over the 5,000 steps of "decay" at dt = 2e-3).
+        # row's own mass is ||x||^2 prod |mid_i|^2, marched or
+        # fast-forwarded: the running product from the initial mass, bit for
+        # bit, and the other mass its math.exp weight times that
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
-        if case == "decay":
-            params = dataclasses.replace(params, dt=2e-3)
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(4))
         tables = _Block(grid, model, params, paths)
+        sign = -2.0 if params.scheme == "direct" else 2.0
         for b, rec in enumerate(simulate_block(grid, model, params, x, paths)):
-            own = rec.mass_x if params.scheme == "direct" else rec.mass_y
-            gains = np.cumsum(np.log(np.abs(tables.mid_scalar[b]) ** 2))
-            want = x.mass * np.exp(np.concatenate([[0.0], gains]))
-            assert np.abs(own / want - 1.0).max() <= 2e-15 * params.n_steps
+            own, other = (rec.mass_x, rec.mass_y) if params.scheme == "direct" \
+                else (rec.mass_y, rec.mass_x)
+            gains = np.abs(tables.mid_scalar[b]) ** 2
+            assert np.array_equal(own, np.cumprod([x.mass, *gains]))
+            weights = [math.exp(sign * r) for r in tables.re_m[b]]
+            assert np.array_equal(other, np.multiply(weights, own))
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
     def test_marched_mass_at_finish_follows_the_multipliers(self, case, splitting):
-        # The finish index reads the mass from ||x||^2 prod |mid_i|^2, not
-        # from the state, so the state's Parseval mass where the row stops
-        # marching (its finish index, or the last index) must be that mass
-        # up to rounding: it read at most 3.2e-16 per step over these rows
+        # The record's masses and the finish index read the mass from
+        # ||x||^2 prod |mid_i|^2, not from the state, so the state's
+        # Parseval mass where the row stops marching (its finish index, or
+        # the last index) must be that mass up to rounding: it read at most
+        # 3.2e-16 per step over these rows
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(4))
         block = marched_block(grid, model, params, paths, x)
         for b in range(len(paths)):
-            k = int(block.end[b])
+            k, yh = block.tails.get(b, (int(block.end[b]), block.yh[b]))
+            assert k == block.end[b]
+            marched = grid.cell_volume / grid.size * float(_squared_norms(yh))
             planned = x.mass * math.exp(np.log(np.abs(block.mid_scalar[b, :k]) ** 2).sum())
-            assert abs(block.own[k, b] / planned - 1.0) <= 2e-15 * k
+            assert abs(marched / planned - 1.0) <= 2e-15 * (k + 1)
 
     def test_rows_finish_at_their_own_index(self, monkeypatch):
         # rows 0-3 of "fast_forward" finish at indices 207, 194, 222 and 193,
@@ -832,6 +841,60 @@ class TestFastForward:
         count_calls(monkeypatch, calls, GridSpec, "forward")
         simulate_block(grid, model, params, x, paths)
         assert len(calls) == 1 + 1 + 222 + 4
+
+    def test_march_reduces_only_at_check_indices(self, monkeypatch):
+        # rows 0-3 finish at indices 207, 194, 222 and 193, and the only save
+        # index is the last, 400: one Parseval sum over the block at each
+        # finish index, none at the other 218 marched indices
+        grid, model, params = BLOCK_CASES["fast_forward"]
+        calls = []
+        count_calls(monkeypatch, calls, integrator, "_squared_norms")
+        simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
+                       sampled(model, params, range(4)))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("snapshots, first", [(False, [207, 194, 222, 193]),
+                                                  (True, [1, 1, 1, 1])])
+    def test_scaled_multiplier_trips_the_check(self, monkeypatch, snapshots, first):
+        # a homogeneous multiplier off by 1 + 1e-9 departs from the identity
+        # by about 2e-9 per step, far past MASS_DEPARTURE: each row stops at
+        # its first check index after a step (its finish index, or index 1
+        # when every index is a save index), with nothing of it handed over
+        original = _Block.pointwise_step
+
+        def scaled(self, u, neg_coef, factor, scale, b):
+            if b is None:
+                scale = scale * (1.0 + 1e-9)
+            original(self, u, neg_coef, factor, scale, b)
+        monkeypatch.setattr(_Block, "pointwise_step", scaled)
+        grid, model, params = BLOCK_CASES["fast_forward"]
+        keeps = [collector() for _ in range(4)]
+        rows = simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
+                              sampled(model, params, range(4)),
+                              snapshots=[keep for keep, _ in keeps] if snapshots else None)
+        assert [row.time_index for row in rows] == first
+        for row, k, (_, seen) in zip(rows, first, keeps):
+            assert re.fullmatch(r"Parseval mass departs from the identity by "
+                                rf"\S+ at time index {k}", str(row)), str(row)
+            assert [s for s, _, _ in seen] == ([0] if snapshots else [])
+
+    @pytest.mark.parametrize("save_every, index", [(None, 3), (2, 2)])
+    def test_parseval_overflow_stops_at_the_next_check_index(self, save_every, index):
+        # mass 1e302 on 1,024 points, times e^10 by step 0's multiplier: the
+        # Parseval sum N/cv mass overflows a double from index 1 on while
+        # the identity mass stays finite, so the row stops at its first
+        # check index after 0 (a Parseval sum at every index stops it at 1)
+        grid = make_grid(1, 1024, 16.0)
+        x = gaussian_field(grid, width=1.0, l2_norm=1e151)
+        params = SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.03, scheme="direct",
+                           save_every=save_every)
+        keep, seen = collector()
+        row, = simulate_block(grid, const_model(1.0), params, x,
+                              [handmade_path([[5.0, 0.0, 0.0]], 0.01)],
+                              snapshots=None if save_every is None else [keep])
+        assert (str(row), row.time_index) == (f"non-finite state at time index {index}",
+                                              index)
+        assert [k for k, _, _ in seen] == ([] if save_every is None else [0])
 
     def test_without_phase_finishes_at_once(self, monkeypatch):
         # lambda = 0: no step is marched, and the tail is the whole run

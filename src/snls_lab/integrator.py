@@ -26,62 +26,60 @@ with the linear flow, half (Strang) or full (Lie), rotates the phase and
 applies the noise-or-damping multiplier; Strang then trails with the second
 half linear flow.  The state stays spectral between steps, so consecutive
 linear flows meet without a transform.  Every step of every row makes one
-pointwise pass, ``_Block.pointwise_step``:
+pointwise pass, ``_Block.pointwise_step``.
 
-* the noise-or-damping multiplier e^{a + ib} scales |u| by e^a pointwise,
-  so Strang's two half phases merge into one, theta = -c |u|^{alpha-1}
-  (1 + e^{(alpha-1) a}) with c the half-step coefficient (Lie: theta =
-  -c_full |u|^{alpha-1}), and the row takes u *= e^a (cos(b + theta) +
-  i sin(b + theta)).  On a spatially varying row, a and b come from one
-  batched product of the path coefficients with the profile table, and b
-  and e^a enter the rotation: one real exp and one cos/sin pair per point.
-  On a homogeneous row (every rescaled row) they are constant in space and
-  read from per-path tables: the row rotates by theta alone, then takes
-  e^{a + ib} as one complex factor, since theta is small where |u| is and
-  cos and sin of small angles cost about half.  Where e^{(alpha-1) a}
-  overflows on a row, its second half phase comes from |u e^a|^{alpha-1}
-  instead, so the row stops where two rotations would.  Two transforms per
-  step; a varying row's recording needs the physical state, so its Strang
-  step takes three.
+A spatially varying row takes the noise multiplier e^{a + ib}, which scales
+|u| by e^a pointwise, so Strang's two half phases merge into one,
+theta = -c |u|^{alpha-1} (1 + e^{(alpha-1) a}) with c the half-step
+coefficient (Lie: theta = -c_full |u|^{alpha-1}), and the row takes
+u *= e^a (cos(b + theta) + i sin(b + theta)): a and b come from one batched
+product of the path coefficients with the profile table, one real exp and
+one cos/sin pair per point.  Where e^{(alpha-1) a} overflows on a row, its
+second half phase comes from |u e^a|^{alpha-1} instead, so the row stops
+where two rotations would.  Its recording needs the physical state, so its
+Strang step takes three transforms.
 
+On a homogeneous row (every rescaled row) the multiplier is constant in
+space and commutes with the free flow, and the rotation keeps |u|
+pointwise, so the row's mass is a functional of its path,
+mass_k = mass_0 prod_{i<k} |e^{a_i + i b_i}|^2, and its state is
+u_k = sqrt(mass_k) e^{i sum_{i<k} b_i} w_k with w_k of unit mass.  The row
+marches w from x / sqrt(mass_0), and a rotation is all of its step: with
+p = (alpha-1)/2, by -c_k (mass_k^p + mass_{k+1}^p) |w|^{alpha-1} (Strang) or
+-c_k mass_k^p |w|^{alpha-1} (Lie).  When the block is built, its own mass is
+written for every index as that running product, the other as the
+``math.exp`` weight of -2 Re M (direct) or 2 Re M (rescaled) times it, its
+phase coefficients with the masses folded in, and the scalar
+sqrt(mass_s) e^{i sum_{i<s} b_i} that takes w to the state at each save
+index s (times e^{M_s} for the X of a rescaled row); no multiplier is kept.
+The march takes w's mass only at the row's check indices, the save indices
+and its finish index, and stops the row there, before any field is handed
+over, where it is non-finite or departs from 1 by more than
+``MASS_DEPARTURE`` per step (where the identity mass exceeds ``MASS_FLOOR``).
+
+The row stops marching at its finish index, once its nonlinear phase is
+below rounding for the rest of the run, and fast-forwards.  By
+Cauchy-Schwarz and Parseval, |w| <= (1/N) sum |wh_k| <= cv^{-1/2}, so
+B_k = cv^{-p} sum_{j>=k} |c_j| bounds the summed angle of every step after k
+at every point.  The row's finish index, the first k < n with
+B_k < ``FF_THRESHOLD`` = 2^-63 (a margin of 2^10 under the rounding unit
+2^-53), is read from its coefficients when the block is built
+(``_finish_index``); without a phase (lambda = 0) it is 0.  The march copies
+wh_k there, and after the march hands over the row's fields at each later
+save index s from U((s - k) dt) wh_k: one multiply and one inverse.
 All of this is algebraically identical to the plain composition; only the
-fast-forward below departs from it, by dropping phase angles that sum to
-less than 2^-63.  Every step writes into scratch the block allocates once.
+fast-forward departs from it, by dropping angles that sum to under 2^-63.
 
 One state, ``_Block``, holds the block: the tables every path shares, built
-once; each path's tables (Re M, multipliers or noise coefficients, phase
-coefficients, mass weights), stacked as (B, ...) rows; every row's series
-as (B, n_steps + 1) arrays; and the scratch.  Row b of each is ``paths[b]``
-for the whole march.  A spatially varying row records both masses at every
-step: its own by Parseval from the block's one sum of squares, and the mass
-of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)}, a real weight, with its
-Ito increment from the same |X|^2, row by row, so the march transforms it
-back to physical space at every step; the complex y is built only at the
-last index.
-
-A homogeneous row's multiplier is constant in space and commutes with the
-free flow, and the rotation keeps |u| pointwise, so its mass is a functional
-of its path, mass_k = mass_0 prod_{i<k} |mid_i|^2.  Both its masses are
-written for every index when the block is built: the own mass as that
-running product, the other as the ``math.exp`` weight of -2 Re M (direct)
-or 2 Re M (rescaled) times it.  The march takes the row's Parseval mass only
-at its check indices, the save indices and its finish index, and stops the
-row there, before any field is handed over, where the sum is non-finite or
-departs from the identity by more than ``MASS_DEPARTURE`` per step
-(relative, where the identity exceeds ``MASS_FLOOR``).  The row stops
-marching at its finish index, once its nonlinear phase is below rounding
-for the rest of the run, and fast-forwards.  By Cauchy-Schwarz and
-Parseval, |u| <= S_k = (1/N) sum |yh_k| <= sqrt(mass_k / cv) at step k, so
-with the path-known phase coefficients c_j and Strang factors F_j the bound
-B_k = (mass_0 / cv)^{(alpha-1)/2} sum_{j>=k} |c_j| F_j prod_{i<j}
-|mid_i|^{alpha-1} holds for the summed angle of every step after k at
-every point.  The row's finish index, the first k < n with
-B_k < ``FF_THRESHOLD`` = 2^-63 (a margin of 2^10 under the rounding unit
-2^-53), is read once from its tables and the initial mass when the block
-is built (``_finish_index``); a row without a phase (lambda = 0) finishes
-at k = 0.  The march copies the row's spectrum yh_k there, and after the
-march hands over its fields at each later save index in closed form,
-prod mid_i U((s - k) dt) yh_k: one multiply and one inverse transform.
+once; each path's tables, stacked as (B, ...) rows; every row's series as
+(B, n_steps + 1) arrays; and the scratch every step writes into.  Row b of
+each is ``paths[b]`` for the whole march.  Every mass the march records or
+checks is cv sum |v|^2 of a physical state v, as ``ComplexField.mass``
+takes it, so it overflows only where the mass does.  A spatially varying
+row records both masses at every step: its own from the block's one sum of
+squares, and the mass of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)},
+a real weight, with its Ito increment from the same |X|^2, row by row; the
+complex y is built only at the last index.
 
 A row stops at its first index with a non-finite mass (read before any step
 on a homogeneous row), at a failed check, or before the step its guard
@@ -98,8 +96,9 @@ Every row is bitwise equal to the same path marched alone with its checks
 and sums taken step by step, because:
 
 * batched transforms over the spatial axes equal per-row transforms;
-* each path's tables, and a homogeneous row's masses, end, finish index
-  and tail, are built from that path alone, never across the path axis;
+* each path's tables, and a homogeneous row's masses, end, finish index,
+  hand-over scalars and tail, are built from that path alone, never across
+  the path axis;
 * the free multiplier is applied as ``half * x`` (complex products are not
   bitwise commutative: ``h * a`` and ``a * h`` can differ in the last bit);
 * the rotation is written in place as cos + i sin of the real angle, which
@@ -125,7 +124,7 @@ and the last step) go to an optional snapshot callable in time order, so
 memory is bounded by the grid, not by the run length; M(t_k) is kept at
 those indices only.  No snapshot is handed over past an abort, and a
 handed-over field skips ``ComplexField``'s finiteness scan: its masses, and
-a marched one's Parseval sum, were checked finite.
+a marched one's sum of squares, were checked finite.
 
 The rescaled scheme is restricted to spatially homogeneous noise (all
 profiles constant-one), where the linear part stays the free group; spatially
@@ -333,27 +332,19 @@ def simulate_block(grid: GridSpec, model: NoiseModel, params: SimParams,
         return block.outcomes()
 
 
-def _finish_index(mid: np.ndarray, neg_coef: np.ndarray | None,
-                  factor: np.ndarray | None, power: float, log_scale: float) -> int:
+def _finish_index(neg_coef: np.ndarray | None, scale: float) -> int:
     """The first index k < n_steps at which one homogeneous row's bound
-    B_k (module docstring) is below FF_THRESHOLD, or n_steps if none is:
-    log B_k = log_scale + log sum_{j>=k} |c_j| F_j prod_{i<j} |mid_i|^power,
-    with log_scale = power/2 log(mass_0 / cv), ``power`` alpha - 1 and F_j
-    the Strang phase factor or 1.  Summed in logs because the products
-    underflow over a decay run; 0 without a phase or with a zero state."""
-    if neg_coef is None or log_scale == -math.inf:
+    B_k = ``scale`` sum_{j>=k} |c_j| (module docstring) is below
+    FF_THRESHOLD, or n_steps if none is; ``scale`` is cv^{-(alpha-1)/2} and
+    c_j the row's phase coefficients, its mass folded in.  0 without a
+    phase.  A term 0 x inf (a zero mass times an overflowing scale) is left
+    out: the state is 0 there and turns no more."""
+    if neg_coef is None:
         return 0
-    # log 0 = -inf: a zero factor; a term 0 x inf follows a multiplier of
-    # exactly 0, after which the state is 0 and turns no more
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(np.abs(neg_coef))
-        terms[1:] += np.cumsum(power * np.log(np.abs(mid[:-1])))
-        if factor is not None:
-            terms += np.log(factor)
-        terms[np.isnan(terms)] = -math.inf
-        passed = np.logaddexp.accumulate(terms[::-1])[::-1] + log_scale \
-            < math.log(FF_THRESHOLD)
-    return int(passed.argmax()) if passed.any() else mid.size
+    terms = np.abs(neg_coef)
+    terms[np.isnan(terms)] = 0.0
+    passed = np.cumsum(terms[::-1])[::-1] * scale < FF_THRESHOLD
+    return int(passed.argmax()) if passed.any() else neg_coef.size
 
 
 def _exp_series(args: np.ndarray) -> list:
@@ -369,12 +360,12 @@ class _Block:
     path and stacked as (B, ...) arrays; each row's series, end and stop; and
     the scratch every step writes into.  ``mass`` is the initial state's,
     from which homogeneous rows' masses and finish indices are read.  The
-    defaults build the tables alone: no save index, no snapshot and an
-    unbounded state."""
+    defaults build the tables alone: no save index, no snapshot and a unit
+    initial mass."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
                  paths: list, save_set=frozenset(), snapshots: list | None = None,
-                 mass: float = math.inf):
+                 mass: float = 1.0):
         self.grid, self.model, self.params, self.paths = grid, model, params, paths
         self.save_set, self.snapshots = save_set, snapshots
         self.homogeneous = model.spatially_homogeneous
@@ -386,18 +377,13 @@ class _Block:
         self.pow_half = 0.5 * (alpha - 1.0)
         self.phase_on = params.lam != 0
         self.strang_phase = self.phase_on and params.splitting == "strang"
-        self.phase_factor = self.neg_coef = None
+        self.neg_coef = None
         corr = model.ito_correction
         if self.homogeneous:
-            # every step's spatially constant multiplier e^{a + ib}, the damping
-            # (rescaled) or the noise (direct), and the factor
-            # 1 + e^{(alpha-1) a} of a Strang phase: one entry per path and step
-            expo = [mu @ p.increments.astype(np.complex128) - corr @ p.dqv if self.direct
-                    else -(corr @ p.dqv) for p in paths]
-            self.mid_scalar = np.array([np.exp(z) for z in expo])
-            if self.strang_phase:
-                self.phase_factor = np.array([np.exp((alpha - 1.0) * z.real) + 1.0
-                                              for z in expo])
+            # every step's spatially constant exponent a + ib, the damping
+            # (rescaled) or the noise (direct): one entry per path and step
+            expo = np.array([mu @ p.increments.astype(np.complex128) - corr @ p.dqv
+                             if self.direct else -(corr @ p.dqv) for p in paths])
         else:
             e = model.sample_profiles(grid)
             # the real table [e; e^2], whose first J rows are the profiles:
@@ -442,19 +428,29 @@ class _Block:
         # each homogeneous row's finish index, and the indices the march checks
         self.finish, self.checks = [], frozenset()
         if self.homogeneous:
-            coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
-            factors = [None] * len(paths) if self.phase_factor is None else self.phase_factor
-            log_scale = self.pow_half * math.log(mass / self.cv) if mass > 0 else -math.inf
-            self.finish = [_finish_index(m, c, f, alpha - 1.0, log_scale) for m, c, f
-                           in zip(self.mid_scalar, coefs, factors)]
-            self.checks = frozenset(save_set).union(self.finish)
-            # the identity: the own mass is the running product of |mid_i|^2
+            # the identity: the own mass is the running product of |e^{a + ib}|^2
             # from the initial mass; math.exp of -2 Re M (direct) or 2 Re M
             # (rescaled) takes it to the other one
             own = self.own.T
             own[:, 0] = mass
-            np.square(np.abs(self.mid_scalar), out=own[:, 1:])
+            np.square(np.abs(np.exp(expo)), out=own[:, 1:])
             np.cumprod(own, axis=1, out=own)
+            if self.phase_on:
+                # the row marches its unit state w = u / sqrt(mass): |u|^{alpha-1}
+                # is mass^{(alpha-1)/2} |w|^{alpha-1}, and the Strang step's
+                # second half phase sees the next mass
+                m_pow = own ** self.pow_half
+                self.neg_coef *= m_pow[:, :-1] + m_pow[:, 1:] if self.strang_phase \
+                    else m_pow[:, :-1]
+            coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
+            self.finish = [_finish_index(c, self.cv ** -self.pow_half) for c in coefs]
+            self.checks = frozenset(save_set).union(self.finish)
+            # the unit state times sqrt(mass_s) e^{i sum_{i<s} b_i} is the
+            # row's state at save index s
+            turn = np.zeros(own.shape)
+            np.cumsum(expo.imag, axis=1, out=turn[:, 1:])
+            hand = np.sqrt(own[:, saves]) * np.exp(1j * turn[:, saves])
+            self.hand = [dict(zip(saves, row)) for row in hand]
             sign = -2.0 if self.direct else 2.0
             self.weights = np.array([_exp_series(sign * r) for r in self.re_m]).T
             np.multiply(self.weights, self.own, out=self.other)
@@ -467,12 +463,13 @@ class _Block:
 
         # Scratch every step writes into, row b for paths[b] for the whole
         # march: the state's spectrum, a spectral and a physical buffer, the
-        # rotation factor, two real fields, and e^a and the Strang phase
-        # factor, one column entry per row when they are constant in space.
+        # rotation factor, two real fields, and on varying rows e^a and the
+        # Strang phase factor.
         rows = (len(paths), grid.size)
         self.yh, self.spec, self.phys, self.rot = np.empty((4, *rows), dtype=complex)
         self.amp, self.angle = np.empty((2, *rows))
-        self.ea, self.fac = np.empty((2, len(paths), 1 if self.homogeneous else grid.size))
+        if not self.homogeneous:
+            self.ea, self.fac = np.empty((2, *rows))
 
     def noise_factors(self, k: int, coefs: np.ndarray) -> tuple:
         """The ``pointwise_step`` factors of step k on every varying row:
@@ -495,21 +492,20 @@ class _Block:
         return factor, np.exp(a, out=self.ea), b
 
     def pointwise_step(self, u: np.ndarray, neg_coef: np.ndarray | None,
-                       factor: np.ndarray | None, scale: np.ndarray,
-                       b: np.ndarray | None) -> None:
-        """Apply the step's multiplier e^{a + ib} and its phase rotation to
-        the physical states u of every row, as the module docstring
-        describes.  ``neg_coef`` is the (B, 1) column of -c, the
-        rows' phase coefficient of the step, or None without a phase;
-        ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase is
-        Strang's.  On spatially varying rows, ``factor``, ``scale`` = e^a
-        and ``b`` are (B, n^d) rows; on homogeneous rows, ``factor`` is a
-        (B, 1) column, ``scale`` the multiplier e^{a + ib} as a (B, 1)
-        complex column, and ``b`` None.  Where e^{(alpha-1) a} overflows,
-        the row's second half phase comes from |u e^a|^{alpha-1}, as a
-        second rotation takes it: u = 0 stays 0, and the angle overflows only
-        where that rotation's does."""
-        amp, angle, rot, fac = self.amp, self.angle, self.rot, self.fac
+                       factor: np.ndarray | None = None, scale: np.ndarray | None = None,
+                       b: np.ndarray | None = None) -> None:
+        """Rotate the physical states u of every row by the step's phase, as
+        the module docstring describes.  ``neg_coef`` is the (B, 1) column
+        of -c, the rows' phase coefficient of the step, or None without a
+        phase.  A homogeneous row's state is its unit state, and the rotation
+        is all of its step.  A spatially varying row also takes the step's
+        multiplier e^{a + ib}: ``scale`` = e^a and ``b`` are (B, n^d) rows,
+        and ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase is
+        Strang's.  Where e^{(alpha-1) a} overflows, the row's second half
+        phase comes from |u e^a|^{alpha-1}, as a second rotation takes it:
+        u = 0 stays 0, and the angle overflows only where that rotation's
+        does."""
+        amp, angle, rot = self.amp, self.angle, self.rot
         if neg_coef is None:
             angle = b
         else:
@@ -523,13 +519,10 @@ class _Block:
             else:
                 # per row, so that no row's bits depend on its neighbours
                 over = None if factor.max() < math.inf else factor.max(axis=1) == math.inf
-                if b is None:  # one factor per row: fold -coef into it first
-                    np.multiply(amp, np.multiply(factor, neg_coef, out=fac), out=angle)
-                else:
-                    np.multiply(amp, factor, out=angle)
-                    angle *= neg_coef
+                np.multiply(amp, factor, out=angle)
+                angle *= neg_coef
                 if over is not None and over.any():
-                    v, e = u[over], np.abs(scale[over])
+                    v, e = u[over], scale[over]
                     second = ((np.square(v.real) + np.square(v.imag)) * e * e) ** self.pow_half
                     angle[over] = (second + amp[over]) * neg_coef[over]
             if b is not None:
@@ -541,18 +534,13 @@ class _Block:
                 rot.real *= scale
                 rot.imag *= scale
             u *= rot
-        if b is None:
-            u *= scale
 
     def m_value(self, b: int, k: int) -> complex:
         """Row b's sum_j mu_j M_j(t_k) at save index k."""
         return self.m_saved[b][k]
 
     def m_field_values(self, b: int, k: int) -> np.ndarray:
-        """Row b's M(t_k, xi), flat complex; if homogeneous, a scalar broadcast,
-        and k must be a save index."""
-        if self.homogeneous:
-            return np.full(self.grid.size, self.m_value(b, k))
+        """Spatially varying row b's M(t_k, xi), flat complex."""
         c = self.model.mu * self.paths[b].values[:, k]
         m = np.empty(self.grid.size, dtype=np.complex128)
         m.real, m.imag = c.real @ self.e_values, c.imag @ self.e_values
@@ -570,17 +558,14 @@ class _Block:
 
     def fast_forward(self, b: int, k0: int, yh: np.ndarray) -> None:
         """Hand over row b's fields at the save indices after its finish
-        index k0 and before its path's abort, if any, from its spectrum yh
-        at k0, as if no later step had a phase: at save index s,
-        prod_{k0<=i<s} mid_i U((s - k0) dt) yh, one multiply and one inverse."""
+        index k0 and before its path's abort, if any, from its unit state's
+        spectrum yh at k0, as if no later step had a phase: the unit state at
+        save index s is U((s - k0) dt) yh, one multiply and one inverse."""
         end = self.n_steps if self.stop[b] is None else self.stop[b].time_index - 1
-        saves = [s for s in sorted(self.save_set) if k0 < s <= end]
-        if saves:
-            factors = np.cumprod(self.mid_scalar[b, k0:end])
-            spec, v = self.spec[b], self.phys[b]
-            for s in saves:
+        spec, v = self.spec[b], self.phys[b]
+        for s in sorted(self.save_set):
+            if k0 < s <= end:
                 np.multiply(self.grid.propagator((s - k0) * self.params.dt), yh, out=spec)
-                spec *= factors[s - k0 - 1]
                 self.save(b, s, self.grid.inverse(spec, out=v))
 
     def varying_masses(self, b: int, k: int, v: np.ndarray) -> float:
@@ -608,11 +593,12 @@ class _Block:
                 (self.model.mu.real * path.increments[:, k]) @ w_j)
         return mass
 
-    def record(self, k: int, masses: np.ndarray, phys: np.ndarray) -> None:
+    def record(self, k: int, phys: np.ndarray) -> None:
         """Record time index k of every spatially varying row still marching
-        from its own mass and physical state ``phys``: where either mass is
-        non-finite the row stops after k with the reason (``failure``),
-        otherwise at a save index it hands its fields over (``save``)."""
+        from its physical state ``phys``: where either mass is non-finite the
+        row stops after k with the reason (``failure``), otherwise at a save
+        index it hands its fields over (``save``)."""
+        masses = self.cv * _squared_norms(phys, self.rot)
         for b in np.flatnonzero(self.end >= k).tolist():
             self.own[k, b] = masses[b]
             self.other[k, b] = self.varying_masses(b, k, phys[b]) \
@@ -622,23 +608,26 @@ class _Block:
             elif k in self.save_set:
                 self.save(b, k, phys[b])
 
-    def check(self, k: int, masses: np.ndarray, phys) -> None:
+    def check(self, k: int, phys: np.ndarray) -> None:
         """Check index k on every homogeneous row still marching whose check
-        index it is (module docstring), from its Parseval mass ``masses[b]``
-        and physical state ``phys``: a row that fails stops after k with
-        the reason; one that passes hands its fields over at a save index,
-        and finishes at its finish index unless k is its last."""
+        index it is (module docstring), from its physical unit state
+        ``phys``: a row whose mass is non-finite, or departs from 1 by more
+        than ``MASS_DEPARTURE`` per step where its identity mass exceeds
+        ``MASS_FLOOR``, stops after k with the reason; one that passes hands
+        its fields over at a save index, and finishes at its finish index
+        unless k is its last."""
         save = k in self.save_set
-        for b in np.flatnonzero(self.end >= k).tolist():
-            if not (save or self.finish[b] == k):
-                continue
-            mass, own = float(masses[b]), float(self.own[k, b])
-            departure = abs(mass / own - 1.0) if own > MASS_FLOOR else 0.0
+        rows = [b for b in np.flatnonzero(self.end >= k).tolist()
+                if save or self.finish[b] == k]
+        masses = self.cv * _squared_norms(phys, self.rot) if rows else None
+        for b in rows:
+            mass = float(masses[b])
+            departure = abs(mass - 1.0) if self.own[k, b] > MASS_FLOOR else 0.0
             if not math.isfinite(mass):
                 self.stop_after(b, k, _abort_at("non-finite state", k))
             elif departure > MASS_DEPARTURE * (k + 1):
                 self.stop_after(b, k, _abort_at(
-                    f"Parseval mass departs from the identity by {departure:.3g}", k))
+                    f"mass departs from the identity by {departure:.3g}", k))
             else:
                 if save:
                     self.save(b, k, phys[b])
@@ -661,21 +650,25 @@ class _Block:
 
     def save(self, b: int, k: int, v: np.ndarray) -> None:
         """Hand row b's X field at save index k, built once from its physical
-        state v, to its snapshot callable, and at the last index keep it and
-        y.  Both masses are finite here, so the fields are built without a
-        finiteness scan."""
-        # v is the march's scratch: the X field gets its own copy
-        x = _trusted_field(v.copy() if self.direct else v * np.exp(self.m_value(b, k)),
-                           self.grid)
+        state v (a homogeneous row's unit state), to its snapshot callable,
+        and at the last index keep it and y.  Both masses are finite here, so
+        the fields are built without a finiteness scan."""
+        if self.homogeneous:
+            # the state's scale, and e^M between X and y
+            scale, m = self.hand[b][k], np.exp(self.m_value(b, k))
+            x = v * (scale if self.direct else scale * m)
+        else:
+            x = v.copy()  # v is the march's scratch
+        x = _trusted_field(x, self.grid)
         if self.snapshots is not None:
             self.snapshots[b](k, float(self.paths[b].times[k]), x)
         if k == self.n_steps:
-            if self.direct:  # y = v e^{-M}, built in place
+            if self.homogeneous:
+                y = v * (scale / m if self.direct else scale)
+            else:  # y = v e^{-M}, built in place
                 y = self.m_field_values(b, k)
                 np.exp(np.negative(y, out=y), out=y)
                 np.multiply(v, y, out=y)
-            else:
-                y = v.copy()
             self.final_x[b] = x
             self.final_y[b] = _trusted_field(y, self.grid)
 
@@ -707,28 +700,27 @@ class _Block:
 
 def _march(block: _Block, x: ComplexField) -> None:
     """March a block from x: spectral state at integer times, two transforms
-    per step (Strang with spatially varying noise: three), Parseval masses
-    at every index (varying) or at the check indices (homogeneous).  Strang
-    steps lead and trail with the half linear flow, Lie steps lead with the
-    full one.  Row b of every buffer and table is ``paths[b]``; a row is
-    recorded up to its end and stepped but skipped after it, and the march
-    ends at ``block.last``, once every row has stopped."""
-    grid, n_steps, save_set = block.grid, block.n_steps, block.save_set
+    per step, and one more at an index whose masses or checks need the
+    physical state after a Strang step.  A homogeneous row marches its unit
+    state, x / sqrt(mass).  Strang steps lead and trail with the half linear
+    flow, Lie steps lead with the full one.  Row b of every buffer and table
+    is ``paths[b]``; a row is recorded up to its end and stepped but skipped
+    after it, and the march ends at ``block.last``, once every row has
+    stopped."""
+    grid, n_steps = block.grid, block.n_steps
     strang = block.params.splitting == "strang"
     half = block.lin_half
     lead, trail = (half, half) if strang else (half * half, None)
-    parseval = grid.cell_volume / grid.size
-    yh, spec, u, rot = block.yh, block.spec, block.phys, block.rot
+    yh, spec, u = block.yh, block.spec, block.phys
+    neg_coef = block.neg_coef
     record = block.check if block.homogeneous else block.record
 
     u[:] = x.values
+    mass = x.mass
+    if block.homogeneous and mass > 0:
+        u /= math.sqrt(mass)
     grid.forward(u, out=yh)
-    record(0, np.full(len(block.paths), x.mass), u)
-    # the per-row tables the step reads: the multipliers e^{a + ib}
-    # (homogeneous) or the noise coefficient blocks, the Strang phase
-    # factors, and the phase coefficients
-    mult = block.mid_scalar if block.homogeneous else block.noise_coefs
-    factor, neg_coef = block.phase_factor, block.neg_coef
+    record(0, u)
 
     for k in range(n_steps):
         if k >= block.last:
@@ -737,20 +729,13 @@ def _march(block: _Block, x: ComplexField) -> None:
         grid.inverse(spec, out=u)
         coef = None if neg_coef is None else neg_coef[:, k:k + 1]
         if block.homogeneous:
-            block.pointwise_step(u, coef, None if factor is None else factor[:, k:k + 1],
-                                 mult[:, k:k + 1], None)
+            block.pointwise_step(u, coef)
         else:
-            block.pointwise_step(u, coef, *block.noise_factors(k, mult[:, k]))
+            block.pointwise_step(u, coef, *block.noise_factors(k, block.noise_coefs[:, k]))
         if trail is None:
             grid.forward(u, out=yh)
         else:
             grid.forward(u, out=spec)
             np.multiply(trail, spec, out=yh)
-
-        if block.homogeneous and k + 1 not in block.checks:
-            continue
-        if block.homogeneous and k + 1 not in save_set:
-            phys = None
-        else:
-            phys = u if trail is None else grid.inverse(yh, out=u)
-        record(k + 1, parseval * _squared_norms(yh, rot), phys)
+        if not block.homogeneous or k + 1 in block.checks:
+            record(k + 1, u if trail is None else grid.inverse(yh, out=u))

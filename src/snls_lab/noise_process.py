@@ -192,6 +192,12 @@ class NoiseModel:
             if len(items) != mu.size:
                 raise ValueError(f"{name}: {len(items)} entries for {mu.size} coefficients")
         self.mu = mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.ito_correction)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise ValueError(f"coefficients: the Ito correction (mu_j^2 + |mu_j|^2)/2 of "
+                             f"mu_{j} = {mu[j]} overflows a double")
 
     @property
     def n_components(self) -> int:

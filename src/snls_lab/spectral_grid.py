@@ -250,11 +250,13 @@ def norm_L2(field: ComplexField) -> float:
 
 def spectral_tail_fraction(field: ComplexField) -> float:
     """Fraction of spectral mass carried by the top 10% of |k| values."""
-    vh = field.grid.forward(field.values)
-    power = np.abs(vh) ** 2
-    total = power.sum()
-    if total == 0.0:
+    # squared relative to the largest |vh|, so that no square overflows
+    mag = np.abs(field.grid.forward(field.values))
+    top = mag.max()
+    if top == 0.0:
         return 0.0
+    power = np.square(mag / top)
+    total = power.sum()
     ksq = field.grid.k_squared
     shell = ksq >= (0.81 * ksq.max())  # |k| >= 0.9 * |k|_max
     return float(power[shell].sum() / total)

@@ -7,10 +7,12 @@
 * The step-by-step recorder: every check and sum of a run taken at each
   time index as the march reaches it, raising at the first failing one.
   The march records the same values and stops a row at the same index with
-  the same message, so the two agree bit for bit.  A homogeneous run's
-  masses come from its mass identity, and its Parseval mass is checked
-  against it at the check indices only.  ``fast_forward`` records a
-  homogeneous run's linear tail the same way, one index at a time.
+  the same message, so the two agree bit for bit.  A homogeneous run
+  marches its unit-mass state: its masses come from its mass identity, the
+  unit state's mass is checked against 1 at the check indices only, and
+  its fields are the unit state times one scalar per save index.
+  ``fast_forward`` records a homogeneous run's linear tail the same way,
+  one index at a time.
 * The free propagator applied to one field and the discrete L^p norm,
   which the two oracles above and below are built from.
 * The Duhamel quadrature and the mixed norm of the fixed-point iteration,
@@ -21,7 +23,8 @@
   the same operations in the same operand order, so the two agree bit for
   bit.
 
-It also holds ``const_model``, the homogeneous noise model the tests share.
+It also holds ``const_model``, the homogeneous noise model the tests share,
+and ``exponents``, the per-step exponents a + ib of a homogeneous path.
 """
 
 import math
@@ -40,6 +43,16 @@ def const_model(mu, v=1.0, alpha0=None, v_max=None):
     mu = np.atleast_1d(np.asarray(mu, dtype=complex))
     return NoiseModel(mu, [SpatialProfile("constant-one")] * mu.size,
                       [DensitySpec("constant", alpha0, v_max, value=v)] * mu.size)
+
+
+def exponents(model, params, path):
+    """Each step's spatially constant exponent a + ib of a homogeneous path,
+    whose multiplier e^{a + ib} is the noise (direct) or the damping
+    (rescaled) of ``params``' scheme, written as the march takes it."""
+    corr = model.ito_correction
+    if params.scheme == "direct":
+        return model.mu @ path.increments.astype(np.complex128) - corr @ path.dqv
+    return -(corr @ path.dqv)
 
 
 def free_propagator_apply(field, dt):
@@ -125,7 +138,9 @@ class StepRecorder:
     """Per-step recording of one path from x, each check made as its index
     is reached: ``record`` raises the abort, and ``accumulate_ito`` adds one
     step of the stochastic mass sum.  A homogeneous run's own mass is its
-    identity: the initial mass times the running product of |mid_k|^2."""
+    identity: the initial mass times the running product of |mid_k|^2, and
+    its state at index k is its unit state times sqrt(mass_k)
+    e^{i sum_{i<k} b_i}, with b_i the angle of mid_i."""
 
     def __init__(self, grid, block, params, n_steps, save_set, x, snapshot=None):
         self.grid = grid
@@ -145,28 +160,33 @@ class StepRecorder:
         # sum_j mu_j M_j(t_k), the homogeneous M
         self.m = block.paths[0].complex_series(block.model.mu)
         if block.homogeneous:
-            gains = np.abs(block.mid_scalar[0]) ** 2
+            expo = exponents(block.model, params, block.paths[0])
+            gains = np.abs(np.exp(expo)) ** 2
             self.identity = np.cumprod(np.concatenate([[x.mass], gains]))
-        # each index's Parseval mass, where the run took one
-        self.parseval = np.full(n_steps + 1, np.nan)
+            turn = np.concatenate([[0.0], np.cumsum(expo.imag)])
+            self.scale = np.sqrt(self.identity) * np.exp(1j * turn)
+        # each index's state mass (a homogeneous run's unit state's), where
+        # the run took one
+        self.masses = np.full(n_steps + 1, np.nan)
 
     def mass_of(self, values):
         return self.cv * float(_squared_norms(values))
 
     def record(self, k, v, mass=None):
-        """Record time index k given the physical state and its Parseval
-        mass, None where the run took none.  A homogeneous run takes its own
-        mass from the identity, and checks ``mass`` against it at its check
-        indices only: the save indices and its finish index.
+        """Record time index k given the physical state and its mass, None
+        where the run took none.  A homogeneous run's state is its unit
+        state: it takes its masses from the identity, and checks ``mass``
+        against 1 at its check indices only, the save indices and its finish
+        index.
 
         At a save index the X field goes to the snapshot callable; at the
         last index the (X, y) pair is kept.
         """
         block = self.block
-        self.parseval[k] = np.nan if mass is None else mass
+        self.masses[k] = np.nan if mass is None else mass
         if block.homogeneous:
             checked = k in self.save_set or k == block.finish[0]
-            mass, parseval = self.identity[k], mass if checked else None
+            mass, unit = self.identity[k], mass if checked else None
         if not np.isfinite(mass):
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
         rm = block.re_m[0, k]
@@ -192,22 +212,27 @@ class StepRecorder:
             ) from exc
         if not (np.isfinite(self.mass_x[k]) and np.isfinite(self.mass_y[k])):
             raise NumericalAbort(f"non-finite mass at time index {k}", time_index=k)
-        if block.homogeneous and parseval is not None:
-            if not np.isfinite(parseval):
+        if block.homogeneous and unit is not None:
+            if not np.isfinite(unit):
                 raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
-            departure = abs(parseval / mass - 1.0) if mass > MASS_FLOOR else 0.0
+            departure = abs(unit - 1.0) if mass > MASS_FLOOR else 0.0
             if departure > MASS_DEPARTURE * (k + 1):
-                raise NumericalAbort("Parseval mass departs from the identity by "
+                raise NumericalAbort("mass departs from the identity by "
                                      f"{departure:.3g} at time index {k}", time_index=k)
         if k not in self.save_set:
             return
-        x = v if self.direct else v * np.exp(self.m[k])
+        if block.homogeneous:
+            scale, m = self.scale[k], np.exp(self.m[k])
+            x = v * (scale if self.direct else scale * m)
+        else:
+            x = v
         if self.snapshot is not None:
             self.snapshot(k, float(block.paths[0].times[k]), ComplexField(x, self.grid))
         if k == self.n_steps:
-            m = np.full(self.grid.size, self.m[k]) if block.homogeneous \
-                else block.m_field_values(0, k)
-            y = v * np.exp(-m) if self.direct else v
+            if block.homogeneous:
+                y = v * (scale / m if self.direct else scale)
+            else:
+                y = v * np.exp(-block.m_field_values(0, k))
             self.final_x = ComplexField(x.copy(), self.grid)
             self.final_y = ComplexField(y.copy(), self.grid)
 
@@ -226,13 +251,12 @@ class StepRecorder:
 
 
 def fast_forward(run, yh, k0):
-    """Record the rest of a homogeneous run from its spectrum yh at index k0,
-    one index at a time, as if no later step had a phase: the state at a
-    save index s is prod_{k0<=i<s} mid_i U((s - k0) dt) yh.  Each index
+    """Record the rest of a homogeneous run from its unit state's spectrum
+    yh at index k0, one index at a time, as if no later step had a phase:
+    the unit state at a save index s is U((s - k0) dt) yh.  Each index
     takes the guard and the recorder's checks of the identity masses as a
-    marched step does; no Parseval mass is checked."""
-    block = run.block
-    factors, shape = np.cumprod(block.mid_scalar[0, k0:]), run.grid.shape
+    marched step does; no state mass is checked."""
+    block, shape = run.block, run.grid.shape
     for k in range(k0, run.n_steps):
         if abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
@@ -241,7 +265,6 @@ def fast_forward(run, yh, k0):
         v = None
         if k + 1 in run.save_set:
             spec = run.grid.propagator((k + 1 - k0) * block.params.dt) * yh
-            spec = spec * factors[k - k0]
             v = np.fft.ifftn(spec.reshape(shape)).ravel()
         run.record(k + 1, v)
 

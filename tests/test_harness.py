@@ -311,13 +311,15 @@ class TestRunKinds:
 
         monkeypatch.setattr(harness, "simulate_block", march)
         monkeypatch.setattr(harness, "simulate", march)
-        # omega is undefined for mu = i, and overflows a double for mu = 2e154
-        # (2 alpha0 mu^2 = 8e308), so no path may march, in an ensemble or in
-        # a simulate run with a decay fit
+        # omega is undefined for mu = i, and overflows a double for mu = 6e153
+        # with alpha0 = 4 (2 alpha0 mu^2 = 2.9e308, while the Ito correction
+        # mu^2 = 3.6e307 is finite), so no path may march, in an ensemble or
+        # in a simulate run with a decay fit
         for coefficient, message in [([0.0, 1.0], "decay rate undefined"),
-                                     (2e154, "noise.coefficients: .* overflows a double")]:
+                                     (6e153, "noise.coefficients: .* overflows a double")]:
             cfg = base_config(kind="ensemble", ensemble={"size": 2})
             cfg["noise"]["coefficients"] = [coefficient]
+            cfg["noise"]["densities"][0].update(value=4.0, alpha0=4.0, v_max=4.0)
             with pytest.raises(AssumptionVeto, match=message):
                 run_ensemble(RunConfig.from_dict(cfg), threads=1)
             with pytest.raises(AssumptionVeto, match=message):
@@ -335,8 +337,10 @@ class TestRunKinds:
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["config_echo.json"]
 
     def test_overflowing_decay_rate_exits_3(self, tmp_path):
+        # 2 alpha0 mu^2 = 2.9e308 overflows, the Ito correction 3.6e307 does not
         cfg = short_config("ensemble")
-        cfg["noise"]["coefficients"] = [2e154]
+        cfg["noise"]["coefficients"] = [6e153]
+        cfg["noise"]["densities"][0].update(value=4.0, alpha0=4.0, v_max=4.0)
         code, err = run_captured(cfg, tmp_path)
         assert code == EXIT_ASSUMPTION_VETO, err
         assert err.startswith("assumption veto: ") and "Traceback" not in err
@@ -1056,6 +1060,11 @@ MALFORMED = {
     # |k|^2 t overflows
     "picard_horizon_subnormal": ("picard", {"picard.horizon": 5e-324}, "picard.horizon"),
     "picard_horizon_huge": ("picard", {"picard.horizon": 1e308}, "picard.horizon"),
+    # (mu^2 + |mu|^2)/2 overflows: inf for mu = 1e200, inf - inf for mu = 1e200 i
+    "ito_correction_overflows": ("picard", {"noise.coefficients": [1e200]},
+                                 "noise.coefficients"),
+    "ito_correction_overflows_imaginary": ("picard", {"noise.coefficients": [[0, 1e200]]},
+                                           "noise.coefficients"),
     "picard_nodes_few": ("picard", {"picard.nodes": 4}, "picard.nodes"),
     "initial_kind_unknown": ("simulate", {"initial.kind": "bogus"}, "initial.kind"),
     "initial_width_zero": ("simulate", {"initial.width": 0.0}, "initial.width"),
@@ -1111,6 +1120,25 @@ class TestMalformedConfigs:
             code = run(path, out_dir=str(tmp_path / "out"), threads=1)
         assert code == EXIT_CONFIG_ERROR, err.getvalue()
         assert f"config error: config: invalid JSON in {path}" in err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@pytest.mark.parametrize("leaves", [{}, DIRECT, {**DIRECT, "noise.profiles[0]": BUMP_PROFILE}],
+                         ids=["rescaled", "direct", "direct_bump"])
+def test_state_whose_spectral_sum_overflows_exits_0(tmp_path, leaves):
+    # mass 1e306 on 1,024 points: the spectrum's sum of squares, N/cv times
+    # the mass, overflows a double while the mass does not.  Every mass is
+    # taken from the physical state and the resolution check squares
+    # |vh| / max |vh|, so each run ends with exit 0 and no numpy warning
+    # (which the test configuration turns into an error)
+    cfg = short_config()
+    cfg["grid"]["points"] = 1024
+    cfg["initial"]["l2_norm"] = 1e153
+    cfg["diagnostics"] = {}
+    for dotted, value in leaves.items():
+        put(cfg, dotted, copy.deepcopy(value))
+    code, err = run_captured(cfg, tmp_path)
+    assert code == EXIT_OK, err
 
 
 # An output file of each kind and the run that writes it: the config echo,

@@ -16,6 +16,7 @@ from reference import (
     StepRecorder,
     const_model,
     damping_step,
+    exponents,
     fast_forward,
     free_propagator_apply,
     noise_step_direct,
@@ -139,12 +140,11 @@ class TestNoiseStepDirect:
 
     def test_mean_mass_ratio_over_samples(self):
         # E[e^{2 delta - 2 v}] = 1 for delta ~ N(0, v); 1e4 single steps of
-        # the mass ratio |mid|^2 the march multiplies each row by
-        g = make_grid(1, 8, np.pi)
+        # the mass ratio |mid|^2 a homogeneous row's mass identity takes
         m = const_model(1.0)
         p = sample_martingale(m, 1e-2, 10000, 77)
         params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=100.0, scheme="direct")
-        ratios = np.abs(_Block(g, m, params, [p]).mid_scalar[0]) ** 2
+        ratios = np.abs(np.exp(exponents(m, params, p))) ** 2
         assert ratios.size == 10000
         assert 0.98 <= ratios.mean() <= 1.02
 
@@ -382,20 +382,21 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
                      sums=None):
     """Strang march of one path with every check and sum taken step by step:
     the oracle each row of a block must match bit for bit.  A homogeneous
-    run fast-forwards at its finish index, as the march does, unless
-    ``jump`` is False; then it marches every step, ``angles``, a list,
-    receives each step's largest |merged phase angle|, and ``sums`` each
-    step-start spectrum's (1/N) sum |yh|.  The recorder's ``parseval``
-    holds the Parseval mass of every marched index."""
+    run marches its unit state from x / sqrt(mass) and fast-forwards at its
+    finish index, as the march does, unless ``jump`` is False; then it
+    marches every step, ``angles``, a list, receives each step's largest
+    |phase angle|, and ``sums`` each step-start spectrum's (1/N) sum |yh|.
+    The recorder's ``masses`` holds the state mass of every marched index."""
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
     block = _Block(grid, model, params, [path], mass=x.mass)
     run = StepRecorder(grid, block, params, n_steps, save_set, x, snapshot)
     shape, half = grid.shape, block.lin_half
-    parseval = grid.cell_volume / grid.size
 
     phys = x.values.copy()
+    if block.homogeneous and x.mass > 0:
+        phys = phys / math.sqrt(x.mass)
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
@@ -409,15 +410,12 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
                                  f"{k + 1}", time_index=k + 1)
         run.accumulate_ito(k, phys)
         u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
-        # the multiplier e^{a + ib} and both half phases: the second half
-        # phase sees the modulus |u| e^a.  A varying row rotates once by the
-        # merged angle; a homogeneous row rotates by the phase alone, then
-        # takes e^{a + ib} as one factor.
-        if block.homogeneous:
-            mid, theta = block.mid_scalar[0, k], None
-            if block.phase_on:
-                ea, f = np.abs(mid), block.phase_factor[0, k]
-        else:
+        # a homogeneous row only rotates its unit state, its masses folded
+        # into its coefficient; a varying row takes the multiplier e^{a + ib}
+        # and both half phases in one rotation, the second half phase seeing
+        # the modulus |u| e^a
+        theta = None
+        if not block.homogeneous:
             a, theta = block.noise_coefs[0, k] @ block.profile_table
             if a.max() > OVERFLOW_GUARD or a.min() < -OVERFLOW_GUARD:
                 raise NumericalAbort("noise exponent exceeds the overflow guard at "
@@ -428,11 +426,11 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
             if block.pow_half != 1.0:
                 amp = amp**block.pow_half
             c = block.neg_coef[0, k]
-            if np.isinf(f).any():
+            if block.homogeneous:
+                phases = amp * c
+            elif np.isinf(f).any():
                 # e^{(alpha-1) a} overflows: |u e^a|^{alpha-1} directly
                 phases = (((u.real**2 + u.imag**2) * ea * ea) ** block.pow_half + amp) * c
-            elif block.homogeneous:
-                phases = amp * (f * c)
             else:
                 phases = f * amp * c
             theta = phases if theta is None else theta + phases
@@ -441,14 +439,11 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
         if block.homogeneous:
             if theta is not None:
                 u *= np.exp(1j * theta)
-            u *= mid
         else:
             u *= ea * np.exp(1j * theta)
         yh = half * np.fft.fftn(u.reshape(shape)).ravel()
-        mass = parseval * float(_squared_norms(yh))
-        if k + 1 in save_set or not block.homogeneous:
-            phys = np.fft.ifftn(yh.reshape(shape)).ravel()
-        run.record(k + 1, phys, mass)
+        phys = np.fft.ifftn(yh.reshape(shape)).ravel()
+        run.record(k + 1, phys, run.mass_of(phys))
     return run
 
 
@@ -580,7 +575,7 @@ class TestBlockMarch:
         grid, model, params = BLOCK_CASES["abort_rescaled"]
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
-        for finish, steps in ((lambda mid, *_: mid.size, 10),
+        for finish, steps in ((lambda coef, *_: coef.size, 10),
                               (integrator._finish_index, 1)):
             monkeypatch.setattr(integrator, "_finish_index", finish)
             calls.clear()
@@ -681,6 +676,23 @@ class TestBlockMarch:
         assert len(kept) > 2
         assert_same_snapshots(kept, want)
 
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("case", ["direct_bump", "direct_bump_3d"])
+    def test_handed_over_fields_have_the_recorded_mass(self, case, splitting):
+        # every mass is cv sum |v|^2 of the physical state, as
+        # ComplexField.mass takes it, so each X a varying row hands over has
+        # its record's mass_x bit for bit
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, save_every=1, splitting=splitting)
+        seen = [[] for _ in range(3)]
+        rows = simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
+                              sampled(model, params, range(3)),
+                              snapshots=[lambda k, t, f, got=got: got.append((k, f.mass))
+                                         for got in seen])
+        for row, got in zip(rows, seen):
+            assert [k for k, _ in got] == list(range(params.n_steps + 1))
+            assert [mass for _, mass in got] == row.mass_x.tolist()
+
     @pytest.mark.parametrize("case, per_step, last", [("direct_bump", 2, 0),
                                                       ("rescaled", 1, 1)],
                              ids=["direct_bump", "rescaled"])
@@ -746,19 +758,19 @@ class TestFastForward:
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_finish_index_not_before_the_spectral_test(self, case):
-        # The finish index reads sqrt(mass_k / cv) where the spectral test
-        # reads S_k = (1/N) sum |yh_k| of the marched state, tested here at
-        # every step: S_k^{alpha-1} R_k < 2^-63, with
-        # R_k = |c_k| F_k + |mid_k|^{alpha-1} R_{k+1}.  Cauchy-Schwarz makes
-        # S_k the smaller, so the finish index is never the earlier; over
-        # these 24 rows it was 1.006-1.054 times the spectral index.
+        # The finish index reads cv^{-1/2}, the root of the unit mass over cv,
+        # where the spectral test reads S_k = (1/N) sum |yh_k| of the marched
+        # unit state, tested here at every step: S_k^{alpha-1} R_k < 2^-63,
+        # with R_k = sum_{j>=k} |c_j| over the row's coefficients, its masses
+        # folded in.  Cauchy-Schwarz makes S_k the smaller, so the finish
+        # index is never the earlier; over these 24 rows it was 1.006-1.054
+        # times the spectral index.
         block, marches = full_marches(case)
         power = BLOCK_CASES[case][2].alpha - 1.0
         for b, (_, sums) in enumerate(marches):
             tail, spectral = 0.0, []
             for k in reversed(range(len(sums))):
-                tail = abs(block.neg_coef[b, k]) * block.phase_factor[b, k] \
-                    + abs(block.mid_scalar[b, k]) ** power * tail
+                tail = abs(block.neg_coef[b, k]) + tail
                 spectral.append(sums[k] ** power * tail < 2.0 ** -63)
             first = spectral[::-1].index(True)
             assert first <= block.finish[b] == block.end[b], b
@@ -766,16 +778,16 @@ class TestFastForward:
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_jump_matches_full_march(self, case):
         # the record (identity masses, the final state fast-forwarded)
-        # against a march of every step with its Parseval masses.  Measured
-        # over these 24 rows: masses 6.6e-13 relative, final y 1.2e-13 in
-        # relative L2 and the Lyapunov exponent 6.6e-14
+        # against a march of every step, whose unit state's mass is the
+        # ratio of the marched mass to the identity.  Measured over these 24
+        # rows: masses 6.6e-13 relative, final y 1.2e-13 in relative L2 and
+        # the Lyapunov exponent 6.6e-14
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(8))
         for path, rec in zip(paths, simulate_block(grid, model, params, x, paths)):
             full = reference_strang(grid, model, params, x, path, jump=False)
-            own = rec.mass_x if params.scheme == "direct" else rec.mass_y
-            ratio = full.parseval / own
+            ratio = full.masses
             assert np.abs(ratio - 1.0).max() <= 1e-12
             want = full.final_y.values
             assert np.linalg.norm(rec.final_y.values - want) <= 5e-13 * np.linalg.norm(want)
@@ -800,19 +812,45 @@ class TestFastForward:
         for b, rec in enumerate(simulate_block(grid, model, params, x, paths)):
             own, other = (rec.mass_x, rec.mass_y) if params.scheme == "direct" \
                 else (rec.mass_y, rec.mass_x)
-            gains = np.abs(tables.mid_scalar[b]) ** 2
+            gains = np.abs(np.exp(exponents(model, params, paths[b]))) ** 2
             assert np.array_equal(own, np.cumprod([x.mass, *gains]))
             weights = [math.exp(sign * r) for r in tables.re_m[b]]
             assert np.array_equal(other, np.multiply(weights, own))
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
+    def test_coefficients_fold_in_the_mass(self, case, splitting):
+        # a homogeneous row rotates its unit state by -c_k (m_k^p + m_{k+1}^p)
+        # |w|^{alpha-1} (Strang) or -c_k m_k^p |w|^{alpha-1} (Lie): c_k is the
+        # plain phase coefficient lam e^{(alpha-1) Re M_k} dt/2 (Strang) or
+        # lam e^{(alpha-1) Re M_k} dt (Lie), with Re M = 0 on the direct
+        # scheme, m_k the identity mass and p = (alpha-1)/2
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting=splitting)
+        x = gaussian_field(grid, width=1.0)
+        paths = sampled(model, params, range(2))
+        block = _Block(grid, model, params, paths, mass=x.mass)
+        if params.lam == 0:
+            assert block.neg_coef is None
+            return
+        p, strang = (params.alpha - 1.0) / 2.0, splitting == "strang"
+        for b, path in enumerate(paths):
+            re_m = path.real_part_series(model.mu)[:-1] if params.scheme == "rescaled" \
+                else 0.0
+            c = params.lam * np.exp(2.0 * p * re_m) * params.dt * (0.5 if strang else 1.0)
+            log_mass = np.cumsum([math.log(x.mass), *(2.0 * exponents(model, params, path).real)])
+            scale = np.exp(p * log_mass)
+            want = -c * (scale[:-1] + scale[1:] if strang else scale[:-1])
+            assert np.allclose(block.neg_coef[b], want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("splitting", SPLITTINGS)
+    @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
     def test_marched_mass_at_finish_follows_the_multipliers(self, case, splitting):
-        # The record's masses and the finish index read the mass from
-        # ||x||^2 prod |mid_i|^2, not from the state, so the state's
-        # Parseval mass where the row stops marching (its finish index, or
-        # the last index) must be that mass up to rounding: it read at most
-        # 3.2e-16 per step over these rows
+        # The record's masses, the coefficients and the hand-over read the
+        # mass from ||x||^2 prod |mid_i|^2, not from the state, so the unit
+        # state's Parseval mass where the row stops marching (its finish
+        # index, or the last index) must be 1 up to rounding: it read at
+        # most 3.2e-16 per step over these rows
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
@@ -822,8 +860,7 @@ class TestFastForward:
             k, yh = block.tails.get(b, (int(block.end[b]), block.yh[b]))
             assert k == block.end[b]
             marched = grid.cell_volume / grid.size * float(_squared_norms(yh))
-            planned = x.mass * math.exp(np.log(np.abs(block.mid_scalar[b, :k]) ** 2).sum())
-            assert abs(marched / planned - 1.0) <= 2e-15 * (k + 1)
+            assert abs(marched - 1.0) <= 2e-15 * (k + 1)
 
     def test_rows_finish_at_their_own_index(self, monkeypatch):
         # rows 0-3 of "fast_forward" finish at indices 207, 194, 222 and 193,
@@ -856,16 +893,17 @@ class TestFastForward:
     @pytest.mark.parametrize("snapshots, first", [(False, [207, 194, 222, 193]),
                                                   (True, [1, 1, 1, 1])])
     def test_scaled_multiplier_trips_the_check(self, monkeypatch, snapshots, first):
-        # a homogeneous multiplier off by 1 + 1e-9 departs from the identity
-        # by about 2e-9 per step, far past MASS_DEPARTURE: each row stops at
-        # its first check index after a step (its finish index, or index 1
-        # when every index is a save index), with nothing of it handed over
+        # a homogeneous step off by a factor 1 + 1e-9 departs from the
+        # identity by about 2e-9 per step, far past MASS_DEPARTURE: each row
+        # stops at its first check index after a step (its finish index, or
+        # index 1 when every index is a save index), with nothing of it
+        # handed over
         original = _Block.pointwise_step
 
-        def scaled(self, u, neg_coef, factor, scale, b):
-            if b is None:
-                scale = scale * (1.0 + 1e-9)
-            original(self, u, neg_coef, factor, scale, b)
+        def scaled(self, u, neg_coef, *varying):
+            original(self, u, neg_coef, *varying)
+            if not varying:
+                u *= 1.0 + 1e-9
         monkeypatch.setattr(_Block, "pointwise_step", scaled)
         grid, model, params = BLOCK_CASES["fast_forward"]
         keeps = [collector() for _ in range(4)]
@@ -874,27 +912,30 @@ class TestFastForward:
                               snapshots=[keep for keep, _ in keeps] if snapshots else None)
         assert [row.time_index for row in rows] == first
         for row, k, (_, seen) in zip(rows, first, keeps):
-            assert re.fullmatch(r"Parseval mass departs from the identity by "
+            assert re.fullmatch(r"mass departs from the identity by "
                                 rf"\S+ at time index {k}", str(row)), str(row)
             assert [s for s, _, _ in seen] == ([0] if snapshots else [])
 
-    @pytest.mark.parametrize("save_every, index", [(None, 3), (2, 2)])
-    def test_parseval_overflow_stops_at_the_next_check_index(self, save_every, index):
+    @pytest.mark.parametrize("save_every", [None, 2])
+    def test_state_whose_spectral_sum_overflows_runs(self, save_every):
         # mass 1e302 on 1,024 points, times e^10 by step 0's multiplier: the
-        # Parseval sum N/cv mass overflows a double from index 1 on while
-        # the identity mass stays finite, so the row stops at its first
-        # check index after 0 (a Parseval sum at every index stops it at 1)
+        # Parseval sum N/cv mass of the physical state overflows a double
+        # from index 1 on while its mass stays finite.  The row marches its
+        # unit state and checks masses in physical space, so it runs to the
+        # end, and each field it hands over has the record's mass.
         grid = make_grid(1, 1024, 16.0)
         x = gaussian_field(grid, width=1.0, l2_norm=1e151)
         params = SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.03, scheme="direct",
                            save_every=save_every)
-        keep, seen = collector()
+        seen = []
         row, = simulate_block(grid, const_model(1.0), params, x,
                               [handmade_path([[5.0, 0.0, 0.0]], 0.01)],
-                              snapshots=None if save_every is None else [keep])
-        assert (str(row), row.time_index) == (f"non-finite state at time index {index}",
-                                              index)
-        assert [k for k, _, _ in seen] == ([] if save_every is None else [0])
+                              snapshots=[lambda k, t, f: seen.append((k, f.mass))])
+        assert not isinstance(row, NumericalAbort), row
+        assert row.mass_x[-1] == pytest.approx(1e302 * math.exp(10.0), rel=1e-12)
+        assert [k for k, _ in seen] == ([0, 1, 2, 3] if save_every is None else [0, 2, 3])
+        for k, mass in seen:
+            assert mass == pytest.approx(row.mass_x[k], rel=1e-13)
 
     def test_without_phase_finishes_at_once(self, monkeypatch):
         # lambda = 0: no step is marched, and the tail is the whole run
@@ -916,11 +957,9 @@ class TestFastForward:
         block = _Block(grid, model, params, paths, saves)
         for b, path in enumerate(paths):
             series = path.complex_series(model.mu)
-            assert block.m_saved[b].keys() == saves
+            assert block.m_saved[b].keys() == block.hand[b].keys() == saves
             for k in saves:
                 assert block.m_value(b, k) == series[k]
-                assert np.array_equal(block.m_field_values(b, k),
-                                      np.full(grid.size, series[k]))
 
 
 def handmade_path(increments, dt):

@@ -151,9 +151,13 @@ class TestNoiseField:
         assert np.all(out == 0.0)
 
     def test_constant_profile_substitution(self):
+        # a constant-one component next to a bump with mu = 0: the field is
+        # the constant component's mu M_j alone
         g = make_grid(1, 16, 2.0)
-        m = NoiseModel(np.array([2.0 + 1.0j]), [SpatialProfile("constant-one")],
-                       [DensitySpec("constant", value=1.0)])
+        m = NoiseModel(np.array([2.0 + 1.0j, 0.0]),
+                       [SpatialProfile("constant-one"),
+                        SpatialProfile("gaussian-bump", width=1.0)],
+                       [DensitySpec("constant", value=1.0)] * 2)
         p = sample_martingale(m, 1e-3, 10, 0)
         p.values[0, 5] = 0.5  # pin the component value
         out = self.block(m, p, g, saves={5}).m_field_values(0, 5)

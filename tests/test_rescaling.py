@@ -1,6 +1,7 @@
 """The change of variables y = e^{-M} X and its damping potential, as the
 integrator carries them: the final (X, y) pair of a run and the rescaled
-scheme's per-step multiplier exp(-gamma dt)."""
+scheme's per-step multiplier exp(-gamma dt), as a homogeneous row's mass
+identity and hand-over phase carry it."""
 
 import numpy as np
 import pytest
@@ -45,9 +46,17 @@ def direct_run(seed, model=None):
     return simulate(GRID, model or bump_model(), params, X0, seed=seed)
 
 
-def rescaled_block(model, dt=1e-2, steps=10, seed=0):
+def rescaled_factors(model, dt=1e-2, steps=10, seed=0):
+    """exp(-gamma dt) of each step of one rescaled path, as the block built
+    from a unit mass carries it: its modulus squared is the ratio of
+    consecutive identity masses, its angle the step of the hand-over phase
+    (every index a save index)."""
     params = SimParams(lam=1, alpha=3.0, dt=dt, t_final=dt * steps, scheme="rescaled")
-    return _Block(GRID, model, params, [sample_martingale(model, dt, steps, seed)])
+    block = _Block(GRID, model, params, [sample_martingale(model, dt, steps, seed)],
+                   set(range(steps + 1)))
+    mass = block.mass_y[0]
+    turn = np.angle([block.hand[0][k] for k in range(steps + 1)])
+    return np.sqrt(mass[1:] / mass[:-1]), np.diff(turn)
 
 
 class TestRoundTrip:
@@ -94,13 +103,14 @@ class TestPotentialFields:
     gamma = (1/2) sum_j (|mu_j|^2 + mu_j^2) V_j, in closed form."""
 
     def test_purely_imaginary_coefficient_kills_gamma(self):
-        block = rescaled_block(const_model(1j))
-        assert np.abs(block.mid_scalar[0] - 1.0).max() <= 1e-15
+        modulus, angle = rescaled_factors(const_model(1j))
+        assert np.abs(modulus - 1.0).max() <= 1e-15
+        assert np.abs(angle).max() <= 1e-15
 
     def test_unit_coefficient_gamma(self):
-        block = rescaled_block(const_model(1.0))
-        assert np.allclose(block.mid_scalar[0], np.exp(-1e-2), rtol=1e-15, atol=0.0)
-        assert np.all(block.mid_scalar[0].imag == 0.0)
+        modulus, angle = rescaled_factors(const_model(1.0))
+        assert np.allclose(modulus, np.exp(-1e-2), rtol=1e-15, atol=0.0)
+        assert np.all(angle == 0.0)
 
     def test_gamma_real_part_identity(self):
         # Re gamma = sum_j (Re mu_j)^2 V_j and Im gamma = sum_j Re mu_j Im mu_j V_j,
@@ -110,11 +120,9 @@ class TestPotentialFields:
                            [DensitySpec("constant", value=1.0),
                             DensitySpec("tabulated", times=[0.0, 1.0], values=[1.0, 3.0])])
         dt = 1e-2
-        block = rescaled_block(model, dt=dt, steps=50, seed=1)
+        modulus, angle = rescaled_factors(model, dt=dt, steps=50, seed=1)
         t = dt * np.arange(50)
         v = np.stack([np.ones(50), 1.0 + 2.0 * t])
         gamma = (mu.real**2 + 1j * mu.real * mu.imag) @ v
-        assert np.allclose(-np.log(np.abs(block.mid_scalar[0])), gamma.real * dt,
-                           rtol=1e-12, atol=0.0)
-        assert np.allclose(-np.angle(block.mid_scalar[0]), gamma.imag * dt,
-                           rtol=1e-12, atol=0.0)
+        assert np.allclose(-np.log(modulus), gamma.real * dt, rtol=1e-12, atol=0.0)
+        assert np.allclose(-angle, gamma.imag * dt, rtol=1e-12, atol=0.0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionVeto, NumericalAbort
-from .integrator import MASS_FLOOR, SolutionRecord
+from .integrator import MASS_FLOOR, MassIdentity, SolutionRecord
 from .noise_process import NoiseModel
 
 #: Fraction of the horizon excluded from the head of a default fit window.
@@ -134,9 +134,10 @@ def fit_log_slope(times, values, window: tuple | None = None) -> tuple[float, tu
     return float(slope), (t0, t1)
 
 
-def decay_fit(record: SolutionRecord, model: NoiseModel,
+def decay_fit(record: SolutionRecord | MassIdentity, model: NoiseModel,
               fit_window: tuple | None = None) -> DecayReport:
-    """Fit the decay of the recorded mass ||X||^2.
+    """Fit the decay of the recorded mass ||X||^2: a run's, or a homogeneous
+    path's mass identity.
 
     The report carries the model's omega (see :func:`omega`) and the
     verdict margin fitted_slope - (-omega).
@@ -164,7 +165,7 @@ def decay_fit(record: SolutionRecord, model: NoiseModel,
     return DecayReport(w, slope, lyap, lln, slope + w, window)
 
 
-def gronwall_check(record: SolutionRecord, model: NoiseModel) -> dict:
+def gronwall_check(record: SolutionRecord | MassIdentity, model: NoiseModel) -> dict:
     """Pathwise envelope check E0(t_k) <= e^{-omega t_k} E0(0) (1 + 1e-8)
     plus monotonicity of E0, evaluated at every recorded time."""
     w = omega(model)

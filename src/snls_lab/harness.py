@@ -66,7 +66,7 @@ from .errors import (
     ConfigError,
     NumericalAbort,
 )
-from .integrator import MAX_STEPS, SimParams, SolutionRecord, simulate, simulate_block
+from .integrator import MAX_STEPS, SimParams, SolutionRecord, identity_outcome, simulate
 from .mild_picard import PicardConfig, picard_iterate, strichartz_exponent
 from .noise_process import (
     DensitySpec,
@@ -535,95 +535,77 @@ def run_simulation(config: RunConfig,
     return record, report
 
 
-# Working-set budget of one ensemble block, in complex grid values: a block
-# marches at most this many values divided by n^d paths at once.
-BLOCK_BUDGET = 1 << 13
-
-
-def _ensemble_blocks(size: int, threads: int, points: int) -> list:
-    """Contiguous path-index blocks: one share per worker (the first
-    ``size % workers`` one path longer), each cut to the block budget."""
+def _ensemble_shares(size: int, threads: int) -> list:
+    """Contiguous path-index ranges, one per worker, of sizes that differ by
+    at most one."""
     workers = max(1, min(threads, size))
-    cap = max(1, BLOCK_BUDGET // points)
-    blocks, start = [], 0
-    for w in range(workers):
-        stop = start + size // workers + (w < size % workers)
-        blocks += [list(range(i, min(i + cap, stop))) for i in range(start, stop, cap)]
-        start = stop
-    return blocks
+    return [range(w * size // workers, (w + 1) * size // workers) for w in range(workers)]
 
 
 def _ensemble_member(args) -> list:
-    """One block of ensemble paths, marched together; module-level so process
-    pools can pickle it.  ``args`` is (built objects, master seed, fit window,
-    path indices).  Returns per-path dicts in index order."""
+    """One worker's share of ensemble paths, one path at a time, as per-path
+    dicts in index order; module-level so process pools can pickle it.
+    ``args`` is (built objects, master seed, fit window, path indices)."""
     built, master_seed, fit_window, indices = args
+    return [_ensemble_path(built, fit_window, index, seeding.derive_seed(master_seed, index))
+            for index in indices]
+
+
+def _ensemble_path(built: Built, fit_window, index: int, seed: int) -> dict:
+    """One ensemble path's dict, every number of it from the path's mass
+    identity (``integrator.identity_outcome``)."""
     model, params = built.model, built.params
-    paths = [sample_martingale(model, params.dt, params.n_steps,
-                               seeding.derive_seed(master_seed, index))
-             for index in indices]
-    # decay_fit and gronwall_check read only the scalar series.
-    outcomes = simulate_block(built.grid, model, params, built.x, paths)
-    per_path = []
-    for index, record in zip(indices, outcomes):
-        out: dict = {"index": index, "status": "ok"}
-        per_path.append(out)
-        if isinstance(record, NumericalAbort):
-            out["status"] = f"aborted at time index {record.time_index}"
-            continue
-        try:
-            report = decay_fit(record, model, fit_window)
-        except NumericalAbort as exc:
-            out["status"] = f"unfitted: mass underflows at time index {exc.time_index}"
-            continue
-        out.update({k: v for k, v in asdict(report).items()
-                    if k not in ("omega", "fit_window")},
-                   final_mass_x=float(record.mass_x[-1]),
-                   final_mass_y=float(record.mass_y[-1]))
-        if params.scheme == "rescaled":
-            env = gronwall_check(record, model)
-            out["gronwall_violations"] = env["violations"]
-            out["e0_monotone"] = env["monotone"]
-    return per_path
+    path = sample_martingale(model, params.dt, params.n_steps, seed)
+    identity = identity_outcome(built.grid, model, params, built.x, path)
+    out: dict = {"index": index, "status": "ok"}
+    if isinstance(identity, NumericalAbort):  # the path's abort
+        out["status"] = f"aborted at time index {identity.time_index}"
+        return out
+    try:
+        report = decay_fit(identity, model, fit_window)
+    except NumericalAbort as exc:
+        out["status"] = f"unfitted: mass underflows at time index {exc.time_index}"
+        return out
+    out.update({k: v for k, v in asdict(report).items() if k not in ("omega", "fit_window")},
+               final_mass_x=float(identity.mass_x[-1]),
+               final_mass_y=float(identity.mass_y[-1]))
+    if params.scheme == "rescaled":
+        env = gronwall_check(identity, model)
+        out.update(gronwall_violations=env["violations"], e0_monotone=env["monotone"])
+    return out
 
 
 def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     """Monte Carlo ensemble over deterministically derived per-path seeds.
 
-    Paths run in contiguous index blocks, one share per worker, and each
-    block marches its paths as one array.  Every path is bitwise the same
-    whatever block it lands in, and aggregation is by path index, so the
-    report is byte-identical for any worker count.  A path that aborts, or
-    whose mass underflows before the fit window, is reported by its status
-    and left out of the quantiles.  At most one worker per core runs.
+    Paths run in contiguous index ranges, one share per worker.  An
+    ensemble's noise is homogeneous (omega vetoes any other), so each path's
+    numbers are its mass identity, an exact functional of the path; no field
+    is marched or checked.  Each path depends on its own seed alone, and
+    aggregation is by path index, so the report is byte-identical for any
+    worker count.  A path that aborts, or whose mass underflows before the
+    fit window, is reported by its status and left out of the quantiles.
+    At most one worker per core runs.
     """
     threads = min(threads, os.cpu_count() or 1)
-    # a run with no ensemble section marches one path
+    # a run with no ensemble section takes one path
     en = _leaves(config.ensemble or {"size": 1}, "ensemble")
     size, tol = en["size"], en["lyapunov_tolerance"]
-    # Every path's decay fit needs omega: veto before any path marches.
+    # Every path's decay fit needs omega: veto before any path is sampled.
     w = omega(config.built.model)
-    points = config.built.grid.size
-    jobs = [(config.built, config.seed, config.diagnostics.get("fit_window"), block)
-            for block in _ensemble_blocks(size, threads, points)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            blocks = list(pool.map(_ensemble_member, jobs))
+    jobs = [(config.built, config.seed, config.diagnostics.get("fit_window"), share)
+            for share in _ensemble_shares(size, threads)]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            shares = list(pool.map(_ensemble_member, jobs))
     else:
-        blocks = [_ensemble_member(job) for job in jobs]
-    per_path = [entry for block in blocks for entry in block]
+        shares = [_ensemble_member(job) for job in jobs]
+    per_path = [entry for share in shares for entry in share]
     lyaps = [p["lyapunov"] for p in per_path if p["status"] == "ok"]
     llns = [p["lln_ratio"] for p in per_path if p["status"] == "ok"]
     passing = sum(1 for v in lyaps if v <= -w + tol)
     frac = passing / len(lyaps) if lyaps else None  # no path could be fitted
-    return EnsembleReport(
-        size=size,
-        omega=w,
-        lyapunov=_quantiles(lyaps),
-        lln_ratio=_quantiles(llns),
-        fraction_passing=frac,
-        per_path=per_path,
-    )
+    return EnsembleReport(size, w, _quantiles(lyaps), _quantiles(llns), frac, per_path)
 
 
 def run_convergence(config: RunConfig) -> dict:

@@ -46,16 +46,17 @@ mass_k = mass_0 prod_{i<k} |e^{a_i + i b_i}|^2, and its state is
 u_k = sqrt(mass_k) e^{i sum_{i<k} b_i} w_k with w_k of unit mass.  The row
 marches w from x / sqrt(mass_0), and a rotation is all of its step: with
 p = (alpha-1)/2, by -c_k (mass_k^p + mass_{k+1}^p) |w|^{alpha-1} (Strang) or
--c_k mass_k^p |w|^{alpha-1} (Lie).  When the block is built, its own mass is
-written for every index as that running product, the other as the
-``math.exp`` weight of -2 Re M (direct) or 2 Re M (rescaled) times it, its
-phase coefficients with the masses folded in, and the scalar
+-c_k mass_k^p |w|^{alpha-1} (Lie).  ``mass_identity`` reads from the path
+alone both masses at every index (the other is the ``math.exp`` weight of
+-2 Re M, direct, or 2 Re M, rescaled, times the own), these coefficients
+and the path's abort; the block adds the scalar
 sqrt(mass_s) e^{i sum_{i<s} b_i} that takes w to the state at each save
-index s (times e^{M_s} for the X of a rescaled row); no multiplier is kept.
-The march takes w's mass only at the row's check indices, the save indices
-and its finish index, and stops the row there, before any field is handed
-over, where it is non-finite or departs from 1 by more than
-``MASS_DEPARTURE`` per step (where the identity mass exceeds ``MASS_FLOOR``).
+index s (times e^{M_s} for the X of a rescaled row).  The march takes w's
+mass only at the row's check indices, the save indices and its finish
+index, and stops the row there where it is non-finite or departs from 1 by
+more than ``MASS_DEPARTURE`` per step (where the identity mass exceeds
+``MASS_FLOOR``).  A run that needs no field, an ensemble path, takes its
+identity alone and marches nothing (``identity_outcome``).
 
 The row stops marching at its finish index, once its nonlinear phase is
 below rounding for the rest of the run, and fast-forwards.  By
@@ -81,8 +82,8 @@ squares, and the mass of y = X e^{-M(xi)} as cv sum |X|^2 e^{-2 Re M(xi)},
 a real weight, with its Ito increment from the same |X|^2, row by row; the
 complex y is built only at the last index.
 
-A row stops at its first index with a non-finite mass (read before any step
-on a homogeneous row), at a failed check, or before the step its guard
+A row stops at its first index with a non-finite mass (its identity's
+abort on a homogeneous row), at a failed check, or before the step its guard
 trips (|Re M| past ``OVERFLOW_GUARD`` on a homogeneous row, the noise
 exponent on a varying one): ``stop_after`` sets its end and abort, with the
 message and time index a step-by-step check gives, or, without an abort,
@@ -264,18 +265,15 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
              x: ComplexField, seed: int = 0,
              path: MartingalePath | None = None,
              snapshot=None) -> SolutionRecord:
-    """Integrate from x over [0, t_final] and record the run.
+    """Integrate from x over [0, t_final] and record the run: the one-path
+    call of :func:`simulate_block`.
 
     The noise path is sampled once from (model, dt, n_steps, seed) unless one
     is supplied, so paired runs can share it; ``seed`` is then unused.
-    Scalar series (masses, Re M, the stochastic mass sum) are recorded at
-    every step.  ``snapshot``, when given, is called as ``snapshot(k, t_k, X)``
-    with the X field at every ``save_every``-th time index (default about 512
-    over the run) and at the last one, in time order, as the run produces
-    them; X must not be modified, but it is a field the run never writes
-    again, so the callable may keep it without a copy.  The record keeps
-    only the final state.
-    This is the one-path call of :func:`simulate_block`.
+    ``snapshot``, when given, is called as ``snapshot(k, t_k, X)`` with the X
+    field at every ``save_every``-th time index (default about 512 over the
+    run) and at the last one, in time order; X must not be modified, but the
+    run never writes it again, so the callable may keep it without a copy.
     """
     if path is None:
         path = sample_martingale(model, params.dt, params.n_steps, seed)
@@ -347,21 +345,92 @@ def _finish_index(neg_coef: np.ndarray | None, scale: float) -> int:
     return int(passed.argmax()) if passed.any() else neg_coef.size
 
 
-def _exp_series(args: np.ndarray) -> list:
-    """``math.exp`` of every entry, +inf where it overflows: past
-    log(DBL_MAX), which is the largest argument it takes."""
+@dataclass
+class MassIdentity:
+    """A homogeneous path's mass identity at every index, also past its
+    abort: ``exponents`` are its steps' a + ib, ``neg_coef`` its phase
+    coefficients, masses folded in (None without a phase)."""
+
+    times: np.ndarray
+    mass_x: np.ndarray
+    mass_y: np.ndarray
+    re_m: np.ndarray
+    exponents: np.ndarray
+    neg_coef: np.ndarray | None
+    abort: NumericalAbort | None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # its abort reports an overflow
+def mass_identity(model: NoiseModel, params: SimParams, path: MartingalePath,
+                  mass: float) -> MassIdentity:
+    """A homogeneous path's mass identity from an initial mass, read from the
+    path alone (module docstring); its ``math.exp`` weights are +inf past
+    log(DBL_MAX).  Its abort names |Re M| past the guard, then a non-finite
+    own mass, an overflowing weight, then a non-finite other mass."""
+    direct = params.scheme == "direct"
+    mu, corr = model.mu, model.ito_correction
+    # every step's spatially constant exponent a + ib, the noise (direct) or
+    # the damping (rescaled)
+    expo = mu @ path.increments.astype(np.complex128) - corr @ path.dqv if direct \
+        else -(corr @ path.dqv)
+    re_m = path.real_part_series(mu)
+    own = np.cumprod(np.concatenate([[mass], np.square(np.abs(np.exp(expo)))]))
     top = math.log(np.finfo(float).max)
-    return [math.inf if a > top else math.exp(a) for a in args.tolist()]
+    weights = np.array([math.inf if a > top else math.exp(a)
+                        for a in ((-2.0 if direct else 2.0) * re_m).tolist()])
+    other = weights * own
+    neg_coef = None
+    if params.lam != 0:
+        scale = np.full(params.n_steps, float(params.lam)) if direct \
+            else params.lam * np.exp((params.alpha - 1.0) * re_m[:-1])
+        strang = params.splitting == "strang"
+        # -c, the rotation's coefficient of |u|^{alpha-1}, a half step's
+        # (Strang) or a full step's (Lie), times the unit state's scale:
+        # |u|^{alpha-1} is mass^{(alpha-1)/2} |w|^{alpha-1}, and the Strang
+        # step's second half phase sees the next mass
+        neg_coef = scale * (-0.5 * params.dt if strang else -params.dt)
+        m_pow = own ** (0.5 * (params.alpha - 1.0))
+        neg_coef *= m_pow[:-1] + m_pow[1:] if strang else m_pow[:-1]
+    abort = None
+    bad = (np.abs(re_m) > OVERFLOW_GUARD) | ~np.isfinite(other)
+    if bad.any():
+        k = int(bad.argmax())
+        abort = _abort_at("|Re M| exceeds the overflow guard" if abs(re_m[k]) > OVERFLOW_GUARD
+                          else "non-finite state" if not math.isfinite(own[k])
+                          else "mass reconstruction overflows" if math.isinf(weights[k])
+                          else "non-finite mass", k)
+    mass_x, mass_y = (own, other) if direct else (other, own)
+    return MassIdentity(path.times, mass_x, mass_y, re_m, expo, neg_coef, abort)
+
+
+def identity_outcome(grid: GridSpec, model: NoiseModel, params: SimParams,
+                     x: ComplexField, path: MartingalePath):
+    """What :func:`simulate_block` returns for one homogeneous path from x
+    when no index but the last is saved, without its fields: the path's
+    :class:`MassIdentity` (the record's series) or its abort.  The march
+    stops a row the identity lets through only where its unit state w or a
+    step's angle is non-finite.  By Cauchy-Schwarz |w|^2 <= 1/cv and step
+    k's angle is at most cv^{-p} |c_k|: where 1/cv and that bound, summed
+    before the path's abort, are finite, nothing is marched.  Otherwise the
+    angle depends on the field (a state on one point reaches the bound),
+    and the path is marched alone."""
+    identity = mass_identity(model, params, path, x.mass)
+    bound, coef = 1.0 / grid.cell_volume, identity.neg_coef
+    if coef is not None:
+        stop = None if identity.abort is None else identity.abort.time_index
+        bound += (float(np.abs(coef[:stop]).sum())
+                  * grid.cell_volume ** -(0.5 * (params.alpha - 1.0)))
+    if math.isfinite(bound):
+        return identity.abort or identity
+    outcome, = simulate_block(grid, model, params, x, [path])
+    return outcome if isinstance(outcome, NumericalAbort) else identity
 
 
 class _Block:
-    """The march's state for B paths on one grid, row b for ``paths[b]``: the
-    tables every path shares, built once; each path's tables, built path by
-    path and stacked as (B, ...) arrays; each row's series, end and stop; and
-    the scratch every step writes into.  ``mass`` is the initial state's,
-    from which homogeneous rows' masses and finish indices are read.  The
-    defaults build the tables alone: no save index, no snapshot and a unit
-    initial mass."""
+    """The march's state for B paths on one grid, row b for ``paths[b]``
+    (module docstring).  ``mass`` is the initial state's, from which
+    homogeneous rows' identities are read.  The defaults build the tables
+    alone: no save index, no snapshot and a unit initial mass."""
 
     def __init__(self, grid: GridSpec, model: NoiseModel, params: SimParams,
                  paths: list, save_set=frozenset(), snapshots: list | None = None,
@@ -372,18 +441,41 @@ class _Block:
         self.direct = params.scheme == "direct"
         self.cv = grid.cell_volume
         self.n_steps = n_steps = params.n_steps
-        dt, mu, alpha = params.dt, model.mu, params.alpha
+        dt, mu, rows = params.dt, model.mu, len(paths)
         self.lin_half = grid.propagator(0.5 * dt)
-        self.pow_half = 0.5 * (alpha - 1.0)
+        self.pow_half = 0.5 * (params.alpha - 1.0)
         self.phase_on = params.lam != 0
         self.strang_phase = self.phase_on and params.splitting == "strang"
-        self.neg_coef = None
-        corr = model.ito_correction
+        # sum_j mu_j M_j at the save indices, the only ones that read it (taken
+        # from the whole series: one entry's own product can differ from it in
+        # the last bit)
+        saves = sorted(save_set)
+        self.m_saved = [dict(zip(saves, path.complex_series(mu)[saves])) for path in paths]
+        self.final_x, self.final_y = [None] * rows, [None] * rows
+        self.end, self.stop, self.last = np.full(rows, n_steps), [None] * rows, n_steps
+        # finished row b -> (its finish index, its spectrum there)
+        self.tails = {}
+        # each homogeneous row's finish index, and the indices the march checks
+        self.finish, self.checks = [], frozenset()
         if self.homogeneous:
-            # every step's spatially constant exponent a + ib, the damping
-            # (rescaled) or the noise (direct): one entry per path and step
-            expo = np.array([mu @ p.increments.astype(np.complex128) - corr @ p.dqv
-                             if self.direct else -(corr @ p.dqv) for p in paths])
+            ids = [mass_identity(model, params, path, mass) for path in paths]
+            self.re_m, self.mass_x, self.mass_y = (np.array([getattr(i, name) for i in ids])
+                                                   for name in ("re_m", "mass_x", "mass_y"))
+            self.neg_coef = np.array([i.neg_coef for i in ids]) if self.phase_on else None
+            scale = self.cv ** -self.pow_half if self.phase_on else None
+            self.finish = [_finish_index(i.neg_coef, scale) for i in ids]
+            self.checks = frozenset(save_set).union(self.finish)
+            # the unit state times sqrt(mass_s) e^{i sum_{i<s} b_i} is the
+            # row's state at save index s
+            own = self.mass_x if self.direct else self.mass_y
+            turn = np.zeros(own.shape)
+            np.cumsum(np.array([i.exponents.imag for i in ids]), axis=1, out=turn[:, 1:])
+            hand = np.sqrt(own[:, saves]) * np.exp(1j * turn[:, saves])
+            self.hand = [dict(zip(saves, row)) for row in hand]
+            # a row stops before its path's abort
+            for b, identity in enumerate(ids):
+                if identity.abort is not None:
+                    self.stop_after(b, identity.abort.time_index - 1, identity.abort)
         else:
             e = model.sample_profiles(grid)
             # the real table [e; e^2], whose first J rows are the profiles:
@@ -392,84 +484,34 @@ class _Block:
             # a path's (2, 2J) coefficient block k with it; (B, n_steps, 2, 2J)
             self.profile_table = np.concatenate([e, e**2])
             self.e_values = self.profile_table[:mu.size]
+            corr = model.ito_correction
             c = np.array([np.concatenate([mu[:, None] * p.increments,
                                           -corr[:, None] * p.dqv]) for p in paths])
             self.noise_coefs = np.ascontiguousarray(
                 np.stack([c.real, c.imag]).transpose(1, 3, 0, 2))
-
-        # sum_j Re(mu_j) M_j at every grid time, and sum_j mu_j M_j at the
-        # save indices, the only ones that read it (taken from the whole
-        # series: one entry's own product can differ from it in the last bit)
-        self.re_m = np.array([path.real_part_series(mu) for path in paths])
-        saves = sorted(save_set)
-        self.m_saved = [dict(zip(saves, path.complex_series(mu)[saves])) for path in paths]
-        if self.phase_on:
-            if params.scheme == "rescaled":
-                scale = params.lam * np.array([np.exp((alpha - 1.0) * r[:-1])
-                                               for r in self.re_m])
-            else:
-                scale = np.full((len(paths), n_steps), float(params.lam))
+            # sum_j Re(mu_j) M_j at every grid time
+            self.re_m = np.array([path.real_part_series(mu) for path in paths])
+            self.mass_x, self.mass_y = np.empty(self.re_m.shape), np.empty(self.re_m.shape)
             # -c, the rotation's coefficient of |u|^{alpha-1}: a half step's
             # (Strang) or a full step's (Lie)
-            self.neg_coef = scale * (-0.5 * dt if params.splitting == "strang" else -dt)
-
-        self.mass_x, self.mass_y = np.empty(self.re_m.shape), np.empty(self.re_m.shape)
+            self.neg_coef = np.full((rows, n_steps), float(params.lam)) * (
+                -0.5 * dt if params.splitting == "strang" else -dt) if self.phase_on else None
         # the scheme's own mass (the state's) and the other one, as [k, b]
         # views: one time index of every row is then a basic index
         self.own, self.other = (self.mass_x.T, self.mass_y.T) if self.direct \
             else (self.mass_y.T, self.mass_x.T)
         # increments of the stochastic mass sum, summed after the march
         self.ito = np.zeros(self.re_m.shape)
-        self.final_x, self.final_y = [None] * len(paths), [None] * len(paths)
-        self.end, self.stop = np.full(len(paths), n_steps), [None] * len(paths)
-        self.last = n_steps
-        # finished row b -> (its finish index, its spectrum there)
-        self.tails = {}
-        # each homogeneous row's finish index, and the indices the march checks
-        self.finish, self.checks = [], frozenset()
-        if self.homogeneous:
-            # the identity: the own mass is the running product of |e^{a + ib}|^2
-            # from the initial mass; math.exp of -2 Re M (direct) or 2 Re M
-            # (rescaled) takes it to the other one
-            own = self.own.T
-            own[:, 0] = mass
-            np.square(np.abs(np.exp(expo)), out=own[:, 1:])
-            np.cumprod(own, axis=1, out=own)
-            if self.phase_on:
-                # the row marches its unit state w = u / sqrt(mass): |u|^{alpha-1}
-                # is mass^{(alpha-1)/2} |w|^{alpha-1}, and the Strang step's
-                # second half phase sees the next mass
-                m_pow = own ** self.pow_half
-                self.neg_coef *= m_pow[:, :-1] + m_pow[:, 1:] if self.strang_phase \
-                    else m_pow[:, :-1]
-            coefs = [None] * len(paths) if self.neg_coef is None else self.neg_coef
-            self.finish = [_finish_index(c, self.cv ** -self.pow_half) for c in coefs]
-            self.checks = frozenset(save_set).union(self.finish)
-            # the unit state times sqrt(mass_s) e^{i sum_{i<s} b_i} is the
-            # row's state at save index s
-            turn = np.zeros(own.shape)
-            np.cumsum(expo.imag, axis=1, out=turn[:, 1:])
-            hand = np.sqrt(own[:, saves]) * np.exp(1j * turn[:, saves])
-            self.hand = [dict(zip(saves, row)) for row in hand]
-            sign = -2.0 if self.direct else 2.0
-            self.weights = np.array([_exp_series(sign * r) for r in self.re_m]).T
-            np.multiply(self.weights, self.own, out=self.other)
-            # a row stops before its first index with a non-finite mass or
-            # with |Re M| past the guard, and aborts there
-            bad = (np.abs(self.re_m) > OVERFLOW_GUARD) | ~np.isfinite(self.other.T)
-            for b in np.flatnonzero(bad.any(axis=1)).tolist():
-                k = int(bad[b].argmax())
-                self.stop_after(b, k - 1, self.failure(b, k))
 
         # Scratch every step writes into, row b for paths[b] for the whole
         # march: the state's spectrum, a spectral and a physical buffer, the
         # rotation factor, two real fields, and on varying rows e^a and the
         # Strang phase factor.
-        rows = (len(paths), grid.size)
-        self.yh, self.spec, self.phys, self.rot = np.empty((4, *rows), dtype=complex)
-        self.amp, self.angle = np.empty((2, *rows))
+        shape = (rows, grid.size)
+        self.yh, self.spec, self.phys, self.rot = np.empty((4, *shape), dtype=complex)
+        self.amp, self.angle = np.empty((2, *shape))
         if not self.homogeneous:
-            self.ea, self.fac = np.empty((2, *rows))
+            self.ea, self.fac = np.empty((2, *shape))
 
     def noise_factors(self, k: int, coefs: np.ndarray) -> tuple:
         """The ``pointwise_step`` factors of step k on every varying row:
@@ -494,17 +536,13 @@ class _Block:
     def pointwise_step(self, u: np.ndarray, neg_coef: np.ndarray | None,
                        factor: np.ndarray | None = None, scale: np.ndarray | None = None,
                        b: np.ndarray | None = None) -> None:
-        """Rotate the physical states u of every row by the step's phase, as
-        the module docstring describes.  ``neg_coef`` is the (B, 1) column
-        of -c, the rows' phase coefficient of the step, or None without a
-        phase.  A homogeneous row's state is its unit state, and the rotation
-        is all of its step.  A spatially varying row also takes the step's
-        multiplier e^{a + ib}: ``scale`` = e^a and ``b`` are (B, n^d) rows,
-        and ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase is
-        Strang's.  Where e^{(alpha-1) a} overflows, the row's second half
-        phase comes from |u e^a|^{alpha-1}, as a second rotation takes it:
-        u = 0 stays 0, and the angle overflows only where that rotation's
-        does."""
+        """Rotate the physical states u of every row by the step's phase
+        (module docstring); ``neg_coef`` is the (B, 1) column of the rows'
+        -c, or None without a phase.  A spatially varying row also takes the
+        step's multiplier e^{a + ib}: ``scale`` = e^a and ``b`` are (B, n^d)
+        rows, and ``factor`` is 1 + e^{(alpha-1) a}, or None unless the phase
+        is Strang's.  Where that overflows, the second half phase comes from
+        |u e^a|^{alpha-1}, as a second rotation takes it."""
         amp, angle, rot = self.amp, self.angle, self.rot
         if neg_coef is None:
             angle = b
@@ -534,10 +572,6 @@ class _Block:
                 rot.real *= scale
                 rot.imag *= scale
             u *= rot
-
-    def m_value(self, b: int, k: int) -> complex:
-        """Row b's sum_j mu_j M_j(t_k) at save index k."""
-        return self.m_saved[b][k]
 
     def m_field_values(self, b: int, k: int) -> np.ndarray:
         """Spatially varying row b's M(t_k, xi), flat complex."""
@@ -596,15 +630,16 @@ class _Block:
     def record(self, k: int, phys: np.ndarray) -> None:
         """Record time index k of every spatially varying row still marching
         from its physical state ``phys``: where either mass is non-finite the
-        row stops after k with the reason (``failure``), otherwise at a save
-        index it hands its fields over (``save``)."""
+        row stops after k (a non-finite state, or else mass), otherwise at a
+        save index it hands its fields over (``save``)."""
         masses = self.cv * _squared_norms(phys, self.rot)
         for b in np.flatnonzero(self.end >= k).tolist():
             self.own[k, b] = masses[b]
             self.other[k, b] = self.varying_masses(b, k, phys[b]) \
                 if math.isfinite(masses[b]) else math.nan
             if not math.isfinite(self.other[k, b]):
-                self.stop_after(b, k, self.failure(b, k))
+                reason = "non-finite mass" if math.isfinite(masses[b]) else "non-finite state"
+                self.stop_after(b, k, _abort_at(reason, k))
             elif k in self.save_set:
                 self.save(b, k, phys[b])
 
@@ -634,20 +669,6 @@ class _Block:
                 if self.finish[b] == k < self.end[b]:
                     self.stop_after(b, k)
 
-    def failure(self, b: int, k: int) -> NumericalAbort:
-        """The abort of row b at k, where its other mass is non-finite or a
-        homogeneous row's |Re M| passes the guard: the guard, before a
-        non-finite own mass, before an overflowing weight, before the rest."""
-        if self.homogeneous and abs(self.re_m[b, k]) > OVERFLOW_GUARD:
-            reason = "|Re M| exceeds the overflow guard"
-        elif not math.isfinite(self.own[k, b]):
-            reason = "non-finite state"
-        elif self.homogeneous and math.isinf(self.weights[k, b]):
-            reason = "mass reconstruction overflows"
-        else:
-            reason = "non-finite mass"
-        return _abort_at(reason, k)
-
     def save(self, b: int, k: int, v: np.ndarray) -> None:
         """Hand row b's X field at save index k, built once from its physical
         state v (a homogeneous row's unit state), to its snapshot callable,
@@ -655,7 +676,7 @@ class _Block:
         the fields are built without a finiteness scan."""
         if self.homogeneous:
             # the state's scale, and e^M between X and y
-            scale, m = self.hand[b][k], np.exp(self.m_value(b, k))
+            scale, m = self.hand[b][k], np.exp(self.m_saved[b][k])
             x = v * (scale if self.direct else scale * m)
         else:
             x = v.copy()  # v is the march's scratch
@@ -699,14 +720,10 @@ class _Block:
 
 
 def _march(block: _Block, x: ComplexField) -> None:
-    """March a block from x: spectral state at integer times, two transforms
-    per step, and one more at an index whose masses or checks need the
-    physical state after a Strang step.  A homogeneous row marches its unit
-    state, x / sqrt(mass).  Strang steps lead and trail with the half linear
-    flow, Lie steps lead with the full one.  Row b of every buffer and table
-    is ``paths[b]``; a row is recorded up to its end and stepped but skipped
-    after it, and the march ends at ``block.last``, once every row has
-    stopped."""
+    """March a block from x (module docstring): spectral state at integer
+    times, two transforms per step, and one more at an index whose masses or
+    checks need the physical state after a Strang step.  A row is recorded
+    up to its end, and the march ends at ``block.last``."""
     grid, n_steps = block.grid, block.n_steps
     strang = block.params.splitting == "strang"
     half = block.lin_half

@@ -265,13 +265,9 @@ def test_criterion_09_noise_flow_martingale_property():
     assert 0.99 <= mean <= 1.01
 
 
-@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 def test_criterion_10_reproducibility(tmp_path):
     # byte-identical artifacts across reruns and across worker counts 1 and 8,
-    # exercised on a simulate run, a picard run, and a reduced ensemble.
-    # One mini-ensemble path catches an early noise excursion large enough to
-    # trip the resolution flag; reproducibility, the thing under test here,
-    # is unaffected.
+    # exercised on a simulate run, a picard run, and a reduced ensemble
     sim_cfg = {
         "schema_version": 1, "kind": "simulate", "seed": 1,
         "grid": {"dimension": 1, "points": 256, "half_length": 16.0},

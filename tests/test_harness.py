@@ -31,10 +31,9 @@ from snls_lab.errors import (
     NumericalAbort,
 )
 from snls_lab.harness import (
-    BLOCK_BUDGET,
     RunConfig,
-    _ensemble_blocks,
     _ensemble_member,
+    _ensemble_shares,
     build_grid,
     build_initial,
     build_model,
@@ -48,7 +47,7 @@ from snls_lab.harness import (
     run_validate,
     write_field_dump,
 )
-from snls_lab.spectral_grid import ComplexField, gaussian_field, make_grid
+from snls_lab.spectral_grid import ComplexField, SpectralTailWarning, gaussian_field, make_grid
 
 
 def base_config(**overrides):
@@ -262,7 +261,7 @@ class TestRunKinds:
         assert all("aborted" in p["status"] for p in rep.per_path)
 
     def test_ensemble_member_parses_no_config(self, monkeypatch):
-        # the blocks march the objects the config built; nothing parses again
+        # the shares take the objects the config built; nothing parses again
         cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 2}))
 
         def parse(cls, raw):
@@ -309,7 +308,7 @@ class TestRunKinds:
         def march(*args, **kwargs):
             raise AssertionError("a decay fit with no decay rate marched")
 
-        monkeypatch.setattr(harness, "simulate_block", march)
+        monkeypatch.setattr(harness, "identity_outcome", march)
         monkeypatch.setattr(harness, "simulate", march)
         # omega is undefined for mu = i, and overflows a double for mu = 6e153
         # with alpha0 = 4 (2 alpha0 mu^2 = 2.9e308, while the Ito correction
@@ -495,26 +494,25 @@ def per_path_entry(cfg: RunConfig, index: int) -> dict:
 
 class TestEnsembleBlocks:
     def test_block_layout(self):
-        assert _ensemble_blocks(7, 1, 128) == [list(range(7))]
-        assert _ensemble_blocks(7, 2, 128) == [[0, 1, 2, 3], [4, 5, 6]]
-        assert _ensemble_blocks(7, 3, 128) == [[0, 1, 2], [3, 4], [5, 6]]
-        assert _ensemble_blocks(7, 8, 128) == [[i] for i in range(7)]
-        # the working-set budget caps a worker's share
-        assert _ensemble_blocks(5, 1, BLOCK_BUDGET // 2) == [[0, 1], [2, 3], [4]]
-        assert _ensemble_blocks(3, 2, 4 * BLOCK_BUDGET) == [[0], [1], [2]]
+        # one contiguous share per worker, whatever the grid
+        assert _ensemble_shares(7, 1) == [range(7)]
+        assert _ensemble_shares(7, 2) == [range(0, 3), range(3, 7)]
+        assert _ensemble_shares(7, 3) == [range(0, 2), range(2, 4), range(4, 7)]
+        assert _ensemble_shares(7, 8) == [range(i, i + 1) for i in range(7)]
+        assert _ensemble_shares(200, 2) == [range(0, 100), range(100, 200)]
 
     def test_report_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         cfg = base_config(kind="ensemble", ensemble={"size": 7})
         cfg["sim"]["t_final"] = 0.1
-        # mu = 150 on 32 points: paths 3 and 6 abort late in the march, one
-        # in each two-worker block, while their neighbours march on and fit
+        # mu = 150 on 32 points: paths 3 and 6 abort late in the run, while
+        # the others run on and fit
         aborting = base_config(kind="ensemble", ensemble={"size": 7},
                                diagnostics={"decay_fit": True, "fit_window": [0.0, 0.01]})
         aborting["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
         aborting["noise"]["coefficients"] = [150.0]
         aborting["sim"]["t_final"] = 3.0
-        # mu = 3 over 400 steps: every path fast-forwards, each at its own
-        # index, so each two-worker block marches to its later one
+        # mu = 3 over 400 steps: marched, every path would fast-forward, each
+        # at its own index
         fast = base_config(kind="ensemble", ensemble={"size": 4})
         fast["grid"] = {"dimension": 1, "points": 64, "half_length": 16.0}
         fast["noise"]["coefficients"] = [3.0]
@@ -536,37 +534,25 @@ class TestEnsembleBlocks:
         assert statuses["aborting"].count("ok") == 5
         assert statuses["fast"] == ["ok"] * 4
 
-        # Each block marches until its last row finishes: one forward
-        # transform a step, plus the initial spectrum, the initial resolution
-        # check and one final check per row.  A row finishes where it does
-        # marched alone.
+        # A simulate_block block marches until its last row finishes: one
+        # forward transform a step, plus the initial spectrum, the initial
+        # resolution check and one final check per row.  A row finishes where
+        # it does marched alone.
         config = RunConfig.from_dict(fast)
-        model, params = config.built.model, config.built.params
+        built = config.built
+        model, params = built.model, built.params
+        paths = [integrator.sample_martingale(model, params.dt, params.n_steps,
+                                              seeding.derive_seed(config.seed, index))
+                 for index in range(4)]
         finish = []
-        for index in range(4):
-            path = integrator.sample_martingale(model, params.dt, params.n_steps,
-                                                seeding.derive_seed(config.seed, index))
+        for path in paths:
             with np.errstate(over="ignore", invalid="ignore"):
-                block = integrator._Block(config.built.grid, model, params, [path],
-                                          mass=config.built.x.mass)
-                integrator._march(block, config.built.x)
+                block = integrator._Block(built.grid, model, params, [path],
+                                          mass=built.x.mass)
+                integrator._march(block, built.x)
             finish.append(int(block.end[0]))
         assert finish == [128, 122, 111, 101]
 
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         calls = []
         forward = integrator.GridSpec.forward
 
@@ -574,12 +560,57 @@ class TestEnsembleBlocks:
             calls.append(1)
             return forward(*args, **kwargs)
         monkeypatch.setattr(integrator.GridSpec, "forward", counted)
-        for threads in (1, 2):
+        for blocks in ([range(4)], [range(2), range(2, 4)], [range(1, 4)]):
             calls.clear()
-            run_ensemble(config, threads=threads)
-            blocks = _ensemble_blocks(4, threads, config.built.grid.size)
-            assert len(blocks) == threads
+            for b in blocks:
+                integrator.simulate_block(built.grid, model, params, built.x,
+                                          [paths[i] for i in b])
             assert len(calls) == sum(2 + max(finish[i] for i in b) + len(b) for b in blocks)
+
+    @pytest.mark.filterwarnings("error::snls_lab.spectral_grid.SpectralTailWarning")
+    def test_ensemble_marches_nothing(self, monkeypatch):
+        # An ensemble's numbers are its paths' mass identities: no path is
+        # marched, no field transformed or checked for resolution, though
+        # each of these paths, marched, ends under-resolved
+        config = RunConfig.from_dict(short_config("ensemble"))
+        b = config.built
+        for index in range(2):
+            path = integrator.sample_martingale(b.model, b.params.dt, b.params.n_steps,
+                                                seeding.derive_seed(config.seed, index))
+            with pytest.warns(SpectralTailWarning, match="final state"):
+                integrator.simulate_block(b.grid, b.model, b.params, b.x, [path])
+        want = json.dumps(dataclasses.asdict(run_ensemble(config, threads=1)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble marched or transformed a field")
+
+        monkeypatch.setattr(integrator, "_march", refuse)
+        monkeypatch.setattr(integrator.GridSpec, "forward", refuse)
+        for threads in (1, 2):
+            rep = run_ensemble(config, threads=threads)
+            assert json.dumps(dataclasses.asdict(rep)) == want
+        assert {p["status"] for p in rep.per_path} == {"ok"}
+
+    def test_overflowing_phase_reports_its_march(self, tmp_path):
+        # alpha = 4.9 and a mass of 1e160: the mass^{(alpha-1)/2} folded into
+        # every phase coefficient overflows, though the mass does not.  Each
+        # ensemble path then has its march decide, and reports the abort a
+        # simulate run of that path prints
+        cfg = short_config("ensemble")
+        cfg["sim"]["alpha"] = 4.9
+        cfg["initial"]["l2_norm"] = 1e80
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_OK, err
+        report = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+        assert [p["status"] for p in report["per_path"]] == \
+            ["aborted at time index 10"] * 2
+        for index in range(2):
+            single = {**cfg, "kind": "simulate", "diagnostics": {},
+                      "seed": seeding.derive_seed(cfg["seed"], index)}
+            (tmp_path / str(index)).mkdir()
+            code, err = run_captured(single, tmp_path / str(index))
+            assert (code, err) == (EXIT_NUMERICAL_ABORT,
+                                   "numerical abort: non-finite state at time index 10\n")
 
     def test_pool_capped_at_core_count(self, monkeypatch):
         cores = os.cpu_count()
@@ -609,7 +640,11 @@ class TestEnsembleBlocks:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_block_with_abort_matches_per_path(self, monkeypatch):
+        # A simulate_block block whose row 1 aborts: each row equals its path
+        # marched alone.  Each ensemble entry, read from its path's identity,
+        # equals the one a per-path simulate gives.
         cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 3}))
+        b = cfg.built
         sample = integrator.sample_martingale
         bad_seed = seeding.derive_seed(cfg.seed, 1)
 
@@ -617,16 +652,32 @@ class TestEnsembleBlocks:
             path = sample(model, dt, n_steps, seed, *args)
             return boosted(path) if seed == bad_seed else path
 
-        # the block samples its paths in harness, a lone path in integrator
+        paths = [sampler(b.model, b.params.dt, b.params.n_steps,
+                         seeding.derive_seed(cfg.seed, i)) for i in range(3)]
+        block = integrator.simulate_block(b.grid, b.model, b.params, b.x, paths)
+        assert [isinstance(row, NumericalAbort) for row in block] == [False, True, False]
+        for path, row in zip(paths, block):
+            alone, = integrator.simulate_block(b.grid, b.model, b.params, b.x, [path])
+            if isinstance(alone, NumericalAbort):
+                assert (str(row), row.time_index) == (str(alone), alone.time_index)
+                continue
+            for name in ("mass_x", "mass_y", "ito_mass_sum", "re_m"):
+                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+            for name in ("final_x", "final_y"):
+                assert np.array_equal(getattr(row, name).values,
+                                      getattr(alone, name).values), name
+
+        # the ensemble samples its paths in harness, a lone path in integrator
         monkeypatch.setattr(harness, "sample_martingale", sampler)
         monkeypatch.setattr(integrator, "sample_martingale", sampler)
-        block = _ensemble_member((cfg.built, cfg.seed, None, [0, 1, 2]))
-        assert [e["status"] == "ok" for e in block] == [True, False, True]
-        assert block == [per_path_entry(cfg, i) for i in range(3)]
+        entries = _ensemble_member((cfg.built, cfg.seed, None, range(3)))
+        assert [e["status"] == "ok" for e in entries] == [True, False, True]
+        assert entries == [per_path_entry(cfg, i) for i in range(3)]
 
     def test_direct_bump_block_matches_per_path(self):
-        # spatially varying noise: rows keep their per-step physical work
-        cfg = base_config(kind="ensemble", ensemble={"size": 3})
+        # a simulate_block block under spatially varying noise: rows keep
+        # their per-step physical work
+        cfg = base_config()
         cfg["noise"]["coefficients"] = [[0.5, 0.2]]
         cfg["noise"]["profiles"] = [{"kind": "gaussian-bump", "width": 2.0}]
         cfg["sim"].update(scheme="direct", alpha=2.0, t_final=0.2)

@@ -959,18 +959,21 @@ class TestFastForward:
             series = path.complex_series(model.mu)
             assert block.m_saved[b].keys() == block.hand[b].keys() == saves
             for k in saves:
-                assert block.m_value(b, k) == series[k]
+                assert block.m_saved[b][k] == series[k]
 
 
-def handmade_path(increments, dt):
-    """A path with the given increments (components x steps) and no
-    quadratic variation, so the noise exponent is sum_j mu_j e_j dM_j."""
+def handmade_path(increments, dt, densities=None):
+    """A path with the given increments (components x steps) and density
+    samples, by default none, so the noise exponent is sum_j mu_j e_j dM_j."""
     increments = np.asarray(increments, dtype=float)
     steps = increments.shape[1]
     values = np.zeros((increments.shape[0], steps + 1))
     np.cumsum(increments, axis=1, out=values[:, 1:])
-    return MartingalePath(dt * np.arange(steps + 1), values, increments,
-                          np.zeros(increments.shape), np.zeros(values.shape), dt)
+    densities = np.zeros(increments.shape) if densities is None \
+        else np.asarray(densities, dtype=float)
+    qv = np.zeros(values.shape)
+    np.cumsum(densities * dt, axis=1, out=qv[:, 1:])
+    return MartingalePath(dt * np.arange(steps + 1), values, increments, densities, qv, dt)
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
@@ -1019,6 +1022,102 @@ class TestMergedAngleOverflowHomogeneous(TestMergedAngleOverflow):
     where the plain composition does."""
 
     MODEL = const_model(1.0)
+
+
+def jumps(steps, at):
+    """One component's increments over ``steps`` steps: ``at`` maps a step
+    to its increment, every other step has none."""
+    inc = np.zeros((1, steps))
+    for k, value in at.items():
+        inc[0, k] = value
+    return inc
+
+
+def point_state(grid, mass):
+    """A state on one grid point, of the given mass: its unit state reaches
+    the Cauchy-Schwarz bound |w|^2 = 1/cv."""
+    values = np.zeros(grid.size, dtype=complex)
+    values[grid.size // 2] = math.sqrt(mass / grid.cell_volume)
+    return ComplexField(values, grid)
+
+
+# On L = pi the wavenumbers are the integers m, so dt = 4 pi makes the half
+# free flow exp(i m^2 2 pi) the identity up to rounding: a point state stays
+# on its point.  There a mass m with dt m^p = 1e307 (p = 1.95) puts every
+# phase coefficient in the window where c_k is finite but cv^{-p} |c_k|
+# (92.4 |c_k|) overflows.
+WINDOW_GRID, WINDOW_DT = make_grid(1, 64, math.pi), 4.0 * math.pi
+WINDOW_MASS = (1e307 / WINDOW_DT) ** (1.0 / 1.95)
+
+# Each edge: (grid, params, path, initial state, whether the identity decides,
+# the outcome: "ok" or the abort message).  Every path is made by hand.
+IDENTITY_EDGES = {
+    # a sampled path: every angle is bounded, the identity alone decides
+    "plain": (make_grid(1, 64, 16.0), SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.5),
+              None, gaussian_field(make_grid(1, 64, 16.0), width=1.0), True, "ok"),
+    # rescaled, alpha = 4.9: Re M = 300 over steps 2-3 lies between
+    # 709.78 / (alpha - 1) = 182 and the guard, so e^{(alpha-1) Re M} and the
+    # phase coefficients overflow there, while the mass 1e-40 e^{600} does
+    # not.  The angle is non-finite and the check at the finish index 4
+    # stops the row.
+    "phase_scale_overflows": (
+        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
+        handmade_path(jumps(10, {1: 300.0, 3: -300.0}), 0.01),
+        gaussian_field(make_grid(1, 64, 16.0), width=1.0, l2_norm=1e-20), False,
+        "non-finite state at time index 4"),
+    # the own mass underflows to 0 at index 1 (dQ = 1000), then Re M = 300
+    # makes every later coefficient inf x 0 = NaN; the row finishes at
+    # index 1, before any of them
+    "nan_coefficient": (
+        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
+        handmade_path(jumps(10, {3: 300.0}), 0.01, jumps(10, {0: 1e5})),
+        gaussian_field(make_grid(1, 64, 16.0), width=1.0), False, "ok"),
+    # overflowing coefficients, then Re M = 800 at index 5: the guard stops
+    # the row first
+    "guard_after_overflow": (
+        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
+        handmade_path(jumps(10, {1: 300.0, 4: 500.0}), 0.01),
+        gaussian_field(make_grid(1, 64, 16.0), width=1.0, l2_norm=1e-20), False,
+        "|Re M| exceeds the overflow guard at time index 5"),
+    # finite coefficients whose bound overflows: a spread state turns by
+    # finite angles and runs to the end, a point state overflows its angle
+    "window_spread": (
+        WINDOW_GRID, SimParams(lam=1, alpha=4.9, dt=WINDOW_DT, t_final=4 * WINDOW_DT),
+        handmade_path(np.zeros((1, 4)), WINDOW_DT),
+        gaussian_field(WINDOW_GRID, width=1.0, l2_norm=math.sqrt(WINDOW_MASS)), False,
+        "ok"),
+    "window_point": (
+        WINDOW_GRID, SimParams(lam=1, alpha=4.9, dt=WINDOW_DT, t_final=4 * WINDOW_DT),
+        handmade_path(np.zeros((1, 4)), WINDOW_DT), point_state(WINDOW_GRID, WINDOW_MASS),
+        False, "non-finite state at time index 4"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+@pytest.mark.parametrize("edge", sorted(IDENTITY_EDGES))
+def test_identity_outcome_matches_the_march(edge, monkeypatch):
+    # A homogeneous path's outcome from its identity (an ensemble's) equals
+    # simulate_block's on the one path, at each edge where a march could
+    # stop the row where the identity does not: the same record series, or
+    # the same abort at the same index.  The path is marched only where the
+    # identity cannot decide.
+    grid, params, path, x, decides, want = IDENTITY_EDGES[edge]
+    model = const_model(1.0)
+    if path is None:
+        path = sample_martingale(model, params.dt, params.n_steps, 3)
+    marched, = simulate_block(grid, model, params, x, [path])
+    calls = []
+    monkeypatch.setattr(integrator, "simulate_block",
+                        lambda *args: calls.append(1) or simulate_block(*args))
+    outcome = integrator.identity_outcome(grid, model, params, x, path)
+    assert len(calls) == (not decides)
+    if want == "ok":
+        assert not isinstance(marched, NumericalAbort), marched
+        for name in ("times", "mass_x", "mass_y", "re_m"):
+            assert np.array_equal(getattr(outcome, name), getattr(marched, name)), name
+    else:
+        assert str(marched) == want
+        assert (str(outcome), outcome.time_index) == (want, marched.time_index)
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")

@@ -1048,48 +1048,49 @@ def point_state(grid, mass):
 # (92.4 |c_k|) overflows.
 WINDOW_GRID, WINDOW_DT = make_grid(1, 64, math.pi), 4.0 * math.pi
 WINDOW_MASS = (1e307 / WINDOW_DT) ** (1.0 / 1.95)
+WINDOW_PARAMS = SimParams(lam=1, alpha=4.9, dt=WINDOW_DT, t_final=4 * WINDOW_DT)
+
+# The other edges: rescaled Strang runs of 10 steps at alpha = 4.9 on 64 points.
+EDGE_GRID = make_grid(1, 64, 16.0)
+EDGE_PARAMS = SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1)
 
 # Each edge: (grid, params, path, initial state, whether the identity decides,
-# the outcome: "ok" or the abort message).  Every path is made by hand.
+# the outcome: "ok" or the abort message).  Every path but the first is made
+# by hand.
 IDENTITY_EDGES = {
     # a sampled path: every angle is bounded, the identity alone decides
-    "plain": (make_grid(1, 64, 16.0), SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.5),
-              None, gaussian_field(make_grid(1, 64, 16.0), width=1.0), True, "ok"),
-    # rescaled, alpha = 4.9: Re M = 300 over steps 2-3 lies between
-    # 709.78 / (alpha - 1) = 182 and the guard, so e^{(alpha-1) Re M} and the
-    # phase coefficients overflow there, while the mass 1e-40 e^{600} does
-    # not.  The angle is non-finite and the check at the finish index 4
-    # stops the row.
+    "plain": (EDGE_GRID, SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.5), None,
+              gaussian_field(EDGE_GRID, width=1.0), True, "ok"),
+    # Re M = 300 over steps 2-3 lies between 709.78 / (alpha - 1) = 182 and
+    # the guard, so e^{(alpha-1) Re M} and the phase coefficients overflow
+    # there, while the mass 1e-40 e^{600} does not.  The angle is non-finite
+    # and the check at the finish index 4 stops the row.
     "phase_scale_overflows": (
-        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
-        handmade_path(jumps(10, {1: 300.0, 3: -300.0}), 0.01),
-        gaussian_field(make_grid(1, 64, 16.0), width=1.0, l2_norm=1e-20), False,
+        EDGE_GRID, EDGE_PARAMS, handmade_path(jumps(10, {1: 300.0, 3: -300.0}), 0.01),
+        gaussian_field(EDGE_GRID, width=1.0, l2_norm=1e-20), False,
         "non-finite state at time index 4"),
     # the own mass underflows to 0 at index 1 (dQ = 1000), then Re M = 300
     # makes every later coefficient inf x 0 = NaN; the row finishes at
     # index 1, before any of them
     "nan_coefficient": (
-        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
+        EDGE_GRID, EDGE_PARAMS,
         handmade_path(jumps(10, {3: 300.0}), 0.01, jumps(10, {0: 1e5})),
-        gaussian_field(make_grid(1, 64, 16.0), width=1.0), False, "ok"),
+        gaussian_field(EDGE_GRID, width=1.0), False, "ok"),
     # overflowing coefficients, then Re M = 800 at index 5: the guard stops
     # the row first
     "guard_after_overflow": (
-        make_grid(1, 64, 16.0), SimParams(lam=1, alpha=4.9, dt=0.01, t_final=0.1),
-        handmade_path(jumps(10, {1: 300.0, 4: 500.0}), 0.01),
-        gaussian_field(make_grid(1, 64, 16.0), width=1.0, l2_norm=1e-20), False,
+        EDGE_GRID, EDGE_PARAMS, handmade_path(jumps(10, {1: 300.0, 4: 500.0}), 0.01),
+        gaussian_field(EDGE_GRID, width=1.0, l2_norm=1e-20), False,
         "|Re M| exceeds the overflow guard at time index 5"),
     # finite coefficients whose bound overflows: a spread state turns by
     # finite angles and runs to the end, a point state overflows its angle
     "window_spread": (
-        WINDOW_GRID, SimParams(lam=1, alpha=4.9, dt=WINDOW_DT, t_final=4 * WINDOW_DT),
-        handmade_path(np.zeros((1, 4)), WINDOW_DT),
+        WINDOW_GRID, WINDOW_PARAMS, handmade_path(np.zeros((1, 4)), WINDOW_DT),
         gaussian_field(WINDOW_GRID, width=1.0, l2_norm=math.sqrt(WINDOW_MASS)), False,
         "ok"),
     "window_point": (
-        WINDOW_GRID, SimParams(lam=1, alpha=4.9, dt=WINDOW_DT, t_final=4 * WINDOW_DT),
-        handmade_path(np.zeros((1, 4)), WINDOW_DT), point_state(WINDOW_GRID, WINDOW_MASS),
-        False, "non-finite state at time index 4"),
+        WINDOW_GRID, WINDOW_PARAMS, handmade_path(np.zeros((1, 4)), WINDOW_DT),
+        point_state(WINDOW_GRID, WINDOW_MASS), False, "non-finite state at time index 4"),
 }
 
 

@@ -17,13 +17,13 @@ what no domain object owns: the run kind, the seed, the sections each kind
 requires, the convergence ladder, and how the built objects fit the run
 (density horizons, the fit window, a zero-mass state).
 The built objects are kept on the config (:class:`Built`, never serialised),
-so each is built once per run: every runner uses them, and ensemble workers
-receive them instead of a config to parse again.
+so each is built once per run: every runner uses them, and the ensemble's
+path function receives them instead of a config to parse again.
 
 A run is fully determined by (config, master seed): per-path seeds derive
 from the master seed and the path index through the documented 64-bit mix,
-workers share nothing mutable, and results reduce in path-index order, so
-output bytes are independent of the worker count.
+workers share nothing mutable, and the ensemble's map returns paths in index
+order, so output bytes are independent of the worker count.
 
 Numeric output formatting is fixed: 17 significant digits, ``.`` decimal
 separator, ``\n`` line endings.  Exit codes: 0 success, 2 configuration
@@ -33,6 +33,7 @@ error, 3 assumption veto, 4 numerical abort.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -535,27 +536,13 @@ def run_simulation(config: RunConfig,
     return record, report
 
 
-def _ensemble_shares(size: int, threads: int) -> list:
-    """Contiguous path-index ranges, one per worker, of sizes that differ by
-    at most one."""
-    workers = max(1, min(threads, size))
-    return [range(w * size // workers, (w + 1) * size // workers) for w in range(workers)]
-
-
-def _ensemble_member(args) -> list:
-    """One worker's share of ensemble paths, one path at a time, as per-path
-    dicts in index order; module-level so process pools can pickle it.
-    ``args`` is (built objects, master seed, fit window, path indices)."""
-    built, master_seed, fit_window, indices = args
-    return [_ensemble_path(built, fit_window, index, seeding.derive_seed(master_seed, index))
-            for index in indices]
-
-
-def _ensemble_path(built: Built, fit_window, index: int, seed: int) -> dict:
-    """One ensemble path's dict, every number of it from the path's mass
-    identity (``integrator.identity_outcome``)."""
+def _ensemble_member(built: Built, fit_window, master_seed: int, index: int) -> dict:
+    """Ensemble path ``index``'s dict, every number from the mass identity
+    (``integrator.identity_outcome``) of the path drawn at its derived seed;
+    the function the ensemble maps, traced by name in perfbench/spans.py."""
     model, params = built.model, built.params
-    path = sample_martingale(model, params.dt, params.n_steps, seed)
+    path = sample_martingale(model, params.dt, params.n_steps,
+                             seeding.derive_seed(master_seed, index))
     identity = identity_outcome(built.grid, model, params, built.x, path)
     out: dict = {"index": index, "status": "ok"}
     if isinstance(identity, NumericalAbort):  # the path's abort
@@ -578,29 +565,30 @@ def _ensemble_path(built: Built, fit_window, index: int, seed: int) -> dict:
 def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     """Monte Carlo ensemble over deterministically derived per-path seeds.
 
-    Paths run in contiguous index ranges, one share per worker.  An
+    :func:`_ensemble_member` is mapped over the path indices in contiguous
+    chunks of ceil(size / threads) paths (threads at most the cores), one per
+    worker process, or in this process when one chunk holds them all.  An
     ensemble's noise is homogeneous (omega vetoes any other), so each path's
     numbers are its mass identity, an exact functional of the path; no field
-    is marched or checked.  Each path depends on its own seed alone, and
-    aggregation is by path index, so the report is byte-identical for any
-    worker count.  A path that aborts, or whose mass underflows before the
-    fit window, is reported by its status and left out of the quantiles.
-    At most one worker per core runs.
+    is marched or checked.  Each path depends on its own seed alone and the
+    map keeps index order, so the report is byte-identical for any worker
+    count.  A path that aborts, or whose mass underflows before the fit
+    window, is reported by its status and left out of the quantiles.
     """
-    threads = min(threads, os.cpu_count() or 1)
     # a run with no ensemble section takes one path
-    en = _leaves(config.ensemble or {"size": 1}, "ensemble")
+    en = config.ensemble or _leaves({"size": 1}, "ensemble")
     size, tol = en["size"], en["lyapunov_tolerance"]
     # Every path's decay fit needs omega: veto before any path is sampled.
     w = omega(config.built.model)
-    jobs = [(config.built, config.seed, config.diagnostics.get("fit_window"), share)
-            for share in _ensemble_shares(size, threads)]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            shares = list(pool.map(_ensemble_member, jobs))
+    member = functools.partial(_ensemble_member, config.built,
+                               config.diagnostics.get("fit_window"), config.seed)
+    chunk = math.ceil(size / max(1, min(threads, os.cpu_count() or 1)))
+    workers = math.ceil(size / chunk)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_path = list(pool.map(member, range(size), chunksize=chunk))
     else:
-        shares = [_ensemble_member(job) for job in jobs]
-    per_path = [entry for share in shares for entry in share]
+        per_path = list(map(member, range(size)))
     lyaps = [p["lyapunov"] for p in per_path if p["status"] == "ok"]
     llns = [p["lln_ratio"] for p in per_path if p["status"] == "ok"]
     passing = sum(1 for v in lyaps if v <= -w + tol)
@@ -632,12 +620,18 @@ def run_convergence(config: RunConfig) -> dict:
         factor = int(round(dt / ref_dt))
         coarse = restrict_path(master, factor)
         rec = simulate(grid, model, b.ladder[dt], x, path=coarse)
-        errors.append(norm_L2(ComplexField(rec.final_x.values - ref_final, grid)))
+        with np.errstate(over="ignore"):
+            errors.append(norm_L2(ComplexField(rec.final_x.values - ref_final, grid)))
+        if not math.isfinite(errors[-1]):
+            raise NumericalAbort(f"convergence: the error at dt={dt:g} overflows a double")
 
     floor = 1e-12 * max(ref_norm, 1.0)
     if max(errors) < floor:
         order: float | str = "exact"
     else:
+        if 0.0 in errors:
+            raise NumericalAbort(f"convergence: the error at dt={dts[errors.index(0.0)]:g} "
+                                 "is 0 while another is not, so the order is not finite")
         order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     return {"dts": list(dts), "errors": errors, "order": order,
             "reference_dt": ref_dt, "t_final": t_final}
@@ -671,9 +665,14 @@ def _output(path: Path, binary: bool = False):
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    with _output(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # encoded whole before the file opens, so an encoding error leaves no file;
+    # chunk by chunk into bytes: one joined string takes four times the memory
+    data = bytearray()
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(obj):
+        data += chunk.encode()
+    data += b"\n"
+    with _output(path, binary=True) as fh:
+        fh.write(data)
 
 
 def save_series_csv(path: Path, columns: dict) -> None:

@@ -24,14 +24,15 @@ iterate with its image, so an iteration holds one nodes x n^d complex
 block, the iterate.  The head of node i reads only y_i: it builds the
 forcing, transforms it and carries it back to time 0.  The tail adds it to
 the running trapezoid sum, the only sequential part, carries the sum
-forward to t_i, transforms back and writes the node.  On grids of at least
-``PIPELINE_MIN_SIZE`` values and more than one core, one helper thread runs
-the head of node i + 1 while the caller runs the tail of node i; numpy's
-transforms and array loops release the interpreter lock.  Each node makes
-the same operations in the same order either way, so the bits do not
-depend on the schedule.  U(t_i, 0) depends on k only through |k|^2, so each
-node gathers its multiplier row from a (nodes, levels) table over the
-distinct |k|^2 values: about half a block in 1-D, an eighth of one on 128^2.
+forward to t_i, transforms back and writes the node.  The head of node
+i + 1 runs before or beside the tail of node i: beside it on a helper
+thread on grids of at least ``PIPELINE_MIN_SIZE`` values and more than one
+core (numpy's transforms and array loops release the interpreter lock),
+else first, in the caller.  Each node makes the same operations in the
+same order either way, so the bits do not depend on the schedule.
+U(t_i, 0) depends on k only through |k|^2, so each node gathers its
+multiplier row from a (nodes, levels) table over the distinct |k|^2
+values: about half a block in 1-D, an eighth of one on 128^2.
 
 The horizon is a user input: the proof-level stopping time depends on
 non-constructive constants, and the measurable quantity is the ratio
@@ -196,18 +197,12 @@ class _MapKernel:
         """Overwrite the (nodes, size) physical array y with F(y); return the
         per-node sums of |F(y) - y|^2 and |F(y) - y|^{alpha+1}.
 
-        Node i of F(y) reads only y[i], which its tail overwrites.  With
-        ``pipelined`` a helper thread, started and joined here, runs each
-        head after the first beside the tail of the node before it.
+        Node i of F(y) reads only y[i], which its tail overwrites.  The head
+        of node i + 1 runs beside the tail of node i on a helper thread,
+        started and joined here, when ``pipelined``, else before it.
         """
         sq, lp = np.empty(self.nodes), np.empty(self.nodes)
         self.acc.fill(0.0)
-        if not self.pipelined:
-            for i in range(self.nodes):
-                self._head(y, i)
-                sq[i], lp[i] = self._tail(y, i)
-            return sq, lp
-
         err = np.geterr()
 
         def head_on_helper(i: int) -> None:
@@ -218,7 +213,11 @@ class _MapKernel:
         with ThreadPoolExecutor(max_workers=1) as helper:  # joins on exit
             self._head(y, 0)
             for i in range(self.nodes):
-                ahead = helper.submit(head_on_helper, i + 1) if i + 1 < self.nodes else None
+                ahead = None
+                if i + 1 < self.nodes and self.pipelined:
+                    ahead = helper.submit(head_on_helper, i + 1)
+                elif i + 1 < self.nodes:
+                    self._head(y, i + 1)
                 sq[i], lp[i] = self._tail(y, i)
                 if ahead is not None:
                     ahead.result()

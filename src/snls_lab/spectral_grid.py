@@ -330,8 +330,12 @@ def gaussian_field(
     vals = gaussian_values(grid, width, center, amplitude)
     field = ComplexField(vals.astype(np.complex128), grid)
     if l2_norm is not None:
-        current = norm_L2(field)
-        if current == 0.0:
+        with np.errstate(over="ignore"):
+            current = norm_L2(field)
+        if not vals.any():
             raise ValueError("l2_norm: cannot rescale a zero field")
+        if not 0.0 < current < np.inf:
+            raise ValueError(f"amplitude: {amplitude:g} takes the unscaled field's L2 norm "
+                             f"out of double range ({current:g}); l2_norm cannot rescale it")
         field = ComplexField(field.values * (l2_norm / current), grid)
     return field

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -33,7 +34,6 @@ from snls_lab.errors import (
 from snls_lab.harness import (
     RunConfig,
     _ensemble_member,
-    _ensemble_shares,
     build_grid,
     build_initial,
     build_model,
@@ -437,6 +437,52 @@ class TestRunKinds:
         out = run_convergence(cfg)
         assert 0.8 <= out["order"] <= 1.5
 
+    @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+    def test_convergence_error_overflow_exits_4(self, tmp_path):
+        # l2_norm 8e153 on 32 points: the dt = 0.02 state differs from the
+        # reference by more than a double's L2 norm holds.  The run aborts
+        # naming that step and leaves no convergence.json
+        cfg = base_config(
+            kind="convergence",
+            grid={"dimension": 1, "points": 32, "half_length": 8.0},
+            sim={"lambda": 1, "alpha": 3.0, "dt": 0.01, "t_final": 0.08, "scheme": "direct"},
+            initial={"kind": "gaussian", "width": 1.0, "l2_norm": 8e153},
+            convergence={"dts": [0.04, 0.02, 0.01], "reference_dt": 0.00125},
+            diagnostics={},
+        )
+        cfg["noise"]["coefficients"] = [[1.0, 0.5]]
+        code, err = run_captured(cfg, tmp_path)
+        assert (code, err) == (EXIT_NUMERICAL_ABORT, "numerical abort: convergence: the "
+                               "error at dt=0.02 overflows a double\n")
+        assert not (tmp_path / "out" / "convergence.json").exists()
+
+    def test_convergence_zero_error_beside_nonzero_exits_4(self, tmp_path, monkeypatch):
+        # a step that ends on the reference's state while the others do not:
+        # log 0 leaves the order undefined
+        cfg = base_config(
+            kind="convergence",
+            noise={"coefficients": [0.0], "profiles": [{"kind": "constant-one"}],
+                   "densities": [{"kind": "constant", "value": 1.0}]},
+            sim={"lambda": 1, "alpha": 3.0, "dt": 1e-3, "t_final": 0.5,
+                 "scheme": "direct", "splitting": "strang"},
+            convergence={"dts": [4e-3, 2e-3, 1e-3], "reference_dt": 1.25e-4},
+            diagnostics={},
+        )
+        records = []
+
+        def simulate(grid, model, params, x, path):
+            if params.dt == 2e-3:
+                return records[0]  # the reference's
+            records.append(integrator.simulate(grid, model, params, x, path=path))
+            return records[-1]
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        code, err = run_captured(cfg, tmp_path)
+        assert (code, err) == (EXIT_NUMERICAL_ABORT, "numerical abort: convergence: the "
+                               "error at dt=0.002 is 0 while another is not, so the order "
+                               "is not finite\n")
+        assert not (tmp_path / "out" / "convergence.json").exists()
+
 
 def underflow_config(kind, fit_window, t_final=10.0):
     """n = 64, mu = 12: the mass underflows near t = 2.4, path by path."""
@@ -493,13 +539,56 @@ def per_path_entry(cfg: RunConfig, index: int) -> dict:
 
 
 class TestEnsembleBlocks:
-    def test_block_layout(self):
-        # one contiguous share per worker, whatever the grid
-        assert _ensemble_shares(7, 1) == [range(7)]
-        assert _ensemble_shares(7, 2) == [range(0, 3), range(3, 7)]
-        assert _ensemble_shares(7, 3) == [range(0, 2), range(2, 4), range(4, 7)]
-        assert _ensemble_shares(7, 8) == [range(i, i + 1) for i in range(7)]
-        assert _ensemble_shares(200, 2) == [range(0, 100), range(100, 200)]
+    """simulate_block's blocks of paths, and the chunks of path indices an
+    ensemble's process pool maps."""
+
+    def test_block_layout(self, monkeypatch):
+        # one contiguous chunk per worker, in index order, of ceil(size /
+        # threads) paths: 9 paths on 4 threads take 3 workers
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        received = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                self.workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices, chunksize):
+                chunks = [indices[i:i + chunksize] for i in range(0, len(indices), chunksize)]
+                received.append((self.workers, chunksize, chunks))
+                return (fn(index) for chunk in chunks for index in chunk)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = base_config(kind="ensemble")
+        cfg["grid"] = {"dimension": 1, "points": 32, "half_length": 8.0}
+        cfg["sim"]["t_final"] = 10 * cfg["sim"]["dt"]
+        for size, threads, want in [(7, 2, [4, 3]), (7, 3, [3, 3, 1]), (7, 8, [1] * 7),
+                                    (9, 4, [3, 3, 3]), (200, 2, [100, 100])]:
+            received.clear()
+            rep = run_ensemble(RunConfig.from_dict({**cfg, "ensemble": {"size": size}}),
+                               threads=threads)
+            (workers, chunksize, chunks), = received
+            assert len(chunks) == workers <= threads
+            assert chunksize == math.ceil(size / min(threads, size))
+            assert [len(c) for c in chunks] == want
+            assert [i for c in chunks for i in c] == list(range(size))
+            assert [p["index"] for p in rep.per_path] == list(range(size))
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        # one thread, or one path, maps the paths in this process
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ensemble on one worker opened a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        for size, threads in ((3, 1), (1, 8)):
+            cfg = base_config(kind="ensemble", ensemble={"size": size})
+            rep = run_ensemble(RunConfig.from_dict(cfg), threads=threads)
+            assert [p["status"] for p in rep.per_path] == ["ok"] * size
 
     def test_report_bytes_independent_of_workers(self, tmp_path, monkeypatch):
         cfg = base_config(kind="ensemble", ensemble={"size": 7})
@@ -626,8 +715,8 @@ class TestEnsembleBlocks:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, indices, chunksize):
+                return map(fn, indices)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         cfg = base_config(kind="ensemble", ensemble={"size": cores + 2})
@@ -670,7 +759,7 @@ class TestEnsembleBlocks:
         # the ensemble samples its paths in harness, a lone path in integrator
         monkeypatch.setattr(harness, "sample_martingale", sampler)
         monkeypatch.setattr(integrator, "sample_martingale", sampler)
-        entries = _ensemble_member((cfg.built, cfg.seed, None, range(3)))
+        entries = [_ensemble_member(cfg.built, None, cfg.seed, index) for index in range(3)]
         assert [e["status"] == "ok" for e in entries] == [True, False, True]
         assert entries == [per_path_entry(cfg, i) for i in range(3)]
 
@@ -1041,6 +1130,11 @@ MALFORMED = {
         **BUMP_PROFILE, "center": [0.0, 0.0]}}, "noise.profiles[0].center"),
     "zero_gaussian_normalized": ("simulate", {"initial": {
         "kind": "gaussian", "amplitude": 0.0, "l2_norm": 1.0}}, "initial.l2_norm"),
+    # the unscaled norm overflows, or underflows to 0, from a nonzero field
+    "gaussian_amplitude_huge_normalized": ("simulate", {"initial": {
+        "kind": "gaussian", "amplitude": 1e200, "l2_norm": 1.0}}, "initial.amplitude"),
+    "gaussian_amplitude_tiny_normalized": ("simulate", {"initial": {
+        "kind": "gaussian", "amplitude": 1e-200, "l2_norm": 1.0}}, "initial.amplitude"),
     "zero_constant_decay_fit": ("simulate", {"initial": {"kind": "constant",
                                                          "value": 0.0}}, "initial"),
     "t_final_huge": ("simulate", {"sim.t_final": 1e300}, "sim.t_final"),

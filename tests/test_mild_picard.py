@@ -280,11 +280,16 @@ def check_node_loop(grid, lam, alpha, nodes):
 
 
 @pytest.mark.parametrize("dimension, lam, alpha", NODE_LOOP_CASES)
-def test_node_loop_equals_block_form(dimension, lam, alpha):
+def test_node_loop_equals_block_form(monkeypatch, dimension, lam, alpha):
     # The map runs node by node; the block form makes each stage one pass
     # over all nodes.  Iterates and distances agree bit for bit.  The blocks
     # are 384 KiB, a size at which the block form's operand order is also
-    # the order numpy ran its expressions in.
+    # the order numpy ran its expressions in.  Off the pipeline, the caller
+    # runs every head and no thread starts.
+    def refuse(self):
+        raise AssertionError("a map off the pipeline started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     grid = make_grid(dimension, 1024 if dimension == 1 else 32, 8.0)
     assert not check_node_loop(grid, lam, alpha, 24).pipelined
 

@@ -65,9 +65,9 @@ B_k = cv^{-p} sum_{j>=k} |c_j| bounds the summed angle of every step after k
 at every point.  The row's finish index, the first k < n with
 B_k < ``FF_THRESHOLD`` = 2^-63 (a margin of 2^10 under the rounding unit
 2^-53), is read from its coefficients when the block is built
-(``_finish_index``); without a phase (lambda = 0) it is 0.  The march copies
-wh_k there, and after the march hands over the row's fields at each later
-save index s from U((s - k) dt) wh_k: one multiply and one inverse.
+(``_finish_index``); without a phase (lambda = 0) it is 0.  There the
+row's record hands over its fields at each later save index s from
+U((s - k) dt) wh_k, one multiply and one inverse, and the row stops.
 All of this is algebraically identical to the plain composition; only the
 fast-forward departs from it, by dropping angles that sum to under 2^-63.
 
@@ -453,8 +453,6 @@ class _Block:
         self.m_saved = [dict(zip(saves, path.complex_series(mu)[saves])) for path in paths]
         self.final_x, self.final_y = [None] * rows, [None] * rows
         self.end, self.stop, self.last = np.full(rows, n_steps), [None] * rows, n_steps
-        # finished row b -> (its finish index, its spectrum there)
-        self.tails = {}
         # each homogeneous row's finish index, and the indices the march checks
         self.finish, self.checks = [], frozenset()
         if self.homogeneous:
@@ -582,11 +580,9 @@ class _Block:
 
     def stop_after(self, b: int, end: int, abort: NumericalAbort | None = None) -> None:
         """Row b's march records no index after ``end``; the row returns
-        ``abort``, or without one finishes there (``tails``), keeping its
-        path's abort, if any.  The only code that sets ``end``, ``stop`` and
-        ``last``, the largest end."""
-        if abort is None:
-            self.tails[b] = (end, self.yh[b].copy())
+        ``abort``, or without one finishes there, keeping its path's abort,
+        if any.  The only code that sets ``end``, ``stop`` and ``last``, the
+        largest end."""
         self.end[b], self.stop[b] = end, abort or self.stop[b]
         self.last = int(self.end.max())
 
@@ -594,7 +590,9 @@ class _Block:
         """Hand over row b's fields at the save indices after its finish
         index k0 and before its path's abort, if any, from its unit state's
         spectrum yh at k0, as if no later step had a phase: the unit state at
-        save index s is U((s - k0) dt) yh, one multiply and one inverse."""
+        save index s is U((s - k0) dt) yh, one multiply and one inverse.
+        Called by ``record`` at k0; it writes the row's scratch, which the
+        next step overwrites before reading."""
         end = self.n_steps if self.stop[b] is None else self.stop[b].time_index - 1
         spec, v = self.spec[b], self.phys[b]
         for s in sorted(self.save_set):
@@ -628,46 +626,40 @@ class _Block:
         return mass
 
     def record(self, k: int, phys: np.ndarray) -> None:
-        """Record time index k of every spatially varying row still marching
-        from its physical state ``phys``: where either mass is non-finite the
-        row stops after k (a non-finite state, or else mass), otherwise at a
-        save index it hands its fields over (``save``)."""
-        masses = self.cv * _squared_norms(phys, self.rot)
-        for b in np.flatnonzero(self.end >= k).tolist():
-            self.own[k, b] = masses[b]
-            self.other[k, b] = self.varying_masses(b, k, phys[b]) \
-                if math.isfinite(masses[b]) else math.nan
-            if not math.isfinite(self.other[k, b]):
-                reason = "non-finite mass" if math.isfinite(masses[b]) else "non-finite state"
-                self.stop_after(b, k, _abort_at(reason, k))
-            elif k in self.save_set:
-                self.save(b, k, phys[b])
-
-    def check(self, k: int, phys: np.ndarray) -> None:
-        """Check index k on every homogeneous row still marching whose check
-        index it is (module docstring), from its physical unit state
-        ``phys``: a row whose mass is non-finite, or departs from 1 by more
-        than ``MASS_DEPARTURE`` per step where its identity mass exceeds
-        ``MASS_FLOOR``, stops after k with the reason; one that passes hands
-        its fields over at a save index, and finishes at its finish index
-        unless k is its last."""
+        """Record time index k of each row still marching that is due there
+        (every varying row; a homogeneous row at a save or its finish index)
+        from its physical state ``phys``, a homogeneous row's unit state.  A
+        row stops after k where its state is non-finite, a homogeneous row's
+        mass departs from 1 by more than ``MASS_DEPARTURE`` per step (its
+        identity mass above ``MASS_FLOOR``) or a varying row's other mass is
+        non-finite.  One that passes hands its fields over at a save index;
+        a homogeneous row at its finish index, unless k is its last, then
+        hands over its tail (``fast_forward``) and finishes."""
         save = k in self.save_set
         rows = [b for b in np.flatnonzero(self.end >= k).tolist()
-                if save or self.finish[b] == k]
+                if not self.homogeneous or save or self.finish[b] == k]
         masses = self.cv * _squared_norms(phys, self.rot) if rows else None
         for b in rows:
             mass = float(masses[b])
-            departure = abs(mass - 1.0) if self.own[k, b] > MASS_FLOOR else 0.0
-            if not math.isfinite(mass):
-                self.stop_after(b, k, _abort_at("non-finite state", k))
-            elif departure > MASS_DEPARTURE * (k + 1):
-                self.stop_after(b, k, _abort_at(
-                    f"mass departs from the identity by {departure:.3g}", k))
+            if self.homogeneous:
+                departure = abs(mass - 1.0) if self.own[k, b] > MASS_FLOOR else 0.0
+                reason = f"mass departs from the identity by {departure:.3g}" \
+                    if departure > MASS_DEPARTURE * (k + 1) else None
             else:
-                if save:
-                    self.save(b, k, phys[b])
-                if self.finish[b] == k < self.end[b]:
-                    self.stop_after(b, k)
+                self.own[k, b] = mass
+                self.other[k, b] = self.varying_masses(b, k, phys[b]) \
+                    if math.isfinite(mass) else math.nan
+                reason = None if math.isfinite(self.other[k, b]) else "non-finite mass"
+            if not math.isfinite(mass):
+                reason = "non-finite state"
+            if reason is not None:
+                self.stop_after(b, k, _abort_at(reason, k))
+                continue
+            if save:
+                self.save(b, k, phys[b])
+            if self.homogeneous and self.finish[b] == k < self.end[b]:
+                self.fast_forward(b, k, self.yh[b])
+                self.stop_after(b, k)
 
     def save(self, b: int, k: int, v: np.ndarray) -> None:
         """Hand row b's X field at save index k, built once from its physical
@@ -694,13 +686,10 @@ class _Block:
             self.final_y[b] = _trusted_field(y, self.grid)
 
     def outcomes(self) -> list:
-        """Each row's record, or the abort that stopped it, in row order.  A
-        finished row's tail fields are handed over first (``fast_forward``),
-        under the march's ``np.errstate``."""
+        """Each row's record, or the abort that stopped it, in row order:
+        the march has handed over every field."""
         out = []
         for b, path in enumerate(self.paths):
-            if b in self.tails:
-                self.fast_forward(b, *self.tails[b])
             if self.stop[b] is not None:
                 out.append(self.stop[b])
                 continue
@@ -730,14 +719,13 @@ def _march(block: _Block, x: ComplexField) -> None:
     lead, trail = (half, half) if strang else (half * half, None)
     yh, spec, u = block.yh, block.spec, block.phys
     neg_coef = block.neg_coef
-    record = block.check if block.homogeneous else block.record
 
     u[:] = x.values
     mass = x.mass
     if block.homogeneous and mass > 0:
         u /= math.sqrt(mass)
     grid.forward(u, out=yh)
-    record(0, u)
+    block.record(0, u)
 
     for k in range(n_steps):
         if k >= block.last:
@@ -755,4 +743,4 @@ def _march(block: _Block, x: ComplexField) -> None:
             grid.forward(u, out=spec)
             np.multiply(trail, spec, out=yh)
         if not block.homogeneous or k + 1 in block.checks:
-            record(k + 1, u if trail is None else grid.inverse(yh, out=u))
+            block.record(k + 1, u if trail is None else grid.inverse(yh, out=u))

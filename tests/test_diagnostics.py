@@ -1,5 +1,7 @@
 """Identity residuals, decay-rate definition, and log-slope fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,15 @@ class TestDecayFit:
         rec = simulate(GRID, m, params, X0, seed=7)
         report = decay_fit(rec, m)
         assert report.lln_ratio == pytest.approx(rec.re_m[-1] / rec.times[-1])
+
+    def test_rejects_a_zero_initial_mass(self):
+        # a run from the zero state has nothing to fit; no config reaches it,
+        # since the harness rejects a zero initial state first
+        m = const_model(1.0, alpha0=1.0)
+        params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.01, scheme="rescaled")
+        rec = simulate(GRID, m, params, X0, seed=0)
+        with pytest.raises(ValueError, match="^initial mass must be positive"):
+            decay_fit(dataclasses.replace(rec, mass_x=0.0 * rec.mass_x), m)
 
 
 class TestStructuralIdentities:

@@ -905,6 +905,20 @@ class TestCliRun:
                      str(tmp_path / "out")])
         assert code == EXIT_OK
 
+    def test_cli_process_exit_code(self, tmp_path):
+        # the README's exit-code contract as a shell sees it: a config that
+        # cannot be read exits 2 with one line naming it on stderr
+        missing = tmp_path / "missing.json"
+        src = str(Path(snls_lab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "snls_lab.cli", "validate",
+                               "--config", str(missing)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG_ERROR == 2
+        assert done.stderr.splitlines()[-1].startswith(
+            f"config error: config: cannot read {missing}")
+
     def test_overrides_parse_the_config_once(self, tmp_path, monkeypatch):
         from snls_lab.cli import main
 

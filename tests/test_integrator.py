@@ -710,6 +710,21 @@ class TestBlockMarch:
         assert Counter(calls) == {"forward": n + 3, "inverse": per_step * n + last,
                                   "cos": n}
 
+    @pytest.mark.parametrize("change, key", [
+        ({"x": gaussian_field(make_grid(1, 64, 8.0))}, "initial state lives on a different grid"),
+        ({"steps": 9}, "supplied path has 9 steps"),
+        ({"dt": 2e-3}, "supplied path step"),
+    ], ids=["grid", "steps", "dt"])
+    def test_rejects_a_mismatched_input(self, change, key):
+        # an initial state on another grid, or a path of another step count
+        # or step, is a caller's error the block names before it marches
+        grid, model, params = BLOCK_CASES["rescaled"]
+        x = change.get("x", gaussian_field(grid, width=1.0))
+        dt = change.get("dt", params.dt)
+        path = sample_martingale(model, dt, change.get("steps", params.n_steps), 0)
+        with pytest.raises(ValueError, match=f"^{key}"):
+            simulate_block(grid, model, params, x, [path])
+
 
 HOMOGENEOUS_CASES = sorted(case for case, (_, model, _) in BLOCK_CASES.items()
                            if model.spatially_homogeneous and not case.startswith("abort"))
@@ -845,21 +860,32 @@ class TestFastForward:
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
-    def test_marched_mass_at_finish_follows_the_multipliers(self, case, splitting):
+    def test_marched_mass_at_finish_follows_the_multipliers(self, monkeypatch, case,
+                                                            splitting):
         # The record's masses, the coefficients and the hand-over read the
         # mass from ||x||^2 prod |mid_i|^2, not from the state, so the unit
         # state's Parseval mass where the row stops marching (its finish
-        # index, or the last index) must be 1 up to rounding: it read at
-        # most 3.2e-16 per step over these rows
+        # index, where it fast-forwards, or the last index) must be 1 up to
+        # rounding: it read at most 3.2e-16 per step over these rows
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
         paths = sampled(model, params, range(4))
+
+        def parseval(yh):
+            return grid.cell_volume / grid.size * float(_squared_norms(yh))
+
+        finished, original = {}, _Block.fast_forward
+
+        def fast_forward(self, b, k0, yh):
+            finished[b] = (k0, parseval(yh))
+            original(self, b, k0, yh)
+        monkeypatch.setattr(_Block, "fast_forward", fast_forward)
         block = marched_block(grid, model, params, paths, x)
         for b in range(len(paths)):
-            k, yh = block.tails.get(b, (int(block.end[b]), block.yh[b]))
+            assert (b in finished) == (block.end[b] < params.n_steps)
+            k, marched = finished.get(b) or (int(block.end[b]), parseval(block.yh[b]))
             assert k == block.end[b]
-            marched = grid.cell_volume / grid.size * float(_squared_norms(yh))
             assert abs(marched - 1.0) <= 2e-15 * (k + 1)
 
     def test_rows_finish_at_their_own_index(self, monkeypatch):
@@ -1149,3 +1175,27 @@ def test_unfused_march_working_set(splitting, bound):
     finally:
         tracemalloc.stop()
     assert peak / (16 * grid.size) < bound
+
+
+@pytest.mark.parametrize("scheme", ["rescaled", "direct"])
+def test_fast_forward_working_set(scheme):
+    # Peak traced memory of a homogeneous lambda = 0 run on 2^14 points,
+    # which fast-forwards from index 0, in grid-size complex arrays: the
+    # block's scratch and tables and the final fields.  It reads 9.56 on
+    # both schemes; with the row's spectrum copied at its finish index and
+    # handed over after the march it read 10.56.
+    grid = make_grid(1, 2**14, 64.0)
+    params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=1.0, scheme=scheme)
+    x = gaussian_field(grid, width=1.0)
+
+    def run():
+        simulate(grid, const_model(1.0 + 0.5j), params, x, seed=1)
+
+    run()  # warm-up: first-call allocations are not the march's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * grid.size) < 10.0

@@ -93,6 +93,20 @@ class TestStrichartzExponent:
             assert strichartz_exponent(d, alpha) > 2.0 + 4.0 / d
 
 
+@pytest.mark.parametrize("call, key", [
+    (lambda: picard_iterate(gaussian_field(GRID, width=1.0), const_model(1.0),
+                            sample_martingale(const_model(1.0), 1e-3, 10, 0),
+                            PicardConfig(horizon=0.05, nodes=16), 1, 3.0),
+     "horizon 0.05 exceeds the sampled path horizon"),
+    (lambda: strichartz_exponent(4, 1.5), "dimension:"),
+], ids=["horizon_past_path", "dimension_4"])
+def test_rejects_an_input_no_config_reaches(call, key):
+    # the harness sizes the path to the horizon and the grid to d <= 3, so
+    # only a direct caller meets these guards
+    with pytest.raises(ValueError, match=f"^{key}"):
+        call()
+
+
 class TestDuhamelApply:
     def test_zero_forcing(self):
         series = [constant_field(GRID, 0.0) for _ in range(16)]

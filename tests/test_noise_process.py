@@ -1,5 +1,7 @@
 """Martingale sampling, noise field assembly, and assumption validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from snls_lab.noise_process import (
     sample_martingale,
     validate_assumptions,
 )
+from snls_lab.seeding import derive_seed
 from snls_lab.spectral_grid import make_grid
 
 
@@ -40,6 +43,24 @@ class TestDensitySpec:
     def test_rejects_band_violation(self):
         with pytest.raises(ValueError):
             DensitySpec("constant", alpha0=2.0, v_max=3.0, value=1.0)
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: DensitySpec("constant"), "value: required"),
+    (lambda: DensitySpec("tabulated", values=[1.0, 2.0]), "times: tabulated density needs"),
+    (lambda: DensitySpec("constant", value=math.nan), "value: must be finite"),
+    (lambda: SpatialProfile("tabulated"), "values: a tabulated profile needs"),
+    (lambda: SpatialProfile("tabulated", values=[1.0, math.nan]), "values: the table must"),
+    (lambda: restrict_path(sample_martingale(const_model(1.0), 1e-3, 4, 0), 0),
+     "factor must be >= 1"),
+    (lambda: derive_seed(1, -1), "stream index must be nonnegative"),
+], ids=["constant_without_value", "tabulated_without_times", "nan_value",
+        "profile_without_values", "nan_table", "restrict_by_0", "negative_stream"])
+def test_rejects_an_input_no_config_reaches(call, key):
+    # the harness's key checks reject these inputs first (a missing key, a
+    # non-finite number), so only a direct caller meets these guards
+    with pytest.raises(ValueError, match=f"^{key}"):
+        call()
 
 
 class TestSampleMartingale:

@@ -405,6 +405,10 @@ def validate_assumptions(model: NoiseModel, grid: GridSpec) -> AssumptionReport:
     zeta = zeta_weight(grid)
     for j, prof in enumerate(model.profiles):
         e = prof.sample(grid)
+        # h1 is homogeneous of degree one in e: take it on e / max|e|, whose
+        # derivatives cannot overflow
+        if (top := np.abs(e).max()) > 0:
+            e = e / top
         if prof.spatially_constant:
             grad_mag = np.zeros(grid.size)
             lap_mag = np.zeros(grid.size)

@@ -2,12 +2,12 @@
 
 * The split-step composition: each sub-flow written out on its own, in
   physical space and with ``np.exp``, and composed step by step.  The march
-  batches, fuses and reorders the same arithmetic, so the two agree to
-  rounding, not bit for bit.
+  fuses and reorders the same arithmetic, so the two agree to rounding, not
+  bit for bit.
 * The step-by-step recorder: every check and sum of a run taken at each
   time index as the march reaches it, raising at the first failing one.
-  The march records the same values and stops a row at the same index with
-  the same message, so the two agree bit for bit.  A homogeneous run
+  The march records the same values and stops at the same index with the
+  same message, so the two agree bit for bit.  A homogeneous run
   marches its unit-mass state: its masses come from its mass identity, the
   unit state's mass is checked against 1 at the check indices only, and
   its fields are the unit state times one scalar per save index.
@@ -144,7 +144,7 @@ class StepRecorder:
 
     def __init__(self, grid, block, params, n_steps, save_set, x, snapshot=None):
         self.grid = grid
-        self.block = block  # a one-path block: its tables are row 0
+        self.block = block
         self.direct = params.scheme == "direct"
         self.cv = grid.cell_volume
         self.n_steps = n_steps
@@ -156,11 +156,11 @@ class StepRecorder:
         self.final_x = None
         self.final_y = None
         # 2 sum_j Re(mu_j) dM_j(k), the homogeneous stochastic-sum weights.
-        self.s_incr = 2.0 * (block.model.mu.real @ block.paths[0].increments)
+        self.s_incr = 2.0 * (block.model.mu.real @ block.path.increments)
         # sum_j mu_j M_j(t_k), the homogeneous M
-        self.m = block.paths[0].complex_series(block.model.mu)
+        self.m = block.path.complex_series(block.model.mu)
         if block.homogeneous:
-            expo = exponents(block.model, params, block.paths[0])
+            expo = exponents(block.model, params, block.path)
             gains = np.abs(np.exp(expo)) ** 2
             self.identity = np.cumprod(np.concatenate([[x.mass], gains]))
             turn = np.concatenate([[0.0], np.cumsum(expo.imag)])
@@ -185,11 +185,11 @@ class StepRecorder:
         block = self.block
         self.masses[k] = np.nan if mass is None else mass
         if block.homogeneous:
-            checked = k in self.save_set or k == block.finish[0]
+            checked = k in self.save_set or k == block.finish
             mass, unit = self.identity[k], mass if checked else None
         if not np.isfinite(mass):
             raise NumericalAbort(f"non-finite state at time index {k}", time_index=k)
-        rm = block.re_m[0, k]
+        rm = block.re_m[k]
         try:
             if self.direct:
                 self.mass_x[k] = mass
@@ -199,7 +199,7 @@ class StepRecorder:
                     # the mass of y = v e^{-M} with the real weight e^{-2 Re M},
                     # applied as e^{-Re M} twice
                     amp2 = v.real**2 + v.imag**2
-                    neg_re_m = (-block.model.mu.real * block.paths[0].values[:, k]) \
+                    neg_re_m = (-block.model.mu.real * block.path.values[:, k]) \
                         @ block.e_values
                     w = np.exp(neg_re_m)
                     self.mass_y[k] = self.cv * float(((amp2 * w) * w).sum())
@@ -227,12 +227,12 @@ class StepRecorder:
         else:
             x = v
         if self.snapshot is not None:
-            self.snapshot(k, float(block.paths[0].times[k]), ComplexField(x, self.grid))
+            self.snapshot(k, float(block.path.times[k]), ComplexField(x, self.grid))
         if k == self.n_steps:
             if block.homogeneous:
                 y = v * (scale / m if self.direct else scale)
             else:
-                y = v * np.exp(-block.m_field_values(0, k))
+                y = v * np.exp(-block.m_field_values(k))
             self.final_x = ComplexField(x.copy(), self.grid)
             self.final_y = ComplexField(y.copy(), self.grid)
 
@@ -246,7 +246,7 @@ class StepRecorder:
             w = self.cv * (block.e_values * amp2).sum(axis=-1)
             mu_re = block.model.mu.real
             self.ito[k + 1] = self.ito[k] + 2.0 * float(
-                (mu_re * block.paths[0].increments[:, k]) @ w
+                (mu_re * block.path.increments[:, k]) @ w
             )
 
 
@@ -258,7 +258,7 @@ def fast_forward(run, yh, k0):
     marched step does; no state mass is checked."""
     block, shape = run.block, run.grid.shape
     for k in range(k0, run.n_steps):
-        if abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
+        if abs(block.re_m[k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
                                  f"{k + 1}", time_index=k + 1)
         run.accumulate_ito(k, None)

@@ -199,6 +199,15 @@ class TestDecayFit:
         report = decay_fit(rec, m)
         assert report.lln_ratio == pytest.approx(rec.re_m[-1] / rec.times[-1])
 
+    def test_window_past_a_run_that_never_underflows(self):
+        # no mass underflows, so a window past the run's end is the
+        # caller's error, raised as it is, not a mass underflow abort
+        m = const_model(1.0, alpha0=1.0)
+        params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.1, scheme="rescaled")
+        rec = simulate(GRID, m, params, X0, seed=0)
+        with pytest.raises(ValueError, match=r"^fit window \[5, 6\] outside the series span"):
+            decay_fit(rec, m, (5.0, 6.0))
+
     def test_rejects_a_zero_initial_mass(self):
         # a run from the zero state has nothing to fit; no config reaches it,
         # since the harness rejects a zero initial state first

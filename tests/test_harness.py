@@ -539,8 +539,8 @@ def per_path_entry(cfg: RunConfig, index: int) -> dict:
 
 
 class TestEnsembleBlocks:
-    """simulate_block's blocks of paths, and the chunks of path indices an
-    ensemble's process pool maps."""
+    """An ensemble's paths, each run on its own, and the chunks of path
+    indices its process pool maps."""
 
     def test_block_layout(self, monkeypatch):
         # one contiguous chunk per worker, in index order, of ceil(size /
@@ -623,25 +623,12 @@ class TestEnsembleBlocks:
         assert statuses["aborting"].count("ok") == 5
         assert statuses["fast"] == ["ok"] * 4
 
-        # A simulate_block block marches until its last row finishes: one
-        # forward transform a step, plus the initial spectrum, the initial
-        # resolution check and one final check per row.  A row finishes where
-        # it does marched alone.
+        # Marched, each path finishes at its own index: its run takes one
+        # forward transform a step up to it, plus the initial spectrum and the
+        # initial and final resolution checks.
         config = RunConfig.from_dict(fast)
         built = config.built
         model, params = built.model, built.params
-        paths = [integrator.sample_martingale(model, params.dt, params.n_steps,
-                                              seeding.derive_seed(config.seed, index))
-                 for index in range(4)]
-        finish = []
-        for path in paths:
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = integrator._Block(built.grid, model, params, [path],
-                                          mass=built.x.mass)
-                integrator._march(block, built.x)
-            finish.append(int(block.end[0]))
-        assert finish == [128, 122, 111, 101]
-
         calls = []
         forward = integrator.GridSpec.forward
 
@@ -649,12 +636,17 @@ class TestEnsembleBlocks:
             calls.append(1)
             return forward(*args, **kwargs)
         monkeypatch.setattr(integrator.GridSpec, "forward", counted)
-        for blocks in ([range(4)], [range(2), range(2, 4)], [range(1, 4)]):
+        for index, finish in enumerate([128, 122, 111, 101]):
+            path = integrator.sample_martingale(model, params.dt, params.n_steps,
+                                                seeding.derive_seed(config.seed, index))
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = integrator._Block(built.grid, model, params, path,
+                                          mass=built.x.mass)
+                integrator._march(block, built.x)
+            assert block.end == finish
             calls.clear()
-            for b in blocks:
-                integrator.simulate_block(built.grid, model, params, built.x,
-                                          [paths[i] for i in b])
-            assert len(calls) == sum(2 + max(finish[i] for i in b) + len(b) for b in blocks)
+            integrator.simulate(built.grid, model, params, built.x, path=path)
+            assert len(calls) == 2 + finish + 1
 
     @pytest.mark.filterwarnings("error::snls_lab.spectral_grid.SpectralTailWarning")
     def test_ensemble_marches_nothing(self, monkeypatch):
@@ -667,7 +659,7 @@ class TestEnsembleBlocks:
             path = integrator.sample_martingale(b.model, b.params.dt, b.params.n_steps,
                                                 seeding.derive_seed(config.seed, index))
             with pytest.warns(SpectralTailWarning, match="final state"):
-                integrator.simulate_block(b.grid, b.model, b.params, b.x, [path])
+                integrator.simulate(b.grid, b.model, b.params, b.x, path=path)
         want = json.dumps(dataclasses.asdict(run_ensemble(config, threads=1)))
 
         def refuse(*args, **kwargs):
@@ -729,9 +721,9 @@ class TestEnsembleBlocks:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_block_with_abort_matches_per_path(self, monkeypatch):
-        # A simulate_block block whose row 1 aborts: each row equals its path
-        # marched alone.  Each ensemble entry, read from its path's identity,
-        # equals the one a per-path simulate gives.
+        # Path 1 aborts when marched, paths 0 and 2 run to the end.  Each
+        # ensemble entry, read from its path's identity, equals the one a
+        # per-path simulate gives.
         cfg = RunConfig.from_dict(base_config(kind="ensemble", ensemble={"size": 3}))
         b = cfg.built
         sample = integrator.sample_martingale
@@ -741,20 +733,15 @@ class TestEnsembleBlocks:
             path = sample(model, dt, n_steps, seed, *args)
             return boosted(path) if seed == bad_seed else path
 
-        paths = [sampler(b.model, b.params.dt, b.params.n_steps,
-                         seeding.derive_seed(cfg.seed, i)) for i in range(3)]
-        block = integrator.simulate_block(b.grid, b.model, b.params, b.x, paths)
-        assert [isinstance(row, NumericalAbort) for row in block] == [False, True, False]
-        for path, row in zip(paths, block):
-            alone, = integrator.simulate_block(b.grid, b.model, b.params, b.x, [path])
-            if isinstance(alone, NumericalAbort):
-                assert (str(row), row.time_index) == (str(alone), alone.time_index)
-                continue
-            for name in ("mass_x", "mass_y", "ito_mass_sum", "re_m"):
-                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
-            for name in ("final_x", "final_y"):
-                assert np.array_equal(getattr(row, name).values,
-                                      getattr(alone, name).values), name
+        aborted = []
+        for i in range(3):
+            path = sampler(b.model, b.params.dt, b.params.n_steps,
+                           seeding.derive_seed(cfg.seed, i))
+            try:
+                integrator.simulate(b.grid, b.model, b.params, b.x, path=path)
+            except NumericalAbort:
+                aborted.append(i)
+        assert aborted == [1]
 
         # the ensemble samples its paths in harness, a lone path in integrator
         monkeypatch.setattr(harness, "sample_martingale", sampler)
@@ -764,8 +751,9 @@ class TestEnsembleBlocks:
         assert entries == [per_path_entry(cfg, i) for i in range(3)]
 
     def test_direct_bump_block_matches_per_path(self):
-        # a simulate_block block under spatially varying noise: rows keep
-        # their per-step physical work
+        # runs under spatially varying noise, path 1 boosted until it aborts:
+        # the fields a run hands over change none of its numbers, and an
+        # aborting run hands over those before its abort
         cfg = base_config()
         cfg["noise"]["coefficients"] = [[0.5, 0.2]]
         cfg["noise"]["profiles"] = [{"kind": "gaussian-bump", "width": 2.0}]
@@ -776,24 +764,22 @@ class TestEnsembleBlocks:
         paths = [integrator.sample_martingale(model, params.dt, params.n_steps, s)
                  for s in (1, 2, 3)]
         paths[1] = boosted(paths[1], factor=1e5)
-        keeps = [collector() for _ in paths]
-        block = integrator.simulate_block(grid, model, params, x, paths,
-                                          snapshots=[keep for keep, _ in keeps])
-        assert isinstance(block[1], NumericalAbort)
-        for seed, path, row, (_, seen) in zip((1, 2, 3), paths, block, keeps):
-            keep, want = collector()
+        for i, path in enumerate(paths):
+            keep, seen = collector()
             try:
-                ref = integrator.simulate(grid, model, params, x, seed=seed,
-                                          path=path, snapshot=keep)
+                row = integrator.simulate(grid, model, params, x, path=path, snapshot=keep)
             except NumericalAbort as exc:
-                assert (str(row), row.time_index) == (str(exc), exc.time_index)
-                assert [k for k, _ in seen] == [k for k, _ in want]
+                assert i == 1
+                with pytest.raises(NumericalAbort) as bare:
+                    integrator.simulate(grid, model, params, x, path=path)
+                assert (str(bare.value), bare.value.time_index) == (str(exc), exc.time_index)
+                assert [k for k, _ in seen] == list(range(exc.time_index + 1))
                 continue
+            ref = integrator.simulate(grid, model, params, x, path=path)
             for name in ("mass_x", "mass_y", "ito_mass_sum", "re_m"):
                 assert np.array_equal(getattr(row, name), getattr(ref, name))
-            assert [k for k, _ in seen] == [k for k, _ in want]
-            for (_, a), (_, b) in zip(seen, want):
-                assert np.array_equal(a, b)
+            assert [k for k, _ in seen] == list(range(params.n_steps + 1))
+            assert np.array_equal(seen[-1][1], ref.final_x.values)
             for name in ("final_x", "final_y"):
                 assert np.array_equal(getattr(row, name).values,
                                       getattr(ref, name).values), name
@@ -904,6 +890,17 @@ class TestCliRun:
         code = main(["validate", "--config", str(p), "--out",
                      str(tmp_path / "out")])
         assert code == EXIT_OK
+
+    def test_cli_main_without_argv_exits(self, tmp_path, monkeypatch):
+        # called with no arguments, as the module's entry point calls it,
+        # main reads sys.argv and exits with the run's code
+        from snls_lab.cli import main
+
+        monkeypatch.setattr(sys, "argv", ["snls_lab.cli", "simulate", "--config",
+                                          str(tmp_path / "missing.json")])
+        with pytest.raises(SystemExit) as done:
+            main()
+        assert done.value.code == EXIT_CONFIG_ERROR == 2
 
     def test_cli_process_exit_code(self, tmp_path):
         # the README's exit-code contract as a shell sees it: a config that

@@ -34,7 +34,6 @@ from snls_lab.integrator import (
     _Block,
     _march,
     simulate,
-    simulate_block,
 )
 from snls_lab.noise_process import (
     DensitySpec,
@@ -140,7 +139,7 @@ class TestNoiseStepDirect:
 
     def test_mean_mass_ratio_over_samples(self):
         # E[e^{2 delta - 2 v}] = 1 for delta ~ N(0, v); 1e4 single steps of
-        # the mass ratio |mid|^2 a homogeneous row's mass identity takes
+        # the mass ratio |mid|^2 a homogeneous run's mass identity takes
         m = const_model(1.0)
         p = sample_martingale(m, 1e-2, 10000, 77)
         params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=100.0, scheme="direct")
@@ -373,15 +372,23 @@ def assert_same_snapshots(got, want):
 
 
 def sampled(model, params, seeds):
-    """One noise path per seed, for a block of the run ``params``."""
+    """One noise path per seed, for runs of ``params``."""
     return [sample_martingale(model, params.dt, params.n_steps, s) for s in seeds]
+
+
+def outcome(grid, model, params, x, path, snapshot=None):
+    """The record of one run, or the abort that stopped it."""
+    try:
+        return simulate(grid, model, params, x, path=path, snapshot=snapshot)
+    except NumericalAbort as abort:
+        return abort
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the march runs
 def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, angles=None,
                      sums=None):
     """Strang march of one path with every check and sum taken step by step:
-    the oracle each row of a block must match bit for bit.  A homogeneous
+    the oracle the march must match bit for bit.  A homogeneous
     run marches its unit state from x / sqrt(mass) and fast-forwards at its
     finish index, as the march does, unless ``jump`` is False; then it
     marches every step, ``angles``, a list, receives each step's largest
@@ -390,7 +397,7 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
     n_steps = params.n_steps
     save_every = params.save_every or max(1, math.ceil(n_steps / 512))
     save_set = set(range(0, n_steps + 1, save_every)) | {n_steps}
-    block = _Block(grid, model, params, [path], mass=x.mass)
+    block = _Block(grid, model, params, path, mass=x.mass)
     run = StepRecorder(grid, block, params, n_steps, save_set, x, snapshot)
     shape, half = grid.shape, block.lin_half
 
@@ -400,23 +407,23 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
     yh = np.fft.fftn(phys.reshape(shape)).ravel()
     run.record(0, phys, run.mass_of(phys))
     for k in range(n_steps):
-        if jump and block.homogeneous and k == block.finish[0]:
+        if jump and block.homogeneous and k == block.finish:
             fast_forward(run, yh, k)
             break
         if sums is not None:
             sums.append(float(np.abs(yh).sum()) / grid.size)
-        if block.homogeneous and abs(block.re_m[0, k + 1]) > OVERFLOW_GUARD:
+        if block.homogeneous and abs(block.re_m[k + 1]) > OVERFLOW_GUARD:
             raise NumericalAbort("|Re M| exceeds the overflow guard at time index "
                                  f"{k + 1}", time_index=k + 1)
         run.accumulate_ito(k, phys)
         u = np.fft.ifftn((half * yh).reshape(shape)).ravel()
-        # a homogeneous row only rotates its unit state, its masses folded
-        # into its coefficient; a varying row takes the multiplier e^{a + ib}
+        # a homogeneous run only rotates its unit state, its masses folded
+        # into its coefficient; a varying run takes the multiplier e^{a + ib}
         # and both half phases in one rotation, the second half phase seeing
         # the modulus |u| e^a
         theta = None
         if not block.homogeneous:
-            a, theta = block.noise_coefs[0, k] @ block.profile_table
+            a, theta = block.noise_coefs[k] @ block.profile_table
             if a.max() > OVERFLOW_GUARD or a.min() < -OVERFLOW_GUARD:
                 raise NumericalAbort("noise exponent exceeds the overflow guard at "
                                      f"time index {k}", time_index=k)
@@ -425,7 +432,7 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
             amp = u.real**2 + u.imag**2
             if block.pow_half != 1.0:
                 amp = amp**block.pow_half
-            c = block.neg_coef[0, k]
+            c = block.neg_coef[k]
             if block.homogeneous:
                 phases = amp * c
             elif np.isinf(f).any():
@@ -445,28 +452,6 @@ def reference_strang(grid, model, params, x, path, snapshot=None, jump=True, ang
         phys = np.fft.ifftn(yh.reshape(shape)).ravel()
         run.record(k + 1, phys, run.mass_of(phys))
     return run
-
-
-def assert_rows_match_single_path_calls(grid, model, params, rows):
-    """Each row of a block of ``rows`` paths equals its one-path call bit for
-    bit: series, snapshots handed over, final state, or abort."""
-    x = gaussian_field(grid, width=1.0)
-    keeps = [collector() for _ in range(rows)]
-    block = simulate_block(grid, model, params, x, sampled(model, params, range(rows)),
-                           snapshots=[keep for keep, _ in keeps])
-    for seed, row in enumerate(block):
-        keep, seen = collector()
-        alone, = simulate_block(grid, model, params, x, sampled(model, params, [seed]),
-                                snapshots=[keep])
-        assert_same_snapshots(keeps[seed][1], seen)
-        if isinstance(alone, NumericalAbort):
-            assert (str(row), row.time_index) == (str(alone), alone.time_index)
-            continue
-        for name in ("mass_x", "mass_y", "ito_mass_sum"):
-            assert np.array_equal(getattr(row, name), getattr(alone, name)), name
-        for name in ("final_x", "final_y"):
-            assert np.array_equal(getattr(row, name).values,
-                                  getattr(alone, name).values), name
 
 
 BUMP = SpatialProfile("gaussian-bump", width=2.0)
@@ -489,7 +474,7 @@ BLOCK_CASES = {
                     SimParams(lam=1, alpha=2.0, dt=1e-3, t_final=0.05)),
     "rescaled_three": (make_grid(1, 64, 16.0), const_model([0.7 + 0.2j, 0.4, 0.3 - 0.6j]),
                        SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=0.1)),
-    # homogeneous rows fast-forward at indices 193-362 of 400 (seeds 0-7),
+    # homogeneous runs fast-forward at indices 193-362 of 400 (seeds 0-7),
     # every index a save index, and 849-1,622 of 2,000 (every fourth)
     "fast_forward": (make_grid(1, 64, 16.0), const_model(3.0),
                      SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=4.0)),
@@ -505,7 +490,7 @@ BLOCK_CASES = {
                                   [DensitySpec("constant", value=1.0)]),
                        SimParams(lam=1, alpha=1.5, dt=1e-3, t_final=0.02,
                                  scheme="direct")),
-    # rows abort at different indices: reconstruction overflow or the guard
+    # paths abort at different indices: reconstruction overflow or the guard
     "abort_rescaled": (make_grid(1, 64, 16.0), const_model(400.0),
                        SimParams(lam=1, alpha=3.0, dt=0.5, t_final=10.0)),
     # ... and between save indices, where no snapshot may follow the abort
@@ -520,7 +505,7 @@ BLOCK_CASES = {
                               [DensitySpec("constant", value=1.0)]),
                    SimParams(lam=0, alpha=3.0, dt=1.0, t_final=10.0,
                              scheme="direct")),
-    # spatially varying rows stop on the noise-exponent guard at indices 16,
+    # spatially varying runs stop on the noise-exponent guard at indices 16,
     # 9, 19 and 1 (seeds 0-3), mostly between save indices
     "abort_bump_mixed": (make_grid(1, 64, 16.0),
                          NoiseModel(np.array([36.5 + 0j]), [BUMP],
@@ -536,12 +521,9 @@ class TestBlockMarch:
     def test_rows_match_step_by_step_reference(self, case):
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, [0, 1, 2, 3])
-        keeps = [collector() for _ in paths]
-        block = simulate_block(grid, model, params, x, paths,
-                               snapshots=[keep for keep, _ in keeps])
-        for path, row, (_, seen) in zip(paths, block, keeps):
-            keep, want = collector()
+        for path in sampled(model, params, [0, 1, 2, 3]):
+            (got, seen), (keep, want) = collector(), collector()
+            row = outcome(grid, model, params, x, path, got)
             try:
                 ref = reference_strang(grid, model, params, x, path, keep)
             except NumericalAbort as exc:
@@ -559,35 +541,48 @@ class TestBlockMarch:
                 assert np.array_equal(getattr(row, name).values,
                                       getattr(ref, name).values), name
 
-    def test_mixed_outcomes_in_one_block(self):
-        grid, model, params = BLOCK_CASES["abort_rescaled"]
-        block = simulate_block(grid, model, params, gaussian_field(grid),
-                               sampled(model, params, [0, 1, 2]))
-        assert len({row.time_index for row in block}) > 1
-
     def test_march_ends_once_every_row_has_stopped(self, monkeypatch):
-        # the rows stop at indices 4, 2 and 11, the last before the step its
-        # guard trips on, so with no row finishing the march takes steps 0-9
-        # of 20: one forward transform each, plus the initial spectrum and
-        # resolution check.  With the finish index, the bound is below 2^-63
-        # from index 1 on, where every row finishes and its tail meets the
-        # same aborts.
+        # the paths stop at indices 4, 2 and 11, the last before the step
+        # their guard trips on, so with no finish index a run takes steps
+        # 0-2, 0 and 0-9 of 20: one forward transform each, plus the initial
+        # spectrum and resolution check.  With the finish index, the bound is
+        # below 2^-63 from index 1 on, where every run finishes and its tail
+        # meets the same abort.
         grid, model, params = BLOCK_CASES["abort_rescaled"]
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
-        for finish, steps in ((lambda coef, *_: coef.size, 10),
-                              (integrator._finish_index, 1)):
+        for finish, steps in ((lambda coef, *_: coef.size, [3, 1, 10]),
+                              (integrator._finish_index, [1, 1, 1])):
             monkeypatch.setattr(integrator, "_finish_index", finish)
-            calls.clear()
-            block = simulate_block(grid, model, params, gaussian_field(grid),
-                                   sampled(model, params, [0, 1, 2]))
-            assert [row.time_index for row in block] == [4, 2, 11]
-            assert len(calls) == 1 + 1 + steps
+            for path, index, marched in zip(sampled(model, params, [0, 1, 2]), [4, 2, 11],
+                                            steps):
+                calls.clear()
+                row = outcome(grid, model, params, gaussian_field(grid), path)
+                assert row.time_index == index
+                assert len(calls) == 1 + 1 + marched
 
-    def test_refuses_empty_paths(self):
-        grid, model, params = BLOCK_CASES["rescaled"]
-        with pytest.raises(ValueError, match="paths"):
-            simulate_block(grid, model, params, gaussian_field(grid), [])
+    # each path's abort: its reason, time index and last save index handed
+    # over, before the index of a homogeneous path's abort, at the step a
+    # varying path's noise guard trips on
+    @pytest.mark.parametrize("case, aborts", [
+        ("abort_rescaled", [("mass reconstruction overflows", 4, 3),
+                            ("mass reconstruction overflows", 2, 1),
+                            ("|Re M| exceeds the overflow guard", 11, 10),
+                            ("|Re M| exceeds the overflow guard", 4, 3)]),
+        ("abort_bump_mixed", [("noise exponent exceeds the overflow guard", k, k // 3 * 3)
+                              for k in (16, 9, 19, 1)]),
+    ])
+    def test_lie_aborts_name_their_time_index(self, case, aborts):
+        # Lie runs of paths 0-3 stop where the Strang runs do, with the
+        # message and index the step-by-step checks give
+        grid, model, params = BLOCK_CASES[case]
+        params = dataclasses.replace(params, splitting="lie")
+        for path, (reason, index, last) in zip(sampled(model, params, range(4)), aborts):
+            keep, seen = collector()
+            row = outcome(grid, model, params, gaussian_field(grid, width=1.0), path, keep)
+            assert isinstance(row, NumericalAbort)
+            assert (str(row), row.time_index) == (f"{reason} at time index {index}", index)
+            assert [k for k, _, _ in seen] == list(range(0, last + 1, params.save_every or 1))
 
     def test_without_snapshots_keeps_final_state(self):
         for case in ("rescaled", "direct", "direct_bump"):
@@ -595,9 +590,9 @@ class TestBlockMarch:
             params = dataclasses.replace(params, save_every=7)
             x = gaussian_field(grid, width=1.0)
             keep, seen = collector()
-            path = sampled(model, params, [5])
-            full, = simulate_block(grid, model, params, x, path, snapshots=[keep])
-            bare, = simulate_block(grid, model, params, x, path)
+            path, = sampled(model, params, [5])
+            full = simulate(grid, model, params, x, path=path, snapshot=keep)
+            bare = simulate(grid, model, params, x, path=path)
             n_steps = params.n_steps
             want = [*range(0, n_steps + 1, 7), n_steps]
             assert [k for k, _, _ in seen] == want, case
@@ -608,38 +603,14 @@ class TestBlockMarch:
             assert np.array_equal(bare.mass_x, full.mass_x)
 
     def test_shared_tables_built_once(self, monkeypatch):
-        # a block builds the propagator and the profile table once for all
-        # its rows, not once per row
+        # one run builds the propagator and the profile table once, not once
+        # per step
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "propagator")
         count_calls(monkeypatch, calls, NoiseModel, "sample_profiles")
         grid, model, params = BLOCK_CASES["direct_bump"]
-        paths = sampled(model, params, [0, 1, 2, 3])
-        simulate_block(grid, model, params, gaussian_field(grid), paths)
+        simulate(grid, model, params, gaussian_field(grid), seed=0)
         assert sorted(calls) == ["propagator", "sample_profiles"]
-
-    def test_snapshot_callables_match_seeds(self):
-        grid, model, params = BLOCK_CASES["rescaled"]
-        with pytest.raises(ValueError, match="snapshot callables"):
-            simulate_block(grid, model, params, gaussian_field(grid),
-                           sampled(model, params, [0, 1]), snapshots=[collector()[0]])
-
-    @pytest.mark.parametrize("case", ["rescaled", "direct", "direct_bump",
-                                      "rescaled_2d", "abort_rescaled", "abort_bump",
-                                      "abort_bump_mixed"])
-    def test_lie_rows_match_single_path_calls(self, case):
-        grid, model, params = BLOCK_CASES[case]
-        assert_rows_match_single_path_calls(
-            grid, model, dataclasses.replace(params, splitting="lie"), 4)
-
-    @pytest.mark.parametrize("case", ["rescaled", "direct_bump_3d"])
-    def test_rows_match_single_path_calls_at_32768_points(self, case):
-        # row masses of 32,768 values: a block's rows must still be summed
-        # exactly as a one-row call sums them
-        _, model, params = BLOCK_CASES[case]
-        grid = make_grid(1, 32768, 64.0) if case == "rescaled" else make_grid(3, 32, 8.0)
-        assert_rows_match_single_path_calls(
-            grid, model, dataclasses.replace(params, t_final=5 * params.dt), 3)
 
     @pytest.mark.parametrize("case", ["rescaled", "direct_bump"])
     def test_lie_rows_match_step_loop(self, case):
@@ -680,16 +651,14 @@ class TestBlockMarch:
     @pytest.mark.parametrize("case", ["direct_bump", "direct_bump_3d"])
     def test_handed_over_fields_have_the_recorded_mass(self, case, splitting):
         # every mass is cv sum |v|^2 of the physical state, as
-        # ComplexField.mass takes it, so each X a varying row hands over has
+        # ComplexField.mass takes it, so each X a varying run hands over has
         # its record's mass_x bit for bit
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, save_every=1, splitting=splitting)
-        seen = [[] for _ in range(3)]
-        rows = simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
-                              sampled(model, params, range(3)),
-                              snapshots=[lambda k, t, f, got=got: got.append((k, f.mass))
-                                         for got in seen])
-        for row, got in zip(rows, seen):
+        for path in sampled(model, params, range(3)):
+            got = []
+            row = simulate(grid, model, params, gaussian_field(grid, width=1.0), path=path,
+                           snapshot=lambda k, t, f: got.append((k, f.mass)))
             assert [k for k, _ in got] == list(range(params.n_steps + 1))
             assert [mass for _, mass in got] == row.mass_x.tolist()
 
@@ -698,8 +667,8 @@ class TestBlockMarch:
                              ids=["direct_bump", "rescaled"])
     def test_one_rotation_per_step(self, monkeypatch, case, per_step, last):
         # a Strang step: inverse, forward and one cos for the merged
-        # rotation; a spatially varying row adds the inverse its recording
-        # needs, a homogeneous row needs one only at the last index.  The
+        # rotation; a spatially varying run adds the inverse its recording
+        # needs, a homogeneous run needs one only at the last index.  The
         # run adds the initial spectrum and the two resolution checks.
         calls = []
         for owner, name in ((GridSpec, "forward"), (GridSpec, "inverse"), (np, "cos")):
@@ -717,90 +686,89 @@ class TestBlockMarch:
     ], ids=["grid", "steps", "dt"])
     def test_rejects_a_mismatched_input(self, change, key):
         # an initial state on another grid, or a path of another step count
-        # or step, is a caller's error the block names before it marches
+        # or step, is a caller's error the run names before it marches
         grid, model, params = BLOCK_CASES["rescaled"]
         x = change.get("x", gaussian_field(grid, width=1.0))
         dt = change.get("dt", params.dt)
         path = sample_martingale(model, dt, change.get("steps", params.n_steps), 0)
         with pytest.raises(ValueError, match=f"^{key}"):
-            simulate_block(grid, model, params, x, [path])
+            simulate(grid, model, params, x, path=path)
 
 
 HOMOGENEOUS_CASES = sorted(case for case, (_, model, _) in BLOCK_CASES.items()
                            if model.spatially_homogeneous and not case.startswith("abort"))
 
 
-def marched_block(grid, model, params, paths, x):
-    """A block marched from x, as ``simulate_block`` marches it."""
+def marched_block(grid, model, params, path, x):
+    """The march of one path from x, as ``simulate`` marches it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        block = _Block(grid, model, params, paths, {params.n_steps}, mass=x.mass)
+        block = _Block(grid, model, params, path, {params.n_steps}, mass=x.mass)
         _march(block, x)
     return block
 
 
 @functools.cache
 def full_marches(case):
-    """The block of a case's rows 0-7, marched, and each row's step-by-step
-    march with no jump: its ``angles`` and ``sums`` (``reference_strang``)."""
+    """The marches of a case's paths 0-7, and each path's step-by-step march
+    with no jump: its ``angles`` and ``sums`` (``reference_strang``)."""
     grid, model, params = BLOCK_CASES[case]
     x = gaussian_field(grid, width=1.0)
-    paths = sampled(model, params, range(8))
-    block = marched_block(grid, model, params, paths, x)
-    marches = []
-    for path in paths:
+    blocks, marches = [], []
+    for path in sampled(model, params, range(8)):
+        blocks.append(marched_block(grid, model, params, path, x))
         angles, sums = [], []
         reference_strang(grid, model, params, x, path, jump=False, angles=angles, sums=sums)
         marches.append((angles, sums))
-    return block, marches
+    return blocks, marches
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 class TestFastForward:
-    """A homogeneous row marches until its remaining nonlinear phase is
+    """A homogeneous run marches until its remaining nonlinear phase is
     below rounding, then takes its tail in closed form."""
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_skipped_angles_below_rounding(self, case):
-        # on full step-by-step marches, the largest angle of each step the
-        # row skips, summed, is below one rounding unit: it read at most
-        # 6.0e-5 of 2^-53 over these 24 rows (the finish index's bound is 2^-63)
-        block, marches = full_marches(case)
+        # on full step-by-step marches, the largest angle of each step a run
+        # skips, summed, is below one rounding unit: it read at most 6.0e-5
+        # of 2^-53 over these 24 paths (the finish index's bound is 2^-63)
+        blocks, marches = full_marches(case)
         n_steps = BLOCK_CASES[case][2].n_steps
-        assert 0 < block.end.min() and block.end.max() < n_steps
-        for b, (angles, _) in enumerate(marches):
+        for block, (angles, _) in zip(blocks, marches):
+            assert 0 < block.end < n_steps
             assert len(angles) == n_steps
-            assert sum(angles[block.end[b]:]) < 2.0 ** -53
+            assert sum(angles[block.end:]) < 2.0 ** -53
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_finish_index_not_before_the_spectral_test(self, case):
         # The finish index reads cv^{-1/2}, the root of the unit mass over cv,
         # where the spectral test reads S_k = (1/N) sum |yh_k| of the marched
         # unit state, tested here at every step: S_k^{alpha-1} R_k < 2^-63,
-        # with R_k = sum_{j>=k} |c_j| over the row's coefficients, its masses
+        # with R_k = sum_{j>=k} |c_j| over the run's coefficients, its masses
         # folded in.  Cauchy-Schwarz makes S_k the smaller, so the finish
-        # index is never the earlier; over these 24 rows it was 1.006-1.054
+        # index is never the earlier; over these 24 paths it was 1.006-1.054
         # times the spectral index.
-        block, marches = full_marches(case)
+        blocks, marches = full_marches(case)
         power = BLOCK_CASES[case][2].alpha - 1.0
-        for b, (_, sums) in enumerate(marches):
+        for b, (block, (_, sums)) in enumerate(zip(blocks, marches)):
             tail, spectral = 0.0, []
             for k in reversed(range(len(sums))):
-                tail = abs(block.neg_coef[b, k]) + tail
+                tail = abs(block.neg_coef[k]) + tail
                 spectral.append(sums[k] ** power * tail < 2.0 ** -63)
             first = spectral[::-1].index(True)
-            assert first <= block.finish[b] == block.end[b], b
+            assert first <= block.finish == block.end, b
 
     @pytest.mark.parametrize("case", ["fast_forward", "fast_forward_direct", "decay"])
     def test_jump_matches_full_march(self, case):
         # the record (identity masses, the final state fast-forwarded)
         # against a march of every step, whose unit state's mass is the
         # ratio of the marched mass to the identity.  Measured over these 24
-        # rows: masses 6.6e-13 relative, final y 1.2e-13 in relative L2 and
+        # paths: masses 6.6e-13 relative, final y 1.2e-13 in relative L2 and
         # the Lyapunov exponent 6.6e-14
         grid, model, params = BLOCK_CASES[case]
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(8))
-        for path, rec in zip(paths, simulate_block(grid, model, params, x, paths)):
+        for path in sampled(model, params, range(8)):
+            rec = simulate(grid, model, params, x, path=path)
             full = reference_strang(grid, model, params, x, path, jump=False)
             ratio = full.masses
             assert np.abs(ratio - 1.0).max() <= 1e-12
@@ -815,27 +783,26 @@ class TestFastForward:
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
     def test_own_mass_follows_the_multipliers(self, case, splitting):
         # The free flow and the rotation keep the mass, so a homogeneous
-        # row's own mass is ||x||^2 prod |mid_i|^2, marched or
+        # run's own mass is ||x||^2 prod |mid_i|^2, marched or
         # fast-forwarded: the running product from the initial mass, bit for
         # bit, and the other mass its math.exp weight times that
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(4))
-        tables = _Block(grid, model, params, paths)
         sign = -2.0 if params.scheme == "direct" else 2.0
-        for b, rec in enumerate(simulate_block(grid, model, params, x, paths)):
+        for path in sampled(model, params, range(4)):
+            rec = simulate(grid, model, params, x, path=path)
             own, other = (rec.mass_x, rec.mass_y) if params.scheme == "direct" \
                 else (rec.mass_y, rec.mass_x)
-            gains = np.abs(np.exp(exponents(model, params, paths[b]))) ** 2
+            gains = np.abs(np.exp(exponents(model, params, path))) ** 2
             assert np.array_equal(own, np.cumprod([x.mass, *gains]))
-            weights = [math.exp(sign * r) for r in tables.re_m[b]]
+            weights = [math.exp(sign * r) for r in _Block(grid, model, params, path).re_m]
             assert np.array_equal(other, np.multiply(weights, own))
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
     def test_coefficients_fold_in_the_mass(self, case, splitting):
-        # a homogeneous row rotates its unit state by -c_k (m_k^p + m_{k+1}^p)
+        # a homogeneous run rotates its unit state by -c_k (m_k^p + m_{k+1}^p)
         # |w|^{alpha-1} (Strang) or -c_k m_k^p |w|^{alpha-1} (Lie): c_k is the
         # plain phase coefficient lam e^{(alpha-1) Re M_k} dt/2 (Strang) or
         # lam e^{(alpha-1) Re M_k} dt (Lie), with Re M = 0 on the direct
@@ -843,20 +810,19 @@ class TestFastForward:
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(2))
-        block = _Block(grid, model, params, paths, mass=x.mass)
-        if params.lam == 0:
-            assert block.neg_coef is None
-            return
         p, strang = (params.alpha - 1.0) / 2.0, splitting == "strang"
-        for b, path in enumerate(paths):
+        for path in sampled(model, params, range(2)):
+            block = _Block(grid, model, params, path, mass=x.mass)
+            if params.lam == 0:
+                assert block.neg_coef is None
+                continue
             re_m = path.real_part_series(model.mu)[:-1] if params.scheme == "rescaled" \
                 else 0.0
             c = params.lam * np.exp(2.0 * p * re_m) * params.dt * (0.5 if strang else 1.0)
             log_mass = np.cumsum([math.log(x.mass), *(2.0 * exponents(model, params, path).real)])
             scale = np.exp(p * log_mass)
             want = -c * (scale[:-1] + scale[1:] if strang else scale[:-1])
-            assert np.allclose(block.neg_coef[b], want, rtol=1e-10, atol=0.0)
+            assert np.allclose(block.neg_coef, want, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("splitting", SPLITTINGS)
     @pytest.mark.parametrize("case", HOMOGENEOUS_CASES)
@@ -864,63 +830,63 @@ class TestFastForward:
                                                             splitting):
         # The record's masses, the coefficients and the hand-over read the
         # mass from ||x||^2 prod |mid_i|^2, not from the state, so the unit
-        # state's Parseval mass where the row stops marching (its finish
+        # state's Parseval mass where the run stops marching (its finish
         # index, where it fast-forwards, or the last index) must be 1 up to
-        # rounding: it read at most 3.2e-16 per step over these rows
+        # rounding: it read at most 3.2e-16 per step over these paths
         grid, model, params = BLOCK_CASES[case]
         params = dataclasses.replace(params, splitting=splitting)
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(4))
 
         def parseval(yh):
             return grid.cell_volume / grid.size * float(_squared_norms(yh))
 
-        finished, original = {}, _Block.fast_forward
+        finished, original = [], _Block.fast_forward
 
-        def fast_forward(self, b, k0, yh):
-            finished[b] = (k0, parseval(yh))
-            original(self, b, k0, yh)
+        def fast_forward(self, k0, yh):
+            finished.append((k0, parseval(yh)))
+            original(self, k0, yh)
         monkeypatch.setattr(_Block, "fast_forward", fast_forward)
-        block = marched_block(grid, model, params, paths, x)
-        for b in range(len(paths)):
-            assert (b in finished) == (block.end[b] < params.n_steps)
-            k, marched = finished.get(b) or (int(block.end[b]), parseval(block.yh[b]))
-            assert k == block.end[b]
+        for path in sampled(model, params, range(4)):
+            finished.clear()
+            block = marched_block(grid, model, params, path, x)
+            assert bool(finished) == (block.end < params.n_steps)
+            k, marched = finished[0] if finished else (block.end, parseval(block.yh))
+            assert k == block.end
             assert abs(marched - 1.0) <= 2e-15 * (k + 1)
 
     def test_rows_finish_at_their_own_index(self, monkeypatch):
-        # rows 0-3 of "fast_forward" finish at indices 207, 194, 222 and 193,
-        # each where it finishes alone; the block marches to the largest, 222
-        # steps: one forward transform each, plus the initial spectrum, the
-        # initial resolution check and one final check per row
+        # paths 0-3 of "fast_forward" finish at indices 207, 194, 222 and
+        # 193: a run marches that many steps, one forward transform each,
+        # plus the initial spectrum, the initial resolution check and the
+        # final one
         grid, model, params = BLOCK_CASES["fast_forward"]
         x = gaussian_field(grid, width=1.0)
-        paths = sampled(model, params, range(4))
-        alone = [int(marched_block(grid, model, params, [p], x).end[0]) for p in paths]
-        assert alone == [207, 194, 222, 193]
-        block = marched_block(grid, model, params, paths, x)
-        assert block.end.tolist() == block.finish == alone
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
-        simulate_block(grid, model, params, x, paths)
-        assert len(calls) == 1 + 1 + 222 + 4
+        for path, finish in zip(sampled(model, params, range(4)), [207, 194, 222, 193]):
+            block = marched_block(grid, model, params, path, x)
+            assert block.end == block.finish == finish
+            calls.clear()
+            simulate(grid, model, params, x, path=path)
+            assert len(calls) == 1 + 1 + finish + 1
 
     def test_march_reduces_only_at_check_indices(self, monkeypatch):
-        # rows 0-3 finish at indices 207, 194, 222 and 193, and the only save
-        # index is the last, 400: one Parseval sum over the block at each
-        # finish index, none at the other 218 marched indices
+        # paths 0-3 finish at indices 207, 194, 222 and 193, and the only save
+        # index is the last, 400: one Parseval sum per run at its finish
+        # index, none at the other marched indices
         grid, model, params = BLOCK_CASES["fast_forward"]
         calls = []
         count_calls(monkeypatch, calls, integrator, "_squared_norms")
-        simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
-                       sampled(model, params, range(4)))
-        assert len(calls) == 4
+        for path in sampled(model, params, range(4)):
+            calls.clear()
+            simulate(grid, model, params, gaussian_field(grid, width=1.0), path=path)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("snapshots, first", [(False, [207, 194, 222, 193]),
                                                   (True, [1, 1, 1, 1])])
     def test_scaled_multiplier_trips_the_check(self, monkeypatch, snapshots, first):
         # a homogeneous step off by a factor 1 + 1e-9 departs from the
-        # identity by about 2e-9 per step, far past MASS_DEPARTURE: each row
+        # identity by about 2e-9 per step, far past MASS_DEPARTURE: each run
         # stops at its first check index after a step (its finish index, or
         # index 1 when every index is a save index), with nothing of it
         # handed over
@@ -932,12 +898,11 @@ class TestFastForward:
                 u *= 1.0 + 1e-9
         monkeypatch.setattr(_Block, "pointwise_step", scaled)
         grid, model, params = BLOCK_CASES["fast_forward"]
-        keeps = [collector() for _ in range(4)]
-        rows = simulate_block(grid, model, params, gaussian_field(grid, width=1.0),
-                              sampled(model, params, range(4)),
-                              snapshots=[keep for keep, _ in keeps] if snapshots else None)
-        assert [row.time_index for row in rows] == first
-        for row, k, (_, seen) in zip(rows, first, keeps):
+        for path, k in zip(sampled(model, params, range(4)), first):
+            keep, seen = collector()
+            row = outcome(grid, model, params, gaussian_field(grid, width=1.0), path,
+                          keep if snapshots else None)
+            assert row.time_index == k
             assert re.fullmatch(r"mass departs from the identity by "
                                 rf"\S+ at time index {k}", str(row)), str(row)
             assert [s for s, _, _ in seen] == ([0] if snapshots else [])
@@ -946,7 +911,7 @@ class TestFastForward:
     def test_state_whose_spectral_sum_overflows_runs(self, save_every):
         # mass 1e302 on 1,024 points, times e^10 by step 0's multiplier: the
         # Parseval sum N/cv mass of the physical state overflows a double
-        # from index 1 on while its mass stays finite.  The row marches its
+        # from index 1 on while its mass stays finite.  The run marches its
         # unit state and checks masses in physical space, so it runs to the
         # end, and each field it hands over has the record's mass.
         grid = make_grid(1, 1024, 16.0)
@@ -954,23 +919,24 @@ class TestFastForward:
         params = SimParams(lam=1, alpha=3.0, dt=0.01, t_final=0.03, scheme="direct",
                            save_every=save_every)
         seen = []
-        row, = simulate_block(grid, const_model(1.0), params, x,
-                              [handmade_path([[5.0, 0.0, 0.0]], 0.01)],
-                              snapshots=[lambda k, t, f: seen.append((k, f.mass))])
-        assert not isinstance(row, NumericalAbort), row
+        row = simulate(grid, const_model(1.0), params, x,
+                       path=handmade_path([[5.0, 0.0, 0.0]], 0.01),
+                       snapshot=lambda k, t, f: seen.append((k, f.mass)))
         assert row.mass_x[-1] == pytest.approx(1e302 * math.exp(10.0), rel=1e-12)
         assert [k for k, _ in seen] == ([0, 1, 2, 3] if save_every is None else [0, 2, 3])
         for k, mass in seen:
             assert mass == pytest.approx(row.mass_x[k], rel=1e-13)
 
     def test_without_phase_finishes_at_once(self, monkeypatch):
-        # lambda = 0: no step is marched, and the tail is the whole run
+        # lambda = 0: no step is marched, and the tail is the whole run: the
+        # initial spectrum and the two resolution checks
         calls = []
         count_calls(monkeypatch, calls, GridSpec, "forward")
         grid, model, params = BLOCK_CASES["linear"]
-        simulate_block(grid, model, params, gaussian_field(grid),
-                       sampled(model, params, [0, 1]))
-        assert len(calls) == 1 + 1 + 2
+        for path in sampled(model, params, [0, 1]):
+            calls.clear()
+            simulate(grid, model, params, gaussian_field(grid), path=path)
+            assert len(calls) == 1 + 1 + 1
 
     @pytest.mark.parametrize("mu", [[1.0 + 0.5j], [0.7 + 0.2j, 0.4],
                                     [0.7 + 0.2j, 0.4, 0.3 - 0.6j]], ids=["J1", "J2", "J3"])
@@ -978,14 +944,13 @@ class TestFastForward:
         grid = make_grid(1, 32, 8.0)
         model = const_model(mu)
         params = SimParams(lam=1, alpha=3.0, dt=1e-2, t_final=0.5, save_every=1)
-        paths = sampled(model, params, range(3))
         saves = set(range(params.n_steps + 1))
-        block = _Block(grid, model, params, paths, saves)
-        for b, path in enumerate(paths):
+        for path in sampled(model, params, range(3)):
+            block = _Block(grid, model, params, path, saves)
             series = path.complex_series(model.mu)
-            assert block.m_saved[b].keys() == block.hand[b].keys() == saves
+            assert block.m_saved.keys() == block.hand.keys() == saves
             for k in saves:
-                assert block.m_saved[b][k] == series[k]
+                assert block.m_saved[k] == series[k]
 
 
 def handmade_path(increments, dt, densities=None):
@@ -1007,7 +972,7 @@ class TestMergedAngleOverflow:
     """e^{(alpha-1) a} overflows where the noise exponent a passes
     709.78 / (alpha - 1).  The merged angle then comes from |u e^a|, as the
     second of two rotations takes it, so a state the two rotations keep
-    finite stays finite, and one they make non-finite stops the row at the
+    finite stays finite, and one they make non-finite stops the run at the
     same index."""
 
     GRID = make_grid(1, 64, 16.0)
@@ -1043,7 +1008,7 @@ class TestMergedAngleOverflow:
 
 
 class TestMergedAngleOverflowHomogeneous(TestMergedAngleOverflow):
-    """The same checks on a constant-one profile: a homogeneous row, whose
+    """The same checks on a constant-one profile: a homogeneous run, whose
     a = 240 is constant in space, takes the same rule, so it stays finite
     where the plain composition does."""
 
@@ -1090,20 +1055,20 @@ IDENTITY_EDGES = {
     # Re M = 300 over steps 2-3 lies between 709.78 / (alpha - 1) = 182 and
     # the guard, so e^{(alpha-1) Re M} and the phase coefficients overflow
     # there, while the mass 1e-40 e^{600} does not.  The angle is non-finite
-    # and the check at the finish index 4 stops the row.
+    # and the check at the finish index 4 stops the run.
     "phase_scale_overflows": (
         EDGE_GRID, EDGE_PARAMS, handmade_path(jumps(10, {1: 300.0, 3: -300.0}), 0.01),
         gaussian_field(EDGE_GRID, width=1.0, l2_norm=1e-20), False,
         "non-finite state at time index 4"),
     # the own mass underflows to 0 at index 1 (dQ = 1000), then Re M = 300
-    # makes every later coefficient inf x 0 = NaN; the row finishes at
+    # makes every later coefficient inf x 0 = NaN; the run finishes at
     # index 1, before any of them
     "nan_coefficient": (
         EDGE_GRID, EDGE_PARAMS,
         handmade_path(jumps(10, {3: 300.0}), 0.01, jumps(10, {0: 1e5})),
         gaussian_field(EDGE_GRID, width=1.0), False, "ok"),
     # overflowing coefficients, then Re M = 800 at index 5: the guard stops
-    # the row first
+    # the run first
     "guard_after_overflow": (
         EDGE_GRID, EDGE_PARAMS, handmade_path(jumps(10, {1: 300.0, 4: 500.0}), 0.01),
         gaussian_field(EDGE_GRID, width=1.0, l2_norm=1e-20), False,
@@ -1124,34 +1089,34 @@ IDENTITY_EDGES = {
 @pytest.mark.parametrize("edge", sorted(IDENTITY_EDGES))
 def test_identity_outcome_matches_the_march(edge, monkeypatch):
     # A homogeneous path's outcome from its identity (an ensemble's) equals
-    # simulate_block's on the one path, at each edge where a march could
-    # stop the row where the identity does not: the same record series, or
-    # the same abort at the same index.  The path is marched only where the
-    # identity cannot decide.
+    # simulate's on the path, at each edge where a march could stop the run
+    # where the identity does not: the same record series, or the same
+    # abort at the same index.  The path is marched only where the identity
+    # cannot decide.
     grid, params, path, x, decides, want = IDENTITY_EDGES[edge]
     model = const_model(1.0)
     if path is None:
         path = sample_martingale(model, params.dt, params.n_steps, 3)
-    marched, = simulate_block(grid, model, params, x, [path])
+    marched = outcome(grid, model, params, x, path)
     calls = []
-    monkeypatch.setattr(integrator, "simulate_block",
-                        lambda *args: calls.append(1) or simulate_block(*args))
-    outcome = integrator.identity_outcome(grid, model, params, x, path)
+    monkeypatch.setattr(integrator, "simulate",
+                        lambda *args, **kwargs: calls.append(1) or simulate(*args, **kwargs))
+    decided = integrator.identity_outcome(grid, model, params, x, path)
     assert len(calls) == (not decides)
     if want == "ok":
         assert not isinstance(marched, NumericalAbort), marched
         for name in ("times", "mass_x", "mass_y", "re_m"):
-            assert np.array_equal(getattr(outcome, name), getattr(marched, name)), name
+            assert np.array_equal(getattr(decided, name), getattr(marched, name)), name
     else:
         assert str(marched) == want
-        assert (str(outcome), outcome.time_index) == (want, marched.time_index)
+        assert (str(decided), decided.time_index) == (want, marched.time_index)
 
 
 @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
 @pytest.mark.parametrize("splitting, bound", [("strang", 13.5), ("lie", 13.6)])
 def test_unfused_march_working_set(splitting, bound):
     # Peak traced memory of a 32^3 direct bump run, in grid-size complex
-    # arrays: the block's scratch and tables, the recording temporaries and
+    # arrays: the march's scratch and tables, the recording temporaries and
     # the final fields.  It reads 13.03 (Strang) and 13.09 (Lie); before the
     # scratch buffers it read 16.08 and 15.08.  One field kept alive by
     # mistake adds one.
@@ -1181,8 +1146,8 @@ def test_unfused_march_working_set(splitting, bound):
 def test_fast_forward_working_set(scheme):
     # Peak traced memory of a homogeneous lambda = 0 run on 2^14 points,
     # which fast-forwards from index 0, in grid-size complex arrays: the
-    # block's scratch and tables and the final fields.  It reads 9.56 on
-    # both schemes; with the row's spectrum copied at its finish index and
+    # march's scratch and tables and the final fields.  It reads 9.56 on
+    # both schemes; with the spectrum copied at its finish index and
     # handed over after the march it read 10.56.
     grid = make_grid(1, 2**14, 64.0)
     params = SimParams(lam=0, alpha=3.0, dt=1e-2, t_final=1.0, scheme=scheme)

@@ -161,14 +161,14 @@ class TestNoiseField:
     def block(model, path, grid, saves=frozenset()):
         params = SimParams(lam=0, alpha=3.0, dt=path.dt, t_final=path.dt * path.n_steps,
                            scheme="direct")
-        return _Block(grid, model, params, [path], saves)
+        return _Block(grid, model, params, path, saves)
 
     def test_zero_values_give_zero_field(self):
         g = make_grid(1, 16, 2.0)
         prof = SpatialProfile("gaussian-bump", width=1.0)
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
         p = sample_martingale(m, 1e-3, 10, 0)
-        out = self.block(m, p, g).m_field_values(0, 0)  # M(0) = 0
+        out = self.block(m, p, g).m_field_values(0)  # M(0) = 0
         assert np.all(out == 0.0)
 
     def test_constant_profile_substitution(self):
@@ -181,7 +181,7 @@ class TestNoiseField:
                        [DensitySpec("constant", value=1.0)] * 2)
         p = sample_martingale(m, 1e-3, 10, 0)
         p.values[0, 5] = 0.5  # pin the component value
-        out = self.block(m, p, g, saves={5}).m_field_values(0, 5)
+        out = self.block(m, p, g, saves={5}).m_field_values(5)
         assert np.allclose(out, 1.0 + 0.5j, atol=1e-15)
 
     def test_grid_mismatch(self):
@@ -248,6 +248,23 @@ class TestValidateAssumptions:
         m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
         rep = validate_assumptions(m, g)
         assert rep.h1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", [1e-300, 1.0, 1e200, 1e306])
+    @pytest.mark.parametrize("dimension, points", [(2, 4), (1, 64), (2, 32), (3, 8)])
+    def test_h1_independent_of_the_profile_scale(self, dimension, points, amplitude):
+        # h1 is homogeneous of degree one in e, so a bump passes at every
+        # amplitude: at 1e200 and 1e306 |grad e|^2 overflowed and h1 failed
+        prof = SpatialProfile("gaussian-bump", width=2.0, amplitude=amplitude)
+        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
+        assert validate_assumptions(m, make_grid(dimension, points, 8.0)).h1
+
+    def test_h1_passes_on_one_populated_shell_bin(self):
+        # on 4 points the outer shell holds the one radius 8: with fewer
+        # than two populated bins there is no decrease to check
+        prof = SpatialProfile("gaussian-bump", width=2.0)
+        m = NoiseModel(np.array([1.0 + 0j]), [prof], [DensitySpec("constant", value=1.0)])
+        assert validate_assumptions(m, make_grid(1, 4, 8.0)).h1
 
     def test_zero_alpha0_fails_h4(self):
         m = NoiseModel(np.array([1.0 + 0j]), [SpatialProfile("constant-one")],

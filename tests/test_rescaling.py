@@ -47,15 +47,15 @@ def direct_run(seed, model=None):
 
 
 def rescaled_factors(model, dt=1e-2, steps=10, seed=0):
-    """exp(-gamma dt) of each step of one rescaled path, as the block built
-    from a unit mass carries it: its modulus squared is the ratio of
+    """exp(-gamma dt) of each step of one rescaled path, as the march's tables
+    built from a unit mass carry it: its modulus squared is the ratio of
     consecutive identity masses, its angle the step of the hand-over phase
     (every index a save index)."""
     params = SimParams(lam=1, alpha=3.0, dt=dt, t_final=dt * steps, scheme="rescaled")
-    block = _Block(GRID, model, params, [sample_martingale(model, dt, steps, seed)],
+    block = _Block(GRID, model, params, sample_martingale(model, dt, steps, seed),
                    set(range(steps + 1)))
-    mass = block.mass_y[0]
-    turn = np.angle([block.hand[0][k] for k in range(steps + 1)])
+    mass = block.mass_y
+    turn = np.angle([block.hand[k] for k in range(steps + 1)])
     return np.sqrt(mass[1:] / mass[:-1]), np.diff(turn)
 
 

@@ -2,8 +2,8 @@
 
 Subcommands mirror the run kinds: simulate | ensemble | picard | convergence
 | validate.  Every subcommand takes --config PATH plus optional --out DIR,
---seed U64 (overrides the config), and --threads N (falls back to the
-SNLS_LAB_THREADS environment variable, then 1).
+--seed U64 (overrides the config), and --threads N (the ensemble's worker
+count, default 1).
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker count, at most the core count "
-                             "(default: SNLS_LAB_THREADS or 1)")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker count, at most the core count (default: 1)")
     return parser
 
 

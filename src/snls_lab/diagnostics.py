@@ -134,13 +134,14 @@ def fit_log_slope(times, values, window: tuple | None = None) -> tuple[float, tu
     return float(slope), (t0, t1)
 
 
-def decay_fit(record: SolutionRecord | MassIdentity, model: NoiseModel,
+def decay_fit(record: SolutionRecord | MassIdentity, w: float,
               fit_window: tuple | None = None) -> DecayReport:
     """Fit the decay of the recorded mass ||X||^2: a run's, or a homogeneous
     path's mass identity.
 
-    The report carries the model's omega (see :func:`omega`) and the
-    verdict margin fitted_slope - (-omega).
+    ``w`` is the rate to fit against, the caller's :func:`omega` of the
+    run's model; nothing is vetoed here.  The report carries it and the
+    verdict margin fitted_slope - (-w).
     A mass that underflows before the fit window leaves nothing to fit: that
     raises :class:`NumericalAbort` naming the first underflowed time index.
     """
@@ -159,19 +160,16 @@ def decay_fit(record: SolutionRecord | MassIdentity, model: NoiseModel,
 
     t_last = record.times[last]
     lyap = float(math.log(masses[last] / masses[0]) / t_last) if t_last > 0 else 0.0
-
-    w = omega(model)
     lln = float(record.re_m[-1] / record.times[-1])
     return DecayReport(w, slope, lyap, lln, slope + w, window)
 
 
-def gronwall_check(record: SolutionRecord | MassIdentity, model: NoiseModel) -> dict:
-    """Pathwise envelope check E0(t_k) <= e^{-omega t_k} E0(0) (1 + 1e-8)
-    plus monotonicity of E0, evaluated at every recorded time."""
-    w = omega(model)
+def gronwall_check(record: SolutionRecord | MassIdentity, w: float) -> dict:
+    """Pathwise envelope check E0(t_k) <= e^{-w t_k} E0(0) (1 + 1e-8)
+    plus monotonicity of E0, evaluated at every recorded time; ``w`` is the
+    caller's :func:`omega` of the run's model, and nothing is vetoed here."""
     e0 = record.mass_y
     envelope = e0[0] * np.exp(-w * record.times) * (1.0 + 1e-8)
     violations = int(np.count_nonzero(e0 > envelope))
     monotone = bool(np.all(np.diff(e0) <= 0.0))
     return {"violations": violations, "monotone": monotone}
-

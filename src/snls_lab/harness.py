@@ -6,16 +6,17 @@ is the one reader: it parses the file and applies the run's ``kind`` and
 default is written once, in :data:`CONFIG_KEYS`, and one reader,
 :func:`_leaves`, reads a section by it: it names the key path, never takes a
 bool or a string for a number, and returns the normalized section that
-``config_echo.json`` writes.  Validation is construction:
-:meth:`RunConfig.from_dict` checks the run kind, the seed and the sections
-the kind requires; then one builder per section reads its section, puts it
-back on the config normalized, and builds the grid, the noise model, the
-initial state, the parameters or the Picard controls.  Their constructors
-make the range checks, and a ``ValueError``/``TypeError`` they raise becomes
-a :class:`ConfigError` prefixed with the key path.  The harness checks only
-what no domain object owns: the run kind, the seed, the sections each kind
-requires, the convergence ladder, and how the built objects fit the run
-(density horizons, the fit window, a zero-mass state).
+``config_echo.json`` writes; the top level is one such section.  Validation
+is construction: :meth:`RunConfig.from_dict` checks the run kind, the seed
+and the sections the kind requires; then one builder per section reads its
+section, puts it back on the config normalized, and builds the grid, the
+noise model, the initial state, the parameters or the Picard controls.
+Their constructors make the range checks, and a ``ValueError``/``TypeError``
+they raise becomes a :class:`ConfigError` prefixed with the key path.  The
+harness checks only what no domain object owns: the run kind, the seed, the
+sections each kind requires, the convergence ladder, picard's ``lambda``,
+``path_dt`` and step ceiling, and how the built objects fit the run (density
+horizons, the fit window, a zero-mass state).
 The built objects are kept on the config (:class:`Built`, never serialised),
 so each is built once per run: every runner uses them, and the ensemble's
 path function receives them instead of a config to parse again.
@@ -216,7 +217,7 @@ def _leaves(section, path: str, spec: dict | None = None) -> dict:
         if isinstance(leaf, dict):  # the leaves of one kind
             if name == out.get("kind"):
                 out.update(_leaves(section, path, leaf))
-        elif (value := _read(section, f"{path}.{name}", *leaf)) is not None:
+        elif (value := _read(section, f"{path}.{name}" if path else name, *leaf)) is not None:
             out[name] = value
     return out
 
@@ -255,62 +256,48 @@ class RunConfig:
     """Validated, normalized run configuration: plain JSON values, plus the
     domain objects built from them (``built``; not serialised or compared)."""
 
+    schema_version: int
     kind: str
     seed: int
     grid: dict
     noise: dict
-    sim: dict | None
-    initial: dict | None
     diagnostics: dict
     ensemble: dict
     picard: dict
     convergence: dict
     output_dir: str
-    schema_version: int
+    sim: dict | None = None
+    initial: dict | None = None
     built: Built | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Check a parsed JSON config by building its domain objects.  The
-        diagnostics, ensemble and convergence sections are normalized here,
-        and each builder normalizes the section it reads."""
-        _typed(raw, dict, "config")
-
-        def read(name: str):
-            return _read(raw, name, *CONFIG_KEYS[""][name])
-
-        version = read("schema_version")
+        """Check a parsed JSON config by building its domain objects.  The top
+        level is read by :data:`CONFIG_KEYS`, the diagnostics, ensemble and
+        convergence sections are normalized here, and each builder normalizes
+        the section it reads."""
+        top = _leaves(_typed(raw, dict, "config"), "", CONFIG_KEYS[""])
+        version, kind = top["schema_version"], top["kind"]
         _require(version == SCHEMA_VERSION, "schema_version",
                  f"unsupported version {version}, expected {SCHEMA_VERSION}")
-        kind = read("kind")
         _require(kind in RUN_KINDS, "kind", f"must be one of {RUN_KINDS}, got {kind!r}")
-        seed = read("seed")
-        _require(0 <= seed < 2**64, "seed", "must be an integer in [0, 2^64)")
+        _require(0 <= top["seed"] < 2**64, "seed", "must be an integer in [0, 2^64)")
 
-        grid, noise, sim, initial = map(read, ("grid", "noise", "sim", "initial"))
-        diagnostics = _leaves(read("diagnostics"), "diagnostics")
-        fw = diagnostics.get("fit_window")
+        top["diagnostics"] = _leaves(top["diagnostics"], "diagnostics")
+        fw = top["diagnostics"].get("fit_window")
         _require(fw is None or len(fw) == 2, "diagnostics.fit_window", "must be [t0, t1]")
-        ensemble = read("ensemble")
-        if ensemble:
-            ensemble = _leaves(ensemble, "ensemble")
-            _require(ensemble["size"] >= 1, "ensemble.size", "must be >= 1")
-            _require(ensemble["size"] <= MAX_ENSEMBLE_SIZE, "ensemble.size",
-                     f"{ensemble['size']} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
-        picard = read("picard")
-        convergence = read("convergence")
-        if convergence:
-            convergence = _normalize_convergence(_leaves(convergence, "convergence"))
-
-        present = {"sim": sim, "initial": initial, "picard": picard,
-                   "convergence": convergence}
+        if en := top["ensemble"]:
+            top["ensemble"] = en = _leaves(en, "ensemble")
+            _require(en["size"] >= 1, "ensemble.size", "must be >= 1")
+            _require(en["size"] <= MAX_ENSEMBLE_SIZE, "ensemble.size",
+                     f"{en['size']} paths exceed the ceiling of {MAX_ENSEMBLE_SIZE}")
+        if top["convergence"]:
+            top["convergence"] = _normalize_convergence(
+                _leaves(top["convergence"], "convergence"))
         for name in _NEEDS[kind]:
-            _require(bool(present[name]), name, f"required for kind={kind!r}")
-
-        out_dir = read("output_dir")
-        _require(bool(out_dir), "output_dir", "must be a nonempty string")
-        config = cls(kind, seed, grid, noise, sim, initial, diagnostics,
-                     ensemble, picard, convergence, out_dir, version)
+            _require(bool(top.get(name)), name, f"required for kind={kind!r}")
+        _require(bool(top["output_dir"]), "output_dir", "must be a nonempty string")
+        config = cls(**top)
         config.built = _construct(config)
         return config
 
@@ -526,20 +513,19 @@ def run_simulation(config: RunConfig,
     """One integrator run per the config, plus its decay fit when requested;
     ``snapshot`` receives the saved fields (see :func:`integrator.simulate`)."""
     b = config.built
-    if fit := config.diagnostics.get("decay_fit"):
-        omega(b.model)  # the decay fit needs omega: veto before the march
+    fit = config.diagnostics.get("decay_fit")
+    w = omega(b.model) if fit else None  # the fit needs omega: veto before the march
     record = simulate(b.grid, b.model, b.params, b.x, seed=config.seed,
                       snapshot=snapshot)
-    report = None
-    if fit:
-        report = decay_fit(record, b.model, config.diagnostics.get("fit_window"))
-    return record, report
+    return record, decay_fit(record, w, config.diagnostics.get("fit_window")) if fit else None
 
 
-def _ensemble_member(built: Built, fit_window, master_seed: int, index: int) -> dict:
+def _ensemble_member(built: Built, w: float, fit_window, master_seed: int,
+                     index: int) -> dict:
     """Ensemble path ``index``'s dict, every number from the mass identity
-    (``integrator.identity_outcome``) of the path drawn at its derived seed;
-    the function the ensemble maps, traced by name in perfbench/spans.py."""
+    (``integrator.identity_outcome``) of the path drawn at its derived seed,
+    fitted against the ensemble's rate ``w``; the function the ensemble maps,
+    traced by name in perfbench/spans.py."""
     model, params = built.model, built.params
     path = sample_martingale(model, params.dt, params.n_steps,
                              seeding.derive_seed(master_seed, index))
@@ -549,7 +535,7 @@ def _ensemble_member(built: Built, fit_window, master_seed: int, index: int) -> 
         out["status"] = f"aborted at time index {identity.time_index}"
         return out
     try:
-        report = decay_fit(identity, model, fit_window)
+        report = decay_fit(identity, w, fit_window)
     except NumericalAbort as exc:
         out["status"] = f"unfitted: mass underflows at time index {exc.time_index}"
         return out
@@ -557,7 +543,7 @@ def _ensemble_member(built: Built, fit_window, master_seed: int, index: int) -> 
                final_mass_x=float(identity.mass_x[-1]),
                final_mass_y=float(identity.mass_y[-1]))
     if params.scheme == "rescaled":
-        env = gronwall_check(identity, model)
+        env = gronwall_check(identity, w)
         out.update(gronwall_violations=env["violations"], e0_monotone=env["monotone"])
     return out
 
@@ -580,7 +566,7 @@ def run_ensemble(config: RunConfig, threads: int = 1) -> EnsembleReport:
     size, tol = en["size"], en["lyapunov_tolerance"]
     # Every path's decay fit needs omega: veto before any path is sampled.
     w = omega(config.built.model)
-    member = functools.partial(_ensemble_member, config.built,
+    member = functools.partial(_ensemble_member, config.built, w,
                                config.diagnostics.get("fit_window"), config.seed)
     chunk = math.ceil(size / max(1, min(threads, os.cpu_count() or 1)))
     workers = math.ceil(size / chunk)
@@ -728,22 +714,18 @@ def _emit_simulate(config: RunConfig, out: Path) -> None:
 
 
 def run(config_file_path, kind: str | None = None, out_dir: str | None = None,
-        seed: int | None = None, threads: int | None = None) -> int:
+        seed: int | None = None, threads: int = 1) -> int:
     """Execute a config file and write its artifacts; returns the exit code.
 
-    ``kind``, ``out_dir`` and ``seed`` override the config; ``threads``
-    falls back to the SNLS_LAB_THREADS environment variable, then 1.
+    ``kind``, ``out_dir`` and ``seed`` override the config; ``out_dir`` is
+    held to the rule of ``output_dir`` and is not written into the echo.
+    ``threads`` is the ensemble's worker count (see :func:`run_ensemble`).
     """
-    if threads is None:
-        env = os.environ.get("SNLS_LAB_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            print(f"error: SNLS_LAB_THREADS: not an integer: {env!r}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
     try:
         config = RunConfig.from_file(config_file_path, kind, seed)
-        out = Path(out_dir if out_dir is not None else config.output_dir)
+        out_dir = config.output_dir if out_dir is None else out_dir
+        _require(bool(out_dir), "output_dir", "must be a nonempty string")
+        out = Path(out_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:

@@ -196,7 +196,7 @@ class TestDecayFit:
         m = const_model(1.0, alpha0=1.0)
         params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=1.0, scheme="rescaled")
         rec = simulate(GRID, m, params, X0, seed=7)
-        report = decay_fit(rec, m)
+        report = decay_fit(rec, omega(m))
         assert report.lln_ratio == pytest.approx(rec.re_m[-1] / rec.times[-1])
 
     def test_window_past_a_run_that_never_underflows(self):
@@ -206,7 +206,7 @@ class TestDecayFit:
         params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.1, scheme="rescaled")
         rec = simulate(GRID, m, params, X0, seed=0)
         with pytest.raises(ValueError, match=r"^fit window \[5, 6\] outside the series span"):
-            decay_fit(rec, m, (5.0, 6.0))
+            decay_fit(rec, omega(m), (5.0, 6.0))
 
     def test_rejects_a_zero_initial_mass(self):
         # a run from the zero state has nothing to fit; no config reaches it,
@@ -215,7 +215,7 @@ class TestDecayFit:
         params = SimParams(lam=0, alpha=3.0, dt=1e-3, t_final=0.01, scheme="rescaled")
         rec = simulate(GRID, m, params, X0, seed=0)
         with pytest.raises(ValueError, match="^initial mass must be positive"):
-            decay_fit(dataclasses.replace(rec, mass_x=0.0 * rec.mass_x), m)
+            decay_fit(dataclasses.replace(rec, mass_x=0.0 * rec.mass_x), omega(m))
 
 
 class TestStructuralIdentities:
@@ -223,7 +223,7 @@ class TestStructuralIdentities:
         m = const_model(1.0, alpha0=1.0)
         params = SimParams(lam=1, alpha=3.0, dt=1e-3, t_final=2.0, scheme="rescaled")
         rec = simulate(GRID, m, params, X0, seed=9)
-        env = gronwall_check(rec, m)
+        env = gronwall_check(rec, omega(m))
         assert env["violations"] == 0
         assert env["monotone"]
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import snls_lab
 from snls_lab import harness, integrator, seeding
-from snls_lab.diagnostics import MASS_FLOOR, decay_fit, gronwall_check
+from snls_lab.diagnostics import MASS_FLOOR, decay_fit, gronwall_check, omega
 from snls_lab.errors import (
     EXIT_ASSUMPTION_VETO,
     EXIT_CONFIG_ERROR,
@@ -198,6 +198,13 @@ def test_readme_lists_the_config_keys():
             default.startswith(f"{want_default} (") and default.endswith(")")), key
 
 
+def test_run_config_fields_are_the_top_level_keys():
+    """RunConfig is built from the top level CONFIG_KEYS reads: a key added
+    to one and not the other fails here instead of taking a default."""
+    init = [f.name for f in dataclasses.fields(RunConfig) if f.init]
+    assert sorted(init) == sorted(harness.CONFIG_KEYS[""])
+
+
 def test_readme_example_config_builds():
     """The README's one JSON example is a valid config: a simulate run of
     25,000 steps."""
@@ -228,7 +235,7 @@ class TestRunKinds:
         params = build_params(cfg)
         x = build_initial(cfg, grid)
         rec = simulate(grid, model, params, x, seed=seeding.derive_seed(cfg.seed, 0))
-        direct_report = decay_fit(rec, model)
+        direct_report = decay_fit(rec, omega(model))
         assert rep.per_path[0]["lyapunov"] == pytest.approx(direct_report.lyapunov,
                                                             rel=1e-14)
 
@@ -529,8 +536,8 @@ def per_path_entry(cfg: RunConfig, index: int) -> dict:
                                   seed=seeding.derive_seed(cfg.seed, index))
     except NumericalAbort as exc:
         return {"index": index, "status": f"aborted at time index {exc.time_index}"}
-    rep = decay_fit(rec, model)
-    env = gronwall_check(rec, model)
+    w = omega(model)
+    rep, env = decay_fit(rec, w), gronwall_check(rec, w)
     return {"index": index, "status": "ok", "lyapunov": rep.lyapunov,
             "fitted_slope": rep.fitted_slope, "lln_ratio": rep.lln_ratio,
             "margin": rep.margin, "final_mass_x": float(rec.mass_x[-1]),
@@ -746,7 +753,8 @@ class TestEnsembleBlocks:
         # the ensemble samples its paths in harness, a lone path in integrator
         monkeypatch.setattr(harness, "sample_martingale", sampler)
         monkeypatch.setattr(integrator, "sample_martingale", sampler)
-        entries = [_ensemble_member(cfg.built, None, cfg.seed, index) for index in range(3)]
+        w = omega(cfg.built.model)
+        entries = [_ensemble_member(cfg.built, w, None, cfg.seed, index) for index in range(3)]
         assert [e["status"] == "ok" for e in entries] == [True, False, True]
         assert entries == [per_path_entry(cfg, i) for i in range(3)]
 
@@ -977,14 +985,56 @@ class TestCliRun:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+    def test_threads_come_from_the_option_alone(self, tmp_path, monkeypatch):
+        # no environment variable sets the worker count: without --threads
+        # the paths run in this process, and --threads 2 opens a pool of two
+        from snls_lab.cli import main
+
         cfg = base_config(kind="ensemble", ensemble={"size": 2})
         cfg["sim"]["t_final"] = 0.1
-        p = self.write_config(tmp_path, cfg)
+        p = str(self.write_config(tmp_path, cfg))
         monkeypatch.setenv("SNLS_LAB_THREADS", "2")
-        assert run(p, out_dir=str(tmp_path / "env_out")) == EXIT_OK
-        monkeypatch.setenv("SNLS_LAB_THREADS", "not-a-number")
-        assert run(p, out_dir=str(tmp_path / "bad_env")) == EXIT_CONFIG_ERROR
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run without --threads opened a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+        assert main(["ensemble", "--config", p, "--out", str(tmp_path / "one")]) == EXIT_OK
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices, chunksize):
+                return map(fn, indices)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert main(["ensemble", "--config", p, "--out", str(tmp_path / "two"),
+                     "--threads", "2"]) == EXIT_OK
+        assert opened == [2]
+        assert (tmp_path / "one" / "ensemble_report.json").read_bytes() == \
+            (tmp_path / "two" / "ensemble_report.json").read_bytes()
+
+    def test_empty_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # an empty --out is held to output_dir's rule, not taken as the
+        # working directory
+        from snls_lab.cli import main
+
+        p = str(self.write_config(tmp_path, base_config()))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["simulate", "--config", p, "--out", ""]) == EXIT_CONFIG_ERROR
+        assert "output_dir: must be a nonempty string" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
 
     # every march abort's message names its time index: the noise-exponent
     # guard, the |Re M| guard and an overflowing mass reconstruction

@@ -200,6 +200,12 @@ class SimParams:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def save_stride(self) -> int:
+        """Steps between the fields a snapshot callable receives, besides the
+        last one: ``save_every``, by default about 512 over the run."""
+        return self.save_every or max(1, math.ceil(self.n_steps / 512))
+
     def validate_alpha(self, dimension: int) -> None:
         if self.lam != 0:
             strichartz_exponent(dimension, self.alpha)
@@ -279,8 +285,7 @@ def simulate(grid: GridSpec, model: NoiseModel, params: SimParams,
 
     save_set = {n_steps}
     if snapshot is not None:
-        save_every = params.save_every or max(1, math.ceil(n_steps / 512))
-        save_set.update(range(0, n_steps + 1, save_every))
+        save_set.update(range(0, n_steps + 1, params.save_stride))
     # a run whose tables or state overflow goes through the march's
     # arithmetic; its abort, not a numpy warning, reports it
     with np.errstate(over="ignore", invalid="ignore"):

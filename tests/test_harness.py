@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import snls_lab
@@ -1647,3 +1647,143 @@ class TestFieldDumpStreaming:
         for path, k in zip(dumps, saved):
             field, t = read_field_dump(path)
             assert field.grid == grid and t == float(k)
+
+    @pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+    def test_dump_names_sort_in_save_order_past_9999(self, tmp_path):
+        # 10,002 dumps: numbered 0..10001, five digits wide, so the names'
+        # lexical order is the save order
+        cfg = dump_config(**{"lambda": 0, "dt": 1e-4, "t_final": 1.0001, "save_every": 1})
+        cfg["grid"]["points"] = 4
+        code, err = run_captured(cfg, tmp_path)
+        assert code == EXIT_OK, err
+        dumps = sorted((tmp_path / "out").glob("field_*.bin"))
+        assert len(dumps) == 10002
+        assert (dumps[0].name, dumps[-1].name) == ("field_00000.bin", "field_10001.bin")
+        times = [read_field_dump(path)[1] for path in dumps]
+        assert all(a < b for a, b in zip(times, times[1:]))
+
+
+# -- JSON output -------------------------------------------------------------------
+
+def stdlib_json(obj) -> bytes:
+    """The bytes every JSON output holds: the stdlib indent encoder's text."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 1e16, 1e-5]))
+# any code point but a surrogate, and strings with escapes of each kind
+JSON_TEXT = st.one_of(st.text(st.characters(), max_size=8),
+                      st.sampled_from(['\x00\x1f\t\n"\\', "\u00e9\u2028\U0001f600", "\x7f"]))
+JSON_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(2**64, 2**80).flatmap(lambda n: st.sampled_from([n, -n])),
+    JSON_FLOATS, JSON_TEXT)
+# float-only lists past a slice boundary of the writer's join
+LONG_FLOAT_LISTS = st.builds(lambda items, copies: items * copies,
+                             st.lists(JSON_FLOATS, min_size=1, max_size=4),
+                             st.integers(1, 3 * harness.JSON_SLICE))
+JSON_TREES = st.recursive(
+    st.one_of(JSON_ATOMS, LONG_FLOAT_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.lists(JSON_FLOATS, max_size=5), st.lists(JSON_FLOATS, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+        st.dictionaries(st.one_of(st.integers(), JSON_FLOATS, st.booleans()), children,
+                        max_size=5)),
+    max_leaves=20)
+
+
+SHARED = [1.0, {"b": [2, 3.5]}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=JSON_TREES)
+@example(obj={"a": SHARED, "c": [SHARED, (SHARED,)]})  # one list at three places
+def test_written_json_is_the_stdlib_indent_text(obj):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "report.json"
+        harness._write_json(path, obj)
+        assert path.read_bytes() == stdlib_json(obj)
+
+
+def circular() -> list:
+    loop: list = [1.0]
+    loop.append({"loop": loop})
+    return loop
+
+
+UNWRITABLE = {
+    "nan_in_float_list": lambda: [0.5] * 700 + [math.nan, math.inf],
+    "inf_in_float_list": lambda: {"values": [0.5, 1.5, math.inf]},
+    "neg_inf_in_float_tuple": lambda: {"values": (-math.inf,)},
+    "nan_value": lambda: {"a": 1, "b": math.nan},
+    "inf_value": lambda: {"a": [{"b": math.inf}]},
+    "neg_inf_value": lambda: {"a": -math.inf},
+    "unsupported_object": lambda: {"a": [1.0, 2.0], "b": [None, object()]},
+    "array_value": lambda: {"a": np.zeros(2)},
+    "unsupported_key": lambda: {(1, 2): 0.5},
+    "circular": circular,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_json_raises_the_stdlib_error_and_writes_nothing(tmp_path, name):
+    obj = UNWRITABLE[name]()
+    with pytest.raises(Exception) as expected:
+        stdlib_json(obj)
+    path = tmp_path / "report.json"
+    with pytest.raises(expected.type) as err:
+        harness._write_json(path, obj)
+    assert str(err.value) == str(expected.value)
+    assert not path.exists()
+
+
+@pytest.mark.filterwarnings("ignore::snls_lab.spectral_grid.SpectralTailWarning")
+def test_every_report_is_canonical_json(tmp_path):
+    # one run of each kind; each JSON file it writes reads back and re-encodes
+    # to its own bytes
+    steps = np.linspace(0.0, 0.1, 11).tolist()
+    tabulated = {"kind": "tabulated", "times": steps, "values": [1.0 + t for t in steps],
+                 "alpha0": 1.0, "v_max": 2.0}
+    cfgs = {kind: short_config(kind) for kind in harness.RUN_KINDS}
+    cfgs["simulate"]["diagnostics"] = {"decay_fit": True, "residuals": True}
+    cfgs["ensemble"]["noise"]["densities"] = [tabulated]
+    cfgs["convergence"]["convergence"] = {"dts": [0.05, 0.025, 0.0125],
+                                          "reference_dt": 0.0015625}
+    written = set()
+    for kind, cfg in cfgs.items():
+        root = tmp_path / kind
+        root.mkdir()
+        code, err = run_captured(cfg, root)
+        assert code == EXIT_OK, err
+        for path in (root / "out").glob("*.json"):
+            data = path.read_bytes()
+            assert (json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n").encode() \
+                == data, path
+            written.add(path.name)
+    assert written == {"config_echo.json", "decay_report.json", "ensemble_report.json",
+                       "picard_report.json", "convergence.json", "validation_report.json"}
+
+
+def test_json_writer_memory_stays_near_the_file_size(tmp_path):
+    # the config echo of the acceptance decay ensemble: V(s) = 1.5 + 0.5 sin s
+    # tabulated on its 25,001 step times
+    t = np.arange(0, 50 + 2e-3, 2e-3)
+    cfg = base_config(kind="ensemble", ensemble={"size": 4})
+    cfg["noise"]["densities"] = [{"kind": "tabulated", "times": t.tolist(),
+                                  "values": (1.5 + 0.5 * np.sin(t)).tolist(),
+                                  "alpha0": 1.0, "v_max": 2.0}]
+    cfg["sim"].update(dt=2e-3, t_final=50.0)
+    echo = RunConfig.from_dict(cfg).to_dict()
+    path = tmp_path / "config_echo.json"
+    harness._write_json(path, echo)  # warm-up: first-call allocations are not the write's
+    tracemalloc.start()
+    try:
+        harness._write_json(path, echo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**6
+    assert peak < 1.5 * size
